@@ -67,6 +67,7 @@ from .systems import (
     InputSequence,
     RealBox,
     random_sequence,
+    random_state,
     simulate,
 )
 
@@ -173,14 +174,6 @@ def _pair_err(sys: ControlSystem, p, q) -> float:
     return max(_state_err(sys, p[0], q[0]), 0.0 if p[1] == q[1] else 1.0)
 
 
-def _rand_state(sys: ControlSystem, rng):
-    if isinstance(sys.states, FiniteStates):
-        labels = sys.states.labels
-        return labels[int(rng.integers(len(labels)))]
-    box: RealBox = sys.states
-    return rng.uniform(np.asarray(box.lower), np.asarray(box.upper))
-
-
 def _rand_seq(sys: ControlSystem, plan: SamplePlan, rng) -> InputSequence:
     return random_sequence(
         rng, sys.inputs.labels, plan.seq_prefix_max, plan.seq_period_max
@@ -190,7 +183,7 @@ def _rand_seq(sys: ControlSystem, plan: SamplePlan, rng) -> InputSequence:
 def _scenario_states(sys, plan, rng) -> list:
     if isinstance(sys.states, FiniteStates):
         return list(sys.states.labels)
-    return [_rand_state(sys, rng) for _ in range(plan.n_points)]
+    return random_state(rng, sys.states, plan.n_points)
 
 
 def _scenario_pairs(sys, plan, rng) -> list:
@@ -198,14 +191,14 @@ def _scenario_pairs(sys, plan, rng) -> list:
         return list(enumerate_points(DomainTag.STATE_INPUT, sys))
     labels = sys.inputs.labels
     return [
-        (_rand_state(sys, rng), labels[int(rng.integers(len(labels)))])
+        (random_state(rng, sys.states), labels[int(rng.integers(len(labels)))])
         for _ in range(plan.n_points)
     ]
 
 
 def _scenario_seq_points(sys, plan, rng, n=None) -> list:
     n = plan.n_points if n is None else n
-    return [(_rand_state(sys, rng), _rand_seq(sys, plan, rng)) for _ in range(n)]
+    return [(random_state(rng, sys.states), _rand_seq(sys, plan, rng)) for _ in range(n)]
 
 
 def _product_obs(phi: Observable, table: dict) -> Observable:

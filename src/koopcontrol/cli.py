@@ -224,18 +224,6 @@ def _out_dir(cfg) -> Path:
     return out
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _atomic_export(path: Path, writer) -> None:
     """Run ``writer(tmp_path)`` and rename the result into place."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -294,10 +282,11 @@ def cmd_check(args) -> int:
         only = [cid for cid in only if cid not in skipped]
     summary = run_all(sys_, plan, only=only)
     out = _out_dir(cfg)
-    _atomic_write(out / "check_report.json", results_to_json(summary.results))
-    _atomic_write(out / "check_report.txt", results_to_text(summary.results))
+    report, table = results_to_json(summary.results), results_to_text(summary.results)
+    _atomic_export(out / "check_report.json", lambda p: Path(p).write_text(report))
+    _atomic_export(out / "check_report.txt", lambda p: Path(p).write_text(table))
     print(f"system {sys_.name}, seed {plan.rng_seed}, tolerance {plan.tolerance:g}")
-    print(results_to_text(summary.results), end="")
+    print(table, end="")
     for cid in skipped:
         print(f"{cid} skipped: not applicable to this state space")
     return 0 if summary.all_passed else 1
@@ -457,7 +446,8 @@ def cmd_predict(args) -> int:
     for k, err in enumerate(errors):
         u = "" if k == 0 else repr(seq.at(k - 1))
         lines.append(f"{k},{u},{err:.17g}")
-    _atomic_write(out / "prediction_errors.csv", "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _atomic_export(out / "prediction_errors.csv", lambda p: Path(p).write_text(text))
     worst = float(np.max(errors))
     print(f"predict {sys_.name}: dictionary {spec}, {steps} steps from x0={x0!r}")
     print(f"  max lifted prediction error {worst:.3e}")

@@ -6,6 +6,14 @@ Given a dictionary of state observables ``Psi`` and transition triples
 per input, nonlinearly in the input label, which is exactly the finite
 section of the constant-input Koopman operators on the dictionary span.
 
+Lifting is batched: :meth:`Dictionary.lift_batch` maps a whole list of
+states to the ``(dim, n)`` lift matrix.  When every dictionary entry comes
+from :func:`~koopcontrol.observables.monomial`, all entries are evaluated
+in one broadcast power-and-product over the stacked states, which gives
+the same bits as the per-point evaluation.  Any other dictionary
+(indicators, user callables, or a mix) falls back to lifting one point at
+a time through :meth:`Dictionary.lift`.
+
 Solving goes through ridge-regularized normal equations followed by one
 iterative-refinement step against the unridged system, which recovers
 the exact least-squares minimizer whenever the Gram matrix is well
@@ -22,8 +30,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, DomainMismatchError, UnsupportedError
-from .observables import DomainTag, Observable
-from .systems import ControlSystem, FiniteStates, InputSequence, RealBox, simulate, step
+from .observables import DomainTag, MonomialFn
+from .systems import (
+    ControlSystem,
+    FiniteStates,
+    InputSequence,
+    RealBox,
+    random_state,
+    simulate,
+    step,
+)
 
 __all__ = [
     "Dictionary",
@@ -60,6 +76,12 @@ class Dictionary:
         for o in self.observables:
             if o.domain is not DomainTag.STATE_ONLY:
                 raise DomainMismatchError("dictionary entries must be state-only")
+        # Exponent matrix (dim, d) when every entry is a monomial, else None.
+        fns = [o.fn for o in self.observables]
+        batched = all(isinstance(f, MonomialFn) for f in fns)
+        batched = batched and len({len(f.powers) for f in fns}) == 1
+        powers = np.array([f.powers for f in fns]) if batched else None
+        object.__setattr__(self, "_powers", powers)
 
     @property
     def dim(self) -> int:
@@ -71,6 +93,24 @@ class Dictionary:
 
     def lift(self, x) -> np.ndarray:
         return np.array([o(x) for o in self.observables], dtype=complex)
+
+    def lift_batch(self, xs) -> np.ndarray:
+        """The ``(dim, n)`` lift matrix of ``n`` states; column ``j`` is ``lift(xs[j])``."""
+        xs = list(xs)
+        if not xs:
+            return np.empty((self.dim, 0), dtype=complex)
+        p = self._powers
+        if p is not None:
+            try:
+                arr = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+            except (TypeError, ValueError):  # the per-point path raises the precise error
+                arr = None
+            if arr is not None and arr.shape[1] == p.shape[1]:
+                # The broadcast form, not one contiguous power per entry:
+                # it rounds exactly like the per-point evaluation.
+                vals = np.prod(arr[:, None, :] ** p[None], axis=-1)
+                return np.array(vals.T, dtype=complex, order="C")
+        return np.column_stack([self.lift(x) for x in xs])
 
 
 @dataclass(frozen=True)
@@ -170,16 +210,7 @@ def collect_data(sys: ControlSystem, sampler, per_input: bool = True) -> Trainin
     elif isinstance(sampler, UniformRandom):
         if sampler.n < 1:
             raise ValueError("sample count must be positive")
-        rng = np.random.default_rng(sampler.seed)
-        if isinstance(sys.states, FiniteStates):
-            labels = sys.states.labels
-            xs = [labels[int(i)] for i in rng.integers(len(labels), size=sampler.n)]
-        else:
-            box = sys.states
-            xs = [
-                rng.uniform(np.asarray(box.lower), np.asarray(box.upper))
-                for _ in range(sampler.n)
-            ]
+        xs = random_state(np.random.default_rng(sampler.seed), sys.states, sampler.n)
     else:
         raise ValueError(f"unknown sampler: {sampler!r}")
 
@@ -223,8 +254,8 @@ def fit_kcf(dictionary: Dictionary, data: TrainingSet) -> tuple:
         if not pairs:
             missing.append(u)
             continue
-        phi0 = np.column_stack([dictionary.lift(x) for x, _ in pairs])
-        phi1 = np.column_stack([dictionary.lift(y) for _, y in pairs])
+        phi0 = dictionary.lift_batch([x for x, _ in pairs])
+        phi1 = dictionary.lift_batch([y for _, y in pairs])
         a, cond = _solve_ls(phi0, phi1)
         matrices[u] = a
         n = len(pairs)
@@ -263,11 +294,9 @@ def prediction_error(
     k: int,
 ) -> np.ndarray:
     """Max-abs gap per step between the lifted prediction and the true lift."""
-    preds = predict(model, dictionary, x0, seq, k)
-    xs = simulate(sys, x0, seq, k)
-    return np.array(
-        [float(np.max(np.abs(z - dictionary.lift(x)))) for z, x in zip(preds, xs)]
-    )
+    preds = np.column_stack(predict(model, dictionary, x0, seq, k))
+    truth = dictionary.lift_batch(simulate(sys, x0, seq, k))
+    return np.abs(preds - truth).max(axis=0)
 
 
 def _state_columns(sys: ControlSystem) -> int:

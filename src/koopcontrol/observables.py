@@ -22,8 +22,8 @@ from .systems import (
     ControlSystem,
     FiniteStates,
     InputSequence,
-    RealBox,
     random_sequence,
+    random_state,
 )
 
 __all__ = [
@@ -149,14 +149,6 @@ class CIReport:
     mode: object
 
 
-def _sample_state(rng, sys: ControlSystem):
-    if isinstance(sys.states, FiniteStates):
-        labels = sys.states.labels
-        return labels[int(rng.integers(len(labels)))]
-    box: RealBox = sys.states
-    return rng.uniform(np.asarray(box.lower), np.asarray(box.upper))
-
-
 def is_control_independent(
     obs: Observable, sys: ControlSystem, mode=None, tol: float = 1e-12
 ) -> CIReport:
@@ -194,7 +186,7 @@ def is_control_independent(
         raise ValueError(f"unknown mode: {mode!r}")
     rng = np.random.default_rng(mode.seed)
     for _ in range(mode.count):
-        x = _sample_state(rng, sys)
+        x = random_state(rng, sys.states)
         if obs.domain is DomainTag.STATE_INPUT:
             i = int(rng.integers(len(labels)))
             j = int(rng.integers(max(len(labels) - 1, 1)))
@@ -292,20 +284,31 @@ def coordinate(i: int) -> Observable:
     return Observable(DomainTag.STATE_ONLY, fn, label=f"x{i}")
 
 
+class MonomialFn:
+    """The function of :func:`monomial`; ``powers`` holds its exponent tuple,
+    so a dictionary of monomials can evaluate them all in one array op."""
+
+    __slots__ = ("powers", "_exponents")
+
+    def __init__(self, powers: tuple):
+        self.powers = powers
+        self._exponents = np.asarray(powers)
+
+    def __call__(self, x) -> float:
+        arr = np.asarray(x, dtype=float).reshape(-1)
+        if arr.size != len(self.powers):
+            raise DomainError(
+                f"state dimension {arr.size} does not match powers {self.powers}"
+            )
+        return float((arr**self._exponents).prod())
+
+
 def monomial(powers) -> Observable:
     """Product of state coordinates raised to the given powers."""
     powers = tuple(int(p) for p in powers)
-
-    def fn(x):
-        arr = np.asarray(x, dtype=float).reshape(-1)
-        if arr.size != len(powers):
-            raise DomainError(
-                f"state dimension {arr.size} does not match powers {powers}"
-            )
-        return float(np.prod(arr**np.asarray(powers)))
-
     terms = [f"x{i}^{p}" for i, p in enumerate(powers) if p]
-    return Observable(DomainTag.STATE_ONLY, fn, label="*".join(terms) or "1")
+    label = "*".join(terms) or "1"
+    return Observable(DomainTag.STATE_ONLY, MonomialFn(powers), label=label)
 
 
 def constant_one(domain: DomainTag) -> Observable:

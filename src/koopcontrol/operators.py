@@ -27,7 +27,7 @@ from .systems import (
     FiniteStates,
     InfiniteSequenceMap,
     InputSequence,
-    RealBox,
+    random_state,
     range_map,
     states_equal,
     step,
@@ -509,12 +509,7 @@ def two_step_discrepancy_witness(
         starts = sys.states.labels
         probe_of = indicator
     else:
-        box: RealBox = sys.states
-        rng = np.random.default_rng(seed)
-        starts = [
-            rng.uniform(np.asarray(box.lower), np.asarray(box.upper))
-            for _ in range(n_samples)
-        ]
+        starts = random_state(np.random.default_rng(seed), sys.states, n_samples)
         probe_of = None
     for x in starts:
         for u0 in sys.inputs.labels:

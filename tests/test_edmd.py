@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from koopcontrol import (
+    ControlSystem,
     Dictionary,
     DomainError,
     DomainMismatchError,
+    DomainTag,
     ExhaustiveFinite,
     GridOnBox,
     InputSequence,
+    InputSet,
+    Observable,
+    RealBox,
     TrainingSet,
     UniformRandom,
     apply,
@@ -60,6 +65,80 @@ def test_dictionary_for_specs(f3, sl):
     assert dictionary_for(sl, "monomial:3").dim == 4
     with pytest.raises(DomainError):
         dictionary_for(sl, "wavelet:2")
+
+
+def _per_point_lift(d, xs):
+    return np.column_stack([d.lift(x) for x in xs])
+
+
+def _without_batching(d):
+    """The same functions, hidden behind plain callables: lifted point by point."""
+    return Dictionary(
+        tuple(Observable(DomainTag.STATE_ONLY, lambda x, fn=o.fn: fn(x), o.label)
+              for o in d.observables)
+    )
+
+
+def test_batched_lift_is_bitwise_per_point_monomial10_1d():
+    d = monomial_dictionary(1, 10)
+    rng = np.random.default_rng(2024)
+    xs = [np.array([v]) for v in (-1.0, 0.0, 1.0, -0.0, 1e-300, -1e-3)]
+    xs += list(rng.uniform(-1.0, 1.0, size=(10_000, 1)))
+    assert [o.fn.powers for o in d.observables] == [(k,) for k in range(11)]
+    batch = d.lift_batch(xs)
+    assert batch.shape == (11, len(xs)) and batch.dtype == complex
+    assert np.array_equal(batch, _per_point_lift(d, xs))
+
+
+def test_batched_lift_is_bitwise_per_point_2d_degree4():
+    d = monomial_dictionary(2, 4)
+    rng = np.random.default_rng(5)
+    corners = [np.array(p) for p in ((-2.0, -2.0), (2.0, 0.0), (0.0, 0.0), (1.0, -1.0))]
+    xs = corners + list(rng.uniform((-2.0, -0.5), (2.0, 3.0), size=(3000, 2)))
+    assert np.array_equal(d.lift_batch(xs), _per_point_lift(d, xs))
+
+
+def test_batched_lift_falls_back_for_indicators(f3):
+    d = indicator_dictionary(f3)
+    xs = [0, 2, 1, 1, 0]
+    assert np.array_equal(d.lift_batch(xs), _per_point_lift(d, xs))
+    assert d.lift_batch([]).shape == (3, 0)
+
+
+def test_batched_lift_rejects_wrong_state_dimension():
+    d = monomial_dictionary(2, 2)
+    with pytest.raises(DomainError):
+        d.lift_batch([np.array([0.1, 0.2]), np.array([0.3])])
+    with pytest.raises(DomainError):
+        d.lift_batch([np.array([0.1, 0.2, 0.3])])
+
+
+def test_fit_equals_fit_from_per_point_lifts(sl, lg):
+    plane = ControlSystem(
+        RealBox((-1.0, -1.0), (1.0, 1.0)),
+        InputSet(("p", "q")),
+        lambda x, u: np.array([0.5 * x[0], x[0] * x[1]]) if u == "p" else x[::-1] * 0.9,
+    )
+    cases = [(sl, monomial_dictionary(1, 10)), (lg, monomial_dictionary(1, 4)),
+             (plane, monomial_dictionary(2, 3))]
+    for system, d in cases:
+        data = collect_data(system, UniformRandom(400, seed=13))
+        model, report = fit_kcf(d, data)
+        slow_model, slow_report = fit_kcf(_without_batching(d), data)
+        for u in model.matrices:
+            assert np.array_equal(model.matrices[u], slow_model.matrices[u])
+        assert report.residuals == slow_report.residuals
+
+
+def test_prediction_error_equals_per_point_lifts(sl):
+    d = monomial_dictionary(1, 10)
+    model, _ = fit_kcf(d, collect_data(sl, UniformRandom(300, seed=8)))
+    seq = InputSequence(("b",), ("a", "b"))
+    errs = prediction_error(model, d, sl, 0.9, seq, 50)
+    preds = predict(model, d, 0.9, seq, 50)
+    xs = simulate(sl, 0.9, seq, 50)
+    slow = [float(np.max(np.abs(z - d.lift(x)))) for z, x in zip(preds, xs)]
+    assert np.array_equal(errs, np.array(slow))
 
 
 def test_collect_data_exhaustive(f3):

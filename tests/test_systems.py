@@ -15,6 +15,7 @@ from koopcontrol import (
     RecoveryMethod,
     project_state,
     random_sequence,
+    random_state,
     range_map,
     recover_trajectory,
     seq_at,
@@ -70,6 +71,52 @@ def test_box_boundary_is_inside(sl):
 def test_box_rejects_bad_shape(sl):
     with pytest.raises(DomainError):
         sl.states.coerce([0.1, 0.2])
+
+
+def _raises_exactly(message, fn, *args):
+    with pytest.raises(DomainError) as info:
+        fn(*args)
+    assert str(info.value) == message
+
+
+def test_step_rejects_nan_state(sl):
+    _raises_exactly("state array([nan]) outside the declared box", step, sl, np.nan, "a")
+    assert not sl.states.contains(np.nan)
+
+
+def test_step_rejects_nan_transition_output():
+    sys = ControlSystem(RealBox((0.0,), (1.0,)), InputSet(("u",)), lambda x, u: x * np.nan)
+    _raises_exactly("transition output array([nan]) outside the declared box", step, sys, 0.5, "u")
+
+
+def test_step_rejects_wrong_state_shape(sl):
+    _raises_exactly("state has shape (2,), expected (1,)", step, sl, [0.1, 0.2], "a")
+    assert not sl.states.contains([0.1, 0.2])
+
+
+def test_box_slack_accepts_1e_10_and_rejects_1e_8(sl):
+    assert step(sl, 1.0 + 1e-10, "a")[0] == 0.5 * (1.0 + 1e-10)
+    assert step(sl, -1.0 - 1e-10, "b")[0] == -0.8 * (-1.0 - 1e-10)
+    assert sl.states.contains(1.0 + 1e-10) and sl.states.contains(-1.0 - 1e-10)
+    _raises_exactly("state array([1.00000001]) outside the declared box", step, sl, 1.0 + 1e-8, "a")
+    _raises_exactly("state array([-1.00000001]) outside the declared box", step, sl, -1.0 - 1e-8, "a")
+    assert not sl.states.contains(1.0 + 1e-8) and not sl.states.contains(-1.0 - 1e-8)
+
+
+def test_random_state_batch_matches_single_draws(f3):
+    box = RealBox((-1.0, 0.0, 2.0), (1.0, 0.5, 9.0))
+    for space in (box, f3.states):
+        one, many = np.random.default_rng(3), np.random.default_rng(3)
+        singles = [random_state(one, space) for _ in range(500)]
+        batch = random_state(many, space, 500)
+        assert len(batch) == 500
+        assert all(np.array_equal(a, b) for a, b in zip(singles, batch))
+        assert one.random() == many.random()  # same number of draws consumed
+    legacy = np.random.default_rng(4)
+    expected = [legacy.uniform(np.asarray(box.lower), np.asarray(box.upper)) for _ in range(500)]
+    draws = random_state(np.random.default_rng(4), box, 500)
+    assert all(np.array_equal(a, b) for a, b in zip(expected, draws))
+    assert all(box.contains(x) for x in draws)
 
 
 def test_realbox_requires_ordered_bounds():
