@@ -8,241 +8,17 @@ encodings together, and identifies the per-input matrices of the lifted
 dynamics from data.
 """
 
-from .errors import ContractError, DomainError, DomainMismatchError, UnsupportedError
-from .systems import (
-    AugmentedMap,
-    ConstantInputMap,
-    ControlSystem,
-    FiniteStates,
-    InfiniteSequenceMap,
-    InputSequence,
-    InputSet,
-    RealBox,
-    RecoveryMethod,
-    project_state,
-    random_sequence,
-    random_state,
-    range_map,
-    recover_trajectory,
-    seq_at,
-    shift,
-    simulate,
-    states_equal,
-    step,
-)
-from .observables import (
-    CIReport,
-    DomainTag,
-    Exhaustive,
-    Observable,
-    Sampled,
-    certify_control_independent,
-    constant_one,
-    coordinate,
-    enumerate_points,
-    eval_at,
-    indicator,
-    input_weight,
-    is_control_independent,
-    linear_combine,
-    monomial,
-    pair_indicator,
-    state_component,
-    tabulate,
-)
-from .operators import (
-    CIIsomorphisms,
-    CompositionOperator,
-    MatrixOperator,
-    PointMap,
-    TwoStepWitness,
-    WellDefinednessReason,
-    WellDefinednessReport,
-    apply,
-    ci_isomorphisms,
-    compose,
-    drop_input,
-    export_matrix_csv,
-    extend_to_constant_sequence,
-    extension_aug_to_inf,
-    extension_f_to_aug,
-    freeze_input,
-    identity_operator,
-    input_aug_well_definedness,
-    k_aug,
-    k_inf,
-    k_naive,
-    k_u,
-    kcf_word,
-    koopman_of_map,
-    power,
-    restrict_to_first_input,
-    restriction_aug_to_f,
-    restriction_inf_to_aug,
-    state_projection,
-    to_matrix,
-    two_step_discrepancy_witness,
-)
-from .checks import (
-    CheckResult,
-    RunSummary,
-    SamplePlan,
-    check_ids,
-    describe_check,
-    exact_plan,
-    is_applicable,
-    results_to_json,
-    results_to_text,
-    run_all,
-    run_check,
-    sampled_plan,
-)
-from .edmd import (
-    Dictionary,
-    ExhaustiveFinite,
-    FitReport,
-    GridOnBox,
-    SeparableModel,
-    TrainingSet,
-    UniformRandom,
-    collect_data,
-    export_model_json,
-    export_training_csv,
-    fit_kcf,
-    import_model_json,
-    import_training_csv,
-    predict,
-    prediction_error,
-)
-from .catalog import (
-    BUILTIN_SYSTEMS,
-    builtin_system,
-    collapse2,
-    dictionary_for,
-    finite3,
-    indicator_dictionary,
-    logistic_with_offset,
-    monomial_dictionary,
-    scalarlinear,
-)
+from . import catalog, checks, edmd, errors, observables, operators, systems
+from .errors import *
+from .systems import *
+from .observables import *
+from .operators import *
+from .checks import *
+from .edmd import *
+from .catalog import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ContractError",
-    "DomainError",
-    "DomainMismatchError",
-    "UnsupportedError",
-    # systems
-    "AugmentedMap",
-    "ConstantInputMap",
-    "ControlSystem",
-    "FiniteStates",
-    "InfiniteSequenceMap",
-    "InputSequence",
-    "InputSet",
-    "RealBox",
-    "RecoveryMethod",
-    "project_state",
-    "random_sequence",
-    "random_state",
-    "range_map",
-    "recover_trajectory",
-    "seq_at",
-    "shift",
-    "simulate",
-    "states_equal",
-    "step",
-    # observables
-    "CIReport",
-    "DomainTag",
-    "Exhaustive",
-    "Observable",
-    "Sampled",
-    "certify_control_independent",
-    "constant_one",
-    "coordinate",
-    "enumerate_points",
-    "eval_at",
-    "indicator",
-    "input_weight",
-    "is_control_independent",
-    "linear_combine",
-    "monomial",
-    "pair_indicator",
-    "state_component",
-    "tabulate",
-    # operators
-    "CIIsomorphisms",
-    "CompositionOperator",
-    "MatrixOperator",
-    "PointMap",
-    "TwoStepWitness",
-    "WellDefinednessReason",
-    "WellDefinednessReport",
-    "apply",
-    "ci_isomorphisms",
-    "compose",
-    "drop_input",
-    "export_matrix_csv",
-    "extend_to_constant_sequence",
-    "extension_aug_to_inf",
-    "extension_f_to_aug",
-    "freeze_input",
-    "identity_operator",
-    "input_aug_well_definedness",
-    "k_aug",
-    "k_inf",
-    "k_naive",
-    "k_u",
-    "kcf_word",
-    "koopman_of_map",
-    "power",
-    "restrict_to_first_input",
-    "restriction_aug_to_f",
-    "restriction_inf_to_aug",
-    "state_projection",
-    "to_matrix",
-    "two_step_discrepancy_witness",
-    # checks
-    "CheckResult",
-    "RunSummary",
-    "SamplePlan",
-    "check_ids",
-    "describe_check",
-    "exact_plan",
-    "is_applicable",
-    "results_to_json",
-    "results_to_text",
-    "run_all",
-    "run_check",
-    "sampled_plan",
-    # edmd
-    "Dictionary",
-    "ExhaustiveFinite",
-    "FitReport",
-    "GridOnBox",
-    "SeparableModel",
-    "TrainingSet",
-    "UniformRandom",
-    "collect_data",
-    "export_model_json",
-    "export_training_csv",
-    "fit_kcf",
-    "import_model_json",
-    "import_training_csv",
-    "predict",
-    "prediction_error",
-    # catalog
-    "BUILTIN_SYSTEMS",
-    "builtin_system",
-    "collapse2",
-    "dictionary_for",
-    "finite3",
-    "indicator_dictionary",
-    "logistic_with_offset",
-    "monomial_dictionary",
-    "scalarlinear",
-]
+_MODULES = (errors, systems, observables, operators, checks, edmd, catalog)
+
+__all__ = ["__version__"] + [name for module in _MODULES for name in module.__all__]

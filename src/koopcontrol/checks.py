@@ -5,10 +5,13 @@ documented counterexample) over enumerated or plan-sampled scenarios and
 reports the maximum absolute discrepancy.  Finite systems are checked
 over exhaustive state/input/function bases, where indicator functions
 span the whole observable space, so any linear identity that fails
-anywhere fails on the basis.  Box systems are checked over seeded
-samples and random linear combinations of a built-in basis; a clean pass
-there is a non-refutation certificate, with the evaluation count
-recorded.
+anywhere fails on the basis; input sequences are still drawn at random.
+Box systems are checked over seeded samples and random linear
+combinations of a built-in basis; a clean pass there is a
+non-refutation certificate, with the evaluation count recorded.  A
+discrepancy that is not a number within tolerance (NaN included) fails.
+Most identities are rows of one table (:data:`_REGISTRY`) that
+:func:`_run_table` evaluates; witness and simulator checks have runners.
 
 Results are deterministic: every check draws from a generator seeded by
 (plan seed, check index), so run order and concurrency cannot change the
@@ -18,7 +21,9 @@ outcome, and reports contain no timestamps.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,11 +46,11 @@ from .observables import (
 from .operators import (
     apply,
     ci_isomorphisms,
+    drop_input,
     extend_to_constant_sequence,
     extension_aug_to_inf,
     extension_f_to_aug,
     freeze_input,
-    drop_input,
     input_aug_well_definedness,
     k_aug,
     k_inf,
@@ -66,9 +71,12 @@ from .systems import (
     InfiniteSequenceMap,
     InputSequence,
     RealBox,
+    RecoveryMethod,
     random_sequence,
     random_state,
+    recover_trajectory,
     simulate,
+    state_distance,
 )
 
 __all__ = [
@@ -79,6 +87,7 @@ __all__ = [
     "sampled_plan",
     "check_ids",
     "describe_check",
+    "is_applicable",
     "run_check",
     "run_all",
     "results_to_json",
@@ -143,41 +152,43 @@ class RunSummary:
 
 
 class _Recorder:
-    """Tracks the max discrepancy and the first point exceeding tolerance."""
+    """Tracks the largest finite discrepancy and the first one not within tolerance.
+
+    A discrepancy fails unless it is ``<= tolerance``, so NaN fails; only
+    finite values count towards ``max_err``, which stays a plain float.
+    """
 
     def __init__(self, tolerance: float):
         self.tolerance = tolerance
         self.max_err = 0.0
         self.n = 0
+        self.passed = True
         self.counterexample = None
         self.note = ""
 
     def record(self, err: float, describe: Callable) -> None:
+        """Count one discrepancy; ``describe()`` runs at once if it is the first failure."""
         err = float(err)
         self.n += 1
-        if err > self.max_err:
+        if err > self.max_err and math.isfinite(err):
             self.max_err = err
-        if err > self.tolerance and self.counterexample is None:
+        if not err <= self.tolerance and self.passed:
+            self.passed = False
             self.counterexample = describe()
 
     def values(self, a: complex, b: complex, describe: Callable) -> None:
         self.record(abs(a - b), describe)
 
 
-def _state_err(sys: ControlSystem, a, b) -> float:
-    if isinstance(sys.states, FiniteStates):
-        return 0.0 if a == b else 1.0
-    return float(np.max(np.abs(np.asarray(a, float) - np.asarray(b, float))))
+def _gap(space, a, b) -> float:
+    """Distance of two states, or of two (state, input-or-sequence) points.
 
-
-def _pair_err(sys: ControlSystem, p, q) -> float:
-    return max(_state_err(sys, p[0], q[0]), 0.0 if p[1] == q[1] else 1.0)
-
-
-def _rand_seq(sys: ControlSystem, plan: SamplePlan, rng) -> InputSequence:
-    return random_sequence(
-        rng, sys.inputs.labels, plan.seq_prefix_max, plan.seq_period_max
-    )
+    Box states are arrays, so a tuple on a box is a point pair; on finite
+    spaces whole-point equality already compares pairs componentwise.
+    """
+    if isinstance(a, tuple) and isinstance(space, RealBox):
+        return max(state_distance(space, a[0], b[0]), 0.0 if a[1] == b[1] else 1.0)
+    return state_distance(space, a, b)
 
 
 def _scenario_states(sys, plan, rng) -> list:
@@ -197,8 +208,11 @@ def _scenario_pairs(sys, plan, rng) -> list:
 
 
 def _scenario_seq_points(sys, plan, rng, n=None) -> list:
-    n = plan.n_points if n is None else n
-    return [(random_state(rng, sys.states), _rand_seq(sys, plan, rng)) for _ in range(n)]
+    labels, pmax, qmax = sys.inputs.labels, plan.seq_prefix_max, plan.seq_period_max
+    return [
+        (random_state(rng, sys.states), random_sequence(rng, labels, pmax, qmax))
+        for _ in range(plan.n_points if n is None else n)
+    ]
 
 
 def _product_obs(phi: Observable, table: dict) -> Observable:
@@ -304,34 +318,127 @@ def _is_finite(sys: ControlSystem) -> bool:
     return isinstance(sys.states, FiniteStates)
 
 
-# --- check runners ---------------------------------------------------------
+# --- the identity table ----------------------------------------------------
+
+# What a row can draw, by name: point lists (states, states per input,
+# pairs, sequence points) and function lists (random combinations of the
+# state, pair and sequence bases, exhaustive bases on finite systems).
+# "ci_seq" draws nothing: it is the fixed list of sequence-blind observables.
+_DRAWS = {
+    "x": _scenario_states,
+    "x_per_u": lambda sys, plan, rng: {u: _scenario_states(sys, plan, rng) for u in sys.inputs.labels},
+    "p": _scenario_pairs,
+    "s": _scenario_seq_points,
+    "fx": lambda sys, plan, rng: _functions(sys, plan, rng, _state_basis(sys)),
+    "fp": lambda sys, plan, rng: _functions(sys, plan, rng, _aug_basis(sys)),
+    "fs": lambda sys, plan, rng: _functions(sys, plan, rng, _seq_basis(sys)),
+    "ci_seq": lambda sys, plan, rng: _ci_seq_direct(sys),
+}
 
 
-def _run_c1(sys, plan, rng):
+def _named(sys: ControlSystem, inputs: dict) -> dict:
+    """Operators (capitalised) and point maps (lower case, ``T_*``) by name;
+    ``R_u``, ``K_u``, ``f_u`` and ``T_u`` exist for each key of ``inputs``."""
+    iso = ci_isomorphisms(sys)
+    named = {
+        "R": restriction_inf_to_aug(),
+        "E": extension_aug_to_inf(),
+        "E_f": extension_f_to_aug(),
+        "K_aug": k_aug(sys),
+        "K_inf": k_inf(sys),
+        "E_ci": iso.extend_state_to_aug,
+        "R_ci": iso.restrict_aug_to_state,
+        "E_ci_seq": iso.extend_aug_to_seq,
+        "R_ci_seq": iso.restrict_seq_to_aug,
+        "r": restrict_to_first_input(),
+        "e": extend_to_constant_sequence(),
+        "d": drop_input(),
+        "T_aug": AugmentedMap(sys),
+        "T_inf": InfiniteSequenceMap(sys),
+    }
+    for key, u in inputs.items():
+        named[f"R_{key}"] = restriction_aug_to_f(u, sys)
+        named[f"K_{key}"] = k_u(sys, u)
+        named[f"f_{key}"] = freeze_input(u)
+        named[f"T_{key}"] = ConstantInputMap(sys, u)
+    return named
+
+
+def _apply_chain(named: dict, chain: str, g: Observable) -> Observable:
+    """Apply an operator product such as ``"R K_inf E"`` (rightmost first)."""
+    for name in reversed(chain.split()):
+        g = apply(named[name], g)
+    return g
+
+
+def _map_chain(named: dict, chain: str) -> Callable:
+    """The point map of a composition such as ``"r T_inf e"`` (rightmost first)."""
+    maps = [named[name] for name in reversed(chain.split())]
+
+    def run(point):
+        for m in maps:
+            point = m(point)
+        return point
+
+    return run
+
+
+class _Group:
+    """Legs that one input context evaluates over one point list.
+
+    ``over`` is ``""`` (once), ``"u"`` (once per input) or ``"uu"`` (once
+    per unordered input pair ``u1``, ``u2``).  ``funcs`` is empty for
+    point-map legs; otherwise it names a drawn function list, optionally
+    after operators that turn each function into the subject (``"E_ci fx"``).
+    A leg is ``(counterexample template, lhs chain, rhs chain)``; the
+    template may name ``{f}``, ``{p}`` and the context's inputs, and an
+    empty chain is the subject (or point) itself.
+    """
+
+    def __init__(self, over: str, points: str, funcs: str, *legs: tuple):
+        self.over, self.points, self.funcs, self.legs = over, points, funcs, legs
+
+
+def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
+    named = _named(sys, inputs)
+    fields = {key: repr(u) for key, u in inputs.items()}
+    points = drawn[group.points]
+    if isinstance(points, dict):  # one point list per input
+        points = points[inputs["u"]]
+    if not group.funcs:
+        legs = [(t, _map_chain(named, a), _map_chain(named, b)) for t, a, b in group.legs]
+        for p in points:
+            for text, lhs, rhs in legs:
+                err = _gap(sys.states, lhs(p), rhs(p))
+                rec.record(err, lambda: text.format(p=repr(p), **fields))
+        return
+    lift, _, fset = group.funcs.rpartition(" ")
+    built = []
+    for g in (_apply_chain(named, lift, f) for f in drawn[fset]):
+        legs = [(t, _apply_chain(named, a, g), _apply_chain(named, b, g)) for t, a, b in group.legs]
+        built.append((g.label, legs))
+    for p, (label, legs) in _pairings(points, built, _is_finite(sys)):
+        for text, lhs, rhs in legs:
+            rec.values(lhs(p), rhs(p), lambda: text.format(f=label, p=repr(p), **fields))
+
+
+def _run_table(sys, plan, rng, draws: tuple, groups: tuple) -> _Recorder:
+    """Draw in the row's order, run the per-input groups input by input,
+    then every other group in order."""
     rec = _Recorder(plan.tolerance)
-    rmap = restrict_to_first_input()
-    emap = extend_to_constant_sequence()
-    for x, u in _scenario_pairs(sys, plan, rng):
-        back = rmap(emap((x, u)))
-        rec.record(
-            _pair_err(sys, back, (x, u)), lambda x=x, u=u: f"pair ({x!r}, {u!r})"
-        )
+    drawn = {name: _DRAWS[name](sys, plan, rng) for name in draws}
+    labels = sys.inputs.labels
+    pairs = [{"u1": a, "u2": b} for i, a in enumerate(labels) for b in labels[i + 1 :]]
+    for u in labels:
+        for group in (g for g in groups if g.over == "u"):
+            _run_group(sys, rec, group, drawn, {"u": u})
+    for group in (g for g in groups if g.over != "u"):
+        for inputs in pairs if group.over == "uu" else [{}]:
+            _run_group(sys, rec, group, drawn, inputs)
     return rec
 
 
-def _run_c2(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    rop = restriction_inf_to_aug()
-    eop = extension_aug_to_inf()
-    scenarios = _scenario_pairs(sys, plan, rng)
-    funcs = _functions(sys, plan, rng, _aug_basis(sys))
-    for p, g in _pairings(scenarios, funcs, _is_finite(sys)):
-        rec.values(
-            apply(rop, apply(eop, g))(p),
-            g(p),
-            lambda p=p, g=g: f"{g.label} at {p!r}",
-        )
-    return rec
+# --- checks with their own runners -----------------------------------------
 
 
 def _run_c3(sys, plan, rng):
@@ -346,7 +453,7 @@ def _run_c3(sys, plan, rng):
         )
         rec.record(
             0.0 if report.independent else 1.0,
-            lambda f=f, report=report: f"extension of {f.label} varies: {report.witness!r}",
+            lambda: f"extension of {f.label} varies: {report.witness!r}",
         )
     for j, h in enumerate(_ci_seq_direct(sys)):
         g = apply(iso.restrict_seq_to_aug, h)
@@ -354,221 +461,7 @@ def _run_c3(sys, plan, rng):
         report = is_control_independent(g, sys, mode, tol=plan.tolerance or 1e-15)
         rec.record(
             0.0 if report.independent else 1.0,
-            lambda h=h, report=report: f"restriction of {h.label} varies: {report.witness!r}",
-        )
-    return rec
-
-
-def _run_c4(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    dmap = drop_input()
-    for u_star in sys.inputs.labels:
-        fmap = freeze_input(u_star)
-        for x in _scenario_states(sys, plan, rng):
-            rec.record(
-                _state_err(sys, dmap(fmap(x)), x),
-                lambda x=x, u=u_star: f"state {x!r} via input {u!r}",
-            )
-    return rec
-
-
-def _run_c5(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    eop = extension_f_to_aug()
-    scenarios = _scenario_states(sys, plan, rng)
-    funcs = _functions(sys, plan, rng, _state_basis(sys))
-    for u_star in sys.inputs.labels:
-        rop = restriction_aug_to_f(u_star, sys)
-        for x, f in _pairings(scenarios, funcs, _is_finite(sys)):
-            rec.values(
-                apply(rop, apply(eop, f))(x),
-                f(x),
-                lambda x=x, f=f, u=u_star: f"{f.label} at {x!r}, input {u!r}",
-            )
-    return rec
-
-
-def _run_c6(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    iso = ci_isomorphisms(sys)
-    state_funcs = _functions(sys, plan, rng, _state_basis(sys))
-    ci_aug = [apply(iso.extend_state_to_aug, f) for f in state_funcs]
-    pair_scen = _scenario_pairs(sys, plan, rng)
-    for p, g in _pairings(pair_scen, ci_aug, _is_finite(sys)):
-        back = apply(iso.restrict_seq_to_aug, apply(iso.extend_aug_to_seq, g))
-        rec.values(back(p), g(p), lambda p=p, g=g: f"{g.label} at {p!r}")
-    ci_seq = _ci_seq_direct(sys)
-    seq_scen = _scenario_seq_points(sys, plan, rng)
-    for p, h in _pairings(seq_scen, ci_seq, _is_finite(sys)):
-        fwd = apply(iso.extend_aug_to_seq, apply(iso.restrict_seq_to_aug, h))
-        rec.values(fwd(p), h(p), lambda p=p, h=h: f"{h.label} at {p!r}")
-    return rec
-
-
-def _run_c7(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    iso = ci_isomorphisms(sys)
-    ci_aug = [
-        apply(iso.extend_state_to_aug, f)
-        for f in _functions(sys, plan, rng, _state_basis(sys))
-    ]
-    labels = sys.inputs.labels
-    scenarios = _scenario_states(sys, plan, rng)
-    for i, u1 in enumerate(labels):
-        for u2 in labels[i + 1 :]:
-            r1 = restriction_aug_to_f(u1, sys)
-            r2 = restriction_aug_to_f(u2, sys)
-            for x, g in _pairings(scenarios, ci_aug, _is_finite(sys)):
-                rec.values(
-                    apply(r1, g)(x),
-                    apply(r2, g)(x),
-                    lambda x=x, g=g, u1=u1, u2=u2: f"{g.label} at {x!r}, inputs {u1!r}/{u2!r}",
-                )
-    return rec
-
-
-def _run_c8(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    iso = ci_isomorphisms(sys)
-    state_funcs = _functions(sys, plan, rng, _state_basis(sys))
-    scenarios = _scenario_states(sys, plan, rng)
-    for x, f in _pairings(scenarios, state_funcs, _is_finite(sys)):
-        back = apply(iso.restrict_aug_to_state, apply(iso.extend_state_to_aug, f))
-        rec.values(back(x), f(x), lambda x=x, f=f: f"{f.label} at {x!r}")
-    ci_aug = [apply(iso.extend_state_to_aug, f) for f in state_funcs]
-    pair_scen = _scenario_pairs(sys, plan, rng)
-    for p, g in _pairings(pair_scen, ci_aug, _is_finite(sys)):
-        fwd = apply(iso.extend_state_to_aug, apply(iso.restrict_aug_to_state, g))
-        rec.values(fwd(p), g(p), lambda p=p, g=g: f"{g.label} at {p!r}")
-    return rec
-
-
-def _run_c9(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    tinf = InfiniteSequenceMap(sys)
-    taug = AugmentedMap(sys)
-    rmap = restrict_to_first_input()
-    emap = extend_to_constant_sequence()
-    for x, u in _scenario_pairs(sys, plan, rng):
-        left = tinf(emap((x, u)))
-        right = emap(taug((x, u)))
-        err = max(
-            _state_err(sys, left[0], right[0]), 0.0 if left[1] == right[1] else 1.0
-        )
-        rec.record(err, lambda x=x, u=u: f"intertwining at ({x!r}, {u!r})")
-        rec.record(
-            _pair_err(sys, rmap(tinf(emap((x, u)))), taug((x, u))),
-            lambda x=x, u=u: f"factorization at ({x!r}, {u!r})",
-        )
-    return rec
-
-
-def _run_c10(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    taug = AugmentedMap(sys)
-    dmap = drop_input()
-    for u_star in sys.inputs.labels:
-        tmap = ConstantInputMap(sys, u_star)
-        fmap = freeze_input(u_star)
-        for x in _scenario_states(sys, plan, rng):
-            rec.record(
-                _pair_err(sys, taug(fmap(x)), fmap(tmap(x))),
-                lambda x=x, u=u_star: f"intertwining at {x!r}, input {u!r}",
-            )
-            rec.record(
-                _state_err(sys, dmap(taug(fmap(x))), tmap(x)),
-                lambda x=x, u=u_star: f"factorization at {x!r}, input {u!r}",
-            )
-    return rec
-
-
-def _run_c11(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    kin, kau = k_inf(sys), k_aug(sys)
-    rop, eop = restriction_inf_to_aug(), extension_aug_to_inf()
-    pair_scen = _scenario_pairs(sys, plan, rng)
-    seq_funcs = _functions(sys, plan, rng, _seq_basis(sys))
-    for p, h in _pairings(pair_scen, seq_funcs, _is_finite(sys)):
-        rec.values(
-            apply(rop, apply(kin, h))(p),
-            apply(kau, apply(rop, h))(p),
-            lambda p=p, h=h: f"intertwining: {h.label} at {p!r}",
-        )
-    aug_funcs = _functions(sys, plan, rng, _aug_basis(sys))
-    for p, g in _pairings(pair_scen, aug_funcs, _is_finite(sys)):
-        rec.values(
-            apply(kau, g)(p),
-            apply(rop, apply(kin, apply(eop, g)))(p),
-            lambda p=p, g=g: f"factorization: {g.label} at {p!r}",
-        )
-    return rec
-
-
-def _run_c12(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    kau = k_aug(sys)
-    eop = extension_f_to_aug()
-    state_scen = _scenario_states(sys, plan, rng)
-    aug_funcs = _functions(sys, plan, rng, _aug_basis(sys))
-    state_funcs = _functions(sys, plan, rng, _state_basis(sys))
-    for u_star in sys.inputs.labels:
-        rop = restriction_aug_to_f(u_star, sys)
-        ku = k_u(sys, u_star)
-        for x, g in _pairings(state_scen, aug_funcs, _is_finite(sys)):
-            rec.values(
-                apply(rop, apply(kau, g))(x),
-                apply(ku, apply(rop, g))(x),
-                lambda x=x, g=g, u=u_star: f"intertwining: {g.label} at {x!r}, input {u!r}",
-            )
-        for x, f in _pairings(state_scen, state_funcs, _is_finite(sys)):
-            rec.values(
-                apply(ku, f)(x),
-                apply(rop, apply(kau, apply(eop, f)))(x),
-                lambda x=x, f=f, u=u_star: f"factorization: {f.label} at {x!r}, input {u!r}",
-            )
-    return rec
-
-
-def _run_c13(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    iso = ci_isomorphisms(sys)
-    kin, kau = k_inf(sys), k_aug(sys)
-    rop = restriction_inf_to_aug()
-    state_funcs = _functions(sys, plan, rng, _state_basis(sys))
-    ci_aug = [apply(iso.extend_state_to_aug, f) for f in state_funcs]
-    state_scen = _scenario_states(sys, plan, rng)
-    pair_scen = _scenario_pairs(sys, plan, rng)
-    for u_star in sys.inputs.labels:
-        ru = restriction_aug_to_f(u_star, sys)
-        ku = k_u(sys, u_star)
-        for x, f in _pairings(state_scen, state_funcs, _is_finite(sys)):
-            rec.values(
-                apply(ku, f)(x),
-                apply(ru, apply(kau, apply(iso.extend_state_to_aug, f)))(x),
-                lambda x=x, f=f, u=u_star: f"one-hop: {f.label} at {x!r}, input {u!r}",
-            )
-            rec.values(
-                apply(ku, f)(x),
-                apply(
-                    ru,
-                    apply(
-                        rop,
-                        apply(
-                            kin,
-                            apply(
-                                iso.extend_aug_to_seq,
-                                apply(iso.extend_state_to_aug, f),
-                            ),
-                        ),
-                    ),
-                )(x),
-                lambda x=x, f=f, u=u_star: f"two-hop: {f.label} at {x!r}, input {u!r}",
-            )
-    for p, g in _pairings(pair_scen, ci_aug, _is_finite(sys)):
-        rec.values(
-            apply(kau, g)(p),
-            apply(rop, apply(kin, apply(iso.extend_aug_to_seq, g)))(p),
-            lambda p=p, g=g: f"middle-hop: {g.label} at {p!r}",
+            lambda: f"restriction of {h.label} varies: {report.witness!r}",
         )
     return rec
 
@@ -588,16 +481,8 @@ def _run_c14(sys, plan, rng):
             via_word = apply(kcf_word(sys, word), f)(x0)
             lifted = apply(iso.extend_aug_to_seq, apply(iso.extend_state_to_aug, f))
             via_inf = apply(power(kin, k), lifted)((x0, seq))
-            rec.values(
-                truth,
-                via_word,
-                lambda f=f, x0=x0, word=word: f"word path: {f.label}, x0={x0!r}, word={word!r}",
-            )
-            rec.values(
-                truth,
-                via_inf,
-                lambda f=f, x0=x0, seq=seq, k=k: f"sequence path: {f.label}, x0={x0!r}, k={k}",
-            )
+            rec.values(truth, via_word, lambda: f"word path: {f.label}, x0={x0!r}, word={word!r}")
+            rec.values(truth, via_inf, lambda: f"sequence path: {f.label}, x0={x0!r}, k={k}")
     return rec
 
 
@@ -613,7 +498,7 @@ def _run_c15(sys, plan, rng):
             rec.values(
                 state_component(h)(x_k),
                 apply(power(kin, k), h)((x0, seq)),
-                lambda h=h, x0=x0, k=k: f"{h.label}, x0={x0!r}, k={k}",
+                lambda: f"{h.label}, x0={x0!r}, k={k}",
             )
     return rec
 
@@ -630,7 +515,7 @@ def _run_c16(sys, plan, rng):
         rec.values(
             apply(kau, g)(p),
             state_component(g)(next_state),
-            lambda p=p, g=g: f"single step: {g.label} at {p!r}",
+            lambda: f"single step: {g.label} at {p!r}",
         )
     witness = two_step_discrepancy_witness(sys, tol=plan.tolerance or 1e-12)
     if witness is None:
@@ -667,15 +552,13 @@ def _run_c17(sys, plan, rng):
             rec.values(
                 apply(kcf_word(sys, word), g)(x0),
                 g(x_k),
-                lambda g=g, x0=x0, word=word: f"{g.label}, x0={x0!r}, word={word!r}",
+                lambda: f"{g.label}, x0={x0!r}, word={word!r}",
             )
     return rec
 
 
 def _run_c18(sys, plan, rng):
     rec = _Recorder(plan.tolerance)
-    from .systems import RecoveryMethod, recover_trajectory
-
     scenarios = _scenario_seq_points(sys, plan, rng)
     for x0, seq in scenarios:
         k = int(rng.integers(0, 11))
@@ -683,14 +566,10 @@ def _run_c18(sys, plan, rng):
         for method in RecoveryMethod:
             got = recover_trajectory(sys, x0, seq, k, method)
             err = max(
-                (_state_err(sys, a, b) for a, b in zip(truth, got)), default=0.0
+                (state_distance(sys.states, a, b) for a, b in zip(truth, got)),
+                default=0.0,
             )
-            rec.record(
-                err,
-                lambda x0=x0, seq=seq, k=k, m=method: (
-                    f"method {m.value}, x0={x0!r}, k={k}, seq={seq!r}"
-                ),
-            )
+            rec.record(err, lambda: f"method {method.value}, x0={x0!r}, k={k}, seq={seq!r}")
     return rec
 
 
@@ -732,52 +611,96 @@ def _run_c20(sys, plan, rng):
         rec.values(
             apply(kin, c)(p),
             c(p),
-            lambda p=p, c=c: f"constant {c.label} moved at {p!r}",
+            lambda: f"constant {c.label} moved at {p!r}",
         )
     rec.note = "constants are fixed points: a constants-only space sees no dynamics"
     return rec
 
 
-_REGISTRY = [
-    ("C1", "restricting after extending is the identity on state-input pairs", False, _run_c1),
-    ("C2", "extend-then-restrict is the identity on pair observables", False, _run_c2),
-    ("C3", "extensions and restrictions preserve control independence", False, _run_c3),
-    ("C4", "freezing an input then dropping it is the identity on states", False, _run_c4),
-    ("C5", "input-freeze restriction after input-blind extension is the identity", False, _run_c5),
-    ("C6", "round trips between control-independent pair and sequence observables", False, _run_c6),
-    ("C7", "all input-freeze restrictions agree on control-independent observables", False, _run_c7),
-    ("C8", "round trips between state observables and control-independent pairs", False, _run_c8),
-    ("C9", "sequence dynamics intertwine with augmented dynamics via constant sequences", False, _run_c9),
-    ("C10", "augmented dynamics intertwine with each constant-input map", False, _run_c10),
-    ("C11", "sequence and augmented Koopman operators agree through restriction", False, _run_c11),
-    ("C12", "augmented and constant-input Koopman operators agree through restriction", False, _run_c12),
-    ("C13", "all three operators act identically on control-independent observables", False, _run_c13),
-    ("C14", "trajectory values via input words and via sequence powers match simulation", False, _run_c14),
-    ("C15", "sequence-operator powers read state components along trajectories", False, _run_c15),
-    ("C16", "augmented operator captures one step exactly, two steps diverge", False, _run_c16),
-    ("C17", "input-word operators evaluate observables at simulated endpoints", False, _run_c17),
-    ("C18", "all three reformulations rebuild simulated trajectories", False, _run_c18),
-    ("C19", "input-as-state construction is ill defined unless inputs are trivial", True, _run_c19),
-    ("C20", "the sequence operator fixes constants, so constants capture nothing", False, _run_c20),
-]
+# --- the registry ----------------------------------------------------------
 
-_BY_ID = {cid: (i, desc, finite_only, runner) for i, (cid, desc, finite_only, runner) in enumerate(_REGISTRY)}
+
+class _Check:
+    """A registry row: what it draws (in generator order) and its groups of
+    legs, or its own runner; ``run(system, plan, generator)`` -> _Recorder."""
+
+    def __init__(self, id, description, draws=(), *groups, runner=None, finite_only=False):
+        self.id, self.description, self.finite_only = id, description, finite_only
+        self.run = runner or partial(_run_table, draws=draws, groups=groups)
+
+
+# Operator legs read as operator products (``"R K_inf E"`` applies E first);
+# point-map legs (C1, C4, C9, C10) chain the maps of :func:`_named` likewise.
+_REGISTRY = [
+    _Check("C1", "restricting after extending is the identity on state-input pairs", ("p",),
+           _Group("", "p", "", ("pair {p}", "r e", ""))),
+    _Check("C2", "extend-then-restrict is the identity on pair observables", ("p", "fp"),
+           _Group("", "p", "fp", ("{f} at {p}", "R E", ""))),
+    _Check("C3", "extensions and restrictions preserve control independence", runner=_run_c3),
+    _Check("C4", "freezing an input then dropping it is the identity on states", ("x_per_u",),
+           _Group("u", "x_per_u", "", ("state {p} via input {u}", "d f_u", ""))),
+    _Check("C5", "input-freeze restriction after input-blind extension is the identity", ("x", "fx"),
+           _Group("u", "x", "fx", ("{f} at {p}, input {u}", "R_u E_f", ""))),
+    _Check("C6", "round trips between control-independent pair and sequence observables",
+           ("fx", "p", "s", "ci_seq"),
+           _Group("", "p", "E_ci fx", ("{f} at {p}", "R_ci_seq E_ci_seq", "")),
+           _Group("", "s", "ci_seq", ("{f} at {p}", "E_ci_seq R_ci_seq", ""))),
+    _Check("C7", "all input-freeze restrictions agree on control-independent observables", ("fx", "x"),
+           _Group("uu", "x", "E_ci fx", ("{f} at {p}, inputs {u1}/{u2}", "R_u1", "R_u2"))),
+    _Check("C8", "round trips between state observables and control-independent pairs", ("fx", "x", "p"),
+           _Group("", "x", "fx", ("{f} at {p}", "R_ci E_ci", "")),
+           _Group("", "p", "E_ci fx", ("{f} at {p}", "E_ci R_ci", ""))),
+    _Check("C9", "sequence dynamics intertwine with augmented dynamics via constant sequences", ("p",),
+           _Group("", "p", "",
+                  ("intertwining at {p}", "T_inf e", "e T_aug"),
+                  ("factorization at {p}", "r T_inf e", "T_aug"))),
+    _Check("C10", "augmented dynamics intertwine with each constant-input map", ("x_per_u",),
+           _Group("u", "x_per_u", "",
+                  ("intertwining at {p}, input {u}", "T_aug f_u", "f_u T_u"),
+                  ("factorization at {p}, input {u}", "d T_aug f_u", "T_u"))),
+    _Check("C11", "sequence and augmented Koopman operators agree through restriction", ("p", "fs", "fp"),
+           _Group("", "p", "fs", ("intertwining: {f} at {p}", "R K_inf", "K_aug R")),
+           _Group("", "p", "fp", ("factorization: {f} at {p}", "K_aug", "R K_inf E"))),
+    _Check("C12", "augmented and constant-input Koopman operators agree through restriction",
+           ("x", "fp", "fx"),
+           _Group("u", "x", "fp", ("intertwining: {f} at {p}, input {u}", "R_u K_aug", "K_u R_u")),
+           _Group("u", "x", "fx", ("factorization: {f} at {p}, input {u}", "K_u", "R_u K_aug E_f"))),
+    _Check("C13", "all three operators act identically on control-independent observables",
+           ("fx", "x", "p"),
+           _Group("u", "x", "fx",
+                  ("one-hop: {f} at {p}, input {u}", "K_u", "R_u K_aug E_ci"),
+                  ("two-hop: {f} at {p}, input {u}", "K_u", "R_u R K_inf E_ci_seq E_ci")),
+           _Group("", "p", "E_ci fx", ("middle-hop: {f} at {p}", "K_aug", "R K_inf E_ci_seq"))),
+    _Check("C14", "trajectory values via input words and via sequence powers match simulation",
+           runner=_run_c14),
+    _Check("C15", "sequence-operator powers read state components along trajectories", runner=_run_c15),
+    _Check("C16", "augmented operator captures one step exactly, two steps diverge", runner=_run_c16),
+    _Check("C17", "input-word operators evaluate observables at simulated endpoints", runner=_run_c17),
+    _Check("C18", "all three reformulations rebuild simulated trajectories", runner=_run_c18),
+    _Check("C19", "input-as-state construction is ill defined unless inputs are trivial",
+           runner=_run_c19, finite_only=True),
+    _Check("C20", "the sequence operator fixes constants, so constants capture nothing", runner=_run_c20),
+]
 
 
 def check_ids() -> list:
-    return [cid for cid, _, _, _ in _REGISTRY]
+    return [check.id for check in _REGISTRY]
+
+
+def _lookup(check_id: str) -> tuple:
+    """(index, row) of a registered check; the index seeds its generator."""
+    for index, check in enumerate(_REGISTRY):
+        if check.id == check_id:
+            return index, check
+    raise ValueError(f"unknown check id {check_id!r}")
 
 
 def describe_check(check_id: str) -> str:
-    if check_id not in _BY_ID:
-        raise ValueError(f"unknown check id {check_id!r}")
-    return _BY_ID[check_id][1]
+    return _lookup(check_id)[1].description
 
 
 def is_applicable(check_id: str, sys: ControlSystem) -> bool:
-    if check_id not in _BY_ID:
-        raise ValueError(f"unknown check id {check_id!r}")
-    return _is_finite(sys) or not _BY_ID[check_id][2]
+    return _is_finite(sys) or not _lookup(check_id)[1].finite_only
 
 
 def run_check(check_id: str, sys: ControlSystem, plan: SamplePlan) -> CheckResult:
@@ -786,21 +709,18 @@ def run_check(check_id: str, sys: ControlSystem, plan: SamplePlan) -> CheckResul
     The check's generator is seeded by (plan seed, check index), so results
     do not depend on which other checks run or in what order.
     """
-    if check_id not in _BY_ID:
-        raise ValueError(f"unknown check id {check_id!r}")
-    index, _, finite_only, runner = _BY_ID[check_id]
-    if finite_only and not _is_finite(sys):
+    index, check = _lookup(check_id)
+    if check.finite_only and not _is_finite(sys):
         raise UnsupportedError(f"{check_id} needs a finite system")
     if plan.tolerance == 0.0 and not _is_finite(sys):
         raise ValueError("zero tolerance is reserved for finite systems")
     rng = np.random.default_rng([plan.rng_seed, index])
-    rec = runner(sys, plan, rng)
-    passed = rec.max_err <= plan.tolerance
+    rec = check.run(sys, plan, rng)
     return CheckResult(
         id=check_id,
-        passed=passed,
+        passed=rec.passed,
         max_abs_error=rec.max_err,
-        counterexample=None if passed else rec.counterexample,
+        counterexample=rec.counterexample,
         n_evaluated=rec.n,
         note=rec.note,
     )
@@ -819,7 +739,7 @@ def run_all(sys: ControlSystem, plan: SamplePlan, only=None) -> RunSummary:
 
 
 def results_to_json(results) -> str:
-    """Deterministic JSON: one object per check, no timestamps."""
+    """Deterministic JSON: one object per check, no timestamps, no NaN."""
     payload = [
         {
             "id": r.id,
@@ -831,7 +751,7 @@ def results_to_json(results) -> str:
         }
         for r in results
     ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def results_to_text(results) -> str:

@@ -33,6 +33,7 @@ import json
 import os
 import sys as _sys
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -499,7 +500,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by ``main``."""
     parser = argparse.ArgumentParser(
         prog="koopcontrol",
         description="Operator encodings of input-driven dynamics: checks, demos, identification.",
@@ -537,8 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, UnsupportedError) as exc:

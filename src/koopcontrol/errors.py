@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ContractError", "DomainError", "DomainMismatchError", "UnsupportedError"]
+
 
 class DomainError(ValueError):
     """A point, label, or state lies outside the declared domain."""

@@ -32,7 +32,6 @@ __all__ = [
     "CIReport",
     "Exhaustive",
     "Sampled",
-    "eval_at",
     "linear_combine",
     "is_control_independent",
     "certify_control_independent",
@@ -44,7 +43,6 @@ __all__ = [
     "coordinate",
     "monomial",
     "constant_one",
-    "input_weight",
 ]
 
 
@@ -93,11 +91,6 @@ class Observable:
         if isinstance(value, np.ndarray):
             value = value.item()
         return complex(value)
-
-
-def eval_at(obs: Observable, point) -> complex:
-    """Evaluate ``obs`` at ``point``, validating the point's shape."""
-    return obs(point)
 
 
 def linear_combine(coeffs, observables) -> Observable:
@@ -314,16 +307,3 @@ def monomial(powers) -> Observable:
 def constant_one(domain: DomainTag) -> Observable:
     """The constant function 1 on the given domain."""
     return Observable(domain, lambda p: 1.0, label="1")
-
-
-def input_weight(table: dict) -> Observable:
-    """Input-only observable looking the input label up in ``table``."""
-    table = dict(table)
-
-    def fn(p):
-        try:
-            return table[p[1]]
-        except KeyError:
-            raise DomainError(f"no weight for input label {p[1]!r}") from None
-
-    return Observable(DomainTag.STATE_INPUT, fn, label="w(u)")

@@ -34,7 +34,6 @@ from .systems import (
 )
 
 __all__ = [
-    "PointMap",
     "CompositionOperator",
     "MatrixOperator",
     "WellDefinednessReason",
@@ -45,9 +44,7 @@ __all__ = [
     "extend_to_constant_sequence",
     "drop_input",
     "freeze_input",
-    "state_projection",
     "identity_operator",
-    "koopman_of_map",
     "k_u",
     "k_aug",
     "k_inf",
@@ -68,61 +65,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PointMap:
-    """A named total map between tagged point domains."""
-
-    domain_from: DomainTag
-    domain_to: DomainTag
-    fn: Callable
-    label: str = ""
-
-    def __call__(self, point):
-        return self.fn(point)
+def restrict_to_first_input() -> Callable:
+    """The point map (x, u-sequence) -> (x, u(0))."""
+    return lambda p: (p[0], p[1].at(0))
 
 
-def restrict_to_first_input() -> PointMap:
-    """(x, u-sequence) -> (x, u(0))."""
-    return PointMap(
-        DomainTag.STATE_SEQUENCE,
-        DomainTag.STATE_INPUT,
-        lambda p: (p[0], p[1].at(0)),
-        "restrict-first-input",
-    )
+def extend_to_constant_sequence() -> Callable:
+    """The point map (x, u) -> (x, (u, u, ...))."""
+    return lambda p: (p[0], InputSequence.constant(p[1]))
 
 
-def extend_to_constant_sequence() -> PointMap:
-    """(x, u) -> (x, (u, u, ...))."""
-    return PointMap(
-        DomainTag.STATE_INPUT,
-        DomainTag.STATE_SEQUENCE,
-        lambda p: (p[0], InputSequence.constant(p[1])),
-        "extend-constant-sequence",
-    )
+def drop_input() -> Callable:
+    """The point map (x, u) -> x."""
+    return lambda p: p[0]
 
 
-def drop_input() -> PointMap:
-    """(x, u) -> x."""
-    return PointMap(
-        DomainTag.STATE_INPUT, DomainTag.STATE_ONLY, lambda p: p[0], "drop-input"
-    )
-
-
-def freeze_input(u_star) -> PointMap:
-    """x -> (x, u*)."""
-    return PointMap(
-        DomainTag.STATE_ONLY,
-        DomainTag.STATE_INPUT,
-        lambda x: (x, u_star),
-        f"freeze-input[{u_star}]",
-    )
-
-
-def state_projection(domain_from: DomainTag) -> PointMap:
-    """(x, anything) -> x, from either augmented domain."""
-    if domain_from is DomainTag.STATE_ONLY:
-        raise DomainMismatchError("projection source must be an augmented domain")
-    return PointMap(domain_from, DomainTag.STATE_ONLY, lambda p: p[0], "project-state")
+def freeze_input(u_star) -> Callable:
+    """The point map x -> (x, u*)."""
+    return lambda x: (x, u_star)
 
 
 @dataclass(frozen=True)
@@ -192,37 +152,24 @@ def identity_operator(domain: DomainTag) -> CompositionOperator:
     return CompositionOperator(domain, domain, lambda p: p, label="id")
 
 
-def koopman_of_map(m, domain: Optional[DomainTag] = None, label: str = "") -> CompositionOperator:
-    """Koopman operator of an input-free map: precompose with the map.
-
-    The three derived-system maps carry their own domain; a bare callable
-    needs an explicit ``domain``.
-    """
-    if domain is None:
-        if isinstance(m, ConstantInputMap):
-            domain = DomainTag.STATE_ONLY
-        elif isinstance(m, AugmentedMap):
-            domain = DomainTag.STATE_INPUT
-        elif isinstance(m, InfiniteSequenceMap):
-            domain = DomainTag.STATE_SEQUENCE
-        else:
-            raise ValueError("domain tag required for a bare callable")
-    return CompositionOperator(domain, domain, m, label=label or "K")
-
-
 def k_u(sys: ControlSystem, u_star) -> CompositionOperator:
     """Koopman operator of the constant-input system at ``u_star``."""
-    return koopman_of_map(ConstantInputMap(sys, u_star), label=f"K[{u_star}]")
+    domain = DomainTag.STATE_ONLY
+    return CompositionOperator(
+        domain, domain, ConstantInputMap(sys, u_star), label=f"K[{u_star}]"
+    )
 
 
 def k_aug(sys: ControlSystem) -> CompositionOperator:
     """Koopman operator of the augmented (input-frozen) system."""
-    return koopman_of_map(AugmentedMap(sys), label="K_aug")
+    domain = DomainTag.STATE_INPUT
+    return CompositionOperator(domain, domain, AugmentedMap(sys), label="K_aug")
 
 
 def k_inf(sys: ControlSystem) -> CompositionOperator:
     """Koopman operator of the infinite-sequence system."""
-    return koopman_of_map(InfiniteSequenceMap(sys), label="K_inf")
+    domain = DomainTag.STATE_SEQUENCE
+    return CompositionOperator(domain, domain, InfiniteSequenceMap(sys), label="K_inf")
 
 
 def k_naive(sys: ControlSystem) -> CompositionOperator:
@@ -260,17 +207,21 @@ def power(op: CompositionOperator, k: int) -> CompositionOperator:
 
 def restriction_inf_to_aug() -> CompositionOperator:
     """Sequence-domain observables restricted to constant sequences."""
-    emap = extend_to_constant_sequence()
     return CompositionOperator(
-        DomainTag.STATE_SEQUENCE, DomainTag.STATE_INPUT, emap.fn, label="R:inf->aug"
+        DomainTag.STATE_SEQUENCE,
+        DomainTag.STATE_INPUT,
+        extend_to_constant_sequence(),
+        label="R:inf->aug",
     )
 
 
 def extension_aug_to_inf() -> CompositionOperator:
     """Pair-domain observables extended to sequences via the first element."""
-    rmap = restrict_to_first_input()
     return CompositionOperator(
-        DomainTag.STATE_INPUT, DomainTag.STATE_SEQUENCE, rmap.fn, label="E:aug->inf"
+        DomainTag.STATE_INPUT,
+        DomainTag.STATE_SEQUENCE,
+        restrict_to_first_input(),
+        label="E:aug->inf",
     )
 
 
@@ -278,17 +229,18 @@ def restriction_aug_to_f(u_star, sys: Optional[ControlSystem] = None) -> Composi
     """Pair-domain observables with the input frozen at ``u_star``."""
     if sys is not None and not sys.inputs.contains(u_star):
         raise DomainError(f"unknown input label: {u_star!r}")
-    fmap = freeze_input(u_star)
     return CompositionOperator(
-        DomainTag.STATE_INPUT, DomainTag.STATE_ONLY, fmap.fn, label=f"R[{u_star}]:aug->state"
+        DomainTag.STATE_INPUT,
+        DomainTag.STATE_ONLY,
+        freeze_input(u_star),
+        label=f"R[{u_star}]:aug->state",
     )
 
 
 def extension_f_to_aug() -> CompositionOperator:
     """State-only observables extended to pairs by ignoring the input."""
-    dmap = drop_input()
     return CompositionOperator(
-        DomainTag.STATE_ONLY, DomainTag.STATE_INPUT, dmap.fn, label="E:state->aug"
+        DomainTag.STATE_ONLY, DomainTag.STATE_INPUT, drop_input(), label="E:state->aug"
     )
 
 
@@ -319,21 +271,21 @@ def ci_isomorphisms(sys: ControlSystem) -> CIIsomorphisms:
         extend_state_to_aug=CompositionOperator(
             DomainTag.STATE_ONLY,
             DomainTag.STATE_INPUT,
-            drop_input().fn,
+            drop_input(),
             label="E:state->aug(ci)",
             ci_stamp=u0,
         ),
         restrict_aug_to_state=CompositionOperator(
             DomainTag.STATE_INPUT,
             DomainTag.STATE_ONLY,
-            freeze_input(u0).fn,
+            freeze_input(u0),
             label="R:aug(ci)->state",
             requires_ci=True,
         ),
         extend_aug_to_seq=CompositionOperator(
             DomainTag.STATE_INPUT,
             DomainTag.STATE_SEQUENCE,
-            restrict_to_first_input().fn,
+            restrict_to_first_input(),
             label="E:aug(ci)->inf(ci)",
             ci_stamp=InputSequence.constant(u0),
             requires_ci=True,
@@ -341,7 +293,7 @@ def ci_isomorphisms(sys: ControlSystem) -> CIIsomorphisms:
         restrict_seq_to_aug=CompositionOperator(
             DomainTag.STATE_SEQUENCE,
             DomainTag.STATE_INPUT,
-            extend_to_constant_sequence().fn,
+            extend_to_constant_sequence(),
             label="R:inf(ci)->aug(ci)",
             ci_stamp=u0,
             requires_ci=True,

@@ -38,12 +38,11 @@ __all__ = [
     "step",
     "simulate",
     "shift",
-    "seq_at",
     "range_map",
     "recover_trajectory",
-    "project_state",
     "random_sequence",
     "random_state",
+    "state_distance",
     "states_equal",
 ]
 
@@ -52,10 +51,6 @@ _BOX_SLACK = 1e-9  # containment slack for floating-point boundary hits
 
 class StateSpace:
     """Base class for state spaces; see :class:`FiniteStates` and :class:`RealBox`."""
-
-    @property
-    def is_finite(self) -> bool:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -70,10 +65,6 @@ class FiniteStates(StateSpace):
             raise ValueError("state label list must be nonempty")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("state labels must be unique")
-
-    @property
-    def is_finite(self) -> bool:
-        return True
 
     def contains(self, x) -> bool:
         return x in self.labels
@@ -98,10 +89,6 @@ class RealBox(StateSpace):
         # Built once: every step validates against these widened bounds.
         slack = tuple((a - _BOX_SLACK, b + _BOX_SLACK) for a, b in zip(lo, hi))
         object.__setattr__(self, "_slack_bounds", slack)
-
-    @property
-    def is_finite(self) -> bool:
-        return False
 
     @property
     def dimension(self) -> int:
@@ -258,11 +245,6 @@ class RecoveryMethod(Enum):
     AUGMENTED_STEPWISE = "augmented-stepwise"
 
 
-def project_state(point):
-    """First coordinate of a (state, input) or (state, sequence) pair."""
-    return point[0]
-
-
 def step(sys: ControlSystem, x, u):
     """One transition ``T(x, u)``, with domain validation on both ends."""
     if not sys.inputs.contains(u):
@@ -305,11 +287,6 @@ def shift(seq: InputSequence) -> InputSequence:
     return InputSequence((), seq.period[1:] + seq.period[:1])
 
 
-def seq_at(seq: InputSequence, k: int):
-    """Element ``k`` of the sequence (alias for ``seq.at(k)``)."""
-    return seq.at(k)
-
-
 def range_map(sys: ControlSystem) -> frozenset:
     """The exact set of reachable next states, ``{T(x, u)}`` over all pairs."""
     if not isinstance(sys.states, FiniteStates):
@@ -336,10 +313,10 @@ def recover_trajectory(
     if method is RecoveryMethod.INFINITE_SEQUENCE:
         tmap = InfiniteSequenceMap(sys)
         point = (coerce(x0), seq)
-        out = [project_state(point)]
+        out = [point[0]]
         for _ in range(k):
             point = tmap(point)
-            out.append(project_state(point))
+            out.append(point[0])
         return out
     if method is RecoveryMethod.KCF_COMPOSITION:
         out = [coerce(x0)]
@@ -349,7 +326,7 @@ def recover_trajectory(
     tmap = AugmentedMap(sys)
     out = [coerce(x0)]
     for j in range(k):
-        out.append(project_state(tmap((out[-1], seq.at(j)))))
+        out.append(tmap((out[-1], seq.at(j)))[0])
     return out
 
 
@@ -385,10 +362,18 @@ def random_state(rng: np.random.Generator, space: StateSpace, n=None):
     return list(rng.uniform(space.lower, space.upper, size=(n, space.dimension)))
 
 
+def state_distance(space: StateSpace, a, b) -> float:
+    """0.0 or 1.0 for equal or different labels; the max-abs gap on boxes.
+
+    The gap of a state with a NaN coordinate is NaN.
+    """
+    if isinstance(space, FiniteStates):
+        return 0.0 if a == b else 1.0
+    return float(np.max(np.abs(space.coerce(a) - space.coerce(b))))
+
+
 def states_equal(space: StateSpace, a, b, tol: float = 1e-12) -> bool:
     """Exact label equality on finite spaces, max-abs tolerance on boxes."""
     if isinstance(space, FiniteStates):
         return a == b
-    arr_a = space.coerce(a)
-    arr_b = space.coerce(b)
-    return bool(np.max(np.abs(arr_a - arr_b)) <= tol)
+    return state_distance(space, a, b) <= tol

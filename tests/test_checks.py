@@ -6,6 +6,7 @@ from koopcontrol import (
     ControlSystem,
     FiniteStates,
     InputSet,
+    RealBox,
     SamplePlan,
     UnsupportedError,
     check_ids,
@@ -156,3 +157,30 @@ def test_failed_check_shows_in_text_report():
 def test_unknown_check_id_raises(f3):
     with pytest.raises(ValueError):
         run_check("C99", f3, exact_plan())
+
+
+def _overflowing_box():
+    """A huge box where squared coordinates overflow, so observables read inf/NaN."""
+    return ControlSystem(
+        RealBox((-1e200,), (1e200,)),
+        InputSet(("a", "b")),
+        lambda x, u: x / 2 if u == "a" else -x / 2,
+        name="huge",
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_discrepancy_fails_with_counterexample():
+    summary = run_all(_overflowing_box(), sampled_plan(seed=7, n_points=100, n_functions=5))
+    by_id = {r.id: r for r in summary.results}
+    for cid in ("C2", "C5", "C12", "C13"):
+        result = by_id[cid]
+        assert not result.passed
+        assert result.counterexample
+        assert result.max_abs_error == 0.0  # the largest finite discrepancy
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(results_to_json(summary.results), parse_constant=reject)
+    assert {e["id"]: e["pass"] for e in payload}["C2"] is False

@@ -3,11 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from koopcontrol.cli import main, parse_config_text, resolve_system
+from koopcontrol.cli import _build_parser, main, parse_config_text, resolve_system
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls():
+    assert _build_parser() is _build_parser()
+    first = _build_parser().parse_args(["check", "--system", "finite3", "--exact", "--only", "C1"])
+    second = _build_parser().parse_args(["check", "--system", "finite3"])
+    assert first.exact and first.only == "C1"
+    assert not second.exact and second.only is None
 
 
 # --- config parsing --------------------------------------------------------

@@ -1,0 +1,100 @@
+"""Byte-level golden reports for the check registry.
+
+Each case runs ``run_all`` on a fixed system and plan and compares
+``results_to_json`` with a stored file under ``tests/data/``.  The
+corrupted systems count transition calls, so these files also pin the
+order in which the registry evaluates points and the text of every
+counterexample, not only pass/fail.
+
+Regenerate the files (only when a report change is intended and stated)
+with::
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from koopcontrol import (
+    ControlSystem,
+    FiniteStates,
+    InputSet,
+    RealBox,
+    builtin_system,
+    exact_plan,
+    results_to_json,
+    run_all,
+    sampled_plan,
+)
+
+DATA = Path(__file__).parent / "data"
+
+
+def _every_nth(period, base, corrupt):
+    """``base`` transition, except every ``period``-th call returns ``corrupt(x, u)``."""
+    calls = {"n": 0}
+
+    def transition(x, u):
+        calls["n"] += 1
+        if calls["n"] % period == 0:
+            return corrupt(x, u)
+        return base(x, u)
+
+    return transition
+
+
+def _flaky_finite3(period):
+    """finite3 whose every ``period``-th transition call lands on state 0."""
+    base = builtin_system("finite3").transition
+    return ControlSystem(
+        FiniteStates((0, 1, 2)),
+        InputSet(("a", "b")),
+        _every_nth(period, base, lambda x, u: 0),
+        name="flaky",
+    )
+
+
+def _noisy_box():
+    """scalarlinear whose every 17th transition call is off by 1e-6."""
+    gains = {"a": 0.5, "b": -0.8}
+    return ControlSystem(
+        RealBox((-1.0,), (1.0,)),
+        InputSet(("a", "b")),
+        _every_nth(17, lambda x, u: gains[u] * x, lambda x, u: gains[u] * x + 1e-6),
+        name="noisy",
+    )
+
+
+_BOX_PLAN = dict(seed=7, n_points=200, n_functions=10)
+
+CASES = {
+    "finite3_exact": lambda: (builtin_system("finite3"), exact_plan(seed=7)),
+    "collapse2_exact": lambda: (builtin_system("collapse2"), exact_plan(seed=7)),
+    "scalarlinear_sampled": lambda: (builtin_system("scalarlinear"), sampled_plan(**_BOX_PLAN)),
+    "logistic_sampled": lambda: (
+        builtin_system("logistic-with-offset"),
+        sampled_plan(**_BOX_PLAN),
+    ),
+    "flaky7_exact": lambda: (_flaky_finite3(7), exact_plan(seed=7)),
+    "flaky23_exact": lambda: (_flaky_finite3(23), exact_plan(seed=7)),
+    "noisy_box_sampled": lambda: (_noisy_box(), sampled_plan(**_BOX_PLAN)),
+}
+
+
+def _report(name: str) -> str:
+    system, plan = CASES[name]()
+    return results_to_json(run_all(system, plan).results)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden_bytes(name):
+    expected = (DATA / f"golden_{name}.json").read_text()
+    assert _report(name) == expected
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    for name in sorted(CASES):
+        (DATA / f"golden_{name}.json").write_text(_report(name))
+        print(f"wrote golden_{name}.json")

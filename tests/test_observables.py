@@ -14,9 +14,7 @@ from koopcontrol import (
     constant_one,
     coordinate,
     enumerate_points,
-    eval_at,
     indicator,
-    input_weight,
     is_control_independent,
     linear_combine,
     monomial,
@@ -113,12 +111,6 @@ def test_coordinate_on_numeric_labels(f3):
     assert coordinate(0)(2) == 2.0
 
 
-def test_input_weight(f3):
-    w = input_weight({"a": 0.25, "b": -1.0})
-    assert w((0, "a")) == 0.25
-    assert w((5, "b")) == -1.0
-
-
 def test_exhaustive_ci_finds_first_witness(f3):
     report = is_control_independent(_weighted(f3), f3, Exhaustive())
     assert not report.independent
@@ -198,11 +190,6 @@ def test_linear_combine_propagates_uniform_stamp(f3):
     assert combo.ci_input == a.ci_input
     bare = Observable(DomainTag.STATE_INPUT, lambda p: complex(p[0]), label="x")
     assert linear_combine([1.0, 1.0], [a, bare]).ci_input is None
-
-
-def test_eval_at_matches_call(f3):
-    f = indicator(1)
-    assert eval_at(f, 1) == f(1)
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False), min_size=1, max_size=4))

@@ -13,14 +13,13 @@ from koopcontrol import (
     InputSet,
     RealBox,
     RecoveryMethod,
-    project_state,
     random_sequence,
     random_state,
     range_map,
     recover_trajectory,
-    seq_at,
     shift,
     simulate,
+    state_distance,
     states_equal,
     step,
 )
@@ -146,7 +145,6 @@ def test_simulate_rejects_negative_horizon(f3):
 def test_sequence_values():
     seq = InputSequence(("a", "b"), ("b", "a"))
     assert [seq.at(k) for k in range(6)] == ["a", "b", "b", "a", "b", "a"]
-    assert seq_at(seq, 2) == "b"
 
 
 def test_sequence_rejects_empty_period():
@@ -242,10 +240,6 @@ def test_constant_input_map_rejects_unknown_label(f3):
         ConstantInputMap(f3, "z")
 
 
-def test_project_state(f3):
-    assert project_state((2, "a")) == 2
-
-
 @pytest.mark.parametrize("method", list(RecoveryMethod))
 def test_recovery_matches_simulate_on_finite(f3, method):
     seq = InputSequence(("b",), ("a", "b"))
@@ -276,6 +270,14 @@ def test_random_sequence_is_seed_deterministic():
     one = [random_sequence(np.random.default_rng(9), ("a", "b")) for _ in range(5)]
     two = [random_sequence(np.random.default_rng(9), ("a", "b")) for _ in range(5)]
     assert one == two
+
+
+def test_state_distance(sl, f3):
+    assert state_distance(f3.states, 2, 2) == 0.0
+    assert state_distance(f3.states, 2, 0) == 1.0
+    assert state_distance(sl.states, 0.5, -0.25) == 0.75
+    assert np.isnan(state_distance(sl.states, 0.5, float("nan")))
+    assert not states_equal(sl.states, 0.5, float("nan"))
 
 
 def test_states_equal(sl, f3):
