@@ -14,10 +14,11 @@ the same bits as the per-point evaluation.  Any other dictionary
 (indicators, user callables, or a mix) falls back to lifting one point at
 a time through :meth:`Dictionary.lift`.
 
-Solving goes through ridge-regularized normal equations followed by one
-iterative-refinement step against the unridged system, which recovers
-the exact least-squares minimizer whenever the Gram matrix is well
-conditioned while keeping degenerate slices solvable.
+Each input slice is solved once with ``np.linalg.lstsq`` on the
+transposed lift matrices, an SVD-based solve that never forms the Gram
+matrix.  The same SVD gives the rank flag: a slice is rank deficient
+when its numerical rank is below the dictionary size or its singular
+values span more than six orders of magnitude (cond(Gram) > 1e12).
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ __all__ = [
     "import_model_json",
 ]
 
-_RIDGE = 1e-10
-_COND_LIMIT = 1e12
+_SPREAD_LIMIT = 1e6  # largest over smallest singular value of the lift matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,15 +228,10 @@ def collect_data(sys: ControlSystem, sampler, per_input: bool = True) -> Trainin
 
 
 def _solve_ls(phi0: np.ndarray, phi1: np.ndarray) -> tuple:
-    """Ridge-stabilized normal equations plus one refinement step."""
-    n_dim = phi0.shape[0]
-    gram = phi0 @ phi0.conj().T
-    cross = phi1 @ phi0.conj().T
-    reg = gram + _RIDGE * np.eye(n_dim)
-    a0 = np.linalg.solve(reg, cross.conj().T).conj().T
-    a1 = a0 + np.linalg.solve(reg, (cross - a0 @ gram).conj().T).conj().T
-    cond = float(np.linalg.cond(gram))
-    return a1, cond
+    """The minimizer ``A`` of ``|A phi0 - phi1|`` and whether ``phi0`` is rank deficient."""
+    a_t, _, rank, s = np.linalg.lstsq(phi0.T, phi1.T, rcond=None)
+    deficient = rank < phi0.shape[0] or s[0] > _SPREAD_LIMIT * s[-1]
+    return a_t.T, bool(deficient)
 
 
 def fit_kcf(dictionary: Dictionary, data: TrainingSet) -> tuple:
@@ -256,12 +251,11 @@ def fit_kcf(dictionary: Dictionary, data: TrainingSet) -> tuple:
             continue
         phi0 = dictionary.lift_batch([x for x, _ in pairs])
         phi1 = dictionary.lift_batch([y for _, y in pairs])
-        a, cond = _solve_ls(phi0, phi1)
+        a, rank_flags[u] = _solve_ls(phi0, phi1)
         matrices[u] = a
         n = len(pairs)
         residuals[u] = float(np.sum(np.abs(phi1 - a @ phi0) ** 2) / n)
         counts[u] = n
-        rank_flags[u] = bool(cond > _COND_LIMIT)
     report = FitReport(residuals, counts, rank_flags, tuple(missing))
     return SeparableModel(matrices, dictionary), report
 

@@ -172,7 +172,7 @@ def is_control_independent(
             v0 = obs((x, labels[0]))
             for u in labels[1:]:
                 v = obs((x, u))
-                if abs(v - v0) > tol:
+                if not abs(v - v0) <= tol:
                     return CIReport(False, (x, labels[0], u), mode)
         return CIReport(True, None, mode)
     if not isinstance(mode, Sampled):
@@ -187,7 +187,7 @@ def is_control_independent(
         else:
             w1 = random_sequence(rng, labels)
             w2 = random_sequence(rng, labels)
-        if abs(obs((x, w1)) - obs((x, w2))) > tol:
+        if not abs(obs((x, w1)) - obs((x, w2))) <= tol:
             return CIReport(False, (x, w1, w2), mode)
     return CIReport(True, None, mode)
 

@@ -12,7 +12,7 @@ each operator has an exact 0-1 matrix realization.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -40,10 +40,6 @@ __all__ = [
     "WellDefinednessReport",
     "TwoStepWitness",
     "CIIsomorphisms",
-    "restrict_to_first_input",
-    "extend_to_constant_sequence",
-    "drop_input",
-    "freeze_input",
     "identity_operator",
     "k_u",
     "k_aug",
@@ -63,26 +59,6 @@ __all__ = [
     "input_aug_well_definedness",
     "two_step_discrepancy_witness",
 ]
-
-
-def restrict_to_first_input() -> Callable:
-    """The point map (x, u-sequence) -> (x, u(0))."""
-    return lambda p: (p[0], p[1].at(0))
-
-
-def extend_to_constant_sequence() -> Callable:
-    """The point map (x, u) -> (x, (u, u, ...))."""
-    return lambda p: (p[0], InputSequence.constant(p[1]))
-
-
-def drop_input() -> Callable:
-    """The point map (x, u) -> x."""
-    return lambda p: p[0]
-
-
-def freeze_input(u_star) -> Callable:
-    """The point map x -> (x, u*)."""
-    return lambda x: (x, u_star)
 
 
 @dataclass(frozen=True)
@@ -206,41 +182,41 @@ def power(op: CompositionOperator, k: int) -> CompositionOperator:
 
 
 def restriction_inf_to_aug() -> CompositionOperator:
-    """Sequence-domain observables restricted to constant sequences."""
+    """Sequence observables restricted to constant sequences: (x, u) -> (x, (u, u, ...))."""
     return CompositionOperator(
         DomainTag.STATE_SEQUENCE,
         DomainTag.STATE_INPUT,
-        extend_to_constant_sequence(),
+        lambda p: (p[0], InputSequence.constant(p[1])),
         label="R:inf->aug",
     )
 
 
 def extension_aug_to_inf() -> CompositionOperator:
-    """Pair-domain observables extended to sequences via the first element."""
+    """Pair observables extended to sequences via the first input: (x, s) -> (x, s(0))."""
     return CompositionOperator(
         DomainTag.STATE_INPUT,
         DomainTag.STATE_SEQUENCE,
-        restrict_to_first_input(),
+        lambda p: (p[0], p[1].at(0)),
         label="E:aug->inf",
     )
 
 
 def restriction_aug_to_f(u_star, sys: Optional[ControlSystem] = None) -> CompositionOperator:
-    """Pair-domain observables with the input frozen at ``u_star``."""
+    """Pair observables with the input frozen at ``u_star``: x -> (x, u_star)."""
     if sys is not None and not sys.inputs.contains(u_star):
         raise DomainError(f"unknown input label: {u_star!r}")
     return CompositionOperator(
         DomainTag.STATE_INPUT,
         DomainTag.STATE_ONLY,
-        freeze_input(u_star),
+        lambda x: (x, u_star),
         label=f"R[{u_star}]:aug->state",
     )
 
 
 def extension_f_to_aug() -> CompositionOperator:
-    """State-only observables extended to pairs by ignoring the input."""
+    """State observables extended to pairs by ignoring the input: (x, u) -> x."""
     return CompositionOperator(
-        DomainTag.STATE_ONLY, DomainTag.STATE_INPUT, drop_input(), label="E:state->aug"
+        DomainTag.STATE_ONLY, DomainTag.STATE_INPUT, lambda p: p[0], label="E:state->aug"
     )
 
 
@@ -263,37 +239,24 @@ class CIIsomorphisms:
 def ci_isomorphisms(sys: ControlSystem) -> CIIsomorphisms:
     """Build the control-independent isomorphism operators for ``sys``.
 
-    The system supplies the canonical certification witness: its first
-    input label, or the constant sequence of it.
+    They are the four plain bridges with certification stamps.  The
+    system supplies the canonical witness: its first input label, or the
+    constant sequence of it.
     """
     u0 = sys.inputs.labels[0]
     return CIIsomorphisms(
-        extend_state_to_aug=CompositionOperator(
-            DomainTag.STATE_ONLY,
-            DomainTag.STATE_INPUT,
-            drop_input(),
-            label="E:state->aug(ci)",
-            ci_stamp=u0,
+        extend_state_to_aug=replace(extension_f_to_aug(), label="E:state->aug(ci)", ci_stamp=u0),
+        restrict_aug_to_state=replace(
+            restriction_aug_to_f(u0), label="R:aug(ci)->state", requires_ci=True
         ),
-        restrict_aug_to_state=CompositionOperator(
-            DomainTag.STATE_INPUT,
-            DomainTag.STATE_ONLY,
-            freeze_input(u0),
-            label="R:aug(ci)->state",
-            requires_ci=True,
-        ),
-        extend_aug_to_seq=CompositionOperator(
-            DomainTag.STATE_INPUT,
-            DomainTag.STATE_SEQUENCE,
-            restrict_to_first_input(),
+        extend_aug_to_seq=replace(
+            extension_aug_to_inf(),
             label="E:aug(ci)->inf(ci)",
             ci_stamp=InputSequence.constant(u0),
             requires_ci=True,
         ),
-        restrict_seq_to_aug=CompositionOperator(
-            DomainTag.STATE_SEQUENCE,
-            DomainTag.STATE_INPUT,
-            extend_to_constant_sequence(),
+        restrict_seq_to_aug=replace(
+            restriction_inf_to_aug(),
             label="R:inf(ci)->aug(ci)",
             ci_stamp=u0,
             requires_ci=True,
@@ -419,7 +382,7 @@ def input_aug_well_definedness(
                     v1 = f((y, u1))
                     for u2 in labels[i + 1 :]:
                         v2 = f((y, u2))
-                        if abs(v1 - v2) > tol:
+                        if not abs(v1 - v2) <= tol:
                             return WellDefinednessReport(
                                 False,
                                 WellDefinednessReason.WITNESS_FOUND,

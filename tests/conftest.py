@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from koopcontrol import builtin_system
+
+# Property tests draw the same examples on every run (derandomize also
+# turns off the example database), and slow examples never time out.
+settings.register_profile("koopcontrol", derandomize=True, deadline=None)
+settings.load_profile("koopcontrol")
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koopcontrol import (
     ControlSystem,
@@ -120,6 +122,50 @@ def test_corrupted_system_fails_somewhere_in_full_run():
     assert all(r.counterexample is not None for r in failed)
 
 
+@st.composite
+def _tables(draw):
+    """A random total transition table: 2-5 states, 1-3 inputs."""
+    states = tuple(range(draw(st.integers(2, 5))))
+    inputs = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    pairs = [(x, u) for x in states for u in inputs]
+    succ = draw(st.lists(st.sampled_from(states), min_size=len(pairs), max_size=len(pairs)))
+    return states, inputs, dict(zip(pairs, succ))
+
+
+# Exhaustive over states and pairs; the sequence checks draw 50 points.
+_FUZZ_PLAN = exact_plan(n_points=50)
+
+
+def _table_system(states, inputs, transition):
+    return ControlSystem(FiniteStates(states), InputSet(inputs), transition, name="fuzz")
+
+
+@settings(max_examples=25)
+@given(_tables())
+def test_random_tables_pass_every_exact_check(table):
+    states, inputs, succ = table
+    summary = run_all(_table_system(states, inputs, lambda x, u: succ[(x, u)]), _FUZZ_PLAN)
+    assert len(summary.results) == 20
+    assert summary.all_passed
+    assert all(r.max_abs_error == 0.0 for r in summary.results)
+
+
+@settings(max_examples=25)
+@given(_tables(), st.data())
+def test_random_tables_fail_when_one_pair_alternates(table, data):
+    states, inputs, succ = table
+    pair = data.draw(st.sampled_from(sorted(succ)))
+    other = data.draw(st.sampled_from([x for x in states if x != succ[pair]]))
+    flips = itertools.cycle((succ[pair], other))
+
+    def transition(x, u):
+        return next(flips) if (x, u) == pair else succ[(x, u)]
+
+    summary = run_all(_table_system(states, inputs, transition), _FUZZ_PLAN)
+    assert summary.n_fail > 0
+    assert all(r.counterexample for r in summary.results if not r.passed)
+
+
 def test_json_report_is_deterministic(f3):
     a = results_to_json(run_all(f3, exact_plan(seed=5)).results)
     b = results_to_json(run_all(f3, exact_plan(seed=5)).results)
@@ -184,3 +230,10 @@ def test_non_finite_discrepancy_fails_with_counterexample():
 
     payload = json.loads(results_to_json(summary.results), parse_constant=reject)
     assert {e["id"]: e["pass"] for e in payload}["C2"] is False
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_c3_fails_when_an_extension_differs_by_nan():
+    result = run_check("C3", _overflowing_box(), sampled_plan(seed=7, n_points=100, n_functions=5))
+    assert not result.passed
+    assert result.counterexample

@@ -25,6 +25,7 @@ from koopcontrol import (
     import_training_csv,
     indicator_dictionary,
     k_u,
+    monomial,
     kcf_word,
     monomial_dictionary,
     predict,
@@ -173,6 +174,33 @@ def test_fit_recovers_scalarlinear_diagonals(sl):
     assert np.allclose(model.matrices["b"], DIAG_B, atol=1e-8)
     assert all(res < 1e-16 for res in report.residuals.values())
     assert not any(report.rank_deficient.values())
+
+
+def test_fit_recovers_degree_14_diagonals(sl):
+    d = monomial_dictionary(1, 14)
+    model, report = fit_kcf(d, collect_data(sl, UniformRandom(5000, seed=7)))
+    for u, lam in (("a", 0.5), ("b", -0.8)):
+        want = np.diag([lam**k for k in range(15)])
+        assert np.max(np.abs(model.matrices[u] - want)) <= 1e-10
+    assert not any(report.rank_deficient.values())
+
+
+@pytest.mark.parametrize(
+    "extra, degree, n_samples",
+    [
+        (monomial((1,)), 2, 300),  # a repeated entry: rank 3 of 4
+        # full rank, but singular values ~8 orders of magnitude apart
+        (Observable(DomainTag.STATE_ONLY, lambda x: 1e-8 * x[0] ** 2, label="tiny"), 1, 300),
+        (None, 5, 3),  # fewer samples than entries
+    ],
+    ids=["repeated-entry", "badly-scaled-entry", "too-few-samples"],
+)
+def test_rank_flag_fires(sl, extra, degree, n_samples):
+    entries = monomial_dictionary(1, degree).observables
+    d = Dictionary(entries + ((extra,) if extra else ()))
+    _, report = fit_kcf(d, collect_data(sl, UniformRandom(n_samples, seed=8)))
+    assert report.counts == {"a": n_samples, "b": n_samples}
+    assert report.rank_deficient == {"a": True, "b": True}
 
 
 def test_fit_on_finite_indicators_matches_operator_matrices(f3):

@@ -153,6 +153,23 @@ def test_sampled_ci_on_sequences(f3):
     assert is_control_independent(blind, f3, Sampled(100, seed=2)).independent
 
 
+def _nan_under_a():
+    """NaN under input ``a``, 0 under ``b``: the two inputs do not agree."""
+    return Observable(
+        DomainTag.STATE_INPUT,
+        lambda p: float("nan") if p[1] == "a" else 0.0,
+        label="nan-under-a",
+    )
+
+
+@pytest.mark.parametrize("mode", [Exhaustive(), Sampled(20, 0)])
+def test_nan_difference_is_not_agreement(f3, mode):
+    report = is_control_independent(_nan_under_a(), f3, mode)
+    assert not report.independent
+    x, u1, u2 = report.witness
+    assert {u1, u2} == {"a", "b"}
+
+
 def test_exhaustive_ci_refuses_infinite_domains(sl):
     f = Observable(DomainTag.STATE_INPUT, lambda p: complex(p[0]), label="x")
     with pytest.raises(Exception):

@@ -12,12 +12,9 @@ from koopcontrol import (
     apply,
     ci_isomorphisms,
     compose,
-    drop_input,
     export_matrix_csv,
-    extend_to_constant_sequence,
     extension_aug_to_inf,
     extension_f_to_aug,
-    freeze_input,
     identity_operator,
     indicator,
     input_aug_well_definedness,
@@ -28,7 +25,6 @@ from koopcontrol import (
     kcf_word,
     pair_indicator,
     power,
-    restrict_to_first_input,
     restriction_aug_to_f,
     restriction_inf_to_aug,
     simulate,
@@ -46,16 +42,17 @@ def _x():
 
 
 def test_point_maps(f3):
-    assert restrict_to_first_input()((0, InputSequence(("a",), ("b",)))) == (0, "a")
-    x, seq = extend_to_constant_sequence()((1, "b"))
+    assert extension_aug_to_inf().precompose((0, InputSequence(("a",), ("b",)))) == (0, "a")
+    x, seq = restriction_inf_to_aug().precompose((1, "b"))
     assert x == 1 and seq == InputSequence.constant("b")
-    assert drop_input()((2, "a")) == 2
-    assert freeze_input("b")(2) == (2, "b")
+    assert extension_f_to_aug().precompose((2, "a")) == 2
+    assert restriction_aug_to_f("b").precompose(2) == (2, "b")
 
 
 def test_restrict_then_extend_is_identity_on_pairs():
+    first, constant = extension_aug_to_inf().precompose, restriction_inf_to_aug().precompose
     for pair in [(0, "a"), (1, "b")]:
-        assert restrict_to_first_input()(extend_to_constant_sequence()(pair)) == pair
+        assert first(constant(pair)) == pair
 
 
 # --- operator application and composition ----------------------------------
@@ -297,6 +294,16 @@ def test_well_definedness_input_free_probes(f3):
     report = input_aug_well_definedness(f3, blind)
     assert report.well_defined
     assert report.reason is WellDefinednessReason.ALL_RESTRICTIONS_INPUT_FREE
+
+
+def test_well_definedness_nan_probe_is_a_witness(f3):
+    nan_under_a = Observable(
+        DomainTag.STATE_INPUT, lambda p: float("nan") if p[1] == "a" else 0.0
+    )
+    report = input_aug_well_definedness(f3, [nan_under_a])
+    assert not report.well_defined
+    assert report.reason is WellDefinednessReason.WITNESS_FOUND
+    assert report.witness[3:5] == ("a", "b")
 
 
 def test_two_step_witness_oracle(f3):
