@@ -387,26 +387,30 @@ class _Group:
 
 
 def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
+    """Map every point through each leg's lhs and rhs chains once, then
+    compare the mapped points (point-level legs) or read every subject at
+    them: ``apply(op, g)(p) == g(op.precompose(p))``."""
     named = _named(sys, inputs)
     fields = {key: repr(u) for key, u in inputs.items()}
     points = drawn[group.points]
     if isinstance(points, dict):  # one point list per input
         points = points[inputs["u"]]
+    if group.funcs:
+        lift, _, fset = group.funcs.rpartition(" ")
+        subjects = [_apply_chain(named, lift, f) for f in drawn[fset]]
+        for g in subjects:  # apply-time domain and contract checks of every leg
+            for chain in (c for _, a, b in group.legs for c in (a, b)):
+                _apply_chain(named, chain, g)
+    maps = [(text, _map_chain(named, a), _map_chain(named, b)) for text, a, b in group.legs]
+    mapped = [(p, [(text, lhs(p), rhs(p)) for text, lhs, rhs in maps]) for p in points]
     if not group.funcs:
-        legs = [(t, _map_chain(named, a), _map_chain(named, b)) for t, a, b in group.legs]
-        for p in points:
-            for text, lhs, rhs in legs:
-                err = _gap(sys.states, lhs(p), rhs(p))
-                rec.record(err, lambda: text.format(p=repr(p), **fields))
+        for p, legs in mapped:
+            for text, a, b in legs:
+                rec.record(_gap(sys.states, a, b), lambda: text.format(p=repr(p), **fields))
         return
-    lift, _, fset = group.funcs.rpartition(" ")
-    built = []
-    for g in (_apply_chain(named, lift, f) for f in drawn[fset]):
-        legs = [(t, _apply_chain(named, a, g), _apply_chain(named, b, g)) for t, a, b in group.legs]
-        built.append((g.label, legs))
-    for p, (label, legs) in _pairings(points, built, _is_finite(sys)):
-        for text, lhs, rhs in legs:
-            rec.values(lhs(p), rhs(p), lambda: text.format(f=label, p=repr(p), **fields))
+    for (p, legs), g in _pairings(mapped, subjects, _is_finite(sys)):
+        for text, a, b in legs:
+            rec.values(g(a), g(b), lambda: text.format(f=g.label, p=repr(p), **fields))
 
 
 def _run_table(sys, plan, rng, draws: tuple, groups: tuple) -> _Recorder:
@@ -457,36 +461,35 @@ def _run_c14(sys, plan, rng):
     rec = _Recorder(plan.tolerance)
     iso = ci_isomorphisms(sys)
     kin = k_inf(sys)
-    funcs = _functions(sys, plan, rng, _state_basis(sys))
+    funcs = [
+        (f, apply(iso.extend_aug_to_seq, apply(iso.extend_state_to_aug, f)))
+        for f in _functions(sys, plan, rng, _state_basis(sys))
+    ]
     scenarios = _scenario_seq_points(sys, plan, rng)
     for i, (x0, seq) in enumerate(scenarios):
         k = int(rng.integers(0, 6))
         word = [seq.at(j) for j in range(k)]
         x_k = simulate(sys, x0, seq, k)[-1]
-        for f in funcs if _is_finite(sys) else [funcs[i % len(funcs)]]:
+        x_word = kcf_word(sys, word).precompose(x0)
+        p_inf = power(kin, k).precompose((x0, seq))
+        for f, lifted in funcs if _is_finite(sys) else [funcs[i % len(funcs)]]:
             truth = f(x_k)
-            via_word = apply(kcf_word(sys, word), f)(x0)
-            lifted = apply(iso.extend_aug_to_seq, apply(iso.extend_state_to_aug, f))
-            via_inf = apply(power(kin, k), lifted)((x0, seq))
-            rec.values(truth, via_word, lambda: f"word path: {f.label}, x0={x0!r}, word={word!r}")
-            rec.values(truth, via_inf, lambda: f"sequence path: {f.label}, x0={x0!r}, k={k}")
+            rec.values(truth, f(x_word), lambda: f"word path: {f.label}, x0={x0!r}, word={word!r}")
+            rec.values(truth, lifted(p_inf), lambda: f"sequence path: {f.label}, x0={x0!r}, k={k}")
     return rec
 
 
 def _run_c15(sys, plan, rng):
     rec = _Recorder(plan.tolerance)
     kin = k_inf(sys)
-    ci_seq = _ci_seq_direct(sys)
+    ci_seq = [(h, state_component(h)) for h in _ci_seq_direct(sys)]
     scenarios = _scenario_seq_points(sys, plan, rng)
     for i, (x0, seq) in enumerate(scenarios):
         k = int(rng.integers(0, 6))
         x_k = simulate(sys, x0, seq, k)[-1]
-        for h in ci_seq if _is_finite(sys) else [ci_seq[i % len(ci_seq)]]:
-            rec.values(
-                state_component(h)(x_k),
-                apply(power(kin, k), h)((x0, seq)),
-                lambda: f"{h.label}, x0={x0!r}, k={k}",
-            )
+        p_k = power(kin, k).precompose((x0, seq))
+        for h, h_state in ci_seq if _is_finite(sys) else [ci_seq[i % len(ci_seq)]]:
+            rec.values(h_state(x_k), h(p_k), lambda: f"{h.label}, x0={x0!r}, k={k}")
     return rec
 
 
@@ -496,14 +499,15 @@ def _run_c16(sys, plan, rng):
     kau = k_aug(sys)
     state_funcs = _functions(sys, plan, rng, _state_basis(sys))
     ci_aug = [apply(iso.extend_state_to_aug, f) for f in state_funcs]
-    pair_scen = _scenario_pairs(sys, plan, rng)
-    for p, g in _pairings(pair_scen, ci_aug, _is_finite(sys)):
+    sides = [(g, state_component(g)) for g in ci_aug]
+    stepped = []
+    for p in _scenario_pairs(sys, plan, rng):
+        # Each side steps the pair itself (the right side first), so a
+        # transition that is not a function can show a gap.
         next_state = kau.precompose(p)[0]
-        rec.values(
-            apply(kau, g)(p),
-            state_component(g)(next_state),
-            lambda: f"single step: {g.label} at {p!r}",
-        )
+        stepped.append((p, kau.precompose(p), next_state))
+    for (p, q, next_state), (g, g_state) in _pairings(stepped, sides, _is_finite(sys)):
+        rec.values(g(q), g_state(next_state), lambda: f"single step: {g.label} at {p!r}")
     witness = two_step_discrepancy_witness(sys, tol=plan.tolerance or 1e-12)
     if witness is None:
         rec.note = "no two-step discrepancy exists for this system"
@@ -535,12 +539,9 @@ def _run_c17(sys, plan, rng):
         word = [labels[int(rng.integers(len(labels)))] for _ in range(length)]
         seq = InputSequence(tuple(word), (labels[0],))
         x_k = simulate(sys, x0, seq, length)[-1]
+        x_word = kcf_word(sys, word).precompose(x0)
         for g in funcs if _is_finite(sys) else [funcs[i % len(funcs)]]:
-            rec.values(
-                apply(kcf_word(sys, word), g)(x0),
-                g(x_k),
-                lambda: f"{g.label}, x0={x0!r}, word={word!r}",
-            )
+            rec.values(g(x_word), g(x_k), lambda: f"{g.label}, x0={x0!r}, word={word!r}")
     return rec
 
 
@@ -594,12 +595,9 @@ def _run_c20(sys, plan, rng):
         for _ in range(n_consts)
     ]
     scenarios = _scenario_seq_points(sys, plan, rng, n=min(plan.n_points, 200))
-    for p, c in _pairings(scenarios, consts, True):
-        rec.values(
-            apply(kin, c)(p),
-            c(p),
-            lambda: f"constant {c.label} moved at {p!r}",
-        )
+    moved = [(p, kin.precompose(p)) for p in scenarios]
+    for (p, q), c in _pairings(moved, consts, True):
+        rec.values(c(q), c(p), lambda: f"constant {c.label} moved at {p!r}")
     rec.note = "constants are fixed points: a constants-only space sees no dynamics"
     return rec
 
@@ -613,6 +611,7 @@ class _Check:
 
     def __init__(self, id, description, draws=(), *groups, runner=None, finite_only=False):
         self.id, self.description, self.finite_only = id, description, finite_only
+        self.groups = groups
         self.run = runner or partial(_run_table, draws=draws, groups=groups)
 
 

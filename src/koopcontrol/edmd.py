@@ -24,6 +24,7 @@ values span more than six orders of magnitude (cond(Gram) > 1e12).
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -297,24 +298,47 @@ def _state_columns(sys: ControlSystem) -> int:
     return sys.states.dimension if isinstance(sys.states, RealBox) else 1
 
 
-def _format_state(x) -> list:
-    if isinstance(x, np.ndarray):
-        return [f"{v:.17g}" for v in x]
-    return [str(x)]
+_CSV_BLOCK = 1024  # triples formatted per write, so memory stays bounded
+
+
+def _csv_fields(values) -> list:
+    """Each value's ``str`` as ``csv.writer`` writes it inside a row of several fields."""
+    texts = [str(v) for v in values]
+    quoted = {}
+    for text in set(texts):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow([text, ""])
+        quoted[text] = buf.getvalue()[:-1]
+    return [quoted[text] for text in texts]
+
+
+def _state_fields(states) -> list:
+    """The comma-joined columns of each state: ``%.17g`` coordinates of box
+    states, formatted from one ``tolist()`` of the stacked array, or the label."""
+    if not isinstance(states[0], np.ndarray):
+        return _csv_fields(states)
+    coords = np.array(states).tolist()
+    row = ",".join(["%.17g"] * len(coords[0]))
+    return [row % tuple(c) for c in coords]
 
 
 def export_training_csv(data: TrainingSet, path) -> None:
-    """Write triples as rows: state columns, input label, next-state columns."""
+    """Write triples as rows: state columns, input label, next-state columns.
+
+    Rows are formatted a block of ``_CSV_BLOCK`` triples at a time, with
+    ``csv.writer``'s quoting and line endings.
+    """
     if not data.triples:
         raise ValueError("nothing to export")
     x0 = data.triples[0][0]
     d = x0.size if isinstance(x0, np.ndarray) else 1
     header = [f"x{i}" for i in range(d)] + ["u"] + [f"y{i}" for i in range(d)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for x, u, y in data.triples:
-            writer.writerow(_format_state(x) + [str(u)] + _format_state(y))
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(data.triples), _CSV_BLOCK):
+            xs, us, ys = zip(*data.triples[start : start + _CSV_BLOCK])
+            rows = zip(_state_fields(xs), _csv_fields(us), _state_fields(ys))
+            fh.write("".join([f"{x},{u},{y}\r\n" for x, u, y in rows]))
 
 
 def _label_parser(labels):

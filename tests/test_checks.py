@@ -1,17 +1,23 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from koopcontrol import (
+    ContractError,
     ControlSystem,
+    DomainTag,
     FiniteStates,
     InputSet,
     RealBox,
     SamplePlan,
     UnsupportedError,
+    apply,
+    builtin_system,
     check_ids,
+    ci_isomorphisms,
     describe_check,
     exact_plan,
     is_applicable,
@@ -21,6 +27,7 @@ from koopcontrol import (
     run_check,
     sampled_plan,
 )
+from koopcontrol import checks
 
 
 def test_registry_lists_twenty_checks():
@@ -120,6 +127,84 @@ def test_corrupted_system_fails_somewhere_in_full_run():
     assert summary.n_fail > 0
     failed = [r for r in summary.results if not r.passed]
     assert all(r.counterexample is not None for r in failed)
+
+
+def test_non_function_is_caught_by_trajectory_checks():
+    """Demo 04's system: each leg still steps every point itself, so a
+    transition that is not a function still shows in C14, C17 and C18."""
+    summary = run_all(_flaky_finite3(13), exact_plan(), only=["C14", "C17", "C18"])
+    assert [r.id for r in summary.results] == ["C14", "C17", "C18"]
+    for r in summary.results:
+        assert not r.passed, r.id
+        assert r.counterexample is not None, r.id
+
+
+def _counting(sys):
+    calls = {"n": 0}
+
+    def transition(x, u):
+        calls["n"] += 1
+        return sys.transition(x, u)
+
+    return ControlSystem(sys.states, sys.inputs, transition, name=sys.name), calls
+
+
+def test_exact_run_steps_each_leg_once_per_point(f3):
+    """The transition budget of a full exact run on finite3: every point
+    map runs once per point, not once per (point, function) pair."""
+    counted, calls = _counting(f3)
+    run_all(counted, exact_plan(seed=7))
+    assert calls["n"] == 7078
+
+
+def _leg_chains() -> set:
+    return {
+        chain
+        for row in checks._REGISTRY
+        for group in row.groups
+        for _, lhs, rhs in group.legs
+        for chain in (lhs, rhs)
+    }
+
+
+@pytest.mark.parametrize("name", ["finite3", "scalarlinear"])
+def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
+    """``_apply_chain(chain, g)(p) == g(_map_chain(chain)(p))`` exactly, for
+    every chain in the registry's legs: the law the finite runs rely on."""
+    sys = builtin_system(name)
+    plan = sampled_plan(seed=7, n_points=40)
+    rng = np.random.default_rng(7)
+    points = {
+        DomainTag.STATE_ONLY: checks._scenario_states(sys, plan, rng),
+        DomainTag.STATE_INPUT: checks._scenario_pairs(sys, plan, rng),
+        DomainTag.STATE_SEQUENCE: checks._scenario_seq_points(sys, plan, rng),
+    }
+    iso = ci_isomorphisms(sys)
+    state_basis = checks._state_basis(sys)
+    subjects = {
+        DomainTag.STATE_ONLY: state_basis,
+        DomainTag.STATE_INPUT: checks._aug_basis(sys)
+        + [apply(iso.extend_state_to_aug, f) for f in state_basis],
+        DomainTag.STATE_SEQUENCE: checks._seq_basis(sys) + checks._ci_seq_direct(sys),
+    }
+    labels = sys.inputs.labels
+    chains, checked = _leg_chains(), set()
+    for u in labels:
+        named = checks._named(sys, {"u": u, "u1": labels[0], "u2": labels[-1]})
+        for chain in chains:
+            ops = [named[op] for op in chain.split()]
+            ends = [(ops[0].target, ops[-1].source)] if ops else [(d, d) for d in DomainTag]
+            point_map = checks._map_chain(named, chain)
+            for target, source in ends:
+                for g in subjects[source]:
+                    try:
+                        applied = checks._apply_chain(named, chain, g)
+                    except ContractError:
+                        continue
+                    for p in points[target]:
+                        assert applied(p) == g(point_map(p)), (chain, g.label, p)
+                    checked.add(chain)
+    assert checked == chains
 
 
 @st.composite

@@ -337,6 +337,50 @@ def test_training_csv_roundtrip_finite(tmp_path, f3):
     assert back.triples == data.triples
 
 
+def _row_by_row_csv(data, path):
+    """The per-row ``csv.writer`` export that the one-block writer must match."""
+    import csv
+
+    def fields(x):
+        return [f"{v:.17g}" for v in x] if isinstance(x, np.ndarray) else [str(x)]
+
+    x0 = data.triples[0][0]
+    d = x0.size if isinstance(x0, np.ndarray) else 1
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i}" for i in range(d)] + ["u"] + [f"y{i}" for i in range(d)])
+        for x, u, y in data.triples:
+            writer.writerow(fields(x) + [str(u)] + fields(y))
+
+
+def _quoted_labels_box():
+    """A 2-D box whose input labels need csv quoting."""
+    return ControlSystem(
+        RealBox((-1.0, -1.0), (1.0, 1.0)),
+        InputSet(("a,b", 'say "hi"', " c")),
+        lambda x, u: -x / 3,
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda f3, sl: collect_data(sl, UniformRandom(1500, seed=11)),  # spans 3 blocks
+        lambda f3, sl: collect_data(f3, UniformRandom(40, seed=2)),
+        lambda f3, sl: collect_data(_quoted_labels_box(), UniformRandom(30, seed=5)),
+        lambda f3, sl: TrainingSet(
+            ((np.array([np.nan, -0.0]), "a", np.array([np.inf, 1e-300])),), input_labels=("a",)
+        ),
+    ],
+    ids=["scalarlinear", "finite3", "quoted-labels", "non-finite"],
+)
+def test_training_csv_matches_row_by_row_writer(tmp_path, f3, sl, make):
+    data = make(f3, sl)
+    export_training_csv(data, tmp_path / "block.csv")
+    _row_by_row_csv(data, tmp_path / "rows.csv")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_model_json_roundtrip(tmp_path, sl):
     d = monomial_dictionary(1, 2)
     model, report = fit_kcf(d, collect_data(sl, UniformRandom(40, seed=9)))

@@ -4,7 +4,10 @@ Each case runs ``run_all`` on a fixed system and plan and compares
 ``results_to_json`` with a stored file under ``tests/data/``.  The
 corrupted systems count transition calls, so these files also pin the
 order in which the registry evaluates points and the text of every
-counterexample, not only pass/fail.
+counterexample, not only pass/fail.  The registry maps each point
+through a leg's point maps once and then reads every function at the
+mapped points, so on finite systems a leg steps each point once, not
+once per function; the call-counter files record that order.
 
 Regenerate the files (only when a report change is intended and stated)
 with::
