@@ -11,7 +11,9 @@ combinations of a built-in basis; a clean pass there is a
 non-refutation certificate, with the evaluation count recorded.  A
 discrepancy that is not a number within tolerance (NaN included) fails.
 Most identities are rows of one table (:data:`_REGISTRY`) that
-:func:`_run_table` evaluates; witness and simulator checks have runners.
+:func:`_run_table` evaluates, the trajectory checks included: their legs
+start from a trajectory point ``(x0, seq, k)`` mapped to its simulated
+endpoint.  Only C3, C16, C18 and C19 have runners.
 
 Results are deterministic: every check draws from a generator seeded by
 (plan seed, check index), so run order and concurrency cannot change the
@@ -24,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .observables import (
     linear_combine,
     monomial,
     pair_indicator,
-    state_component,
 )
 from .operators import (
     apply,
@@ -102,8 +103,10 @@ class SamplePlan:
     def __post_init__(self):
         if self.n_points < 1 or self.n_functions < 1 or self.seq_period_max < 1:
             raise ValueError("plan bounds must be positive")
-        if self.seq_prefix_max < 0 or self.tolerance < 0:
+        if self.seq_prefix_max < 0:
             raise ValueError("plan bounds must be nonnegative")
+        if not self.tolerance >= 0:  # NaN included
+            raise ValueError(f"tolerance must be a nonnegative number, got {self.tolerance!r}")
 
 
 def exact_plan(seed: int = 0, n_points: int = 200) -> SamplePlan:
@@ -169,9 +172,6 @@ class _Recorder:
             self.passed = False
             self.counterexample = describe()
 
-    def values(self, a: complex, b: complex, describe: Callable) -> None:
-        self.record(abs(a - b), describe)
-
 
 def _gap(space, a, b) -> float:
     """Distance of two states, or of two (state, input-or-sequence) points.
@@ -206,6 +206,36 @@ def _scenario_seq_points(sys, plan, rng, n=None) -> list:
         (random_state(rng, sys.states), random_sequence(rng, labels, pmax, qmax))
         for _ in range(plan.n_points if n is None else n)
     ]
+
+
+class _Trajectory(NamedTuple):
+    """A start state, an input sequence and a horizon; ``word`` is the first ``k`` inputs."""
+
+    x0: object
+    seq: InputSequence
+    k: int
+
+    @property
+    def word(self) -> list:
+        return [self.seq.at(j) for j in range(self.k)]
+
+
+def _scenario_trajectories(sys, plan, rng, horizons: int = 6) -> list:
+    """Sequence points, then one horizon below ``horizons`` per point, in point order."""
+    points = _scenario_seq_points(sys, plan, rng)
+    return [_Trajectory(x0, seq, int(rng.integers(0, horizons))) for x0, seq in points]
+
+
+def _scenario_words(sys, plan, rng) -> list:
+    """Start states (six rounds on finite systems, covering lengths 0..5), each
+    with a random word of length ``i % 6`` followed by the first input forever."""
+    labels = sys.inputs.labels
+    states = _scenario_states(sys, plan, rng)
+    out = []
+    for i, x0 in enumerate(states * 6 if _is_finite(sys) else states):
+        word = tuple(labels[int(rng.integers(len(labels)))] for _ in range(i % 6))
+        out.append(_Trajectory(x0, InputSequence(word, (labels[0],)), len(word)))
+    return out
 
 
 def _product_obs(phi: Observable, table: dict) -> Observable:
@@ -300,9 +330,9 @@ def _ci_seq_direct(sys: ControlSystem) -> list:
     return out
 
 
-def _pairings(scenarios: list, funcs: list, finite: bool) -> list:
-    """Full cross product on finite systems, cycled pairing on boxes."""
-    if finite:
+def _pairings(scenarios: list, funcs: list, cross: bool) -> list:
+    """Full cross product (function-major), or functions cycled over the points."""
+    if cross:
         return [(s, f) for f in funcs for s in scenarios]
     return [(s, funcs[i % len(funcs)]) for i, s in enumerate(scenarios)]
 
@@ -314,14 +344,24 @@ def _is_finite(sys: ControlSystem) -> bool:
 # --- the identity table ----------------------------------------------------
 
 # What a row can draw, by name: point lists (states, states per input,
-# pairs, sequence points) and function lists (random combinations of the
-# state, pair and sequence bases, exhaustive bases on finite systems).
-# "ci_seq" draws nothing: it is the fixed list of sequence-blind observables.
+# pairs, sequence points, at most 200 of them, trajectories with horizons
+# 0..5, start states with words) and function lists (random combinations
+# of the state, pair and sequence bases, exhaustive bases on finite
+# systems; up to 8 random sequence constants).  "ci_seq" draws nothing:
+# it is the fixed list of sequence-blind observables.
 _DRAWS = {
     "x": _scenario_states,
     "x_per_u": lambda sys, plan, rng: {u: _scenario_states(sys, plan, rng) for u in sys.inputs.labels},
     "p": _scenario_pairs,
     "s": _scenario_seq_points,
+    "s200": lambda sys, plan, rng: _scenario_seq_points(sys, plan, rng, n=min(plan.n_points, 200)),
+    "t": _scenario_trajectories,
+    "tw": _scenario_words,
+    "c": lambda sys, plan, rng: [
+        linear_combine([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))],
+                       [constant_one(DomainTag.STATE_SEQUENCE)])
+        for _ in range(min(plan.n_functions, 8))
+    ],
     "fx": lambda sys, plan, rng: _functions(sys, plan, rng, _state_basis(sys)),
     "fp": lambda sys, plan, rng: _functions(sys, plan, rng, _aug_basis(sys)),
     "fs": lambda sys, plan, rng: _functions(sys, plan, rng, _seq_basis(sys)),
@@ -349,20 +389,35 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
     return named
 
 
+def _point_maps(sys: ControlSystem, named: dict) -> dict:
+    """Every operator's ``precompose`` by name, plus the maps of trajectory
+    points: the simulated endpoint ``sim``, the input-word endpoint
+    ``word`` and the sequence point ``K_inf^k`` after ``k`` steps."""
+    maps = {name: op.precompose for name, op in named.items()}
+    kin = named["K_inf"]
+    maps["sim"] = lambda t: simulate(sys, t.x0, t.seq, t.k)[-1]
+    maps["word"] = lambda t: kcf_word(sys, t.word).precompose(t.x0)
+    maps["K_inf^k"] = lambda t: power(kin, t.k).precompose((t.x0, t.seq))
+    return maps
+
+
 def _apply_chain(named: dict, chain: str, g: Observable) -> Observable:
-    """Apply an operator product such as ``"R K_inf E"`` (rightmost first)."""
+    """Apply the operators of a product such as ``"R K_inf E"`` (rightmost
+    first).  A trajectory map at the left end takes trajectory points, not
+    observables, so it has no operator to apply."""
     for name in reversed(chain.split()):
-        g = apply(named[name], g)
+        if name in named:
+            g = apply(named[name], g)
     return g
 
 
-def _map_chain(named: dict, chain: str) -> Callable:
-    """The point map of an operator product such as ``"R K_inf E"``: its
-    operators' ``precompose`` maps, leftmost first."""
-    maps = [named[name].precompose for name in chain.split()]
+def _map_chain(maps: dict, chain: str) -> Callable:
+    """The point map of a product such as ``"R K_inf E"``: its point maps
+    (see :func:`_point_maps`), leftmost first."""
+    steps = [maps[name] for name in chain.split()]
 
     def run(point):
-        for m in maps:
+        for m in steps:
             point = m(point)
         return point
 
@@ -376,47 +431,60 @@ class _Group:
     per unordered input pair ``u1``, ``u2``).  ``funcs`` is empty for
     point-level legs, which compare the point maps of their chains;
     otherwise it names a drawn function list, optionally after operators
-    that turn each function into the subject (``"E_ci fx"``).
+    that turn each function into the subject (``"E_ci fx"``).  Functions
+    meet every point on finite systems or when ``cross`` is set, and are
+    cycled over the points otherwise.
     A leg is ``(counterexample template, lhs chain, rhs chain)``; the
-    template may name ``{f}``, ``{p}`` and the context's inputs, and an
-    empty chain is the subject (or point) itself.
+    template may name ``{f}``, ``{p}``, the context's inputs and, on
+    trajectory points, ``{x0}``, ``{k}`` and ``{word}``; an empty chain is
+    the subject (or point) itself.
     """
 
-    def __init__(self, over: str, points: str, funcs: str, *legs: tuple):
-        self.over, self.points, self.funcs, self.legs = over, points, funcs, legs
+    def __init__(self, over: str, points: str, funcs: str, *legs: tuple, cross: bool = False):
+        self.over, self.points, self.funcs, self.legs, self.cross = over, points, funcs, legs, cross
+
+
+def _describe(text: str, p, fields: dict, f: str = "") -> str:
+    if isinstance(p, _Trajectory):
+        fields = dict(fields, x0=repr(p.x0), k=p.k, word=repr(p.word))
+    return text.format(f=f, p=repr(p), **fields)
 
 
 def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
-    """Map every point through each leg's lhs and rhs chains once, then
-    compare the mapped points (point-level legs) or read every subject at
-    them: ``apply(op, g)(p) == g(op.precompose(p))``."""
+    """Map every point through each distinct chain of the legs once, then
+    compare each leg's two mapped points (point-level legs) or read every
+    subject at them: ``apply(op, g)(p) == g(op.precompose(p))``."""
     named = _named(sys, inputs)
     fields = {key: repr(u) for key, u in inputs.items()}
     points = drawn[group.points]
     if isinstance(points, dict):  # one point list per input
         points = points[inputs["u"]]
+    chains = list(dict.fromkeys(c for _, a, b in group.legs for c in (a, b)))
     if group.funcs:
         lift, _, fset = group.funcs.rpartition(" ")
         subjects = [_apply_chain(named, lift, f) for f in drawn[fset]]
-        for g in subjects:  # apply-time domain and contract checks of every leg
-            for chain in (c for _, a, b in group.legs for c in (a, b)):
+        for g in subjects:  # apply-time domain and contract checks of every chain
+            for chain in chains:
                 _apply_chain(named, chain, g)
-    maps = [(text, _map_chain(named, a), _map_chain(named, b)) for text, a, b in group.legs]
-    mapped = [(p, [(text, lhs(p), rhs(p)) for text, lhs, rhs in maps]) for p in points]
+    maps = _point_maps(sys, named)
+    runs = [_map_chain(maps, chain) for chain in chains]
+    legs = [(text, chains.index(a), chains.index(b)) for text, a, b in group.legs]
+    mapped = [(p, [run(p) for run in runs]) for p in points]
     if not group.funcs:
-        for p, legs in mapped:
+        for p, at in mapped:
             for text, a, b in legs:
-                rec.record(_gap(sys.states, a, b), lambda: text.format(p=repr(p), **fields))
+                rec.record(_gap(sys.states, at[a], at[b]), lambda: _describe(text, p, fields))
         return
-    for (p, legs), g in _pairings(mapped, subjects, _is_finite(sys)):
+    for (p, at), g in _pairings(mapped, subjects, group.cross or _is_finite(sys)):
         for text, a, b in legs:
-            rec.values(g(a), g(b), lambda: text.format(f=g.label, p=repr(p), **fields))
+            rec.record(abs(g(at[a]) - g(at[b])), lambda: _describe(text, p, fields, g.label))
 
 
-def _run_table(sys, plan, rng, draws: tuple, groups: tuple) -> _Recorder:
+def _run_table(sys, plan, rng, draws: tuple, groups: tuple, note: str = "") -> _Recorder:
     """Draw in the row's order, run the per-input groups input by input,
     then every other group in order."""
     rec = _Recorder(plan.tolerance)
+    rec.note = note
     drawn = {name: _DRAWS[name](sys, plan, rng) for name in draws}
     labels = sys.inputs.labels
     pairs = [{"u1": a, "u2": b} for i, a in enumerate(labels) for b in labels[i + 1 :]]
@@ -457,57 +525,16 @@ def _run_c3(sys, plan, rng):
     return rec
 
 
-def _run_c14(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    iso = ci_isomorphisms(sys)
-    kin = k_inf(sys)
-    funcs = [
-        (f, apply(iso.extend_aug_to_seq, apply(iso.extend_state_to_aug, f)))
-        for f in _functions(sys, plan, rng, _state_basis(sys))
-    ]
-    scenarios = _scenario_seq_points(sys, plan, rng)
-    for i, (x0, seq) in enumerate(scenarios):
-        k = int(rng.integers(0, 6))
-        word = [seq.at(j) for j in range(k)]
-        x_k = simulate(sys, x0, seq, k)[-1]
-        x_word = kcf_word(sys, word).precompose(x0)
-        p_inf = power(kin, k).precompose((x0, seq))
-        for f, lifted in funcs if _is_finite(sys) else [funcs[i % len(funcs)]]:
-            truth = f(x_k)
-            rec.values(truth, f(x_word), lambda: f"word path: {f.label}, x0={x0!r}, word={word!r}")
-            rec.values(truth, lifted(p_inf), lambda: f"sequence path: {f.label}, x0={x0!r}, k={k}")
-    return rec
-
-
-def _run_c15(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    kin = k_inf(sys)
-    ci_seq = [(h, state_component(h)) for h in _ci_seq_direct(sys)]
-    scenarios = _scenario_seq_points(sys, plan, rng)
-    for i, (x0, seq) in enumerate(scenarios):
-        k = int(rng.integers(0, 6))
-        x_k = simulate(sys, x0, seq, k)[-1]
-        p_k = power(kin, k).precompose((x0, seq))
-        for h, h_state in ci_seq if _is_finite(sys) else [ci_seq[i % len(ci_seq)]]:
-            rec.values(h_state(x_k), h(p_k), lambda: f"{h.label}, x0={x0!r}, k={k}")
-    return rec
+# One augmented step read by a control-independent subject at the stepped
+# pair and at its state component (``E_f R_ci`` reads g at (x', u0)).  Each
+# side steps the pair itself, the right side first, so a transition that is
+# not a function can show a gap.
+_C16_STEP = _Group("", "p", "E_ci fx", ("single step: {f} at {p}", "K_aug E_f R_ci", "K_aug"))
 
 
 def _run_c16(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    iso = ci_isomorphisms(sys)
-    kau = k_aug(sys)
-    state_funcs = _functions(sys, plan, rng, _state_basis(sys))
-    ci_aug = [apply(iso.extend_state_to_aug, f) for f in state_funcs]
-    sides = [(g, state_component(g)) for g in ci_aug]
-    stepped = []
-    for p in _scenario_pairs(sys, plan, rng):
-        # Each side steps the pair itself (the right side first), so a
-        # transition that is not a function can show a gap.
-        next_state = kau.precompose(p)[0]
-        stepped.append((p, kau.precompose(p), next_state))
-    for (p, q, next_state), (g, g_state) in _pairings(stepped, sides, _is_finite(sys)):
-        rec.values(g(q), g_state(next_state), lambda: f"single step: {g.label} at {p!r}")
+    rec = _run_table(sys, plan, rng, ("fx", "p"), (_C16_STEP,))
+    iso, kau = ci_isomorphisms(sys), k_aug(sys)
     witness = two_step_discrepancy_witness(sys, tol=plan.tolerance or 1e-12)
     if witness is None:
         rec.note = "no two-step discrepancy exists for this system"
@@ -527,29 +554,9 @@ def _run_c16(sys, plan, rng):
     return rec
 
 
-def _run_c17(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    funcs = _functions(sys, plan, rng, _state_basis(sys))
-    labels = sys.inputs.labels
-    states = _scenario_states(sys, plan, rng)
-    if _is_finite(sys):
-        states = [x for _ in range(6) for x in states]  # cover word lengths 0..5
-    for i, x0 in enumerate(states):
-        length = i % 6
-        word = [labels[int(rng.integers(len(labels)))] for _ in range(length)]
-        seq = InputSequence(tuple(word), (labels[0],))
-        x_k = simulate(sys, x0, seq, length)[-1]
-        x_word = kcf_word(sys, word).precompose(x0)
-        for g in funcs if _is_finite(sys) else [funcs[i % len(funcs)]]:
-            rec.values(g(x_word), g(x_k), lambda: f"{g.label}, x0={x0!r}, word={word!r}")
-    return rec
-
-
 def _run_c18(sys, plan, rng):
     rec = _Recorder(plan.tolerance)
-    scenarios = _scenario_seq_points(sys, plan, rng)
-    for x0, seq in scenarios:
-        k = int(rng.integers(0, 11))
+    for x0, seq, k in _scenario_trajectories(sys, plan, rng, horizons=11):
         truth = simulate(sys, x0, seq, k)
         for method in RecoveryMethod:
             got = recover_trajectory(sys, x0, seq, k, method)
@@ -583,41 +590,25 @@ def _run_c19(sys, plan, rng):
     return rec
 
 
-def _run_c20(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    kin = k_inf(sys)
-    n_consts = min(plan.n_functions, 8)
-    consts = [
-        linear_combine(
-            [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))],
-            [constant_one(DomainTag.STATE_SEQUENCE)],
-        )
-        for _ in range(n_consts)
-    ]
-    scenarios = _scenario_seq_points(sys, plan, rng, n=min(plan.n_points, 200))
-    moved = [(p, kin.precompose(p)) for p in scenarios]
-    for (p, q), c in _pairings(moved, consts, True):
-        rec.values(c(q), c(p), lambda: f"constant {c.label} moved at {p!r}")
-    rec.note = "constants are fixed points: a constants-only space sees no dynamics"
-    return rec
-
-
 # --- the registry ----------------------------------------------------------
 
 
 class _Check:
-    """A registry row: what it draws (in generator order) and its groups of
-    legs, or its own runner; ``run(system, plan, generator)`` -> _Recorder."""
+    """A registry row: what it draws (in generator order), its groups of
+    legs and a fixed note, or its own runner;
+    ``run(system, plan, generator)`` -> _Recorder."""
 
-    def __init__(self, id, description, draws=(), *groups, runner=None, finite_only=False):
+    def __init__(self, id, description, draws=(), *groups, note="", runner=None, finite_only=False):
         self.id, self.description, self.finite_only = id, description, finite_only
         self.groups = groups
-        self.run = runner or partial(_run_table, draws=draws, groups=groups)
+        self.run = runner or partial(_run_table, draws=draws, groups=groups, note=note)
 
 
 # Legs read as operator products (``"R K_inf E"`` applies E first).  The
 # point-level checks C1, C4, C9 and C10 compare the point maps of the
-# products that C2, C5, C11 and C12 apply to functions.
+# products that C2, C5, C11 and C12 apply to functions.  C14, C15 and C17
+# start from a trajectory map; C15's ``sim R_ci R_ci_seq`` reads a
+# sequence-blind function's state component at the simulated endpoint.
 _REGISTRY = [
     _Check("C1", "restricting after extending is the identity on state-input pairs", ("p",),
            _Group("", "p", "", ("pair {p}", "R E", ""))),
@@ -659,14 +650,21 @@ _REGISTRY = [
                   ("two-hop: {f} at {p}, input {u}", "K_u", "R_u R K_inf E_ci_seq E_ci")),
            _Group("", "p", "E_ci fx", ("middle-hop: {f} at {p}", "K_aug", "R K_inf E_ci_seq"))),
     _Check("C14", "trajectory values via input words and via sequence powers match simulation",
-           runner=_run_c14),
-    _Check("C15", "sequence-operator powers read state components along trajectories", runner=_run_c15),
+           ("fx", "t"),
+           _Group("", "t", "fx",
+                  ("word path: {f}, x0={x0}, word={word}", "sim", "word"),
+                  ("sequence path: {f}, x0={x0}, k={k}", "sim", "K_inf^k E_ci_seq E_ci"))),
+    _Check("C15", "sequence-operator powers read state components along trajectories", ("ci_seq", "t"),
+           _Group("", "t", "ci_seq", ("{f}, x0={x0}, k={k}", "sim R_ci R_ci_seq", "K_inf^k"))),
     _Check("C16", "augmented operator captures one step exactly, two steps diverge", runner=_run_c16),
-    _Check("C17", "input-word operators evaluate observables at simulated endpoints", runner=_run_c17),
+    _Check("C17", "input-word operators evaluate observables at simulated endpoints", ("fx", "tw"),
+           _Group("", "tw", "fx", ("{f}, x0={x0}, word={word}", "sim", "word"))),
     _Check("C18", "all three reformulations rebuild simulated trajectories", runner=_run_c18),
     _Check("C19", "input-as-state construction is ill defined unless inputs are trivial",
            runner=_run_c19, finite_only=True),
-    _Check("C20", "the sequence operator fixes constants, so constants capture nothing", runner=_run_c20),
+    _Check("C20", "the sequence operator fixes constants, so constants capture nothing", ("c", "s200"),
+           _Group("", "s200", "c", ("constant {f} moved at {p}", "K_inf", ""), cross=True),
+           note="constants are fixed points: a constants-only space sees no dynamics"),
 ]
 
 

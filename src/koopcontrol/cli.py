@@ -151,7 +151,10 @@ def _cfg_float(cfg, key, default=None):
 def _cfg_bool(cfg, key, default=False):
     if key not in cfg:
         return default
-    return cfg[key].strip().lower() in ("1", "true", "yes", "on")
+    value = cfg[key].strip().lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise DomainError(f"config key {key!r}: expected a boolean, got {cfg[key]!r}")
+    return value in ("1", "true", "yes", "on")
 
 
 def _parse_label(token: str):
@@ -432,6 +435,9 @@ def _resolve_sequence(cfg, sys_: ControlSystem) -> InputSequence:
 
 def cmd_predict(args) -> int:
     cfg = _merged(args)
+    tol = _cfg_float(cfg, "tol")
+    if tol is not None and not tol >= 0:  # NaN included
+        raise DomainError(f"config key 'tol': expected a nonnegative number, got {cfg['tol']!r}")
     sys_ = resolve_system(cfg)
     dictionary, spec = _resolve_dictionary(cfg, sys_)
     out = _out_dir(cfg)
@@ -453,8 +459,7 @@ def cmd_predict(args) -> int:
     print(f"predict {sys_.name}: dictionary {spec}, {steps} steps from x0={x0!r}")
     print(f"  max lifted prediction error {worst:.3e}")
     print(f"wrote {out / 'prediction_errors.csv'}")
-    tol = _cfg_float(cfg, "tol")
-    if tol is not None and worst > tol:
+    if tol is not None and not worst <= tol:
         print(f"  FAIL: error exceeds tolerance {tol:g}")
         return 1
     return 0

@@ -10,6 +10,7 @@ from koopcontrol import (
     ControlSystem,
     DomainTag,
     FiniteStates,
+    InputSequence,
     InputSet,
     RealBox,
     SamplePlan,
@@ -21,11 +22,16 @@ from koopcontrol import (
     describe_check,
     exact_plan,
     is_applicable,
+    k_inf,
+    kcf_word,
+    power,
     results_to_json,
     results_to_text,
     run_all,
     run_check,
     sampled_plan,
+    simulate,
+    state_component,
 )
 from koopcontrol import checks
 
@@ -49,6 +55,8 @@ def test_plan_validation():
         SamplePlan(tolerance=-1.0)
     with pytest.raises(ValueError):
         SamplePlan(seq_period_max=0)
+    with pytest.raises(ValueError, match="tolerance must be a nonnegative number"):
+        SamplePlan(tolerance=float("nan"))
 
 
 def test_exact_suite_passes_on_finite3(f3):
@@ -150,27 +158,31 @@ def _counting(sys):
 
 
 def test_exact_run_steps_each_leg_once_per_point(f3):
-    """The transition budget of a full exact run on finite3: every point
-    map runs once per point, not once per (point, function) pair."""
+    """The transition budget of a full exact run on finite3: a group maps
+    each point through each distinct chain of its legs once, not once per
+    (point, function) pair or once per leg."""
     counted, calls = _counting(f3)
     run_all(counted, exact_plan(seed=7))
-    assert calls["n"] == 7078
+    assert calls["n"] == 7072
+
+
+_TRAJECTORY_MAPS = {"sim", "word", "K_inf^k"}
 
 
 def _leg_chains() -> set:
-    return {
-        chain
-        for row in checks._REGISTRY
-        for group in row.groups
-        for _, lhs, rhs in group.legs
-        for chain in (lhs, rhs)
-    }
+    """Every chain of the registry's rows and of C16's single-step group."""
+    groups = [group for row in checks._REGISTRY for group in row.groups] + [checks._C16_STEP]
+    return {chain for group in groups for _, lhs, rhs in group.legs for chain in (lhs, rhs)}
+
+
+def _operator_chains() -> set:
+    return {chain for chain in _leg_chains() if not _TRAJECTORY_MAPS & set(chain.split())}
 
 
 @pytest.mark.parametrize("name", ["finite3", "scalarlinear"])
 def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
     """``_apply_chain(chain, g)(p) == g(_map_chain(chain)(p))`` exactly, for
-    every chain in the registry's legs: the law the finite runs rely on."""
+    every operator-only chain in the registry's legs: the law the runs rely on."""
     sys = builtin_system(name)
     plan = sampled_plan(seed=7, n_points=40)
     rng = np.random.default_rng(7)
@@ -188,13 +200,14 @@ def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
         DomainTag.STATE_SEQUENCE: checks._seq_basis(sys) + checks._ci_seq_direct(sys),
     }
     labels = sys.inputs.labels
-    chains, checked = _leg_chains(), set()
+    chains, checked = _operator_chains(), set()
     for u in labels:
         named = checks._named(sys, {"u": u, "u1": labels[0], "u2": labels[-1]})
+        maps = checks._point_maps(sys, named)
         for chain in chains:
             ops = [named[op] for op in chain.split()]
             ends = [(ops[0].target, ops[-1].source)] if ops else [(d, d) for d in DomainTag]
-            point_map = checks._map_chain(named, chain)
+            point_map = checks._map_chain(maps, chain)
             for target, source in ends:
                 for g in subjects[source]:
                     try:
@@ -205,6 +218,52 @@ def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
                         assert applied(p) == g(point_map(p)), (chain, g.label, p)
                     checked.add(chain)
     assert checked == chains
+
+
+def _bits(v):
+    """A comparable form of a state or point that tells arrays apart bit for bit."""
+    if isinstance(v, tuple):
+        return tuple(_bits(c) for c in v)
+    return v.tobytes() if isinstance(v, np.ndarray) else v
+
+
+@pytest.mark.parametrize("name", ["finite3", "scalarlinear"])
+def test_trajectory_chains_match_the_simulator_formulas(name):
+    """Every trajectory chain in the registry's legs maps each trajectory
+    point ``(x0, seq, k)`` to the point the direct formula gives, and every
+    subject reads the same value there, bit for bit: ``simulate``,
+    ``kcf_word`` on the first ``k`` inputs and ``power(K_inf, k)``."""
+    sys = builtin_system(name)
+    plan = exact_plan(seed=7) if name == "finite3" else sampled_plan(seed=7, n_points=40)
+    rng = np.random.default_rng(7)
+    points = checks._DRAWS["t"](sys, plan, rng) + checks._DRAWS["tw"](sys, plan, rng)
+    state_funcs = checks._state_basis(sys) + checks._functions(sys, plan, rng, checks._state_basis(sys))
+    ci_seq = checks._ci_seq_direct(sys)
+    iso, kin = ci_isomorphisms(sys), k_inf(sys)
+    lift = lambda f: apply(iso.extend_aug_to_seq, apply(iso.extend_state_to_aug, f))
+    x_k = lambda t: simulate(sys, t.x0, t.seq, t.k)[-1]
+    x_word = lambda t: kcf_word(sys, [t.seq.at(j) for j in range(t.k)]).precompose(t.x0)
+    p_k = lambda t: power(kin, t.k).precompose((t.x0, t.seq))
+    formulas = {  # chain: (direct point, subjects, direct value of subject g)
+        "sim": (x_k, state_funcs, lambda g, t: g(x_k(t))),
+        "word": (x_word, state_funcs, lambda g, t: g(x_word(t))),
+        "K_inf^k E_ci_seq E_ci": (lambda t: p_k(t)[0], state_funcs, lambda g, t: lift(g)(p_k(t))),
+        "sim R_ci R_ci_seq": (
+            lambda t: (x_k(t), InputSequence.constant(sys.inputs.labels[0])),
+            ci_seq,
+            lambda g, t: state_component(g)(x_k(t)),
+        ),
+        "K_inf^k": (p_k, ci_seq, lambda g, t: g(p_k(t))),
+    }
+    assert set(formulas) == _leg_chains() - _operator_chains()
+    maps = checks._point_maps(sys, checks._named(sys, {}))
+    for chain, (direct, subjects, value) in formulas.items():
+        point_map = checks._map_chain(maps, chain)
+        for t in points:
+            q = point_map(t)
+            assert _bits(q) == _bits(direct(t)), (chain, t)
+            for g in subjects:
+                assert g(q) == value(g, t), (chain, g.label, t)
 
 
 @st.composite

@@ -122,6 +122,25 @@ def test_check_skips_inapplicable_only_ids(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().out
 
 
+def test_check_rejects_nan_tolerance(tmp_path, capsys):
+    code = run(
+        "check", "--system", "scalarlinear", "--seed", "1",
+        "--points", "20", "--tol", "nan", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "tolerance must be a nonnegative number" in capsys.readouterr().err
+    assert not (tmp_path / "check_report.json").exists()
+
+
+def test_malformed_boolean_is_rejected(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("system = scalarlinear\nseed = 1\npoints = 20\nfunctions = 2\nexact = treu\n")
+    assert run("check", "--config", str(config), "--out", str(tmp_path)) == 2
+    assert "'exact': expected a boolean, got 'treu'" in capsys.readouterr().err
+    config.write_text("system = scalarlinear\nseed = 1\npoints = 20\nfunctions = 2\nexact = OFF\n")
+    assert run("check", "--config", str(config), "--out", str(tmp_path)) == 0
+
+
 def test_check_unknown_system(tmp_path, capsys):
     code = run("check", "--system", "never", "--out", str(tmp_path))
     assert code == 2
@@ -217,6 +236,18 @@ def test_predict_fails_impossible_tolerance(tmp_path, capsys):
     )
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_predict_rejects_nan_tolerance(tmp_path, capsys):
+    assert run(
+        "fit", "--system", "scalarlinear", "--seed", "3",
+        "--points", "100", "--out", str(tmp_path),
+    ) == 0
+    capsys.readouterr()
+    code = run("predict", "--system", "scalarlinear", "--tol", "nan", "--out", str(tmp_path))
+    assert code == 2
+    assert "'tol': expected a nonnegative number, got 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "prediction_errors.csv").exists()
 
 
 def test_predict_without_model(tmp_path, capsys):

@@ -5,9 +5,11 @@ Each case runs ``run_all`` on a fixed system and plan and compares
 corrupted systems count transition calls, so these files also pin the
 order in which the registry evaluates points and the text of every
 counterexample, not only pass/fail.  The registry maps each point
-through a leg's point maps once and then reads every function at the
-mapped points, so on finite systems a leg steps each point once, not
-once per function; the call-counter files record that order.
+through each distinct chain of a group's legs once and then reads every
+function at the mapped points, so on finite systems a chain steps each
+point once, not once per function or per leg; the call-counter files
+record that order.  ``table6x3`` has three inputs, so it pins the input
+pairs of C7 and three-label words.
 
 Regenerate the files (only when a report change is intended and stated)
 with::
@@ -17,6 +19,7 @@ with::
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from koopcontrol import (
@@ -69,6 +72,16 @@ def _noisy_box():
     )
 
 
+def _table6x3():
+    """A seeded random total table, 6 states by 3 inputs: pins input pairs and 3-label words."""
+    inputs = ("a", "b", "c")
+    succ = np.random.default_rng(3).integers(6, size=(6, len(inputs)))
+    table = {(x, u): int(succ[x, j]) for x in range(6) for j, u in enumerate(inputs)}
+    return ControlSystem(
+        FiniteStates(tuple(range(6))), InputSet(inputs), lambda x, u: table[(x, u)], name="table6x3"
+    )
+
+
 _BOX_PLAN = dict(seed=7, n_points=200, n_functions=10)
 
 CASES = {
@@ -79,6 +92,7 @@ CASES = {
         builtin_system("logistic-with-offset"),
         sampled_plan(**_BOX_PLAN),
     ),
+    "table6x3_exact": lambda: (_table6x3(), exact_plan(seed=7)),
     "flaky7_exact": lambda: (_flaky_finite3(7), exact_plan(seed=7)),
     "flaky23_exact": lambda: (_flaky_finite3(23), exact_plan(seed=7)),
     "noisy_box_sampled": lambda: (_noisy_box(), sampled_plan(**_BOX_PLAN)),
