@@ -13,7 +13,11 @@ discrepancy that is not a number within tolerance (NaN included) fails.
 Most identities are rows of one table (:data:`_REGISTRY`) that
 :func:`_run_table` evaluates, the trajectory checks included: their legs
 start from a trajectory point ``(x0, seq, k)`` mapped to its simulated
-endpoint.  Only C3, C16, C18 and C19 have runners.
+endpoint.  Only C3, C16, C18 and C19 have runners.  The table maps each
+point through each chain of a group once, reads each function over a
+chain's whole list of mapped points in one batch (see
+:func:`~koopcontrol.observables.evaluate`), and records the legs'
+discrepancy arrays in the order a point-by-point run would.
 
 Results are deterministic: every check draws from a generator seeded by
 (plan seed, check index), so run order and concurrency cannot change the
@@ -35,6 +39,10 @@ from .observables import (
     DomainTag,
     Observable,
     Sampled,
+    _abs_diff,
+    _check_points,
+    _stacked,
+    _values,
     constant_one,
     coordinate,
     enumerate_points,
@@ -172,6 +180,19 @@ class _Recorder:
             self.passed = False
             self.counterexample = describe()
 
+    def record_many(self, errs: np.ndarray, describe: Callable) -> None:
+        """Count every discrepancy of ``errs`` in order, as ``record`` would
+        one by one; ``describe(i)`` runs if ``errs[i]`` is the first failure."""
+        self.n += errs.size
+        finite = errs[np.isfinite(errs)]
+        if finite.size and finite.max() > self.max_err:
+            self.max_err = float(finite.max())
+        if self.passed:
+            bad = np.flatnonzero(~(errs <= self.tolerance))
+            if bad.size:
+                self.passed = False
+                self.counterexample = describe(int(bad[0]))
+
 
 def _gap(space, a, b) -> float:
     """Distance of two states, or of two (state, input-or-sequence) points.
@@ -182,6 +203,22 @@ def _gap(space, a, b) -> float:
     if isinstance(a, tuple) and isinstance(space, RealBox):
         return max(state_distance(space, a[0], b[0]), 0.0 if a[1] == b[1] else 1.0)
     return state_distance(space, a, b)
+
+
+def _gaps(space, a: list, b: list) -> np.ndarray:
+    """:func:`_gap` of each pair ``a[i]``, ``b[i]``, as one array; box
+    states are compared stacked."""
+    if isinstance(space, RealBox) and a:
+        pairs = isinstance(a[0], tuple)
+        sa, sb = ([p[0] for p in a], [p[0] for p in b]) if pairs else (a, b)
+        sa, sb = _stacked(sa), _stacked(sb)
+        if sa is not None and sb is not None and sa.shape == sb.shape == (len(a), space.dimension):
+            with np.errstate(all="ignore"):
+                gaps = np.max(np.abs(sa - sb), axis=1)
+            if pairs:
+                gaps = np.maximum(gaps, [0.0 if p[1] == q[1] else 1.0 for p, q in zip(a, b)])
+            return gaps
+    return np.array([_gap(space, p, q) for p, q in zip(a, b)], dtype=float)
 
 
 def _scenario_states(sys, plan, rng) -> list:
@@ -238,12 +275,19 @@ def _scenario_words(sys, plan, rng) -> list:
     return out
 
 
+def _weighted(phi: Observable, xs: list, weights: list) -> np.ndarray:
+    """``phi`` at each state times its weight; ``phi`` is real-valued, as
+    every state-basis function is, so the real products are the values."""
+    return (_values(phi, xs).real * np.array(weights)).astype(complex)
+
+
 def _product_obs(phi: Observable, table: dict) -> Observable:
     inner = phi.fn
     return Observable(
         DomainTag.STATE_INPUT,
         lambda p: inner(p[0]) * table[p[1]],
         label=f"{phi.label}*w(u)",
+        batch=lambda ps: _weighted(phi, [p[0] for p in ps], [table[p[1]] for p in ps]),
     )
 
 
@@ -253,6 +297,7 @@ def _tap_obs(phi: Observable, table: dict, k: int) -> Observable:
         DomainTag.STATE_SEQUENCE,
         lambda p: inner(p[0]) * table[p[1].at(k)],
         label=f"{phi.label}*w(u({k}))",
+        batch=lambda ps: _weighted(phi, [p[0] for p in ps], [table[p[1].at(k)] for p in ps]),
     )
 
 
@@ -318,23 +363,16 @@ def _ci_seq_direct(sys: ControlSystem) -> list:
     stamp = InputSequence.constant(u0)
     out = []
     for phi in _state_basis(sys):
-        inner = phi.fn
         out.append(
             Observable(
                 DomainTag.STATE_SEQUENCE,
-                lambda p, inner=inner: inner(p[0]),
+                lambda p, inner=phi.fn: inner(p[0]),
                 label=f"{phi.label}*1",
                 ci_input=stamp,
+                batch=lambda ps, phi=phi: _values(phi, [p[0] for p in ps]),
             )
         )
     return out
-
-
-def _pairings(scenarios: list, funcs: list, cross: bool) -> list:
-    """Full cross product (function-major), or functions cycled over the points."""
-    if cross:
-        return [(s, f) for f in funcs for s in scenarios]
-    return [(s, funcs[i % len(funcs)]) for i, s in enumerate(scenarios)]
 
 
 def _is_finite(sys: ControlSystem) -> bool:
@@ -452,8 +490,11 @@ def _describe(text: str, p, fields: dict, f: str = "") -> str:
 
 def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
     """Map every point through each distinct chain of the legs once, then
-    compare each leg's two mapped points (point-level legs) or read every
-    subject at them: ``apply(op, g)(p) == g(op.precompose(p))``."""
+    compare each leg's two mapped point lists (point-level legs) or read
+    each subject over them in one batch: ``apply(op, g)(p) ==
+    g(op.precompose(p))``.  Discrepancies are recorded subject-major when
+    every subject meets every point, in point order when subjects are
+    cycled over the points, and leg by leg within a point."""
     named = _named(sys, inputs)
     fields = {key: repr(u) for key, u in inputs.items()}
     points = drawn[group.points]
@@ -469,15 +510,34 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
     maps = _point_maps(sys, named)
     runs = [_map_chain(maps, chain) for chain in chains]
     legs = [(text, chains.index(a), chains.index(b)) for text, a, b in group.legs]
-    mapped = [(p, [run(p) for run in runs]) for p in points]
+    mapped = [[run(p) for run in runs] for p in points]
+    cols = [[at[c] for at in mapped] for c in range(len(chains))]
+    n, n_legs = len(points), len(legs)
     if not group.funcs:
-        for p, at in mapped:
-            for text, a, b in legs:
-                rec.record(_gap(sys.states, at[a], at[b]), lambda: _describe(text, p, fields))
+        errs = np.column_stack([_gaps(sys.states, cols[a], cols[b]) for _, a, b in legs])
+        rec.record_many(
+            errs.ravel(), lambda i: _describe(legs[i % n_legs][0], points[i // n_legs], fields)
+        )
         return
-    for (p, at), g in _pairings(mapped, subjects, group.cross or _is_finite(sys)):
-        for text, a, b in legs:
-            rec.record(abs(g(at[a]) - g(at[b])), lambda: _describe(text, p, fields, g.label))
+    for col in cols:  # the subjects share one domain
+        _check_points(subjects[0].domain, col)
+    k, cross = len(subjects), group.cross or _is_finite(sys)
+    if cross:  # row j * n + i: subject j at point i
+        rows = [(g, slice(None), slice(j * n, (j + 1) * n)) for j, g in enumerate(subjects)]
+    else:  # row i: point i, read by subject i % k
+        rows = [(g, slice(j, None, k), slice(j, None, k)) for j, g in enumerate(subjects[:n])]
+    errs = np.empty((k * n if cross else n, n_legs))
+    for g, take, put in rows:
+        vals = [_values(g, col[take]) for col in cols]
+        for leg, (_, a, b) in enumerate(legs):
+            errs[put, leg] = _abs_diff(vals[a], vals[b])
+
+    def describe(i):
+        r = i // n_legs
+        p, g = (points[r % n], subjects[r // n]) if cross else (points[r], subjects[r % k])
+        return _describe(legs[i % n_legs][0], p, fields, g.label)
+
+    rec.record_many(errs.ravel(), describe)
 
 
 def _run_table(sys, plan, rng, draws: tuple, groups: tuple, note: str = "") -> _Recorder:
@@ -542,13 +602,11 @@ def _run_c16(sys, plan, rng):
         lifted = apply(iso.extend_state_to_aug, witness.observable)
         v_power = apply(power(kau, 2), lifted)((witness.x, witness.word[0]))
         v_word = apply(kcf_word(sys, witness.word), witness.observable)(witness.x)
-        gap = abs(v_power - v_word)
-        rec.record(
-            0.0 if gap > (plan.tolerance or 1e-12) else 1.0,
-            lambda: "claimed two-step witness shows no gap",
-        )
+        diverge = abs(v_power - v_word) > (plan.tolerance or 1e-12)
+        rec.record(0.0 if diverge else 1.0, lambda: "claimed two-step witness shows no gap")
+        claim = "two steps diverge" if diverge else "claimed two-step witness did not reproduce"
         rec.note = (
-            f"two steps diverge at x={witness.x!r}, word={witness.word!r}: "
+            f"{claim} at x={witness.x!r}, word={witness.word!r}: "
             f"frozen-input value {v_power:.6g} vs word value {v_word:.6g}"
         )
     return rec

@@ -7,6 +7,13 @@ can be tested for control independence, i.e. whether their value ignores
 the input component entirely.  A passed test certifies the observable by
 stamping a canonical witness input on it; downstream operations that are
 only meaningful on control-independent functions require that stamp.
+
+:func:`evaluate` reads an observable over a whole list of points at once.
+Every observable built here (and every ``apply`` of an operator to one)
+carries a ``batch`` that computes all the values in array passes, with
+the same bits as one call per point; an observable built from a bare
+``fn`` is read one point at a time.  ``is_control_independent`` draws
+its sample first and then reads both sides in one batch.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .systems import (
 __all__ = [
     "DomainTag",
     "Observable",
+    "evaluate",
     "CIReport",
     "Exhaustive",
     "Sampled",
@@ -70,6 +78,12 @@ def _check_point(domain: DomainTag, point) -> None:
         )
 
 
+def _as_complex(value) -> complex:
+    if isinstance(value, np.ndarray):
+        value = value.item()
+    return complex(value)
+
+
 @dataclass(frozen=True)
 class Observable:
     """A complex-valued function tagged with its point domain.
@@ -78,19 +92,72 @@ class Observable:
     ``None`` means uncertified, otherwise it holds the canonical input
     (an input label, or a constant sequence of one) at which the state
     component may be read off.
+
+    ``batch``, if given, reads ``fn`` over a nonempty list of points at
+    once: ``batch(points)[i]`` equals ``complex(fn(points[i]))`` bit for
+    bit.  Like ``fn`` it skips the domain check; :func:`evaluate` does that.
     """
 
     domain: DomainTag
     fn: Callable
     label: str = ""
     ci_input: object = None
+    batch: Optional[Callable] = None
 
     def __call__(self, point) -> complex:
         _check_point(self.domain, point)
-        value = self.fn(point)
-        if isinstance(value, np.ndarray):
-            value = value.item()
-        return complex(value)
+        return _as_complex(self.fn(point))
+
+
+def _pointwise(fn: Callable, points: list) -> np.ndarray:
+    return np.array([_as_complex(fn(p)) for p in points], dtype=complex)
+
+
+def _values(obs: Observable, points: list) -> np.ndarray:
+    """``obs.fn`` over ``points`` as a complex array, without domain checks."""
+    if not points:
+        return np.empty(0, dtype=complex)
+    if obs.batch is None:
+        return _pointwise(obs.fn, points)
+    return np.asarray(obs.batch(points), dtype=complex)
+
+
+def _check_points(domain: DomainTag, points) -> None:
+    if domain is not DomainTag.STATE_ONLY:
+        for p in points:
+            _check_point(domain, p)
+
+
+def evaluate(obs: Observable, points) -> np.ndarray:
+    """The values of ``obs`` at every point, as one complex array.
+
+    Equal bit for bit to ``[obs(p) for p in points]``.  Every point's
+    domain is checked before any value is read, and the first point
+    outside the domain raises what ``obs(p)`` would.  A value that cannot
+    be read raises what the per-point call raises at a failing point
+    (with several failing points, not always at the first).
+    """
+    points = list(points)
+    _check_points(obs.domain, points)
+    return _values(obs, points)
+
+
+def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``abs(a - b)`` entry by entry, through the libm ``hypot`` that
+    Python's complex ``abs`` calls, and without floating-point warnings; a
+    modulus too large for a float is inf, where Python raises."""
+    with np.errstate(all="ignore"):
+        d = a - b
+        return np.hypot(d.real, d.imag)
+
+
+def _stacked(points: list) -> Optional[np.ndarray]:
+    """Numeric states as an ``(n, d)`` float array, or ``None`` when they
+    do not stack (then the per-point path raises the precise error)."""
+    try:
+        return np.asarray(points, dtype=float).reshape(len(points), -1)
+    except (TypeError, ValueError):
+        return None
 
 
 def linear_combine(coeffs, observables) -> Observable:
@@ -110,16 +177,26 @@ def linear_combine(coeffs, observables) -> Observable:
     def fn(point):
         total = 0j
         for c, o in pairs:
-            value = o.fn(point)
-            if isinstance(value, np.ndarray):
-                value = value.item()
-            total += c * complex(value)
+            total += c * _as_complex(o.fn(point))
         return total
+
+    def batch(points):
+        # Term by term, with the complex product spelled out as Python
+        # computes it, so every value has the scalar path's bits.
+        re, im = np.zeros(len(points)), np.zeros(len(points))
+        with np.errstate(all="ignore"):
+            for c, o in pairs:
+                v = _values(o, points)
+                re += c.real * v.real - c.imag * v.imag
+                im += c.real * v.imag + c.imag * v.real
+        out = np.empty(len(points), dtype=complex)
+        out.real, out.imag = re, im
+        return out
 
     stamps = {o.ci_input for o in observables}
     stamp = stamps.pop() if len(stamps) == 1 else None
     label = " + ".join(f"({c:.3g})*{o.label or 'f'}" for c, o in pairs)
-    return Observable(domain, fn, label, ci_input=stamp)
+    return Observable(domain, fn, label, ci_input=stamp, batch=batch)
 
 
 @dataclass(frozen=True)
@@ -153,6 +230,10 @@ def is_control_independent(
     sequence pairs) from a seeded generator; a negative witness refutes
     independence, while a clean pass is a non-refutation certificate,
     recorded as such through the ``mode`` field of the report.
+
+    Either mode reads every point of its scan in one :func:`evaluate`
+    before it reports the first witness in scan order, so an observable
+    that raises anywhere in the scan raises here, even after a witness.
     """
     if obs.domain is DomainTag.STATE_ONLY:
         raise DomainMismatchError("state-only observables have no input to vary")
@@ -168,16 +249,18 @@ def is_control_independent(
             raise UnsupportedError("exhaustive mode needs a finite state space")
         if obs.domain is not DomainTag.STATE_INPUT:
             raise UnsupportedError("exhaustive mode needs a state-input observable")
-        for x in sys.states.labels:
-            v0 = obs((x, labels[0]))
-            for u in labels[1:]:
-                v = obs((x, u))
-                if not abs(v - v0) <= tol:
-                    return CIReport(False, (x, labels[0], u), mode)
-        return CIReport(True, None, mode)
+        states = sys.states.labels
+        values = evaluate(obs, enumerate_points(DomainTag.STATE_INPUT, sys))
+        values = values.reshape(len(states), len(labels))
+        first = _first_gap(values[:, 1:], values[:, :1], tol)  # state-major
+        if first is None:
+            return CIReport(True, None, mode)
+        i, j = divmod(first, len(labels) - 1)
+        return CIReport(False, (states[i], labels[0], labels[j + 1]), mode)
     if not isinstance(mode, Sampled):
         raise ValueError(f"unknown mode: {mode!r}")
     rng = np.random.default_rng(mode.seed)
+    triples = []
     for _ in range(mode.count):
         x = random_state(rng, sys.states)
         if obs.domain is DomainTag.STATE_INPUT:
@@ -187,9 +270,19 @@ def is_control_independent(
         else:
             w1 = random_sequence(rng, labels)
             w2 = random_sequence(rng, labels)
-        if not abs(obs((x, w1)) - obs((x, w2))) <= tol:
-            return CIReport(False, (x, w1, w2), mode)
-    return CIReport(True, None, mode)
+        triples.append((x, w1, w2))
+    values = evaluate(obs, [(x, w1) for x, w1, _ in triples] + [(x, w2) for x, _, w2 in triples])
+    first = _first_gap(values[: len(triples)], values[len(triples) :], tol)
+    if first is None:
+        return CIReport(True, None, mode)
+    return CIReport(False, triples[first], mode)
+
+
+def _first_gap(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[int]:
+    """Flat index of the first ``|a - b|`` that is not ``<= tol`` (NaN
+    included), or ``None``."""
+    bad = np.flatnonzero(~(_abs_diff(a, b) <= tol))
+    return int(bad[0]) if bad.size else None
 
 
 def certify_control_independent(
@@ -223,6 +316,7 @@ def state_component(obs: Observable) -> Observable:
         DomainTag.STATE_ONLY,
         lambda x: inner((x, witness)),
         label=f"state<{obs.label or 'f'}>",
+        batch=lambda xs: _values(obs, [(x, witness) for x in xs]),
     )
 
 
@@ -243,8 +337,7 @@ def enumerate_points(domain: DomainTag, sys: ControlSystem) -> tuple:
 
 def tabulate(obs: Observable, sys: ControlSystem) -> np.ndarray:
     """Value vector of ``obs`` over the canonical enumeration of its domain."""
-    points = enumerate_points(obs.domain, sys)
-    return np.array([obs(p) for p in points], dtype=complex)
+    return evaluate(obs, enumerate_points(obs.domain, sys))
 
 
 def indicator(x_star) -> Observable:
@@ -253,6 +346,7 @@ def indicator(x_star) -> Observable:
         DomainTag.STATE_ONLY,
         lambda x: 1.0 if x == x_star else 0.0,
         label=f"1[x={x_star}]",
+        batch=lambda xs: np.array([1.0 if x == x_star else 0.0 for x in xs], dtype=complex),
     )
 
 
@@ -262,6 +356,9 @@ def pair_indicator(x_star, u_star) -> Observable:
         DomainTag.STATE_INPUT,
         lambda p: 1.0 if (p[0] == x_star and p[1] == u_star) else 0.0,
         label=f"1[x={x_star},u={u_star}]",
+        batch=lambda ps: np.array(
+            [1.0 if (p[0] == x_star and p[1] == u_star) else 0.0 for p in ps], dtype=complex
+        ),
     )
 
 
@@ -274,7 +371,13 @@ def coordinate(i: int) -> Observable:
             raise DomainError(f"coordinate {i} out of range for state {x!r}")
         return arr[i]
 
-    return Observable(DomainTag.STATE_ONLY, fn, label=f"x{i}")
+    def batch(xs):
+        arr = _stacked(xs)
+        if arr is None or not -arr.shape[1] <= i < arr.shape[1]:
+            return _pointwise(fn, xs)
+        return arr[:, i].astype(complex)
+
+    return Observable(DomainTag.STATE_ONLY, fn, label=f"x{i}", batch=batch)
 
 
 class MonomialFn:
@@ -295,15 +398,28 @@ class MonomialFn:
             )
         return float((arr**self._exponents).prod())
 
+    def batch(self, xs: list) -> np.ndarray:
+        """``self`` at every state of ``xs``, as a complex array."""
+        arr = _stacked(xs)
+        if arr is None or arr.shape[1] != len(self.powers):
+            return _pointwise(self, xs)
+        # One exponent per entry, not a broadcast row: numpy rounds a power
+        # with a broadcast exponent differently from the per-point call.
+        exponents = np.tile(self._exponents, (len(xs), 1))
+        return (arr**exponents).prod(axis=1).astype(complex)
+
 
 def monomial(powers) -> Observable:
     """Product of state coordinates raised to the given powers."""
     powers = tuple(int(p) for p in powers)
     terms = [f"x{i}^{p}" for i, p in enumerate(powers) if p]
     label = "*".join(terms) or "1"
-    return Observable(DomainTag.STATE_ONLY, MonomialFn(powers), label=label)
+    fn = MonomialFn(powers)
+    return Observable(DomainTag.STATE_ONLY, fn, label=label, batch=fn.batch)
 
 
 def constant_one(domain: DomainTag) -> Observable:
     """The constant function 1 on the given domain."""
-    return Observable(domain, lambda p: 1.0, label="1")
+    return Observable(
+        domain, lambda p: 1.0, label="1", batch=lambda ps: np.ones(len(ps), dtype=complex)
+    )

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError, DomainError, DomainMismatchError, UnsupportedError
-from .observables import DomainTag, Observable, enumerate_points, indicator, coordinate
+from .observables import DomainTag, Observable, _values, coordinate, enumerate_points, indicator
 from .systems import (
     AugmentedMap,
     ConstantInputMap,
@@ -85,7 +85,8 @@ def apply(op: CompositionOperator, f: Observable) -> Observable:
 
     Applying an operator to an observable from the wrong domain raises
     :class:`DomainMismatchError`.  In particular a naive one-sided
-    operator cannot be applied to its own output.
+    operator cannot be applied to its own output.  The result's ``batch``
+    maps every point first and then reads ``f`` over the mapped points.
     """
     if f.domain is not op.source:
         raise DomainMismatchError(
@@ -103,6 +104,7 @@ def apply(op: CompositionOperator, f: Observable) -> Observable:
         lambda p: inner(pre(p)),
         label=f"{op.label}[{f.label}]" if op.label else f.label,
         ci_input=op.ci_stamp,
+        batch=lambda ps: _values(f, [pre(p) for p in ps]),
     )
 
 

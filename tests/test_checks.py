@@ -103,6 +103,17 @@ def test_two_step_and_witness_notes_present(f3):
     assert "witness" in by_id["C19"].note
 
 
+def test_c16_note_agrees_with_its_result(f3):
+    c16 = run_check("C16", f3, exact_plan(seed=7))
+    assert c16.passed and c16.note.startswith("two steps diverge")
+    # Here the witness search sees a corrupted call that the re-evaluation
+    # does not, so C16 fails and its note must not claim a divergence.
+    c16 = {r.id: r for r in run_all(_flaky_finite3(7), exact_plan(seed=7)).results}["C16"]
+    assert not c16.passed
+    assert c16.note.startswith("claimed two-step witness did not reproduce")
+    assert "diverge" not in c16.note
+
+
 def _flaky_finite3(period):
     """finite3, except every ``period``-th transition call returns state 0.
 
