@@ -9,12 +9,10 @@ Commands::
     koopcontrol report     re-render a saved check report
 
 Options come from an optional config file of ``key = value`` lines plus
-command-line flags; flags win.  Config keys mirror the flag names
-(``system``, ``seed``, ``points``, ``tol``, ``only``, ``dict``, ``out``)
-with extras that have no flag: ``functions``, ``prefix-max``,
-``period-max``, ``sampler``, ``resolution``, ``steps``, ``x0``, ``word``,
-``exact``.  Inline finite systems use ``system = table`` with ``states``,
-``inputs``, and one ``step.<state>.<input> = <next>`` line per
+command-line flags; flags win.  The table ``_OPTIONS`` lists every config
+key, how its value is read, and which commands take it as a flag; any
+other key is an error.  Inline finite systems use ``system = table`` with
+``states``, ``inputs``, and one ``step.<state>.<input> = <next>`` line per
 transition; built-in parametric systems take overrides via ``param.*``
 keys (``param.r = 3.0``, ``param.lambdas.a = 0.4``).
 
@@ -35,6 +33,7 @@ import sys as _sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from .edmd import (
     prediction_error,
 )
 from .errors import DomainError, DomainMismatchError, UnsupportedError
-from .observables import coordinate, indicator
+from .observables import DomainTag, coordinate, enumerate_points, indicator, pair_indicator
 from .operators import (
     apply,
     extension_f_to_aug,
@@ -69,14 +68,7 @@ from .operators import (
     k_naive,
     two_step_discrepancy_witness,
 )
-from .systems import (
-    ControlSystem,
-    FiniteStates,
-    InputSequence,
-    InputSet,
-    RealBox,
-)
-from .observables import DomainTag, enumerate_points, pair_indicator
+from .systems import ControlSystem, FiniteStates, InputSequence, InputSet, RealBox
 
 OUTPUT_DIR_ENV = "KOOPCONTROL_OUT"
 
@@ -116,45 +108,66 @@ def load_config(path) -> dict:
     return parse_config_text(text)
 
 
-_FLAG_KEYS = ("system", "seed", "points", "tol", "only", "dict", "out")
+# --- options ---------------------------------------------------------------
+
+_ALL = ("check", "demo-naive", "fit", "predict", "report")
+
+
+class _Option(NamedTuple):
+    """A config key; with ``commands``, also the flag ``--<key>`` of each."""
+
+    key: str
+    kind: type  # str, int, float or bool: how its text is read
+    help: str = ""
+    commands: tuple = ()
+
+
+_OPTIONS = {
+    opt.key: opt
+    for opt in (
+        _Option("system", str, "built-in system name: " + ", ".join(sorted(BUILTIN_SYSTEMS)), _ALL),
+        _Option("seed", int, "generator seed (required off finite systems)", _ALL),
+        _Option("points", int, "sample budget", _ALL),
+        _Option("tol", float, "pass/fail tolerance", _ALL),
+        _Option(
+            "out", str, f"output directory (default: ${OUTPUT_DIR_ENV} or the current directory)", _ALL
+        ),
+        _Option("only", str, "comma-separated check ids (C1..C20)", ("check",)),
+        _Option("exact", bool, "exhaustive zero-tolerance run (finite systems only)", ("check",)),
+        _Option("dict", str, "dictionary spec: indicator or monomial:<degree>", ("fit", "predict")),
+        *(_Option(k, int) for k in ("functions", "prefix-max", "period-max", "resolution", "steps")),
+        *(_Option(k, str) for k in ("sampler", "x0", "word", "name", "states", "inputs")),
+    )
+}
+_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
+_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True)
+_BOOLEANS.update(dict.fromkeys(("0", "false", "no", "off"), False))
+
+
+def _read(key: str, kind: type, text: str):
+    """``text`` as a ``kind`` value; malformed text names its config key."""
+    try:
+        return _BOOLEANS[text.strip().lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise DomainError(f"config key {key!r}: expected {_EXPECTED[kind]}, got {text!r}") from None
 
 
 def _merged(args) -> dict:
-    cfg = load_config(args.config) if getattr(args, "config", None) else {}
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = str(value)
-    if getattr(args, "exact", False):
-        cfg["exact"] = "true"
+    """The config file overlaid with the flags given, each value read once.
+
+    Keys under ``param.`` and ``step.`` stay text for the system resolvers.
+    """
+    raw = load_config(args.config) if args.config else {}
+    raw.update({k: str(v) for k, v in vars(args).items() if k in _OPTIONS and v is not None})
+    cfg = {}
+    for key, text in raw.items():
+        if key in _OPTIONS:
+            cfg[key] = _read(key, _OPTIONS[key].kind, text)
+        elif key.startswith(("param.", "step.")):
+            cfg[key] = text
+        else:
+            raise DomainError(f"unknown config key {key!r}")
     return cfg
-
-
-def _cfg_int(cfg, key, default=None):
-    if key not in cfg:
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise DomainError(f"config key {key!r}: expected an integer, got {cfg[key]!r}")
-
-
-def _cfg_float(cfg, key, default=None):
-    if key not in cfg:
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise DomainError(f"config key {key!r}: expected a number, got {cfg[key]!r}")
-
-
-def _cfg_bool(cfg, key, default=False):
-    if key not in cfg:
-        return default
-    value = cfg[key].strip().lower()
-    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-        raise DomainError(f"config key {key!r}: expected a boolean, got {cfg[key]!r}")
-    return value in ("1", "true", "yes", "on")
 
 
 def _parse_label(token: str):
@@ -178,9 +191,9 @@ def _collect_params(cfg) -> dict:
         rest = key[len("param.") :]
         if "." in rest:
             head, _, sub = rest.partition(".")
-            params.setdefault(head, {})[_parse_label(sub)] = float(value)
+            params.setdefault(head, {})[_parse_label(sub)] = _read(key, float, value)
         elif "," in value:
-            params[rest] = tuple(float(tok) for tok in value.split(","))
+            params[rest] = tuple(_read(key, float, tok) for tok in value.split(","))
         else:
             try:
                 params[rest] = float(value)
@@ -246,23 +259,21 @@ def _atomic_export(path: Path, writer) -> None:
 
 def _build_plan(cfg, sys_: ControlSystem) -> SamplePlan:
     finite = isinstance(sys_.states, FiniteStates)
-    exact = _cfg_bool(cfg, "exact")
+    exact = cfg.get("exact", False)
     if exact and not finite:
         raise DomainError("--exact needs a finite state space")
-    seed = _cfg_int(cfg, "seed")
-    if seed is None:
-        if not finite:
-            raise DomainError("sampled checks need a seed (--seed or config)")
-        seed = 0
-    points = _cfg_int(cfg, "points", 200 if finite else 1000)
-    tol = _cfg_float(cfg, "tol")
+    if "seed" not in cfg and not finite:
+        raise DomainError("sampled checks need a seed (--seed or config)")
+    seed = cfg.get("seed", 0)
+    points = cfg.get("points", 200 if finite else 1000)
+    tol = cfg.get("tol")
     if exact or (finite and tol is None):
         return exact_plan(seed=seed, n_points=points)
     return SamplePlan(
         n_points=points,
-        n_functions=_cfg_int(cfg, "functions", 50),
-        seq_prefix_max=_cfg_int(cfg, "prefix-max", 4),
-        seq_period_max=_cfg_int(cfg, "period-max", 3),
+        n_functions=cfg.get("functions", 50),
+        seq_prefix_max=cfg.get("prefix-max", 4),
+        seq_period_max=cfg.get("period-max", 3),
         rng_seed=seed,
         tolerance=1e-12 if tol is None else tol,
     )
@@ -303,13 +314,8 @@ def cmd_demo_naive(args) -> int:
     print(f"naive encoding on {sys_.name}")
     print()
 
-    if finite:
-        f = indicator(sys_.states.labels[0])
-        x0 = sys_.states.labels[0]
-    else:
-        f = coordinate(0)
-        box: RealBox = sys_.states
-        x0 = (np.asarray(box.lower) + np.asarray(box.upper)) / 2
+    f = indicator(sys_.states.labels[0]) if finite else coordinate(0)
+    x0 = _resolve_x0({}, sys_)
     u0 = sys_.inputs.labels[0]
     op = k_naive(sys_)
     g = apply(op, f)
@@ -379,12 +385,11 @@ def _resolve_sampler(cfg, sys_: ControlSystem):
     if kind == "exhaustive":
         return ExhaustiveFinite()
     if kind == "grid":
-        return GridOnBox(_cfg_int(cfg, "resolution", 40))
+        return GridOnBox(cfg.get("resolution", 40))
     if kind == "uniform":
-        seed = _cfg_int(cfg, "seed")
-        if seed is None:
+        if "seed" not in cfg:
             raise DomainError("uniform sampling needs a seed (--seed or config)")
-        return UniformRandom(_cfg_int(cfg, "points", 500), seed)
+        return UniformRandom(cfg.get("points", 500), cfg["seed"])
     raise DomainError(f"unknown sampler {kind!r}; use exhaustive, grid, or uniform")
 
 
@@ -416,7 +421,7 @@ def _resolve_x0(cfg, sys_: ControlSystem):
     if "x0" in cfg:
         if isinstance(sys_.states, FiniteStates):
             return _parse_label(cfg["x0"])
-        return np.array([float(tok) for tok in cfg["x0"].split(",")])
+        return np.array([_read("x0", float, tok) for tok in cfg["x0"].split(",")])
     if isinstance(sys_.states, FiniteStates):
         return sys_.states.labels[0]
     box: RealBox = sys_.states
@@ -435,9 +440,9 @@ def _resolve_sequence(cfg, sys_: ControlSystem) -> InputSequence:
 
 def cmd_predict(args) -> int:
     cfg = _merged(args)
-    tol = _cfg_float(cfg, "tol")
+    tol = cfg.get("tol")
     if tol is not None and not tol >= 0:  # NaN included
-        raise DomainError(f"config key 'tol': expected a nonnegative number, got {cfg['tol']!r}")
+        raise DomainError(f"config key 'tol': expected a nonnegative number, got {str(tol)!r}")
     sys_ = resolve_system(cfg)
     dictionary, spec = _resolve_dictionary(cfg, sys_)
     out = _out_dir(cfg)
@@ -447,7 +452,7 @@ def cmd_predict(args) -> int:
     model = import_model_json(model_path, dictionary, sys_)
     x0 = _resolve_x0(cfg, sys_)
     seq = _resolve_sequence(cfg, sys_)
-    steps = _cfg_int(cfg, "steps", 20)
+    steps = cfg.get("steps", 20)
     errors = prediction_error(model, dictionary, sys_, x0, seq, steps)
     lines = ["step,input,error"]
     for k, err in enumerate(errors):
@@ -490,57 +495,35 @@ def cmd_report(args) -> int:
 # --- entry point -----------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--system",
-        help="built-in system name: " + ", ".join(sorted(BUILTIN_SYSTEMS)),
-    )
-    parser.add_argument("--config", help="key = value config file; flags override it")
-    parser.add_argument("--seed", type=int, help="generator seed (required off finite systems)")
-    parser.add_argument("--points", type=int, help="sample budget")
-    parser.add_argument("--tol", type=float, help="pass/fail tolerance")
-    parser.add_argument(
-        "--out",
-        help=f"output directory (default: ${OUTPUT_DIR_ENV} or the current directory)",
-    )
+_COMMANDS = (
+    ("check", "run the identity-check registry", cmd_check),
+    ("demo-naive", "walk through the naive-encoding failures", cmd_demo_naive),
+    ("fit", "sample transitions and fit one matrix per input", cmd_fit),
+    ("predict", "roll a fitted model forward and score it", cmd_predict),
+    ("report", "re-render a saved check report", cmd_report),
+)
 
 
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and reused by ``main``."""
+    """The command-line parser, built once per process and reused by ``main``.
+
+    Each command takes ``--config`` and the flags that ``_OPTIONS`` gives it;
+    a flag's value stays text until ``_merged`` reads it like a config value.
+    """
     parser = argparse.ArgumentParser(
         prog="koopcontrol",
         description="Operator encodings of input-driven dynamics: checks, demos, identification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="run the identity-check registry")
-    _add_common(check)
-    check.add_argument("--only", help="comma-separated check ids (C1..C20)")
-    check.add_argument(
-        "--exact",
-        action="store_true",
-        help="exhaustive zero-tolerance run (finite systems only)",
-    )
-    check.set_defaults(func=cmd_check)
-
-    demo = sub.add_parser("demo-naive", help="walk through the naive-encoding failures")
-    _add_common(demo)
-    demo.set_defaults(func=cmd_demo_naive)
-
-    fit = sub.add_parser("fit", help="sample transitions and fit one matrix per input")
-    _add_common(fit)
-    fit.add_argument("--dict", help="dictionary spec: indicator or monomial:<degree>")
-    fit.set_defaults(func=cmd_fit)
-
-    predict = sub.add_parser("predict", help="roll a fitted model forward and score it")
-    _add_common(predict)
-    predict.add_argument("--dict", help="dictionary spec; must match the fit")
-    predict.set_defaults(func=cmd_predict)
-
-    report = sub.add_parser("report", help="re-render a saved check report")
-    _add_common(report)
-    report.set_defaults(func=cmd_report)
+    for name, help_, func in _COMMANDS:
+        cmd = sub.add_parser(name, help=help_)
+        cmd.add_argument("--config", help="key = value config file; flags override it")
+        for opt in _OPTIONS.values():
+            if name in opt.commands:
+                switch = {"action": "store_true", "default": None} if opt.kind is bool else {}
+                cmd.add_argument(f"--{opt.key}", dest=opt.key, help=opt.help, **switch)
+        cmd.set_defaults(func=func)
     return parser
 
 
@@ -548,10 +531,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, UnsupportedError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (DomainError, UnsupportedError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
 

@@ -9,8 +9,10 @@ section of the constant-input Koopman operators on the dictionary span.
 Lifting is batched: :meth:`Dictionary.lift_batch` maps a whole list of
 states to the ``(dim, n)`` lift matrix.  When every dictionary entry comes
 from :func:`~koopcontrol.observables.monomial`, all entries are evaluated
-in one broadcast power-and-product over the stacked states, which gives
-the same bits as the per-point evaluation.  Any other dictionary
+in one power-and-product over the stacked states.  The exponent array
+holds one entry per (state, entry, coordinate), never a broadcast row, so
+each power rounds as in the per-point evaluation and the lift matrix has
+its bits.  Any other dictionary
 (indicators, user callables, or a mix) falls back to lifting one point at
 a time through :meth:`Dictionary.lift`.
 
@@ -32,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, DomainMismatchError, UnsupportedError
-from .observables import DomainTag, MonomialFn
+from .observables import DomainTag, MonomialFn, _monomials, _stacked
 from .systems import (
     ControlSystem,
     FiniteStates,
@@ -100,17 +102,9 @@ class Dictionary:
         xs = list(xs)
         if not xs:
             return np.empty((self.dim, 0), dtype=complex)
-        p = self._powers
-        if p is not None:
-            try:
-                arr = np.asarray(xs, dtype=float).reshape(len(xs), -1)
-            except (TypeError, ValueError):  # the per-point path raises the precise error
-                arr = None
-            if arr is not None and arr.shape[1] == p.shape[1]:
-                # The broadcast form, not one contiguous power per entry:
-                # it rounds exactly like the per-point evaluation.
-                vals = np.prod(arr[:, None, :] ** p[None], axis=-1)
-                return np.array(vals.T, dtype=complex, order="C")
+        arr = None if self._powers is None else _stacked(xs)
+        if arr is not None and arr.shape[1] == self._powers.shape[1]:
+            return np.array(_monomials(arr, self._powers).T, dtype=complex, order="C")
         return np.column_stack([self.lift(x) for x in xs])
 
 

@@ -1,4 +1,7 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,49 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls():
     second = _build_parser().parse_args(["check", "--system", "finite3"])
     assert first.exact and first.only == "C1"
     assert not second.exact and second.only is None
+
+
+def _subcommands():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _flags(parser):
+    return {
+        opt: type(action).__name__
+        for action in parser._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+
+
+def test_cli_surface_is_pinned():
+    common = {f"--{key}": "_StoreAction" for key in ("system", "config", "seed", "points", "tol", "out")}
+    expected = {
+        "check": {**common, "--only": "_StoreAction", "--exact": "_StoreTrueAction"},
+        "demo-naive": common,
+        "fit": {**common, "--dict": "_StoreAction"},
+        "predict": {**common, "--dict": "_StoreAction"},
+        "report": common,
+    }
+    assert {name: _flags(p) for name, p in _subcommands().items()} == expected
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_flags_sentence_names_the_parser_flags():
+    sentence = README.read_text().split("Flags:", 1)[1].split(". ", 1)[0]
+    named = re.findall(r"`(--[a-z-]+)`", sentence)
+    assert len(named) == len(set(named))
+    assert set(named) == {opt for p in _subcommands().values() for opt in _flags(p)}
+
+
+def test_readme_inline_table_example_runs(tmp_path):
+    example = re.search(r"```ini\n(system = table\n.*?)```", README.read_text(), re.S).group(1)
+    config = tmp_path / "table.cfg"
+    config.write_text(example)
+    assert run("check", "--config", str(config), "--exact", "--out", str(tmp_path)) == 0
 
 
 # --- config parsing --------------------------------------------------------
@@ -141,6 +187,26 @@ def test_malformed_boolean_is_rejected(tmp_path, capsys):
     assert run("check", "--config", str(config), "--out", str(tmp_path)) == 0
 
 
+def test_unknown_config_key_is_rejected(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("system = finite3\npionts = 20\n")
+    assert run("check", "--config", str(config), "--only", "C1", "--out", str(tmp_path)) == 2
+    assert "unknown config key 'pionts'" in capsys.readouterr().err
+    assert not (tmp_path / "check_report.json").exists()
+
+
+def test_bad_flag_value_names_its_config_key(tmp_path, capsys):
+    assert run("check", "--system", "finite3", "--seed", "abc", "--out", str(tmp_path)) == 2
+    assert "config key 'seed': expected an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_bad_param_value_names_its_config_key(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("system = scalarlinear\nseed = 1\nparam.lambdas.a = oops\n")
+    assert run("check", "--config", str(config), "--out", str(tmp_path)) == 2
+    assert "config key 'param.lambdas.a': expected a number, got 'oops'" in capsys.readouterr().err
+
+
 def test_check_unknown_system(tmp_path, capsys):
     code = run("check", "--system", "never", "--out", str(tmp_path))
     assert code == 2
@@ -248,6 +314,19 @@ def test_predict_rejects_nan_tolerance(tmp_path, capsys):
     assert code == 2
     assert "'tol': expected a nonnegative number, got 'nan'" in capsys.readouterr().err
     assert not (tmp_path / "prediction_errors.csv").exists()
+
+
+def test_predict_bad_x0_names_its_config_key(tmp_path, capsys):
+    assert run(
+        "fit", "--system", "scalarlinear", "--seed", "3",
+        "--points", "50", "--out", str(tmp_path),
+    ) == 0
+    capsys.readouterr()
+    config = tmp_path / "predict.cfg"
+    config.write_text("x0 = abc\n")
+    code = run("predict", "--system", "scalarlinear", "--config", str(config), "--out", str(tmp_path))
+    assert code == 2
+    assert "config key 'x0': expected a number, got 'abc'" in capsys.readouterr().err
 
 
 def test_predict_without_model(tmp_path, capsys):

@@ -99,6 +99,13 @@ def test_batched_lift_is_bitwise_per_point_2d_degree4():
     assert np.array_equal(d.lift_batch(xs), _per_point_lift(d, xs))
 
 
+def test_batched_lift_is_bitwise_per_point_single_square():
+    # A lone x^2 is where a broadcast exponent rounds differently.
+    d = Dictionary((monomial((2,)),))
+    xs = list(np.random.default_rng(5).uniform(-1.0, 1.0, size=(2000, 1)))
+    assert np.array_equal(d.lift_batch(xs), _per_point_lift(d, xs))
+
+
 def test_batched_lift_falls_back_for_indicators(f3):
     d = indicator_dictionary(f3)
     xs = [0, 2, 1, 1, 0]
