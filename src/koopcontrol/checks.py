@@ -11,11 +11,13 @@ combinations of a built-in basis; a clean pass there is a
 non-refutation certificate, with the evaluation count recorded.  A
 discrepancy that is not a number within tolerance (NaN included) fails.
 Most identities are rows of one table (:data:`_REGISTRY`) that
-:func:`_run_table` evaluates, the trajectory checks included: their legs
-start from a trajectory point ``(x0, seq, k)`` mapped to its simulated
-endpoint.  Only C3, C16, C18 and C19 have runners.  The table maps each
-point through each chain of a group once, reads each function over a
-chain's whole list of mapped points in one batch (see
+:func:`_run_table` evaluates, the trajectory checks included.  Each side
+of a leg is one operator product built by
+:func:`~koopcontrol.operators.compose`; a trajectory leg's product starts
+with ``sim``, ``word`` or ``K_inf^k``, which take a trajectory point
+``(x0, seq, k)``.  Only C3, C16, C18 and C19 have runners.  The table
+maps each point with each distinct product of a group once, reads each
+function over a product's whole list of mapped points in one batch (see
 :func:`~koopcontrol.observables.evaluate`), and records the legs'
 discrepancy arrays in the order a point-by-point run would.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -53,10 +55,13 @@ from .observables import (
     pair_indicator,
 )
 from .operators import (
+    CompositionOperator,
     apply,
     ci_isomorphisms,
+    compose,
     extension_aug_to_inf,
     extension_f_to_aug,
+    identity_operator,
     input_aug_well_definedness,
     k_aug,
     k_inf,
@@ -408,18 +413,25 @@ _DRAWS = {
 
 
 def _named(sys: ControlSystem, inputs: dict) -> dict:
-    """Operators by name; ``R_u`` and ``K_u`` exist for each key of ``inputs``."""
-    iso = ci_isomorphisms(sys)
+    """Operators by name; ``R_u`` and ``K_u`` exist for each key of ``inputs``.
+    ``sim``, ``word`` and ``K_inf^k`` map trajectory points (see the registry)
+    and only stand at a chain's left end, so their target, never read, is
+    their source."""
+    iso, kin = ci_isomorphisms(sys), k_inf(sys)
+    state, seq = DomainTag.STATE_ONLY, DomainTag.STATE_SEQUENCE
     named = {
         "R": restriction_inf_to_aug(),
         "E": extension_aug_to_inf(),
         "E_f": extension_f_to_aug(),
         "K_aug": k_aug(sys),
-        "K_inf": k_inf(sys),
+        "K_inf": kin,
         "E_ci": iso.extend_state_to_aug,
         "R_ci": iso.restrict_aug_to_state,
         "E_ci_seq": iso.extend_aug_to_seq,
         "R_ci_seq": iso.restrict_seq_to_aug,
+        "sim": CompositionOperator(state, state, lambda t: simulate(sys, t.x0, t.seq, t.k)[-1]),
+        "word": CompositionOperator(state, state, lambda t: kcf_word(sys, t.word).precompose(t.x0)),
+        "K_inf^k": CompositionOperator(seq, seq, lambda t: power(kin, t.k).precompose((t.x0, t.seq))),
     }
     for key, u in inputs.items():
         named[f"R_{key}"] = restriction_aug_to_f(u, sys)
@@ -427,39 +439,13 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
     return named
 
 
-def _point_maps(sys: ControlSystem, named: dict) -> dict:
-    """Every operator's ``precompose`` by name, plus the maps of trajectory
-    points: the simulated endpoint ``sim``, the input-word endpoint
-    ``word`` and the sequence point ``K_inf^k`` after ``k`` steps."""
-    maps = {name: op.precompose for name, op in named.items()}
-    kin = named["K_inf"]
-    maps["sim"] = lambda t: simulate(sys, t.x0, t.seq, t.k)[-1]
-    maps["word"] = lambda t: kcf_word(sys, t.word).precompose(t.x0)
-    maps["K_inf^k"] = lambda t: power(kin, t.k).precompose((t.x0, t.seq))
-    return maps
-
-
-def _apply_chain(named: dict, chain: str, g: Observable) -> Observable:
-    """Apply the operators of a product such as ``"R K_inf E"`` (rightmost
-    first).  A trajectory map at the left end takes trajectory points, not
-    observables, so it has no operator to apply."""
-    for name in reversed(chain.split()):
-        if name in named:
-            g = apply(named[name], g)
-    return g
-
-
-def _map_chain(maps: dict, chain: str) -> Callable:
-    """The point map of a product such as ``"R K_inf E"``: its point maps
-    (see :func:`_point_maps`), leftmost first."""
-    steps = [maps[name] for name in chain.split()]
-
-    def run(point):
-        for m in steps:
-            point = m(point)
-        return point
-
-    return run
+def _products(named: dict, chains: list) -> list:
+    """The ``compose`` product of each chain such as ``"R K_inf E"`` (``E``
+    acts first on functions, last on points).  An empty chain is the
+    identity on the source domain of the group's other products."""
+    ops = [[named[name] for name in chain.split()] for chain in chains]
+    domain = next(o[-1].source for o in ops if o)
+    return [reduce(compose, o) if o else identity_operator(domain) for o in ops]
 
 
 class _Group:
@@ -467,7 +453,7 @@ class _Group:
 
     ``over`` is ``""`` (once), ``"u"`` (once per input) or ``"uu"`` (once
     per unordered input pair ``u1``, ``u2``).  ``funcs`` is empty for
-    point-level legs, which compare the point maps of their chains;
+    point-level legs, which compare the points their chains map to;
     otherwise it names a drawn function list, optionally after operators
     that turn each function into the subject (``"E_ci fx"``).  Functions
     meet every point on finite systems or when ``cross`` is set, and are
@@ -489,9 +475,9 @@ def _describe(text: str, p, fields: dict, f: str = "") -> str:
 
 
 def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
-    """Map every point through each distinct chain of the legs once, then
-    compare each leg's two mapped point lists (point-level legs) or read
-    each subject over them in one batch: ``apply(op, g)(p) ==
+    """Build each distinct chain's product once and map every point with
+    it, then compare each leg's two mapped point lists (point-level legs)
+    or read each subject over them in one batch: ``apply(op, g)(p) ==
     g(op.precompose(p))``.  Discrepancies are recorded subject-major when
     every subject meets every point, in point order when subjects are
     cycled over the points, and leg by leg within a point."""
@@ -501,16 +487,18 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
     if isinstance(points, dict):  # one point list per input
         points = points[inputs["u"]]
     chains = list(dict.fromkeys(c for _, a, b in group.legs for c in (a, b)))
+    products = _products(named, chains)
     if group.funcs:
         lift, _, fset = group.funcs.rpartition(" ")
-        subjects = [_apply_chain(named, lift, f) for f in drawn[fset]]
-        for g in subjects:  # apply-time domain and contract checks of every chain
-            for chain in chains:
-                _apply_chain(named, chain, g)
-    maps = _point_maps(sys, named)
-    runs = [_map_chain(maps, chain) for chain in chains]
+        subjects = drawn[fset]
+        if lift:  # an identity would drop the functions' certification stamps
+            lift_op = _products(named, [lift])[0]
+            subjects = [apply(lift_op, f) for f in subjects]
+        for g in subjects:  # apply-time domain and contract checks of every product
+            for op in products:
+                apply(op, g)
     legs = [(text, chains.index(a), chains.index(b)) for text, a, b in group.legs]
-    mapped = [[run(p) for run in runs] for p in points]
+    mapped = [[op.precompose(p) for op in products] for p in points]
     cols = [[at[c] for at in mapped] for c in range(len(chains))]
     n, n_legs = len(points), len(legs)
     if not group.funcs:
@@ -663,9 +651,9 @@ class _Check:
 
 
 # Legs read as operator products (``"R K_inf E"`` applies E first).  The
-# point-level checks C1, C4, C9 and C10 compare the point maps of the
-# products that C2, C5, C11 and C12 apply to functions.  C14, C15 and C17
-# start from a trajectory map; C15's ``sim R_ci R_ci_seq`` reads a
+# point-level checks C1, C4, C9 and C10 compare where the products that
+# C2, C5, C11 and C12 apply to functions map points.  C14, C15 and C17
+# start from a trajectory operator; C15's ``sim R_ci R_ci_seq`` reads a
 # sequence-blind function's state component at the simulated endpoint.
 _REGISTRY = [
     _Check("C1", "restricting after extending is the identity on state-input pairs", ("p",),

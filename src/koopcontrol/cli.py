@@ -110,8 +110,6 @@ def load_config(path) -> dict:
 
 # --- options ---------------------------------------------------------------
 
-_ALL = ("check", "demo-naive", "fit", "predict", "report")
-
 
 class _Option(NamedTuple):
     """A config key; with ``commands``, also the flag ``--<key>`` of each."""
@@ -125,13 +123,13 @@ class _Option(NamedTuple):
 _OPTIONS = {
     opt.key: opt
     for opt in (
-        _Option("system", str, "built-in system name: " + ", ".join(sorted(BUILTIN_SYSTEMS)), _ALL),
-        _Option("seed", int, "generator seed (required off finite systems)", _ALL),
-        _Option("points", int, "sample budget", _ALL),
-        _Option("tol", float, "pass/fail tolerance", _ALL),
-        _Option(
-            "out", str, f"output directory (default: ${OUTPUT_DIR_ENV} or the current directory)", _ALL
-        ),
+        _Option("system", str, "built-in system name: " + ", ".join(sorted(BUILTIN_SYSTEMS)),
+                ("check", "demo-naive", "fit", "predict")),
+        _Option("seed", int, "generator seed (required off finite systems)", ("check", "fit")),
+        _Option("points", int, "sample budget", ("check", "fit")),
+        _Option("tol", float, "pass/fail tolerance", ("check", "predict")),
+        _Option("out", str, f"output directory (default: ${OUTPUT_DIR_ENV} or the current directory)",
+                ("check", "fit", "predict", "report")),
         _Option("only", str, "comma-separated check ids (C1..C20)", ("check",)),
         _Option("exact", bool, "exhaustive zero-tolerance run (finite systems only)", ("check",)),
         _Option("dict", str, "dictionary spec: indicator or monomial:<degree>", ("fit", "predict")),
@@ -195,10 +193,7 @@ def _collect_params(cfg) -> dict:
         elif "," in value:
             params[rest] = tuple(_read(key, float, tok) for tok in value.split(","))
         else:
-            try:
-                params[rest] = float(value)
-            except ValueError:
-                params[rest] = value
+            params[rest] = _read(key, float, value)
     return params
 
 

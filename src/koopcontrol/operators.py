@@ -109,11 +109,23 @@ def apply(op: CompositionOperator, f: Observable) -> Observable:
 
 
 def compose(op1: CompositionOperator, op2: CompositionOperator) -> CompositionOperator:
-    """Operator product: ``apply(compose(op1, op2), f) = apply(op1, apply(op2, f))``."""
+    """Operator product: ``apply(compose(op1, op2), f) = apply(op1, apply(op2, f))``.
+
+    The product keeps ``apply``'s contract: ``apply(compose(op1, op2), f)``
+    raises exactly when ``apply(op1, apply(op2, f))`` raises, and otherwise
+    reads the same values with the same certification stamp.  If ``op1``
+    requires a certified input and ``op2`` stamps none, every step-by-step
+    application raises, so ``compose`` raises :class:`ContractError` at once.
+    """
     if op2.target is not op1.source:
         raise DomainMismatchError(
             f"cannot compose {op1.label or 'op1'} after {op2.label or 'op2'}: "
             f"{op2.target.value} != {op1.source.value}"
+        )
+    if op1.requires_ci and op2.ci_stamp is None:
+        raise ContractError(
+            f"operator {op1.label or 'op1'} requires a certified control-independent "
+            f"observable, and {op2.label or 'op2'} certifies none"
         )
     pre1, pre2 = op1.precompose, op2.precompose
     return CompositionOperator(
@@ -122,7 +134,7 @@ def compose(op1: CompositionOperator, op2: CompositionOperator) -> CompositionOp
         lambda p: pre2(pre1(p)),
         label=f"{op1.label} o {op2.label}".strip(),
         ci_stamp=op1.ci_stamp,
-        requires_ci=op2.requires_ci or (op1.requires_ci and op2.ci_stamp is None),
+        requires_ci=op2.requires_ci,
     )
 
 

@@ -12,6 +12,7 @@ from koopcontrol import (
     FiniteStates,
     InputSequence,
     InputSet,
+    Observable,
     RealBox,
     SamplePlan,
     UnsupportedError,
@@ -177,23 +178,57 @@ def test_exact_run_steps_each_leg_once_per_point(f3):
     assert calls["n"] == 7072
 
 
-_TRAJECTORY_MAPS = {"sim", "word", "K_inf^k"}
+def test_a_group_checks_every_products_contract_before_any_transition(f3):
+    """Uncertified pair functions cannot enter ``R_ci``: the group raises
+    ContractError before it steps a single point."""
+    counted, calls = _counting(f3)
+    group = checks._Group("", "p", "fp", ("{f} at {p}", "K_aug E_ci R_ci", "K_aug"))
+    with pytest.raises(ContractError):
+        checks._run_table(counted, exact_plan(), np.random.default_rng(0), ("p", "fp"), (group,))
+    assert calls["n"] == 0
+
+
+_TRAJECTORY_OPS = {"sim", "word", "K_inf^k"}
+
+
+def _legs() -> list:
+    """Every leg of the registry's rows and of C16's single-step group."""
+    groups = [group for row in checks._REGISTRY for group in row.groups] + [checks._C16_STEP]
+    return [leg for group in groups for leg in group.legs]
 
 
 def _leg_chains() -> set:
-    """Every chain of the registry's rows and of C16's single-step group."""
-    groups = [group for row in checks._REGISTRY for group in row.groups] + [checks._C16_STEP]
-    return {chain for group in groups for _, lhs, rhs in group.legs for chain in (lhs, rhs)}
+    return {chain for _, lhs, rhs in _legs() for chain in (lhs, rhs)}
 
 
 def _operator_chains() -> set:
-    return {chain for chain in _leg_chains() if not _TRAJECTORY_MAPS & set(chain.split())}
+    return {chain for chain in _leg_chains() if not _TRAJECTORY_OPS & set(chain.split())}
+
+
+def _one_by_one(named: dict, chain: str, g):
+    """Apply the operators of ``chain`` to ``g`` one at a time, rightmost first."""
+    for name in reversed(chain.split()):
+        g = apply(named[name], g)
+    return g
+
+
+def _product_or_error(named: dict, chain: str, g):
+    """``apply`` of ``chain``'s product to ``g``, or the ContractError it raises
+    (at ``compose`` or at ``apply``)."""
+    try:
+        return apply(checks._products(named, [chain])[0], g)
+    except ContractError as exc:
+        return exc
 
 
 @pytest.mark.parametrize("name", ["finite3", "scalarlinear"])
 def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
-    """``_apply_chain(chain, g)(p) == g(_map_chain(chain)(p))`` exactly, for
-    every operator-only chain in the registry's legs: the law the runs rely on."""
+    """For every operator-only chain in the registry's legs, ``apply`` of
+    its ``compose`` product reads exactly what applying its operators one by
+    one reads, with the same certification stamp, and raises ContractError
+    exactly when the one-by-one application does.  The empty chain is the
+    identity on its leg's other side's source domain and reads the subject
+    itself."""
     sys = builtin_system(name)
     plan = sampled_plan(seed=7, n_points=40)
     rng = np.random.default_rng(7)
@@ -211,24 +246,35 @@ def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
         DomainTag.STATE_SEQUENCE: checks._seq_basis(sys) + checks._ci_seq_direct(sys),
     }
     labels = sys.inputs.labels
-    chains, checked = _operator_chains(), set()
+    chains, checked, refused = _operator_chains(), set(), set()
+    partners = {lhs or rhs for _, lhs, rhs in _legs() if "" in (lhs, rhs)}
     for u in labels:
         named = checks._named(sys, {"u": u, "u1": labels[0], "u2": labels[-1]})
-        maps = checks._point_maps(sys, named)
-        for chain in chains:
+        for partner in partners:
+            _, ident = checks._products(named, [partner, ""])
+            for g in subjects[ident.source]:
+                for p in points[ident.target]:
+                    assert apply(ident, g)(p) == g(p), (partner, g.label, p)
+            checked.add("")
+        for chain in chains - {""}:
             ops = [named[op] for op in chain.split()]
-            ends = [(ops[0].target, ops[-1].source)] if ops else [(d, d) for d in DomainTag]
-            point_map = checks._map_chain(maps, chain)
-            for target, source in ends:
-                for g in subjects[source]:
-                    try:
-                        applied = checks._apply_chain(named, chain, g)
-                    except ContractError:
-                        continue
-                    for p in points[target]:
-                        assert applied(p) == g(point_map(p)), (chain, g.label, p)
-                    checked.add(chain)
+            for g in subjects[ops[-1].source]:
+                try:
+                    stepwise = _one_by_one(named, chain, g)
+                except ContractError:
+                    stepwise = None
+                product = _product_or_error(named, chain, g)
+                if stepwise is None:
+                    assert isinstance(product, ContractError), (chain, g.label)
+                    refused.add(chain)
+                    continue
+                assert isinstance(product, Observable), (chain, g.label, product)
+                assert product.ci_input == stepwise.ci_input, (chain, g.label)
+                for p in points[ops[0].target]:
+                    assert product(p) == stepwise(p), (chain, g.label, p)
+                checked.add(chain)
     assert checked == chains
+    assert refused  # the uncertified subjects meet the contract
 
 
 def _bits(v):
@@ -240,10 +286,11 @@ def _bits(v):
 
 @pytest.mark.parametrize("name", ["finite3", "scalarlinear"])
 def test_trajectory_chains_match_the_simulator_formulas(name):
-    """Every trajectory chain in the registry's legs maps each trajectory
-    point ``(x0, seq, k)`` to the point the direct formula gives, and every
-    subject reads the same value there, bit for bit: ``simulate``,
-    ``kcf_word`` on the first ``k`` inputs and ``power(K_inf, k)``."""
+    """Every trajectory chain's product in the registry's legs maps each
+    trajectory point ``(x0, seq, k)`` to the point the direct formula gives,
+    every subject passes its ``apply`` checks and reads the same value
+    there, bit for bit: ``simulate``, ``kcf_word`` on the first ``k``
+    inputs and ``power(K_inf, k)``."""
     sys = builtin_system(name)
     plan = exact_plan(seed=7) if name == "finite3" else sampled_plan(seed=7, n_points=40)
     rng = np.random.default_rng(7)
@@ -267,11 +314,13 @@ def test_trajectory_chains_match_the_simulator_formulas(name):
         "K_inf^k": (p_k, ci_seq, lambda g, t: g(p_k(t))),
     }
     assert set(formulas) == _leg_chains() - _operator_chains()
-    maps = checks._point_maps(sys, checks._named(sys, {}))
+    named = checks._named(sys, {})
     for chain, (direct, subjects, value) in formulas.items():
-        point_map = checks._map_chain(maps, chain)
+        (product,) = checks._products(named, [chain])
+        for g in subjects:
+            apply(product, g)
         for t in points:
-            q = point_map(t)
+            q = product.precompose(t)
             assert _bits(q) == _bits(direct(t)), (chain, t)
             for g in subjects:
                 assert g(q) == value(g, t), (chain, g.label, t)

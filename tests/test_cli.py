@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from koopcontrol import checks
 from koopcontrol.cli import _build_parser, main, parse_config_text, resolve_system
 
 
@@ -36,15 +37,35 @@ def _flags(parser):
 
 
 def test_cli_surface_is_pinned():
-    common = {f"--{key}": "_StoreAction" for key in ("system", "config", "seed", "points", "tol", "out")}
+    """Each command takes ``--config`` and only the flags it reads."""
+    store = lambda *keys: {f"--{key}": "_StoreAction" for key in ("config",) + keys}
     expected = {
-        "check": {**common, "--only": "_StoreAction", "--exact": "_StoreTrueAction"},
-        "demo-naive": common,
-        "fit": {**common, "--dict": "_StoreAction"},
-        "predict": {**common, "--dict": "_StoreAction"},
-        "report": common,
+        "check": {
+            **store("system", "seed", "points", "tol", "out", "only"),
+            "--exact": "_StoreTrueAction",
+        },
+        "demo-naive": store("system"),
+        "fit": store("system", "seed", "points", "out", "dict"),
+        "predict": store("system", "tol", "out", "dict"),
+        "report": store("out"),
     }
     assert {name: _flags(p) for name, p in _subcommands().items()} == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "--system", "nope", "--seed", "1"),
+        ("predict", "--seed", "3", "--points", "9"),
+        ("demo-naive", "--out", "results"),
+        ("fit", "--tol", "1e-8"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -55,6 +76,15 @@ def test_readme_flags_sentence_names_the_parser_flags():
     named = re.findall(r"`(--[a-z-]+)`", sentence)
     assert len(named) == len(set(named))
     assert set(named) == {opt for p in _subcommands().values() for opt in _flags(p)}
+
+
+def test_readme_operator_names_sentence_names_the_registry_operators():
+    after = README.read_text().split("The names are", 1)[1]
+    sentence = re.split(r"\.\s", after, maxsplit=1)[0]
+    named = re.findall(r"`([A-Za-z_^]+)`", sentence)
+    assert len(named) == len(set(named))
+    sys_ = resolve_system({"system": "finite3"})
+    assert set(named) == set(checks._named(sys_, {"u": sys_.inputs.labels[0]}))
 
 
 def test_readme_inline_table_example_runs(tmp_path):
@@ -205,6 +235,13 @@ def test_bad_param_value_names_its_config_key(tmp_path, capsys):
     config.write_text("system = scalarlinear\nseed = 1\nparam.lambdas.a = oops\n")
     assert run("check", "--config", str(config), "--out", str(tmp_path)) == 2
     assert "config key 'param.lambdas.a': expected a number, got 'oops'" in capsys.readouterr().err
+
+
+def test_bad_scalar_param_value_names_its_config_key(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("system = logistic-with-offset\nseed = 1\nparam.r = oops\n")
+    assert run("check", "--config", str(config), "--out", str(tmp_path)) == 2
+    assert "config key 'param.r': expected a number, got 'oops'" in capsys.readouterr().err
 
 
 def test_check_unknown_system(tmp_path, capsys):

@@ -216,6 +216,17 @@ def test_composed_operator_propagates_ci_requirement(f3):
     assert apply(both_down, stamped)(2) == 1
 
 
+def test_compose_refuses_a_product_that_apply_always_rejects(f3):
+    """``R_ci_seq`` needs a certified input and ``K_inf`` certifies none, so
+    ``apply(R_ci_seq, apply(K_inf, h))`` raises for every ``h``; so does the product."""
+    iso = ci_isomorphisms(f3)
+    h = apply(iso.extend_aug_to_seq, apply(iso.extend_state_to_aug, indicator(1)))
+    with pytest.raises(ContractError):
+        apply(iso.restrict_seq_to_aug, apply(k_inf(f3), h))
+    with pytest.raises(ContractError):
+        compose(iso.restrict_seq_to_aug, k_inf(f3))
+
+
 # --- matrix realizations ----------------------------------------------------
 
 
