@@ -1,15 +1,19 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from koopcontrol import (
+    AugmentedMap,
+    ConstantInputMap,
     ContractError,
     ControlSystem,
     DomainTag,
     FiniteStates,
+    InfiniteSequenceMap,
     InputSequence,
     InputSet,
     Observable,
@@ -33,6 +37,8 @@ from koopcontrol import (
     sampled_plan,
     simulate,
     state_component,
+    state_distance,
+    step,
 )
 from koopcontrol import checks
 
@@ -157,6 +163,106 @@ def test_non_function_is_caught_by_trajectory_checks():
     for r in summary.results:
         assert not r.passed, r.id
         assert r.counterexample is not None, r.id
+
+
+def _noisy_box(dimension):
+    """A contracting box map whose every 17th transition call is off by 1e-6."""
+    calls = {"n": 0}
+
+    def transition(x, u):
+        calls["n"] += 1
+        y = 0.5 * x if u == "a" else -0.8 * x[::-1]
+        return y + 1e-6 if calls["n"] % 17 == 0 else y
+
+    box = RealBox((-1.0,) * dimension, (1.0,) * dimension)
+    return ControlSystem(box, InputSet(("a", "b")), transition, name=f"noisy{dimension}d")
+
+
+def _c18_by_loop(sys, plan):
+    """C18 as a loop over its trajectories: each reformulation's map is
+    iterated from ``x0`` and compared with ``simulate`` by the largest
+    ``state_distance`` along the path, scenario by scenario and method by
+    method, with the registry's generator for C18."""
+    rng = np.random.default_rng([plan.rng_seed, check_ids().index("C18")])
+    rec = checks._Recorder(plan.tolerance)
+    inf, aug = InfiniteSequenceMap(sys), AugmentedMap(sys)
+
+    def infinite_sequence(x0, seq, k):
+        point, out = (x0, seq), [x0]
+        for _ in range(k):
+            point = inf(point)
+            out.append(point[0])
+        return out
+
+    def kcf_composition(x0, seq, k):
+        out = [x0]
+        for j in range(k):
+            out.append(ConstantInputMap(sys, seq.at(j))(out[-1]))
+        return out
+
+    def augmented_stepwise(x0, seq, k):
+        out = [x0]
+        for j in range(k):
+            out.append(aug((out[-1], seq.at(j)))[0])
+        return out
+
+    methods = [("infinite-sequence", infinite_sequence), ("kcf-composition", kcf_composition),
+               ("augmented-stepwise", augmented_stepwise)]
+    for x0, seq, k in checks._scenario_trajectories(sys, plan, rng, horizons=11):
+        truth = simulate(sys, x0, seq, k)
+        for name, rebuild in methods:
+            got = rebuild(x0, seq, k)
+            err = max(state_distance(sys.states, a, b) for a, b in zip(truth, got))
+            rec.record(err, lambda: f"method {name}, x0={x0!r}, k={k}, seq={seq!r}")
+    return rec
+
+
+_BOX_PLAN = sampled_plan(seed=7, n_points=200, n_functions=10)
+
+
+@pytest.mark.parametrize(
+    "make, plan",
+    [(lambda: _flaky_finite3(7), exact_plan(seed=7)),
+     (lambda: _noisy_box(1), _BOX_PLAN),
+     (lambda: _noisy_box(2), _BOX_PLAN)],
+    ids=["flaky7", "noisy1d", "noisy2d"],
+)
+def test_c18_reports_what_the_reformulation_loop_reports(make, plan):
+    """Each system is built afresh for each run, so both runs see the same
+    corrupted transition calls."""
+    result, rec = run_check("C18", make(), plan), _c18_by_loop(make(), plan)
+    assert not result.passed
+    assert (result.passed, result.max_abs_error, result.counterexample, result.n_evaluated) == (
+        rec.passed, rec.max_err, rec.counterexample, rec.n
+    )
+
+
+def _broken_isomorphisms(which):
+    """``ci_isomorphisms`` with one map that moves the state: the extension
+    to pairs steps it, or the restriction from sequences steps it and keeps
+    the input as the constant sequence."""
+
+    def broken(sys):
+        iso = ci_isomorphisms(sys)
+        if which == "extension":
+            op = replace(iso.extend_state_to_aug, precompose=lambda p: step(sys, p[0], p[1]))
+            return replace(iso, extend_state_to_aug=op)
+        pre = lambda p: (step(sys, p[0], p[1]), InputSequence.constant(p[1]))
+        return replace(iso, restrict_seq_to_aug=replace(iso.restrict_seq_to_aug, precompose=pre))
+
+    return broken
+
+
+@pytest.mark.parametrize("which", ["extension", "restriction"])
+@pytest.mark.parametrize(
+    "name, plan",
+    [("finite3", exact_plan(seed=7)), ("scalarlinear", sampled_plan(7, n_points=200, n_functions=10))],
+)
+def test_c3_fails_when_an_isomorphism_moves_the_state(monkeypatch, which, name, plan):
+    monkeypatch.setattr(checks, "ci_isomorphisms", _broken_isomorphisms(which))
+    result = run_check("C3", builtin_system(name), plan)
+    assert not result.passed
+    assert result.counterexample
 
 
 def _counting(sys):
