@@ -14,8 +14,8 @@ Most identities are rows of one table (:data:`_REGISTRY`) that
 :func:`_run_table` evaluates, the trajectory checks included.  Each side
 of a leg is one operator product built by
 :func:`~koopcontrol.operators.compose`; a trajectory leg's product starts
-with ``sim``, ``word`` or ``K_inf^k``, which take a trajectory point
-``(x0, seq, k)``.  Only C3, C16, C18 and C19 have runners.  The table
+with ``sim``, ``word``, ``K_inf^k`` or a path operator, which take a
+trajectory point ``(x0, seq, k)``.  Only C16 and C19 have runners.  The table
 maps each point with each distinct product of a group once, reads each
 function over a product's whole list of mapped points in one batch (see
 :func:`~koopcontrol.observables.evaluate`), and records the legs'
@@ -32,6 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -40,7 +41,6 @@ from .errors import UnsupportedError
 from .observables import (
     DomainTag,
     Observable,
-    Sampled,
     _abs_diff,
     _check_points,
     _stacked,
@@ -49,7 +49,6 @@ from .observables import (
     coordinate,
     enumerate_points,
     indicator,
-    is_control_independent,
     linear_combine,
     monomial,
     pair_indicator,
@@ -78,10 +77,8 @@ from .systems import (
     FiniteStates,
     InputSequence,
     RealBox,
-    RecoveryMethod,
     random_sequence,
     random_state,
-    recover_trajectory,
     simulate,
     state_distance,
 )
@@ -203,7 +200,8 @@ def _gap(space, a, b) -> float:
     """Distance of two states, or of two (state, input-or-sequence) points.
 
     Box states are arrays, so a tuple on a box is a point pair; on finite
-    spaces whole-point equality already compares pairs componentwise.
+    spaces whole-point equality already compares pairs and paths (tuples
+    of labels) componentwise.
     """
     if isinstance(a, tuple) and isinstance(space, RealBox):
         return max(state_distance(space, a[0], b[0]), 0.0 if a[1] == b[1] else 1.0)
@@ -212,8 +210,14 @@ def _gap(space, a, b) -> float:
 
 def _gaps(space, a: list, b: list) -> np.ndarray:
     """:func:`_gap` of each pair ``a[i]``, ``b[i]``, as one array; box
-    states are compared stacked."""
+    states are compared stacked.  Box paths, ``(k + 1, d)`` arrays, are
+    compared by the largest gap of their states."""
     if isinstance(space, RealBox) and a:
+        if isinstance(a[0], np.ndarray) and a[0].ndim == 2:
+            starts = np.cumsum([0] + [len(path) for path in a[:-1]])
+            with np.errstate(all="ignore"):
+                gaps = np.max(np.abs(np.concatenate(a) - np.concatenate(b)), axis=1)
+            return np.maximum.reduceat(gaps, starts)
         pairs = isinstance(a[0], tuple)
         sa, sb = ([p[0] for p in a], [p[0] for p in b]) if pairs else (a, b)
         sa, sb = _stacked(sa), _stacked(sb)
@@ -388,7 +392,7 @@ def _is_finite(sys: ControlSystem) -> bool:
 
 # What a row can draw, by name: point lists (states, states per input,
 # pairs, sequence points, at most 200 of them, trajectories with horizons
-# 0..5, start states with words) and function lists (random combinations
+# 0..5 or 0..10, start states with words) and function lists (random combinations
 # of the state, pair and sequence bases, exhaustive bases on finite
 # systems; up to 8 random sequence constants).  "ci_seq" draws nothing:
 # it is the fixed list of sequence-blind observables.
@@ -399,6 +403,7 @@ _DRAWS = {
     "s": _scenario_seq_points,
     "s200": lambda sys, plan, rng: _scenario_seq_points(sys, plan, rng, n=min(plan.n_points, 200)),
     "t": _scenario_trajectories,
+    "t11": lambda sys, plan, rng: _scenario_trajectories(sys, plan, rng, horizons=11),
     "tw": _scenario_words,
     "c": lambda sys, plan, rng: [
         linear_combine([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))],
@@ -412,18 +417,33 @@ _DRAWS = {
 }
 
 
+def _path_op(sys: ControlSystem, walk: Callable) -> CompositionOperator:
+    """A trajectory operator: ``(x0, seq, k)`` -> the states ``walk(x0, t)``
+    visits, one stacked ``(k + 1, d)`` array on boxes and a tuple of labels
+    on finite systems."""
+    state = DomainTag.STATE_ONLY
+    if isinstance(sys.states, RealBox):
+        box = sys.states
+        return CompositionOperator(state, state, lambda t: np.array(list(walk(box.coerce(t.x0), t))))
+    return CompositionOperator(state, state, lambda t: tuple(walk(t.x0, t)))
+
+
 def _named(sys: ControlSystem, inputs: dict) -> dict:
     """Operators by name; ``R_u`` and ``K_u`` exist for each key of ``inputs``.
-    ``sim``, ``word`` and ``K_inf^k`` map trajectory points (see the registry)
-    and only stand at a chain's left end, so their target, never read, is
-    their source."""
-    iso, kin = ci_isomorphisms(sys), k_inf(sys)
+    The trajectory operators map trajectory points ``(x0, seq, k)``:
+    ``sim``, ``word`` and ``K_inf^k`` to the point ``k`` steps on, ``path``
+    to the states ``simulate`` visits, and ``path_inf``, ``path_kcf`` and
+    ``path_aug`` to the states that iterating the point map of ``K_inf``,
+    of each input's ``K_u`` or of ``K_aug`` visits.  They only stand at a
+    chain's left end, so their target, never read, is their source."""
+    iso, kin, kau = ci_isomorphisms(sys), k_inf(sys), k_aug(sys)
+    ku = {u: k_u(sys, u).precompose for u in sys.inputs.labels}
     state, seq = DomainTag.STATE_ONLY, DomainTag.STATE_SEQUENCE
     named = {
         "R": restriction_inf_to_aug(),
         "E": extension_aug_to_inf(),
         "E_f": extension_f_to_aug(),
-        "K_aug": k_aug(sys),
+        "K_aug": kau,
         "K_inf": kin,
         "E_ci": iso.extend_state_to_aug,
         "R_ci": iso.restrict_aug_to_state,
@@ -432,6 +452,12 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
         "sim": CompositionOperator(state, state, lambda t: simulate(sys, t.x0, t.seq, t.k)[-1]),
         "word": CompositionOperator(state, state, lambda t: kcf_word(sys, t.word).precompose(t.x0)),
         "K_inf^k": CompositionOperator(seq, seq, lambda t: power(kin, t.k).precompose((t.x0, t.seq))),
+        "path": _path_op(sys, lambda x0, t: simulate(sys, x0, t.seq, t.k)),
+        "path_inf": _path_op(sys, lambda x0, t: (q[0] for q in accumulate(
+            range(t.k), lambda q, _: kin.precompose(q), initial=(x0, t.seq)))),
+        "path_kcf": _path_op(sys, lambda x0, t: accumulate(t.word, lambda x, u: ku[u](x), initial=x0)),
+        "path_aug": _path_op(sys, lambda x0, t: accumulate(
+            t.word, lambda x, u: kau.precompose((x, u))[0], initial=x0)),
     }
     for key, u in inputs.items():
         named[f"R_{key}"] = restriction_aug_to_f(u, sys)
@@ -460,7 +486,7 @@ class _Group:
     cycled over the points otherwise.
     A leg is ``(counterexample template, lhs chain, rhs chain)``; the
     template may name ``{f}``, ``{p}``, the context's inputs and, on
-    trajectory points, ``{x0}``, ``{k}`` and ``{word}``; an empty chain is
+    trajectory points, ``{x0}``, ``{k}``, ``{word}`` and ``{seq}``; an empty chain is
     the subject (or point) itself.
     """
 
@@ -470,7 +496,7 @@ class _Group:
 
 def _describe(text: str, p, fields: dict, f: str = "") -> str:
     if isinstance(p, _Trajectory):
-        fields = dict(fields, x0=repr(p.x0), k=p.k, word=repr(p.word))
+        fields = dict(fields, x0=repr(p.x0), k=p.k, word=repr(p.word), seq=repr(p.seq))
     return text.format(f=f, p=repr(p), **fields)
 
 
@@ -548,31 +574,6 @@ def _run_table(sys, plan, rng, draws: tuple, groups: tuple, note: str = "") -> _
 # --- checks with their own runners -----------------------------------------
 
 
-def _run_c3(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    iso = ci_isomorphisms(sys)
-    inner_seed = int(rng.integers(2**32))
-    count = min(plan.n_points, 100)
-    for j, f in enumerate(_functions(sys, plan, rng, _state_basis(sys))):
-        h = apply(iso.extend_aug_to_seq, apply(iso.extend_state_to_aug, f))
-        report = is_control_independent(
-            h, sys, Sampled(count, inner_seed + j), tol=plan.tolerance or 1e-15
-        )
-        rec.record(
-            0.0 if report.independent else 1.0,
-            lambda: f"extension of {f.label} varies: {report.witness!r}",
-        )
-    for j, h in enumerate(_ci_seq_direct(sys)):
-        g = apply(iso.restrict_seq_to_aug, h)
-        mode = None if _is_finite(sys) else Sampled(count, inner_seed - 1 - j)
-        report = is_control_independent(g, sys, mode, tol=plan.tolerance or 1e-15)
-        rec.record(
-            0.0 if report.independent else 1.0,
-            lambda: f"restriction of {h.label} varies: {report.witness!r}",
-        )
-    return rec
-
-
 # One augmented step read by a control-independent subject at the stepped
 # pair and at its state component (``E_f R_ci`` reads g at (x', u0)).  Each
 # side steps the pair itself, the right side first, so a transition that is
@@ -597,20 +598,6 @@ def _run_c16(sys, plan, rng):
             f"{claim} at x={witness.x!r}, word={witness.word!r}: "
             f"frozen-input value {v_power:.6g} vs word value {v_word:.6g}"
         )
-    return rec
-
-
-def _run_c18(sys, plan, rng):
-    rec = _Recorder(plan.tolerance)
-    for x0, seq, k in _scenario_trajectories(sys, plan, rng, horizons=11):
-        truth = simulate(sys, x0, seq, k)
-        for method in RecoveryMethod:
-            got = recover_trajectory(sys, x0, seq, k, method)
-            err = max(
-                (state_distance(sys.states, a, b) for a, b in zip(truth, got)),
-                default=0.0,
-            )
-            rec.record(err, lambda: f"method {method.value}, x0={x0!r}, k={k}, seq={seq!r}")
     return rec
 
 
@@ -652,15 +639,23 @@ class _Check:
 
 # Legs read as operator products (``"R K_inf E"`` applies E first).  The
 # point-level checks C1, C4, C9 and C10 compare where the products that
-# C2, C5, C11 and C12 apply to functions map points.  C14, C15 and C17
-# start from a trajectory operator; C15's ``sim R_ci R_ci_seq`` reads a
-# sequence-blind function's state component at the simulated endpoint.
+# C2, C5, C11 and C12 apply to functions map points.  C3 reads each
+# control-independent subject against its own round trip through the
+# stamp input: ``E_ci_seq E_ci R_ci R_ci_seq`` maps ``(x, s)`` to
+# ``(x, u0 u0 ...)`` and ``E_ci R_ci`` maps ``(x, u)`` to ``(x, u0)``.
+# C14, C15, C17 and C18 start from a trajectory operator; C15's
+# ``sim R_ci R_ci_seq`` reads a sequence-blind function's state component
+# at the simulated endpoint, and C18 compares whole paths.
 _REGISTRY = [
     _Check("C1", "restricting after extending is the identity on state-input pairs", ("p",),
            _Group("", "p", "", ("pair {p}", "R E", ""))),
     _Check("C2", "extend-then-restrict is the identity on pair observables", ("p", "fp"),
            _Group("", "p", "fp", ("{f} at {p}", "R E", ""))),
-    _Check("C3", "extensions and restrictions preserve control independence", runner=_run_c3),
+    _Check("C3", "extensions and restrictions preserve control independence",
+           ("fx", "s", "p", "ci_seq"),
+           _Group("", "s", "E_ci_seq E_ci fx",
+                  ("extension varies: {f} at {p}", "E_ci_seq E_ci R_ci R_ci_seq", "")),
+           _Group("", "p", "R_ci_seq ci_seq", ("restriction varies: {f} at {p}", "E_ci R_ci", ""))),
     _Check("C4", "freezing an input then dropping it is the identity on states", ("x_per_u",),
            _Group("u", "x_per_u", "", ("state {p} via input {u}", "R_u E_f", ""))),
     _Check("C5", "input-freeze restriction after input-blind extension is the identity", ("x", "fx"),
@@ -705,7 +700,11 @@ _REGISTRY = [
     _Check("C16", "augmented operator captures one step exactly, two steps diverge", runner=_run_c16),
     _Check("C17", "input-word operators evaluate observables at simulated endpoints", ("fx", "tw"),
            _Group("", "tw", "fx", ("{f}, x0={x0}, word={word}", "sim", "word"))),
-    _Check("C18", "all three reformulations rebuild simulated trajectories", runner=_run_c18),
+    _Check("C18", "all three reformulations rebuild simulated trajectories", ("t11",),
+           _Group("", "t11", "",
+                  ("method infinite-sequence, x0={x0}, k={k}, seq={seq}", "path", "path_inf"),
+                  ("method kcf-composition, x0={x0}, k={k}, seq={seq}", "path", "path_kcf"),
+                  ("method augmented-stepwise, x0={x0}, k={k}, seq={seq}", "path", "path_aug"))),
     _Check("C19", "input-as-state construction is ill defined unless inputs are trivial",
            runner=_run_c19, finite_only=True),
     _Check("C20", "the sequence operator fixes constants, so constants capture nothing", ("c", "s200"),

@@ -11,7 +11,6 @@ each operator has an exact 0-1 matrix realization.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
@@ -55,7 +54,6 @@ __all__ = [
     "ci_isomorphisms",
     "kcf_word",
     "to_matrix",
-    "export_matrix_csv",
     "input_aug_well_definedness",
     "two_step_discrepancy_witness",
 ]
@@ -337,21 +335,6 @@ def to_matrix(op: CompositionOperator, sys: ControlSystem) -> MatrixOperator:
             raise DomainError(f"precompose left the enumerated domain at {p!r} -> {q!r}")
         entries[i, index[q]] = 1.0
     return MatrixOperator(op.target, op.source, rows, cols, entries, label=op.label)
-
-
-def _format_complex(v: complex) -> str:
-    if v.imag == 0:
-        return f"{v.real:.17g}"
-    return f"{v.real:.17g}{v.imag:+.17g}j"
-
-
-def export_matrix_csv(mat: MatrixOperator, path) -> None:
-    """Write the matrix with a header row and column naming the enumerations."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rows\\cols"] + [repr(p) for p in mat.col_points])
-        for point, row in zip(mat.row_points, mat.entries):
-            writer.writerow([repr(point)] + [_format_complex(v) for v in row])
 
 
 class WellDefinednessReason(Enum):

@@ -17,7 +17,6 @@ behavior reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -34,12 +33,10 @@ __all__ = [
     "AugmentedMap",
     "ConstantInputMap",
     "InfiniteSequenceMap",
-    "RecoveryMethod",
     "step",
     "simulate",
     "shift",
     "range_map",
-    "recover_trajectory",
     "random_sequence",
     "random_state",
     "state_distance",
@@ -239,12 +236,6 @@ class InfiniteSequenceMap:
         return (step(self.system, x, seq.at(0)), shift(seq))
 
 
-class RecoveryMethod(Enum):
-    INFINITE_SEQUENCE = "infinite-sequence"
-    KCF_COMPOSITION = "kcf-composition"
-    AUGMENTED_STEPWISE = "augmented-stepwise"
-
-
 def step(sys: ControlSystem, x, u):
     """One transition ``T(x, u)``, with domain validation on both ends."""
     if not sys.inputs.contains(u):
@@ -294,40 +285,6 @@ def range_map(sys: ControlSystem) -> frozenset:
     return frozenset(
         step(sys, x, u) for x in sys.states.labels for u in sys.inputs.labels
     )
-
-
-def recover_trajectory(
-    sys: ControlSystem, x0, seq: InputSequence, k: int, method: RecoveryMethod
-) -> list:
-    """Rebuild ``simulate(sys, x0, seq, k)`` through one of the derived systems.
-
-    ``INFINITE_SEQUENCE`` iterates the sequence-domain map and projects the
-    state.  ``KCF_COMPOSITION`` composes the constant-input maps in input
-    order.  ``AUGMENTED_STEPWISE`` applies the augmented map one step at a
-    time, re-seeding the frozen input coordinate before every step.
-    """
-    if k < 0:
-        raise ValueError("horizon must be nonnegative")
-    method = RecoveryMethod(method)
-    coerce = sys.states.coerce if isinstance(sys.states, RealBox) else (lambda v: v)
-    if method is RecoveryMethod.INFINITE_SEQUENCE:
-        tmap = InfiniteSequenceMap(sys)
-        point = (coerce(x0), seq)
-        out = [point[0]]
-        for _ in range(k):
-            point = tmap(point)
-            out.append(point[0])
-        return out
-    if method is RecoveryMethod.KCF_COMPOSITION:
-        out = [coerce(x0)]
-        for j in range(k):
-            out.append(ConstantInputMap(sys, seq.at(j))(out[-1]))
-        return out
-    tmap = AugmentedMap(sys)
-    out = [coerce(x0)]
-    for j in range(k):
-        out.append(tmap((out[-1], seq.at(j)))[0])
-    return out
 
 
 def random_sequence(

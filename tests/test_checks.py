@@ -238,22 +238,34 @@ def test_c18_reports_what_the_reformulation_loop_reports(make, plan):
 
 
 def _broken_isomorphisms(which):
-    """``ci_isomorphisms`` with one map that moves the state: the extension
+    """``ci_isomorphisms`` with one map that moves the state.  The extension
     to pairs steps it, or the restriction from sequences steps it and keeps
-    the input as the constant sequence."""
+    the input as the constant sequence; both break both halves of C3.  The
+    extension to sequences steps it with the head input, which only the
+    extension half sees; the restriction from sequences stepping it under
+    every input but the stamp input ``u0`` is seen only by the restriction
+    half."""
 
     def broken(sys):
-        iso = ci_isomorphisms(sys)
-        if which == "extension":
-            op = replace(iso.extend_state_to_aug, precompose=lambda p: step(sys, p[0], p[1]))
-            return replace(iso, extend_state_to_aug=op)
-        pre = lambda p: (step(sys, p[0], p[1]), InputSequence.constant(p[1]))
-        return replace(iso, restrict_seq_to_aug=replace(iso.restrict_seq_to_aug, precompose=pre))
+        iso, u0 = ci_isomorphisms(sys), sys.inputs.labels[0]
+        const = InputSequence.constant
+        pre = {
+            "extension": lambda p: step(sys, p[0], p[1]),
+            "restriction": lambda p: (step(sys, p[0], p[1]), const(p[1])),
+            "sequence extension": lambda p: (step(sys, p[0], p[1].at(0)), p[1].at(0)),
+            "restriction off u0": lambda p: (p[0] if p[1] == u0 else step(sys, *p), const(p[1])),
+        }[which]
+        field = {"extension": "extend_state_to_aug", "sequence extension": "extend_aug_to_seq"}.get(
+            which, "restrict_seq_to_aug"
+        )
+        return replace(iso, **{field: replace(getattr(iso, field), precompose=pre)})
 
     return broken
 
 
-@pytest.mark.parametrize("which", ["extension", "restriction"])
+@pytest.mark.parametrize(
+    "which", ["extension", "restriction", "sequence extension", "restriction off u0"]
+)
 @pytest.mark.parametrize(
     "name, plan",
     [("finite3", exact_plan(seed=7)), ("scalarlinear", sampled_plan(7, n_points=200, n_functions=10))],
@@ -294,7 +306,7 @@ def test_a_group_checks_every_products_contract_before_any_transition(f3):
     assert calls["n"] == 0
 
 
-_TRAJECTORY_OPS = {"sim", "word", "K_inf^k"}
+_TRAJECTORY_OPS = {"sim", "word", "K_inf^k", "path", "path_inf", "path_kcf", "path_aug"}
 
 
 def _legs() -> list:
@@ -334,7 +346,8 @@ def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
     one reads, with the same certification stamp, and raises ContractError
     exactly when the one-by-one application does.  The empty chain is the
     identity on its leg's other side's source domain and reads the subject
-    itself."""
+    itself.  The subjects include those C3 reads: lifted state functions on
+    sequence points and restricted sequence-blind functions on pairs."""
     sys = builtin_system(name)
     plan = sampled_plan(seed=7, n_points=40)
     rng = np.random.default_rng(7)
@@ -345,11 +358,16 @@ def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
     }
     iso = ci_isomorphisms(sys)
     state_basis = checks._state_basis(sys)
+    lifted = [apply(iso.extend_state_to_aug, f) for f in state_basis]
+    ci_seq = checks._ci_seq_direct(sys)
     subjects = {
         DomainTag.STATE_ONLY: state_basis,
         DomainTag.STATE_INPUT: checks._aug_basis(sys)
-        + [apply(iso.extend_state_to_aug, f) for f in state_basis],
-        DomainTag.STATE_SEQUENCE: checks._seq_basis(sys) + checks._ci_seq_direct(sys),
+        + lifted
+        + [apply(iso.restrict_seq_to_aug, h) for h in ci_seq],
+        DomainTag.STATE_SEQUENCE: checks._seq_basis(sys)
+        + ci_seq
+        + [apply(iso.extend_aug_to_seq, g) for g in lifted],
     }
     labels = sys.inputs.labels
     chains, checked, refused = _operator_chains(), set(), set()
@@ -380,6 +398,7 @@ def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
                     assert product(p) == stepwise(p), (chain, g.label, p)
                 checked.add(chain)
     assert checked == chains
+    assert {"E_ci_seq E_ci R_ci R_ci_seq", "E_ci R_ci"} <= checked  # C3's two halves
     assert refused  # the uncertified subjects meet the contract
 
 
@@ -387,7 +406,7 @@ def _bits(v):
     """A comparable form of a state or point that tells arrays apart bit for bit."""
     if isinstance(v, tuple):
         return tuple(_bits(c) for c in v)
-    return v.tobytes() if isinstance(v, np.ndarray) else v
+    return (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
 
 
 @pytest.mark.parametrize("name", ["finite3", "scalarlinear"])
@@ -396,11 +415,16 @@ def test_trajectory_chains_match_the_simulator_formulas(name):
     trajectory point ``(x0, seq, k)`` to the point the direct formula gives,
     every subject passes its ``apply`` checks and reads the same value
     there, bit for bit: ``simulate``, ``kcf_word`` on the first ``k``
-    inputs and ``power(K_inf, k)``."""
+    inputs and ``power(K_inf, k)``.  Every path operator maps a trajectory
+    point to the states ``simulate`` visits, stacked on boxes."""
     sys = builtin_system(name)
     plan = exact_plan(seed=7) if name == "finite3" else sampled_plan(seed=7, n_points=40)
     rng = np.random.default_rng(7)
     points = checks._DRAWS["t"](sys, plan, rng) + checks._DRAWS["tw"](sys, plan, rng)
+    if name == "finite3":  # a start label and a plain float start, six steps each
+        points.append(checks._Trajectory(2, InputSequence(("b",), ("a", "b")), 6))
+    else:
+        points.append(checks._Trajectory(0.77, InputSequence(("a",), ("b", "a")), 6))
     state_funcs = checks._state_basis(sys) + checks._functions(sys, plan, rng, checks._state_basis(sys))
     ci_seq = checks._ci_seq_direct(sys)
     iso, kin = ci_isomorphisms(sys), k_inf(sys)
@@ -408,6 +432,8 @@ def test_trajectory_chains_match_the_simulator_formulas(name):
     x_k = lambda t: simulate(sys, t.x0, t.seq, t.k)[-1]
     x_word = lambda t: kcf_word(sys, [t.seq.at(j) for j in range(t.k)]).precompose(t.x0)
     p_k = lambda t: power(kin, t.k).precompose((t.x0, t.seq))
+    stack = np.array if name == "scalarlinear" else tuple
+    path = lambda t: stack(simulate(sys, t.x0, t.seq, t.k))
     formulas = {  # chain: (direct point, subjects, direct value of subject g)
         "sim": (x_k, state_funcs, lambda g, t: g(x_k(t))),
         "word": (x_word, state_funcs, lambda g, t: g(x_word(t))),
@@ -418,6 +444,7 @@ def test_trajectory_chains_match_the_simulator_formulas(name):
             lambda g, t: state_component(g)(x_k(t)),
         ),
         "K_inf^k": (p_k, ci_seq, lambda g, t: g(p_k(t))),
+        **{chain: (path, [], None) for chain in ("path", "path_inf", "path_kcf", "path_aug")},
     }
     assert set(formulas) == _leg_chains() - _operator_chains()
     named = checks._named(sys, {})

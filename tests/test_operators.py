@@ -12,7 +12,6 @@ from koopcontrol import (
     apply,
     ci_isomorphisms,
     compose,
-    export_matrix_csv,
     extension_aug_to_inf,
     extension_f_to_aug,
     identity_operator,
@@ -264,15 +263,6 @@ def test_matrix_of_augmented_operator_shape(f3):
     mat = to_matrix(k_aug(f3), f3)
     assert mat.entries.shape == (6, 6)
     assert np.array_equal(mat.entries.sum(axis=1), np.ones(6))
-
-
-def test_matrix_export_csv(tmp_path, f3):
-    mat = to_matrix(k_u(f3, "a"), f3)
-    path = tmp_path / "ka.csv"
-    export_matrix_csv(mat, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 4  # header + three rows
-    assert lines[0].count(",") == 3
 
 
 # --- well-definedness and two-step failure ---------------------------------

@@ -12,11 +12,9 @@ from koopcontrol import (
     InputSequence,
     InputSet,
     RealBox,
-    RecoveryMethod,
     random_sequence,
     random_state,
     range_map,
-    recover_trajectory,
     shift,
     simulate,
     state_distance,
@@ -238,23 +236,6 @@ def test_derived_maps(f3):
 def test_constant_input_map_rejects_unknown_label(f3):
     with pytest.raises(DomainError):
         ConstantInputMap(f3, "z")
-
-
-@pytest.mark.parametrize("method", list(RecoveryMethod))
-def test_recovery_matches_simulate_on_finite(f3, method):
-    seq = InputSequence(("b",), ("a", "b"))
-    truth = simulate(f3, 2, seq, 6)
-    assert recover_trajectory(f3, 2, seq, 6, method) == truth
-
-
-@pytest.mark.parametrize("method", list(RecoveryMethod))
-def test_recovery_matches_simulate_on_box(sl, method):
-    seq = InputSequence(("a",), ("b", "a"))
-    truth = simulate(sl, 0.77, seq, 6)
-    got = recover_trajectory(sl, 0.77, seq, 6, method)
-    assert len(got) == len(truth)
-    for a, b in zip(truth, got):
-        assert np.allclose(a, b, atol=1e-15)
 
 
 def test_random_sequence_respects_bounds():
