@@ -1,3 +1,5 @@
+from enum import Enum
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,7 @@ from koopcontrol import (
     states_equal,
     step,
 )
+from koopcontrol.checks import _Trajectory, _named
 
 # Hand-computed transition table for the finite3 system.
 FINITE3_TABLE = {
@@ -236,6 +239,33 @@ def test_derived_maps(f3):
 def test_constant_input_map_rejects_unknown_label(f3):
     with pytest.raises(DomainError):
         ConstantInputMap(f3, "z")
+
+
+class RecoveryMethod(Enum):
+    """The three reformulations that rebuild a trajectory, by the check
+    registry's path operator that iterates each one's point map."""
+
+    INFINITE_SEQUENCE = "path_inf"
+    KCF_COMPOSITION = "path_kcf"
+    AUGMENTED_STEPWISE = "path_aug"
+
+
+@pytest.mark.parametrize("method", list(RecoveryMethod))
+def test_recovery_matches_simulate_on_finite(f3, method):
+    seq = InputSequence(("b",), ("a", "b"))
+    truth = simulate(f3, 2, seq, 6)
+    got = _named(f3, {})[method.value].precompose(_Trajectory(2, seq, 6))
+    assert got == tuple(truth)
+
+
+@pytest.mark.parametrize("method", list(RecoveryMethod))
+def test_recovery_matches_simulate_on_box(sl, method):
+    seq = InputSequence(("a",), ("b", "a"))
+    truth = simulate(sl, 0.77, seq, 6)
+    got = _named(sl, {})[method.value].precompose(_Trajectory(0.77, seq, 6))
+    assert len(got) == len(truth)
+    for a, b in zip(truth, got):
+        assert np.allclose(a, b, atol=1e-15)
 
 
 def test_random_sequence_respects_bounds():
