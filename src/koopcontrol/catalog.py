@@ -54,6 +54,7 @@ def scalarlinear(lambdas=None) -> ControlSystem:
         InputSet(tuple(lambdas)),
         transition,
         name="scalarlinear",
+        transition_batch=transition,  # elementwise, so it steps stacked states too
     )
 
 
@@ -72,6 +73,7 @@ def logistic_with_offset(r: float = 2.5, offsets=(0.0, 0.05)) -> ControlSystem:
         InputSet(tuple(float(o) for o in offsets)),
         transition,
         name="logistic-with-offset",
+        transition_batch=transition,
     )
 
 

@@ -19,7 +19,10 @@ trajectory point ``(x0, seq, k)``.  Only C16 and C19 have runners.  The table
 maps each point with each distinct product of a group once, reads each
 function over a product's whole list of mapped points in one batch (see
 :func:`~koopcontrol.observables.evaluate`), and records the legs'
-discrepancy arrays in the order a point-by-point run would.
+discrepancy arrays in the order a point-by-point run would.  On a system
+with a ``transition_batch`` each product maps the whole point list at
+once (one batched transition per input and step); any other system is
+stepped point by point, in the order a call-counting transition sees.
 
 Results are deterministic: every check draws from a generator seeded by
 (plan seed, check index), so run order and concurrency cannot change the
@@ -32,7 +35,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -55,6 +57,7 @@ from .observables import (
 )
 from .operators import (
     CompositionOperator,
+    _mapped,
     apply,
     ci_isomorphisms,
     compose,
@@ -77,10 +80,11 @@ from .systems import (
     FiniteStates,
     InputSequence,
     RealBox,
+    _step_many,
     random_sequence,
     random_state,
-    simulate,
     state_distance,
+    step,
 )
 
 __all__ = [
@@ -417,15 +421,57 @@ _DRAWS = {
 }
 
 
-def _path_op(sys: ControlSystem, walk: Callable) -> CompositionOperator:
-    """A trajectory operator: ``(x0, seq, k)`` -> the states ``walk(x0, t)``
-    visits, one stacked ``(k + 1, d)`` array on boxes and a tuple of labels
-    on finite systems."""
-    state = DomainTag.STATE_ONLY
-    if isinstance(sys.states, RealBox):
-        box = sys.states
-        return CompositionOperator(state, state, lambda t: np.array(list(walk(box.coerce(t.x0), t))))
-    return CompositionOperator(state, state, lambda t: tuple(walk(t.x0, t)))
+def _walk_op(
+    sys: ControlSystem, one: Callable, many: Callable, on_seq=False, path=False
+) -> CompositionOperator:
+    """A trajectory operator: each trajectory point ``(x0, seq, k)`` walks
+    ``k`` steps from ``x0`` (paired with ``seq`` when ``on_seq``), step ``j``
+    moving the point ``p`` of trajectory ``t`` to ``one(p, t, j)``.  It maps
+    to the walk's last point or, with ``path``, to the states the walk
+    visits: a stacked ``(k + 1, d)`` array on boxes, a tuple of labels on
+    finite systems.  ``precompose`` walks one trajectory; ``batch`` walks a
+    list in lockstep, moving the points of the trajectories ``ts`` with
+    ``k > j`` to ``many(points, ts, j)``, which equals ``one`` point by point."""
+    box = sys.states if isinstance(sys.states, RealBox) else None
+    state = (lambda p: p[0]) if on_seq else (lambda p: p)
+
+    def start(t):
+        x = box.coerce(t.x0) if box else t.x0
+        return (x, t.seq) if on_seq else x
+
+    def precompose(t):
+        p = start(t)
+        states = [state(p)]
+        for j in range(t.k):
+            p = one(p, t, j)
+            if path:
+                states.append(state(p))
+        if not path:
+            return p
+        return np.array(states) if box else tuple(states)
+
+    def visited(pts):  # the states of one step of the lockstep walk, stacked on boxes
+        return np.array([state(p) for p in pts]) if box else [state(p) for p in pts]
+
+    def batch(ts: list) -> list:
+        pts = [start(t) for t in ts]
+        trail = [visited(pts)] if path else None
+        for j in range(max((t.k for t in ts), default=0)):
+            live = [i for i, t in enumerate(ts) if t.k > j]
+            pts = list(pts)
+            for i, p in zip(live, many([pts[i] for i in live], [ts[i] for i in live], j)):
+                pts[i] = p
+            if path:
+                trail.append(visited(pts))
+        if not path:
+            return pts
+        if box:
+            trail = np.stack(trail, axis=1)  # (n, longest k + 1, d)
+            return [trail[i, : t.k + 1] for i, t in enumerate(ts)]
+        return [tuple(states[i] for states in trail[: t.k + 1]) for i, t in enumerate(ts)]
+
+    tag = DomainTag.STATE_SEQUENCE if on_seq and not path else DomainTag.STATE_ONLY
+    return CompositionOperator(tag, tag, precompose, batch=batch)
 
 
 def _named(sys: ControlSystem, inputs: dict) -> dict:
@@ -435,10 +481,27 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
     to the states ``simulate`` visits, and ``path_inf``, ``path_kcf`` and
     ``path_aug`` to the states that iterating the point map of ``K_inf``,
     of each input's ``K_u`` or of ``K_aug`` visits.  They only stand at a
-    chain's left end, so their target, never read, is their source."""
+    chain's left end, so their target, never read, is their source.  Each
+    walk's step is ``step`` or one of these operators, for one point and
+    for a list."""
     iso, kin, kau = ci_isomorphisms(sys), k_inf(sys), k_aug(sys)
-    ku = {u: k_u(sys, u).precompose for u in sys.inputs.labels}
-    state, seq = DomainTag.STATE_ONLY, DomainTag.STATE_SEQUENCE
+    ku = {u: k_u(sys, u) for u in sys.inputs.labels}
+    heads = lambda ts, j: [t.seq.at(j) for t in ts]
+
+    def kcf(xs, ts, j):  # each state through the K_u of its input
+        out, us = list(xs), heads(ts, j)
+        for u, op in ku.items():
+            idx = [i for i, v in enumerate(us) if v == u]
+            for i, y in zip(idx, _mapped(op, [xs[i] for i in idx])):
+                out[i] = y
+        return out
+
+    simulated = (lambda x, t, j: step(sys, x, t.seq.at(j)),
+                 lambda xs, ts, j: _step_many(sys, xs, heads(ts, j)))
+    composed = (lambda x, t, j: ku[t.seq.at(j)].precompose(x), kcf)
+    augmented = (lambda x, t, j: kau.precompose((x, t.seq.at(j)))[0],
+                 lambda xs, ts, j: [p[0] for p in _mapped(kau, list(zip(xs, heads(ts, j))))])
+    sequenced = (lambda p, t, j: kin.precompose(p), lambda ps, ts, j: _mapped(kin, ps))
     named = {
         "R": restriction_inf_to_aug(),
         "E": extension_aug_to_inf(),
@@ -449,15 +512,13 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
         "R_ci": iso.restrict_aug_to_state,
         "E_ci_seq": iso.extend_aug_to_seq,
         "R_ci_seq": iso.restrict_seq_to_aug,
-        "sim": CompositionOperator(state, state, lambda t: simulate(sys, t.x0, t.seq, t.k)[-1]),
-        "word": CompositionOperator(state, state, lambda t: kcf_word(sys, t.word).precompose(t.x0)),
-        "K_inf^k": CompositionOperator(seq, seq, lambda t: power(kin, t.k).precompose((t.x0, t.seq))),
-        "path": _path_op(sys, lambda x0, t: simulate(sys, x0, t.seq, t.k)),
-        "path_inf": _path_op(sys, lambda x0, t: (q[0] for q in accumulate(
-            range(t.k), lambda q, _: kin.precompose(q), initial=(x0, t.seq)))),
-        "path_kcf": _path_op(sys, lambda x0, t: accumulate(t.word, lambda x, u: ku[u](x), initial=x0)),
-        "path_aug": _path_op(sys, lambda x0, t: accumulate(
-            t.word, lambda x, u: kau.precompose((x, u))[0], initial=x0)),
+        "sim": _walk_op(sys, *simulated),
+        "word": _walk_op(sys, *composed),
+        "K_inf^k": _walk_op(sys, *sequenced, on_seq=True),
+        "path": _walk_op(sys, *simulated, path=True),
+        "path_inf": _walk_op(sys, *sequenced, on_seq=True, path=True),
+        "path_kcf": _walk_op(sys, *composed, path=True),
+        "path_aug": _walk_op(sys, *augmented, path=True),
     }
     for key, u in inputs.items():
         named[f"R_{key}"] = restriction_aug_to_f(u, sys)
@@ -524,8 +585,11 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
             for op in products:
                 apply(op, g)
     legs = [(text, chains.index(a), chains.index(b)) for text, a, b in group.legs]
-    mapped = [[op.precompose(p) for op in products] for p in points]
-    cols = [[at[c] for at in mapped] for c in range(len(chains))]
+    if sys.transition_batch is None:  # point by point, in the order a call-counting system sees
+        mapped = [[op.precompose(p) for op in products] for p in points]
+        cols = [[at[c] for at in mapped] for c in range(len(chains))]
+    else:
+        cols = [_mapped(op, points) for op in products]
     n, n_legs = len(points), len(legs)
     if not group.funcs:
         errs = np.column_stack([_gaps(sys.states, cols[a], cols[b]) for _, a, b in legs])

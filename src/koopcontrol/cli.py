@@ -27,6 +27,7 @@ toleranced prediction failed, 2 on bad config or usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys as _sys
@@ -342,11 +343,8 @@ def cmd_demo_naive(args) -> int:
         report2 = input_aug_well_definedness(sys_, blind)
         print(f"  input-blind probes cannot tell: {report2.reason.value}")
         if len(sys_.inputs.labels) > 1:
-            single = ControlSystem(
-                sys_.states,
-                InputSet((u0,)),
-                sys_.transition,
-                name=f"{sys_.name}-single-input",
+            single = dataclasses.replace(
+                sys_, inputs=InputSet((u0,)), name=f"{sys_.name}-single-input"
             )
             report3 = input_aug_well_definedness(single, probes[:1])
             print(f"  with only one input the question is moot: {report3.reason.value}")

@@ -40,9 +40,9 @@ from .systems import (
     FiniteStates,
     InputSequence,
     RealBox,
+    _step_many,
     random_state,
     simulate,
-    step,
 )
 
 __all__ = [
@@ -210,16 +210,12 @@ def collect_data(sys: ControlSystem, sampler, per_input: bool = True) -> Trainin
         raise ValueError(f"unknown sampler: {sampler!r}")
 
     ulabels = sys.inputs.labels
-    triples = []
     if per_input:
-        for x in xs:
-            for u in ulabels:
-                triples.append((x, u, step(sys, x, u)))
+        pairs = [(x, u) for x in xs for u in ulabels]
     else:
-        for j, x in enumerate(xs):
-            u = ulabels[j % len(ulabels)]
-            triples.append((x, u, step(sys, x, u)))
-    return TrainingSet(tuple(triples), input_labels=ulabels)
+        pairs = [(x, ulabels[j % len(ulabels)]) for j, x in enumerate(xs)]
+    ys = _step_many(sys, [x for x, _ in pairs], [u for _, u in pairs])
+    return TrainingSet(tuple((x, u, y) for (x, u), y in zip(pairs, ys)), input_labels=ulabels)
 
 
 def _solve_ls(phi0: np.ndarray, phi1: np.ndarray) -> tuple:

@@ -29,6 +29,7 @@ from .systems import (
     ControlSystem,
     FiniteStates,
     InputSequence,
+    _stacked,
     random_sequence,
     random_state,
 )
@@ -149,15 +150,6 @@ def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         d = a - b
         return np.hypot(d.real, d.imag)
-
-
-def _stacked(points: list) -> Optional[np.ndarray]:
-    """Numeric states as an ``(n, d)`` float array, or ``None`` when they
-    do not stack (then the per-point path raises the precise error)."""
-    try:
-        return np.asarray(points, dtype=float).reshape(len(points), -1)
-    except (TypeError, ValueError):
-        return None
 
 
 def linear_combine(coeffs, observables) -> Observable:

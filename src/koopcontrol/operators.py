@@ -26,8 +26,10 @@ from .systems import (
     FiniteStates,
     InfiniteSequenceMap,
     InputSequence,
+    _step_many,
     random_state,
     range_map,
+    shift,
     states_equal,
     step,
 )
@@ -68,6 +70,9 @@ class CompositionOperator:
     points.  ``requires_ci`` marks operators whose contract only covers
     certified control-independent inputs; ``ci_stamp`` is the witness
     stamped onto results that are control-independent by construction.
+
+    ``batch``, if given, maps a list of points at once:
+    ``batch(points)[i]`` equals ``precompose(points[i])`` bit for bit.
     """
 
     source: DomainTag
@@ -76,6 +81,12 @@ class CompositionOperator:
     label: str = ""
     ci_stamp: object = None
     requires_ci: bool = False
+    batch: Optional[Callable] = None
+
+
+def _mapped(op: CompositionOperator, points: list) -> list:
+    """``op.precompose`` of every point, through ``op.batch`` if it has one."""
+    return [op.precompose(p) for p in points] if op.batch is None else op.batch(points)
 
 
 def apply(op: CompositionOperator, f: Observable) -> Observable:
@@ -102,7 +113,7 @@ def apply(op: CompositionOperator, f: Observable) -> Observable:
         lambda p: inner(pre(p)),
         label=f"{op.label}[{f.label}]" if op.label else f.label,
         ci_input=op.ci_stamp,
-        batch=lambda ps: _values(f, [pre(p) for p in ps]),
+        batch=lambda ps: _values(f, _mapped(op, ps)),
     )
 
 
@@ -126,6 +137,7 @@ def compose(op1: CompositionOperator, op2: CompositionOperator) -> CompositionOp
             f"observable, and {op2.label or 'op2'} certifies none"
         )
     pre1, pre2 = op1.precompose, op2.precompose
+    batched = op1.batch is not None or op2.batch is not None
     return CompositionOperator(
         op2.source,
         op1.target,
@@ -133,6 +145,7 @@ def compose(op1: CompositionOperator, op2: CompositionOperator) -> CompositionOp
         label=f"{op1.label} o {op2.label}".strip(),
         ci_stamp=op1.ci_stamp,
         requires_ci=op2.requires_ci,
+        batch=(lambda ps: _mapped(op2, _mapped(op1, ps))) if batched else None,
     )
 
 
@@ -143,21 +156,32 @@ def identity_operator(domain: DomainTag) -> CompositionOperator:
 def k_u(sys: ControlSystem, u_star) -> CompositionOperator:
     """Koopman operator of the constant-input system at ``u_star``."""
     domain = DomainTag.STATE_ONLY
+    batch = lambda xs: _step_many(sys, xs, [u_star] * len(xs))
     return CompositionOperator(
-        domain, domain, ConstantInputMap(sys, u_star), label=f"K[{u_star}]"
+        domain, domain, ConstantInputMap(sys, u_star), label=f"K[{u_star}]", batch=batch
     )
 
 
 def k_aug(sys: ControlSystem) -> CompositionOperator:
     """Koopman operator of the augmented (input-frozen) system."""
     domain = DomainTag.STATE_INPUT
-    return CompositionOperator(domain, domain, AugmentedMap(sys), label="K_aug")
+
+    def batch(ps):
+        us = [u for _, u in ps]
+        return list(zip(_step_many(sys, [x for x, _ in ps], us), us))
+
+    return CompositionOperator(domain, domain, AugmentedMap(sys), label="K_aug", batch=batch)
 
 
 def k_inf(sys: ControlSystem) -> CompositionOperator:
     """Koopman operator of the infinite-sequence system."""
     domain = DomainTag.STATE_SEQUENCE
-    return CompositionOperator(domain, domain, InfiniteSequenceMap(sys), label="K_inf")
+
+    def batch(ps):
+        seqs = [s for _, s in ps]
+        return list(zip(_step_many(sys, [x for x, _ in ps], [s.at(0) for s in seqs]), map(shift, seqs)))
+
+    return CompositionOperator(domain, domain, InfiniteSequenceMap(sys), label="K_inf", batch=batch)
 
 
 def k_naive(sys: ControlSystem) -> CompositionOperator:

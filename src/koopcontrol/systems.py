@@ -17,7 +17,7 @@ behavior reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -137,12 +137,18 @@ class InputSet:
 
 @dataclass(frozen=True)
 class ControlSystem:
-    """A total deterministic transition map over declared state and input sets."""
+    """A total deterministic transition map over declared state and input sets.
+
+    ``transition_batch``, if given, steps stacked box states at once: row
+    ``i`` of ``transition_batch(X, u)`` equals ``transition(X[i], u)`` bit
+    for bit.  Declaring it promises that the transition is a function.
+    """
 
     states: StateSpace
     inputs: InputSet
     transition: Callable
     name: str = ""
+    transition_batch: Optional[Callable] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,6 +261,41 @@ def step(sys: ControlSystem, x, u):
     if not box._inside(y):
         raise DomainError(f"transition output {y!r} outside the declared box")
     return y
+
+
+def _stacked(points: list) -> Optional[np.ndarray]:
+    """Numeric states as an ``(n, d)`` float array, or ``None`` when they
+    do not stack (then the per-point path raises the precise error)."""
+    try:
+        return np.asarray(points, dtype=float).reshape(len(points), -1)
+    except (TypeError, ValueError):
+        return None
+
+
+def _step_many(sys: ControlSystem, xs: list, us: list) -> list:
+    """``[step(sys, x, u) for x, u in zip(xs, us)]`` bit for bit, raising
+    what that loop raises first.  A box system with a ``transition_batch``
+    has all labels, states and outputs checked at once (with ``_inside``'s
+    bounds) and one batch call per input label; other systems, or states
+    that do not stack to ``(n, d)``, run the loop."""
+    box = sys.states
+    arr = _stacked(xs) if sys.transition_batch is not None and isinstance(box, RealBox) else None
+    if arr is None or arr.shape[1] != box.dimension:
+        return [step(sys, x, u) for x, u in zip(xs, us)]
+    lo, hi = np.array(box._slack_bounds).T
+    inside = lambda a: ((a >= lo) & (a <= hi)).all(axis=1)  # NaN is outside
+    ok = inside(arr) & np.array([sys.inputs.contains(u) for u in us], dtype=bool)
+    n = len(xs) if ok.all() else int(np.argmin(ok))  # the points before the first bad one
+    ys = np.empty((n, box.dimension))
+    for u in dict.fromkeys(us[:n]):
+        idx = [i for i in range(n) if us[i] == u]
+        y = sys.transition_batch(arr[idx], u)
+        ys[idx] = np.asarray(y, dtype=float).reshape(len(idx), box.dimension)
+    if not inside(ys).all():
+        raise DomainError(f"transition output {ys[np.argmin(inside(ys))]!r} outside the declared box")
+    if n < len(xs):
+        step(sys, xs[n], us[n])  # raises the loop's error before any transition call
+    return list(ys)
 
 
 def simulate(sys: ControlSystem, x0, seq: InputSequence, k: int) -> list:

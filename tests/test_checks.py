@@ -277,6 +277,35 @@ def test_c3_fails_when_an_isomorphism_moves_the_state(monkeypatch, which, name, 
     assert result.counterexample
 
 
+def _planar():
+    """``x -> A(u) x`` on [-1, 1]^2, written entry by entry over the last
+    axis: one function steps one state or stacked states with the same
+    bits, which a BLAS matrix product does not promise."""
+    gains = {"a": ((0.5, 0.3), (-0.2, 0.6)), "b": ((0.0, -0.9), (0.9, 0.0))}
+
+    def transition(x, u):
+        (a, b), (c, d) = gains[u]
+        x0, x1 = x[..., 0], x[..., 1]
+        return np.stack([a * x0 + b * x1, c * x0 + d * x1], axis=-1)
+
+    box = RealBox((-1.0, -1.0), (1.0, 1.0))
+    return ControlSystem(box, InputSet(tuple(gains)), transition, name="planar", transition_batch=transition)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize(
+    "make", [lambda: builtin_system("scalarlinear"), lambda: builtin_system("logistic-with-offset"), _planar],
+    ids=["scalarlinear", "logistic-with-offset", "planar"],
+)
+def test_batched_engine_reports_what_the_point_by_point_engine_reports(make, seed):
+    """A system with ``transition_batch`` steps whole point lists; without
+    it, the same system is stepped point by point, which is the reference."""
+    sys, plan = make(), sampled_plan(seed, n_points=200, n_functions=10)
+    assert sys.transition_batch is not None
+    batched = results_to_json(run_all(sys, plan).results)
+    assert batched == results_to_json(run_all(replace(sys, transition_batch=None), plan).results)
+
+
 def _counting(sys):
     calls = {"n": 0}
 
@@ -294,6 +323,25 @@ def test_exact_run_steps_each_leg_once_per_point(f3):
     counted, calls = _counting(f3)
     run_all(counted, exact_plan(seed=7))
     assert calls["n"] == 7072
+
+
+@pytest.mark.parametrize("name", ["scalarlinear", "logistic-with-offset"])
+def test_batched_box_run_steps_as_many_transitions_as_the_point_by_point_run(name):
+    """A full acceptance-plan run on a box steps 71,757 transitions point by
+    point; with ``transition_batch`` the same transitions, counted as
+    per-point calls plus batch rows, go through at most 200 batch calls."""
+    base = builtin_system(name)
+    counted, calls = _counting(base)
+    rows = {"calls": 0, "rows": 0}
+
+    def transition_batch(X, u):
+        rows["calls"] += 1
+        rows["rows"] += len(X)
+        return base.transition_batch(X, u)
+
+    run_all(replace(counted, transition_batch=transition_batch), sampled_plan(7))
+    assert calls["n"] + rows["rows"] == 71757
+    assert rows["calls"] <= 200
 
 
 def test_a_group_checks_every_products_contract_before_any_transition(f3):
@@ -339,7 +387,7 @@ def _product_or_error(named: dict, chain: str, g):
         return exc
 
 
-@pytest.mark.parametrize("name", ["finite3", "scalarlinear"])
+@pytest.mark.parametrize("name", ["finite3", "scalarlinear", "logistic-with-offset"])
 def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
     """For every operator-only chain in the registry's legs, ``apply`` of
     its ``compose`` product reads exactly what applying its operators one by
@@ -347,7 +395,9 @@ def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
     exactly when the one-by-one application does.  The empty chain is the
     identity on its leg's other side's source domain and reads the subject
     itself.  The subjects include those C3 reads: lifted state functions on
-    sequence points and restricted sequence-blind functions on pairs."""
+    sequence points and restricted sequence-blind functions on pairs.  Each
+    product maps a whole point list as it maps the points one by one, and
+    has a ``batch`` when it steps the system."""
     sys = builtin_system(name)
     plan = sampled_plan(seed=7, n_points=40)
     rng = np.random.default_rng(7)
@@ -397,34 +447,45 @@ def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
                 for p in points[ops[0].target]:
                     assert product(p) == stepwise(p), (chain, g.label, p)
                 checked.add(chain)
+            if chain in checked:
+                (op,) = checks._products(named, [chain])
+                steps = any(n.startswith("K_") for n in chain.split())
+                assert (op.batch is not None) == steps, chain
+                if steps:
+                    ps = points[op.target]
+                    assert _bits(op.batch(ps)) == _bits([op.precompose(p) for p in ps]), chain
     assert checked == chains
     assert {"E_ci_seq E_ci R_ci R_ci_seq", "E_ci R_ci"} <= checked  # C3's two halves
     assert refused  # the uncertified subjects meet the contract
 
 
 def _bits(v):
-    """A comparable form of a state or point that tells arrays apart bit for bit."""
-    if isinstance(v, tuple):
+    """A comparable form of a state, point or point list that tells arrays
+    apart bit for bit."""
+    if isinstance(v, (tuple, list)):
         return tuple(_bits(c) for c in v)
     return (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
 
 
-@pytest.mark.parametrize("name", ["finite3", "scalarlinear"])
+@pytest.mark.parametrize("name", ["finite3", "scalarlinear", "logistic-with-offset"])
 def test_trajectory_chains_match_the_simulator_formulas(name):
     """Every trajectory chain's product in the registry's legs maps each
     trajectory point ``(x0, seq, k)`` to the point the direct formula gives,
     every subject passes its ``apply`` checks and reads the same value
     there, bit for bit: ``simulate``, ``kcf_word`` on the first ``k``
     inputs and ``power(K_inf, k)``.  Every path operator maps a trajectory
-    point to the states ``simulate`` visits, stacked on boxes."""
+    point to the states ``simulate`` visits, stacked on boxes.  Each
+    trajectory operator's ``batch`` maps the whole point list as its
+    ``precompose`` maps the points one by one."""
     sys = builtin_system(name)
     plan = exact_plan(seed=7) if name == "finite3" else sampled_plan(seed=7, n_points=40)
     rng = np.random.default_rng(7)
     points = checks._DRAWS["t"](sys, plan, rng) + checks._DRAWS["tw"](sys, plan, rng)
+    labels = sys.inputs.labels
     if name == "finite3":  # a start label and a plain float start, six steps each
         points.append(checks._Trajectory(2, InputSequence(("b",), ("a", "b")), 6))
     else:
-        points.append(checks._Trajectory(0.77, InputSequence(("a",), ("b", "a")), 6))
+        points.append(checks._Trajectory(0.77, InputSequence(labels[:1], labels[::-1]), 6))
     state_funcs = checks._state_basis(sys) + checks._functions(sys, plan, rng, checks._state_basis(sys))
     ci_seq = checks._ci_seq_direct(sys)
     iso, kin = ci_isomorphisms(sys), k_inf(sys)
@@ -432,7 +493,7 @@ def test_trajectory_chains_match_the_simulator_formulas(name):
     x_k = lambda t: simulate(sys, t.x0, t.seq, t.k)[-1]
     x_word = lambda t: kcf_word(sys, [t.seq.at(j) for j in range(t.k)]).precompose(t.x0)
     p_k = lambda t: power(kin, t.k).precompose((t.x0, t.seq))
-    stack = np.array if name == "scalarlinear" else tuple
+    stack = tuple if name == "finite3" else np.array
     path = lambda t: stack(simulate(sys, t.x0, t.seq, t.k))
     formulas = {  # chain: (direct point, subjects, direct value of subject g)
         "sim": (x_k, state_funcs, lambda g, t: g(x_k(t))),
@@ -448,6 +509,8 @@ def test_trajectory_chains_match_the_simulator_formulas(name):
     }
     assert set(formulas) == _leg_chains() - _operator_chains()
     named = checks._named(sys, {})
+    for op in _TRAJECTORY_OPS:
+        assert _bits(named[op].batch(points)) == _bits([named[op].precompose(t) for t in points]), op
     for chain, (direct, subjects, value) in formulas.items():
         (product,) = checks._products(named, [chain])
         for g in subjects:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from koopcontrol import (
     TrainingSet,
     UniformRandom,
     apply,
+    builtin_system,
     collect_data,
     dictionary_for,
     export_model_json,
@@ -172,6 +175,17 @@ def test_collect_data_grid(sl):
 def test_collect_data_cycles_inputs_when_not_per_input(sl):
     data = collect_data(sl, UniformRandom(6, seed=0), per_input=False)
     assert [u for _, u, _ in data.triples] == ["a", "b", "a", "b", "a", "b"]
+
+
+@pytest.mark.parametrize("per_input", [True, False])
+@pytest.mark.parametrize("name", ["scalarlinear", "logistic-with-offset"])
+def test_collect_data_gives_the_same_triples_without_transition_batch(name, per_input):
+    sys = builtin_system(name)
+    assert sys.transition_batch is not None
+    bits = lambda data: [(x.tobytes(), u, y.shape, y.tobytes()) for x, u, y in data.triples]
+    batched = collect_data(sys, UniformRandom(300, seed=5), per_input=per_input)
+    looped = collect_data(replace(sys, transition_batch=None), UniformRandom(300, seed=5), per_input=per_input)
+    assert bits(batched) == bits(looped)
 
 
 def test_fit_recovers_scalarlinear_diagonals(sl):

@@ -2,7 +2,7 @@ from enum import Enum
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from koopcontrol import (
     AugmentedMap,
@@ -14,6 +14,8 @@ from koopcontrol import (
     InputSequence,
     InputSet,
     RealBox,
+    builtin_system,
+    logistic_with_offset,
     random_sequence,
     random_state,
     range_map,
@@ -24,6 +26,7 @@ from koopcontrol import (
     step,
 )
 from koopcontrol.checks import _Trajectory, _named
+from koopcontrol.systems import _step_many
 
 # Hand-computed transition table for the finite3 system.
 FINITE3_TABLE = {
@@ -221,6 +224,56 @@ def test_equality_implies_pointwise_agreement(s1, s2):
     horizon = len(s1.prefix) + len(s2.prefix) + len(s1.period) * len(s2.period)
     agree = all(s1.at(k) == s2.at(k) for k in range(horizon))
     assert (s1 == s2) == agree
+
+
+def _bits(y):
+    return y.shape, y.dtype, y.tobytes()
+
+
+# A state in [lo, hi]: either endpoint, or a uniform fraction of the way.
+_fractions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=25)
+@given(st.sampled_from(["scalarlinear", "logistic-with-offset"]),
+       st.lists(st.tuples(_fractions, st.integers(0, 1)), min_size=1, max_size=40))
+def test_step_many_equals_the_step_loop_bit_for_bit(name, draws):
+    sys = builtin_system(name)
+    (lo,), (hi,) = sys.states.lower, sys.states.upper
+    xs = [np.array([lo + f * (hi - lo)]) for f, _ in draws]
+    us = [sys.inputs.labels[i] for _, i in draws]
+    assert sys.transition_batch is not None
+    got = _step_many(sys, xs, us)
+    assert [_bits(y) for y in got] == [_bits(step(sys, x, u)) for x, u in zip(xs, us)]
+
+
+# One point of each kind the loop rejects.  logistic_with_offset(r=4.0)
+# sends x = 0.5 under offset 0.05 to 1.05, outside its box; offset 0.0
+# keeps every state of [0, 1] inside.
+_BAD = {
+    "unknown label": (0.3, "z"),
+    "state below": (-0.5, 0.0),
+    "state above": (1.5, 0.0),
+    "nan state": (float("nan"), 0.0),
+    "output outside": (0.5, 0.05),
+}
+_GOOD_OR_BAD = st.one_of(st.tuples(st.floats(0.0, 1.0), st.just(0.0)), st.sampled_from(list(_BAD.values())))
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD))
+@settings(max_examples=25)
+@given(points=st.lists(_GOOD_OR_BAD, max_size=12), at=st.integers(0, 12))
+def test_step_many_raises_what_the_step_loop_raises_first(bad, points, at):
+    """One point of kind ``bad`` at position ``at``, among good points and
+    possibly other bad ones."""
+    sys = logistic_with_offset(r=4.0)
+    points.insert(at, _BAD[bad])
+    xs, us = [np.array([x]) for x, _ in points], [u for _, u in points]
+    with pytest.raises(DomainError) as loop:
+        [step(sys, x, u) for x, u in zip(xs, us)]
+    with pytest.raises(DomainError) as batched:
+        _step_many(sys, xs, us)
+    assert str(batched.value) == str(loop.value)
 
 
 def test_range_map(f3, c2):
