@@ -84,7 +84,7 @@ def main():
     print()
     print("finite state space means every operator is a small 0-1 matrix:")
     print(f"  K_a as a matrix (rows pick successors):")
-    for row in mat.entries.real.astype(int):
+    for row in mat.real.astype(int):
         print(f"    {[int(v) for v in row]}")
 
 

@@ -12,59 +12,13 @@ which is only consistent if nothing ever depends on the second slot.
 Both failures are constructed and caught below, not just asserted.
 """
 
-from koopcontrol import (
-    DomainMismatchError,
-    apply,
-    builtin_system,
-    enumerate_points,
-    extension_f_to_aug,
-    indicator,
-    input_aug_well_definedness,
-    k_naive,
-    pair_indicator,
-    two_step_discrepancy_witness,
-    DomainTag,
-)
+from koopcontrol import cli
 
 
 def main():
-    sys = builtin_system("finite3")
-    op = k_naive(sys)
-    f = indicator(2)
-
-    print("pitfall 1: the mixed-domain operator")
-    g = apply(op, f)
-    print(f"  apply once:  {f.label} on states -> result on {g.domain.value} pairs")
-    print(f"  e.g. result(1, 'a') = {g((1, 'a')):g}  (state 1 steps to 2 under 'a')")
-    try:
-        apply(op, g)
-    except DomainMismatchError as exc:
-        print(f"  apply twice: {exc}")
-    print("  so there is no K^2, no spectrum, no operator theory to use")
-    print()
-
-    print("pitfall 2: input as a frozen extra state")
-    probes = [
-        pair_indicator(p[0], p[1])
-        for p in enumerate_points(DomainTag.STATE_INPUT, sys)
-    ]
-    report = input_aug_well_definedness(sys, probes)
-    label, x, u, u1, u2, v1, v2 = report.witness
-    print(f"  well defined? {report.well_defined} ({report.reason.value})")
-    print(f"  witness: after the step from ({x!r}, {u!r}), the probe {label}")
-    print(f"  reads {v1:g} if the next input is {u1!r} but {v2:g} if it is {u2!r}")
-    print()
-    print("  the same scan with probes that ignore the input finds nothing:")
-    blind = [apply(extension_f_to_aug(), indicator(x)) for x in sys.states.labels]
-    print(f"  -> {input_aug_well_definedness(sys, blind).reason.value}")
-    print()
-
-    print("pitfall 2b: freeze the input anyway and iterate")
-    w = two_step_discrepancy_witness(sys)
-    print(f"  one step from ({w.x!r}, {w.word[0]!r}) is fine by construction")
-    print(f"  two steps: the true word {w.word} gives {w.value_word:g},")
-    print(f"  but the frozen square replays {w.word[0]!r} and gives {w.value_power:g}")
-    print("  (probe: " + w.observable.label + ")")
+    for name in ("finite3", "collapse2"):
+        cli.main(["demo-naive", "--system", name])
+        print()
 
 
 if __name__ == "__main__":

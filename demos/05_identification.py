@@ -70,7 +70,7 @@ def main():
     fmodel, _ = fit_kcf(ind, collect_data(f3, ExhaustiveFinite()))
     print("finite system, full indicator dictionary:")
     for u in f3.inputs.labels:
-        gap = np.max(np.abs(fmodel.matrices[u] - to_matrix(k_u(f3, u), f3).entries.T))
+        gap = np.max(np.abs(fmodel.matrices[u] - to_matrix(k_u(f3, u), f3).T))
         print(f"  |A({u}) - operator-matrix^T| = {gap:g}")
     word = ("a", "b", "b")
     z = predict(fmodel, ind, 0, InputSequence(word, ("a",)), len(word))[-1]

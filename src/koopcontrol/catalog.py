@@ -125,5 +125,9 @@ def dictionary_for(sys: ControlSystem, spec: str) -> Dictionary:
             raise UnsupportedError("monomial dictionaries need a box state space")
         if not arg:
             raise DomainError("monomial dictionaries need a degree, e.g. monomial:2")
-        return monomial_dictionary(sys.states.dimension, int(arg))
+        try:
+            degree = int(arg)
+        except ValueError:
+            raise DomainError(f"dictionary spec {spec!r}: degree must be an integer, got {arg!r}") from None
+        return monomial_dictionary(sys.states.dimension, degree)
     raise DomainError(f"unknown dictionary spec {spec!r}")

@@ -288,30 +288,23 @@ def _scenario_words(sys, plan, rng) -> list:
     return out
 
 
-def _weighted(phi: Observable, xs: list, weights: list) -> np.ndarray:
-    """``phi`` at each state times its weight; ``phi`` is real-valued, as
-    every state-basis function is, so the real products are the values."""
-    return (_values(phi, xs).real * np.array(weights)).astype(complex)
-
-
-def _product_obs(phi: Observable, table: dict) -> Observable:
+def _scaled(phi: Observable, domain: DomainTag, weights: Callable, label: str, ci_input=None) -> Observable:
+    """``phi`` at each point's state times the point's weight, where
+    ``weights(points)`` lists the weights read from a point list.  ``phi``
+    is real-valued, as every state-basis function is, so the real products
+    are the values."""
     inner = phi.fn
     return Observable(
-        DomainTag.STATE_INPUT,
-        lambda p: inner(p[0]) * table[p[1]],
-        label=f"{phi.label}*w(u)",
-        batch=lambda ps: _weighted(phi, [p[0] for p in ps], [table[p[1]] for p in ps]),
+        domain,
+        lambda p: inner(p[0]) * weights([p])[0],
+        label=f"{phi.label}*{label}",
+        ci_input=ci_input,
+        batch=lambda ps: (_values(phi, [p[0] for p in ps]).real * np.array(weights(ps))).astype(complex),
     )
 
 
-def _tap_obs(phi: Observable, table: dict, k: int) -> Observable:
-    inner = phi.fn
-    return Observable(
-        DomainTag.STATE_SEQUENCE,
-        lambda p: inner(p[0]) * table[p[1].at(k)],
-        label=f"{phi.label}*w(u({k}))",
-        batch=lambda ps: _weighted(phi, [p[0] for p in ps], [table[p[1].at(k)] for p in ps]),
-    )
+def _unit_weights(points: list) -> list:
+    return [1.0] * len(points)
 
 
 def _state_basis(sys: ControlSystem) -> list:
@@ -336,10 +329,11 @@ def _aug_basis(sys: ControlSystem) -> list:
         return [pair_indicator(x, u) for x, u in enumerate_points(DomainTag.STATE_INPUT, sys)]
     table = _weight_table(sys)
     basis = [constant_one(DomainTag.STATE_INPUT)]
+    w = lambda ps: [table[p[1]] for p in ps]
     for phi in _state_basis(sys)[1:]:
-        basis.append(_product_obs(phi, table))
-        basis.append(_product_obs(phi, {u: 1.0 for u in table}))
-    basis.append(_product_obs(constant_one(DomainTag.STATE_ONLY), table))
+        basis.append(_scaled(phi, DomainTag.STATE_INPUT, w, "w(u)"))
+        basis.append(_scaled(phi, DomainTag.STATE_INPUT, _unit_weights, "w(u)"))
+    basis.append(_scaled(constant_one(DomainTag.STATE_ONLY), DomainTag.STATE_INPUT, w, "w(u)"))
     return basis
 
 
@@ -352,8 +346,9 @@ def _seq_basis(sys: ControlSystem) -> list:
     else:
         phis = phis[1:]
     for k in (0, 1, 2):
+        w = lambda ps, k=k: [table[p[1].at(k)] for p in ps]
         for phi in phis:
-            basis.append(_tap_obs(phi, table, k))
+            basis.append(_scaled(phi, DomainTag.STATE_SEQUENCE, w, f"w(u({k}))"))
     return basis
 
 
@@ -372,20 +367,8 @@ def _functions(sys, plan, rng, basis: list) -> list:
 
 def _ci_seq_direct(sys: ControlSystem) -> list:
     """Sequence-domain observables that ignore the sequence, by construction."""
-    u0 = sys.inputs.labels[0]
-    stamp = InputSequence.constant(u0)
-    out = []
-    for phi in _state_basis(sys):
-        out.append(
-            Observable(
-                DomainTag.STATE_SEQUENCE,
-                lambda p, inner=phi.fn: inner(p[0]),
-                label=f"{phi.label}*1",
-                ci_input=stamp,
-                batch=lambda ps, phi=phi: _values(phi, [p[0] for p in ps]),
-            )
-        )
-    return out
+    stamp = InputSequence.constant(sys.inputs.labels[0])
+    return [_scaled(phi, DomainTag.STATE_SEQUENCE, _unit_weights, "1", stamp) for phi in _state_basis(sys)]
 
 
 def _is_finite(sys: ControlSystem) -> bool:

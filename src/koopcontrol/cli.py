@@ -212,7 +212,11 @@ def _table_system(cfg) -> ControlSystem:
         xs, _, us = rest.partition(".")
         if not us:
             raise DomainError(f"bad key {key!r}; use step.<state>.<input> = <next>")
-        table[(_parse_label(xs), _parse_label(us))] = _parse_label(value)
+        x, u = _parse_label(xs), _parse_label(us)
+        if x not in states or u not in inputs:
+            kind = "state" if x not in states else "input"
+            raise DomainError(f"config key {key!r} names an undeclared {kind}")
+        table[(x, u)] = _parse_label(value)
     missing = [(x, u) for x in states for u in inputs if (x, u) not in table]
     if missing:
         raise DomainError(f"transition table is missing entries for {missing}")
@@ -286,6 +290,8 @@ def cmd_check(args) -> int:
     skipped = []
     if "only" in cfg:
         only = [tok.strip().upper() for tok in cfg["only"].split(",") if tok.strip()]
+        if not only:
+            raise DomainError(f"config key 'only': expected check ids, got {cfg['only']!r}")
         unknown = [cid for cid in only if cid not in check_ids()]
         if unknown:
             raise DomainError(f"unknown check ids: {', '.join(unknown)}")

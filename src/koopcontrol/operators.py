@@ -20,11 +20,8 @@ import numpy as np
 from .errors import ContractError, DomainError, DomainMismatchError, UnsupportedError
 from .observables import DomainTag, Observable, _values, coordinate, enumerate_points, indicator
 from .systems import (
-    AugmentedMap,
-    ConstantInputMap,
     ControlSystem,
     FiniteStates,
-    InfiniteSequenceMap,
     InputSequence,
     _step_many,
     random_state,
@@ -36,7 +33,6 @@ from .systems import (
 
 __all__ = [
     "CompositionOperator",
-    "MatrixOperator",
     "WellDefinednessReason",
     "WellDefinednessReport",
     "TwoStepWitness",
@@ -155,33 +151,43 @@ def identity_operator(domain: DomainTag) -> CompositionOperator:
 
 def k_u(sys: ControlSystem, u_star) -> CompositionOperator:
     """Koopman operator of the constant-input system at ``u_star``."""
+    if not sys.inputs.contains(u_star):
+        raise DomainError(f"unknown input label: {u_star!r}")
     domain = DomainTag.STATE_ONLY
+    pre = lambda x: step(sys, x, u_star)
     batch = lambda xs: _step_many(sys, xs, [u_star] * len(xs))
-    return CompositionOperator(
-        domain, domain, ConstantInputMap(sys, u_star), label=f"K[{u_star}]", batch=batch
-    )
+    return CompositionOperator(domain, domain, pre, label=f"K[{u_star}]", batch=batch)
 
 
 def k_aug(sys: ControlSystem) -> CompositionOperator:
     """Koopman operator of the augmented (input-frozen) system."""
     domain = DomainTag.STATE_INPUT
 
+    def precompose(p):
+        x, u = p
+        return (step(sys, x, u), u)
+
     def batch(ps):
         us = [u for _, u in ps]
         return list(zip(_step_many(sys, [x for x, _ in ps], us), us))
 
-    return CompositionOperator(domain, domain, AugmentedMap(sys), label="K_aug", batch=batch)
+    return CompositionOperator(domain, domain, precompose, label="K_aug", batch=batch)
 
 
 def k_inf(sys: ControlSystem) -> CompositionOperator:
-    """Koopman operator of the infinite-sequence system."""
+    """Koopman operator of the infinite-sequence system: steps with the
+    sequence's head and shifts its tail."""
     domain = DomainTag.STATE_SEQUENCE
+
+    def precompose(p):
+        x, s = p
+        return (step(sys, x, s.at(0)), shift(s))
 
     def batch(ps):
         seqs = [s for _, s in ps]
         return list(zip(_step_many(sys, [x for x, _ in ps], [s.at(0) for s in seqs]), map(shift, seqs)))
 
-    return CompositionOperator(domain, domain, InfiniteSequenceMap(sys), label="K_inf", batch=batch)
+    return CompositionOperator(domain, domain, precompose, label="K_inf", batch=batch)
 
 
 def k_naive(sys: ControlSystem) -> CompositionOperator:
@@ -326,26 +332,12 @@ def kcf_word(sys: ControlSystem, inputs) -> CompositionOperator:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixOperator:
-    """Exact matrix realization of an operator between finite domains.
+def to_matrix(op: CompositionOperator, sys: ControlSystem) -> np.ndarray:
+    """Materialize a composition operator as a 0-1 row-selection matrix.
 
     Rows follow the canonical enumeration of the target domain, columns
     that of the source domain, so that
-    ``tabulate(apply(op, f)) == entries @ tabulate(f)``.
-    """
-
-    row_domain: DomainTag
-    col_domain: DomainTag
-    row_points: tuple
-    col_points: tuple
-    entries: np.ndarray
-    label: str = ""
-
-
-def to_matrix(op: CompositionOperator, sys: ControlSystem) -> MatrixOperator:
-    """Materialize a composition operator as a 0-1 row-selection matrix.
-
+    ``tabulate(apply(op, f)) == to_matrix(op, sys) @ tabulate(f)``.
     Only operators between enumerable domains qualify; anything touching
     the sequence domain has no finite matrix and is rejected.
     """
@@ -358,7 +350,7 @@ def to_matrix(op: CompositionOperator, sys: ControlSystem) -> MatrixOperator:
         if q not in index:
             raise DomainError(f"precompose left the enumerated domain at {p!r} -> {q!r}")
         entries[i, index[q]] = 1.0
-    return MatrixOperator(op.target, op.source, rows, cols, entries, label=op.label)
+    return entries
 
 
 class WellDefinednessReason(Enum):

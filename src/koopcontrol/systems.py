@@ -1,13 +1,10 @@
-"""Control systems, their input-free reformulations, and trajectory tools.
+"""Control systems, input sequences, and trajectory tools.
 
 A discrete-time control system is a total deterministic map
-``x_next = T(x, u)`` over a state space and a finite input set.  Three
-input-free systems are derived from it:
-
-* :class:`ConstantInputMap` fixes one input and maps states to states,
-* :class:`AugmentedMap` acts on (state, input) pairs and freezes the input,
-* :class:`InfiniteSequenceMap` acts on (state, input-sequence) pairs,
-  consuming the first element and left-shifting the rest.
+``x_next = T(x, u)`` over a state space and a finite input set.  The
+Koopman operators of its three input-free reformulations (constant
+input, input-augmented, and input-sequence) are built in
+:mod:`koopcontrol.operators`.
 
 Input sequences are represented by a finite prefix plus a repeating
 period, which keeps the left shift exact and makes every finite-horizon
@@ -30,9 +27,6 @@ __all__ = [
     "InputSet",
     "ControlSystem",
     "InputSequence",
-    "AugmentedMap",
-    "ConstantInputMap",
-    "InfiniteSequenceMap",
     "step",
     "simulate",
     "shift",
@@ -203,43 +197,6 @@ class InputSequence:
 
     def __hash__(self):
         return hash(self.canonical())
-
-
-@dataclass(frozen=True)
-class AugmentedMap:
-    """Input-free map on (state, input) pairs: advances the state, keeps the input."""
-
-    system: ControlSystem
-
-    def __call__(self, point):
-        x, u = point
-        return (step(self.system, x, u), u)
-
-
-@dataclass(frozen=True)
-class ConstantInputMap:
-    """Input-free map on states obtained by fixing one input forever."""
-
-    system: ControlSystem
-    fixed_input: object
-
-    def __post_init__(self):
-        if not self.system.inputs.contains(self.fixed_input):
-            raise DomainError(f"unknown input label: {self.fixed_input!r}")
-
-    def __call__(self, x):
-        return step(self.system, x, self.fixed_input)
-
-
-@dataclass(frozen=True)
-class InfiniteSequenceMap:
-    """Input-free map on (state, sequence) pairs: steps with the head, shifts the tail."""
-
-    system: ControlSystem
-
-    def __call__(self, point):
-        x, seq = point
-        return (step(self.system, x, seq.at(0)), shift(seq))
 
 
 def step(sys: ControlSystem, x, u):

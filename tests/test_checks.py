@@ -7,13 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koopcontrol import (
-    AugmentedMap,
-    ConstantInputMap,
     ContractError,
     ControlSystem,
     DomainTag,
     FiniteStates,
-    InfiniteSequenceMap,
     InputSequence,
     InputSet,
     Observable,
@@ -27,7 +24,9 @@ from koopcontrol import (
     describe_check,
     exact_plan,
     is_applicable,
+    k_aug,
     k_inf,
+    k_u,
     kcf_word,
     power,
     results_to_json,
@@ -185,7 +184,7 @@ def _c18_by_loop(sys, plan):
     method, with the registry's generator for C18."""
     rng = np.random.default_rng([plan.rng_seed, check_ids().index("C18")])
     rec = checks._Recorder(plan.tolerance)
-    inf, aug = InfiniteSequenceMap(sys), AugmentedMap(sys)
+    inf, aug = k_inf(sys).precompose, k_aug(sys).precompose
 
     def infinite_sequence(x0, seq, k):
         point, out = (x0, seq), [x0]
@@ -197,7 +196,7 @@ def _c18_by_loop(sys, plan):
     def kcf_composition(x0, seq, k):
         out = [x0]
         for j in range(k):
-            out.append(ConstantInputMap(sys, seq.at(j))(out[-1]))
+            out.append(k_u(sys, seq.at(j)).precompose(out[-1]))
         return out
 
     def augmented_stepwise(x0, seq, k):

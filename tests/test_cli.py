@@ -135,6 +135,20 @@ def test_resolve_table_rejects_missing_entries():
         resolve_system(cfg)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("step.r.go = p", "config key 'step.r.go' names an undeclared state"),
+    ("step.p.jump = q", "config key 'step.p.jump' names an undeclared input"),
+], ids=["state", "input"])
+def test_table_rejects_transitions_on_undeclared_labels(tmp_path, capsys, line, message):
+    config = tmp_path / "table.cfg"
+    config.write_text(
+        "system = table\nstates = p,q\ninputs = go,stay\n"
+        "step.p.go = q\nstep.p.stay = p\nstep.q.go = p\nstep.q.stay = q\n" + line + "\n"
+    )
+    assert run("check", "--config", str(config), "--out", str(tmp_path)) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_resolve_builtin_with_params():
     cfg = parse_config_text(
         "system = scalarlinear\nparam.lambdas.a = 0.3\nparam.lambdas.b = 0.7\n"
@@ -187,6 +201,14 @@ def test_check_unknown_only_id(tmp_path, capsys):
     code = run("check", "--system", "finite3", "--only", "C77", "--out", str(tmp_path))
     assert code == 2
     assert "unknown check ids" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("only", [",", " , "])
+def test_check_only_naming_no_id_is_rejected(tmp_path, capsys, only):
+    code = run("check", "--system", "finite3", "--only", only, "--out", str(tmp_path))
+    assert code == 2
+    assert f"config key 'only': expected check ids, got {only!r}" in capsys.readouterr().err
+    assert not (tmp_path / "check_report.json").exists()
 
 
 def test_check_skips_inapplicable_only_ids(tmp_path, capsys):
@@ -324,6 +346,12 @@ def test_fit_then_predict_pipeline(tmp_path, capsys):
     rows = (tmp_path / "prediction_errors.csv").read_text().strip().splitlines()
     assert rows[0] == "step,input,error"
     assert len(rows) == 14  # header + steps 0..12
+
+
+def test_fit_bad_monomial_degree_names_the_spec(tmp_path, capsys):
+    code = run("fit", "--system", "scalarlinear", "--dict", "monomial:abc", "--seed", "3", "--out", str(tmp_path))
+    assert code == 2
+    assert "dictionary spec 'monomial:abc': degree must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_predict_fails_impossible_tolerance(tmp_path, capsys):

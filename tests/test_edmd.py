@@ -228,7 +228,7 @@ def test_fit_on_finite_indicators_matches_operator_matrices(f3):
     d = indicator_dictionary(f3)
     model, report = fit_kcf(d, collect_data(f3, ExhaustiveFinite()))
     for u in ("a", "b"):
-        expected = to_matrix(k_u(f3, u), f3).entries.T
+        expected = to_matrix(k_u(f3, u), f3).T
         assert np.allclose(model.matrices[u], expected, atol=1e-10)
     assert all(res < 1e-20 for res in report.residuals.values())
 

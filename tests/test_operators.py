@@ -232,16 +232,16 @@ def test_compose_refuses_a_product_that_apply_always_rejects(f3):
 def test_matrix_of_constant_input_map(f3):
     mat = to_matrix(k_u(f3, "a"), f3)
     expected = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
-    assert np.array_equal(mat.entries, expected)
+    assert np.array_equal(mat, expected)
 
 
 def test_matrix_rows_select_successors(f3):
     mat = to_matrix(k_u(f3, "b"), f3)
     # row i has a single 1 in the column of T(x_i, b)
-    assert np.array_equal(mat.entries.sum(axis=1), np.ones(3))
-    assert mat.entries[0, 0] == 1  # T(0,b)=0
-    assert mat.entries[1, 2] == 1  # T(1,b)=2
-    assert mat.entries[2, 1] == 1  # T(2,b)=1
+    assert np.array_equal(mat.sum(axis=1), np.ones(3))
+    assert mat[0, 0] == 1  # T(0,b)=0
+    assert mat[1, 2] == 1  # T(1,b)=2
+    assert mat[2, 1] == 1  # T(2,b)=1
 
 
 def test_matrix_times_tabulation_is_operator_action(f3):
@@ -249,20 +249,20 @@ def test_matrix_times_tabulation_is_operator_action(f3):
         op = k_u(f3, u)
         mat = to_matrix(op, f3)
         f = _x()
-        assert np.allclose(mat.entries @ tabulate(f, f3), tabulate(apply(op, f), f3))
+        assert np.allclose(mat @ tabulate(f, f3), tabulate(apply(op, f), f3))
 
 
 def test_matrix_of_composition_is_matrix_product(f3):
     ka, kb = k_u(f3, "a"), k_u(f3, "b")
-    lhs = to_matrix(compose(ka, kb), f3).entries
-    rhs = to_matrix(ka, f3).entries @ to_matrix(kb, f3).entries
+    lhs = to_matrix(compose(ka, kb), f3)
+    rhs = to_matrix(ka, f3) @ to_matrix(kb, f3)
     assert np.array_equal(lhs, rhs)
 
 
 def test_matrix_of_augmented_operator_shape(f3):
     mat = to_matrix(k_aug(f3), f3)
-    assert mat.entries.shape == (6, 6)
-    assert np.array_equal(mat.entries.sum(axis=1), np.ones(6))
+    assert mat.shape == (6, 6)
+    assert np.array_equal(mat.sum(axis=1), np.ones(6))
 
 
 # --- well-definedness and two-step failure ---------------------------------

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koopcontrol import (
-    AugmentedMap,
-    ConstantInputMap,
     ControlSystem,
     DomainError,
     FiniteStates,
-    InfiniteSequenceMap,
     InputSequence,
     InputSet,
     RealBox,
     builtin_system,
+    k_aug,
+    k_inf,
+    k_u,
     logistic_with_offset,
     random_sequence,
     random_state,
@@ -282,16 +282,16 @@ def test_range_map(f3, c2):
 
 
 def test_derived_maps(f3):
-    assert AugmentedMap(f3)((0, "a")) == (1, "a")
-    assert ConstantInputMap(f3, "b")(1) == 2
-    x1, tail = InfiniteSequenceMap(f3)((0, InputSequence(("a", "b"), ("a",))))
+    assert k_aug(f3).precompose((0, "a")) == (1, "a")
+    assert k_u(f3, "b").precompose(1) == 2
+    x1, tail = k_inf(f3).precompose((0, InputSequence(("a", "b"), ("a",))))
     assert x1 == 1
     assert tail == InputSequence(("b",), ("a",))
 
 
 def test_constant_input_map_rejects_unknown_label(f3):
     with pytest.raises(DomainError):
-        ConstantInputMap(f3, "z")
+        k_u(f3, "z")
 
 
 class RecoveryMethod(Enum):

@@ -1,0 +1,109 @@
+"""Run the byte-identity oracle in two source trees and compare the bytes.
+
+Usage::
+
+    python tools/compare_trees.py PARENT CHANGE
+
+PARENT and CHANGE are two checkouts of this repository, for example one
+made with ``git archive`` and the working tree.  In each tree, every case
+runs in a fresh process on that tree's ``src``:
+
+* the golden cases of ``tests/test_golden_reports.py`` (``CASES``), each
+  report as ``results_to_json`` writes it;
+* ``koopcontrol check --exact --seed 7`` on ``finite3``, ``collapse2`` and
+  the perfbench 32x3 table (``perfbench/workloads.table_config(7)``, read
+  from CHANGE and given to both trees);
+* ``koopcontrol check --seed 7 --points 1000 --tol 1e-12`` on
+  ``scalarlinear`` and ``logistic-with-offset``;
+* ``koopcontrol fit --system scalarlinear --dict monomial:10 --points 5000
+  --seed 7``.
+
+Every file a case writes, its stdout and stderr (with the case's output
+directory masked) and its exit status are compared byte for byte.  The
+script lists each difference and exits 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import difflib
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_GOLDENS = """
+import runpy, sys
+from pathlib import Path
+mod = runpy.run_path("tests/test_golden_reports.py")
+for name in sorted(mod["CASES"]):
+    (Path(sys.argv[1]) / f"golden_{name}.json").write_text(mod["_report"](name))
+"""
+
+_EXACT = ["--exact", "--seed", "7"]
+_SAMPLED = ["--seed", "7", "--points", "1000", "--tol", "1e-12"]
+
+
+def _cases(table: Path) -> dict:
+    """Case name -> argv after ``python``; ``{out}`` is the case's output directory."""
+    cli = ["-m", "koopcontrol.cli"]
+    cases = {"goldens": ["-c", _GOLDENS, "{out}"]}
+    for name in ("finite3", "collapse2"):
+        cases[f"check-{name}"] = cli + ["check", "--system", name, *_EXACT, "--out", "{out}"]
+    cases["check-table32x3"] = cli + ["check", "--config", str(table), *_EXACT, "--out", "{out}"]
+    for name in ("scalarlinear", "logistic-with-offset"):
+        cases[f"check-{name}"] = cli + ["check", "--system", name, *_SAMPLED, "--out", "{out}"]
+    cases["fit-scalarlinear"] = cli + [
+        "fit", "--system", "scalarlinear", "--dict", "monomial:10",
+        "--points", "5000", "--seed", "7", "--out", "{out}",
+    ]
+    return cases
+
+
+def _run_tree(tree: Path, cases: dict, dest: Path) -> None:
+    """Run every case in ``tree``; write its files and streams under ``dest/<case>``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for name, argv in cases.items():
+        out = dest / name / "files"
+        out.mkdir(parents=True)
+        cmd = [sys.executable] + [a.replace("{out}", str(out)) for a in argv]
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+        streams = f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
+        (dest / name / "streams.txt").write_text(streams.replace(str(out), "<out>"))
+
+
+def _files(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python tools/compare_trees.py PARENT CHANGE", file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in args)
+    spec = importlib.util.spec_from_file_location("workloads", change / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    with tempfile.TemporaryDirectory(prefix="compare_trees_") as tmp:
+        tmp = Path(tmp)
+        table = tmp / "table32x3.cfg"
+        table.write_text(workloads.table_config(7))
+        cases = _cases(table)
+        for side, tree in (("parent", parent), ("change", change)):
+            _run_tree(tree, cases, tmp / side)
+        before, after = _files(tmp / "parent"), _files(tmp / "change")
+        differ = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
+        for key in differ:
+            print(f"DIFFERS: {key}")
+            old, new = (d.get(key, b"").decode(errors="replace").splitlines() for d in (before, after))
+            sys.stdout.writelines(
+                line + "\n" for line in list(difflib.unified_diff(old, new, "parent", "change", lineterm=""))[:40]
+            )
+        print(f"{len(before.keys() | after.keys()) - len(differ)} identical, {len(differ)} different")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
