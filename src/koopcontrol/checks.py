@@ -19,10 +19,13 @@ trajectory point ``(x0, seq, k)``.  Only C16 and C19 have runners.  The table
 maps each point with each distinct product of a group once, reads each
 function over a product's whole list of mapped points in one batch (see
 :func:`~koopcontrol.observables.evaluate`), and records the legs'
-discrepancy arrays in the order a point-by-point run would.  On a system
-with a ``transition_batch`` each product maps the whole point list at
-once (one batched transition per input and step); any other system is
-stepped point by point, in the order a call-counting transition sees.
+discrepancy arrays in the order a point-by-point run would.  A box's
+random combinations are read as basis rows: each basis function once per
+list, then each point summed with its own coefficients, bits unchanged.
+On a system with a ``transition_batch`` each product maps the whole point
+list at once (one batched transition per input and step); any other
+system is stepped point by point, in the order a call-counting transition
+sees.
 
 Results are deterministic: every check draws from a generator seeded by
 (plan seed, check index), so run order and concurrency cannot change the
@@ -45,6 +48,7 @@ from .observables import (
     Observable,
     _abs_diff,
     _check_points,
+    _combined,
     _stacked,
     _values,
     constant_one,
@@ -352,17 +356,28 @@ def _seq_basis(sys: ControlSystem) -> list:
     return basis
 
 
+class _Combinations(list):
+    """Subject ``j`` combines ``basis`` with row ``j`` of the ``(k, m)`` array ``coeffs``."""
+
+    def __init__(self, basis: list, coeffs: np.ndarray):
+        super().__init__(linear_combine(c, basis) for c in coeffs)
+        self.basis, self.coeffs = basis, coeffs
+
+    def rows(self, lift, points: list) -> np.ndarray:
+        """Point ``i`` read by subject ``i % k`` after the ``lift`` product, if any: each basis
+        function read once over the whole list, summed as ``linear_combine``'s batch sums."""
+        coeffs = self.coeffs[np.arange(len(points)) % len(self)].T
+        points = points if lift is None else _mapped(lift, points)
+        return _combined(len(points), ((c, _values(phi, points)) for c, phi in zip(coeffs, self.basis)))
+
+
 def _functions(sys, plan, rng, basis: list) -> list:
     """Exhaustive basis on finite systems, seeded random combinations on boxes."""
     if isinstance(sys.states, FiniteStates):
         return basis
-    out = []
-    for _ in range(plan.n_functions):
-        coeffs = rng.uniform(-1, 1, size=len(basis)) + 1j * rng.uniform(
-            -1, 1, size=len(basis)
-        )
-        out.append(linear_combine(coeffs, basis))
-    return out
+    m = len(basis)
+    coeffs = [rng.uniform(-1, 1, size=m) + 1j * rng.uniform(-1, 1, size=m) for _ in range(plan.n_functions)]
+    return _Combinations(basis, np.array(coeffs))
 
 
 def _ci_seq_direct(sys: ControlSystem) -> list:
@@ -548,7 +563,8 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
     """Build each distinct chain's product once and map every point with
     it, then compare each leg's two mapped point lists (point-level legs)
     or read each subject over them in one batch: ``apply(op, g)(p) ==
-    g(op.precompose(p))``.  Discrepancies are recorded subject-major when
+    g(op.precompose(p))``, cycled random combinations as basis rows
+    (``_Combinations.rows``).  Discrepancies are recorded subject-major when
     every subject meets every point, in point order when subjects are
     cycled over the points, and leg by leg within a point."""
     named = _named(sys, inputs)
@@ -561,8 +577,8 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
     if group.funcs:
         lift, _, fset = group.funcs.rpartition(" ")
         subjects = drawn[fset]
+        lift_op = _products(named, [lift])[0] if lift else None
         if lift:  # an identity would drop the functions' certification stamps
-            lift_op = _products(named, [lift])[0]
             subjects = [apply(lift_op, f) for f in subjects]
         for g in subjects:  # apply-time domain and contract checks of every product
             for op in products:
@@ -583,13 +599,16 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
     for col in cols:  # the subjects share one domain
         _check_points(subjects[0].domain, col)
     k, cross = len(subjects), group.cross or _is_finite(sys)
+    read = _values
     if cross:  # row j * n + i: subject j at point i
         rows = [(g, slice(None), slice(j * n, (j + 1) * n)) for j, g in enumerate(subjects)]
+    elif isinstance(drawn[fset], _Combinations):  # row i: point i, read by combination i % k
+        read, rows = drawn[fset].rows, [(lift_op, slice(None), slice(None))]
     else:  # row i: point i, read by subject i % k
         rows = [(g, slice(j, None, k), slice(j, None, k)) for j, g in enumerate(subjects[:n])]
     errs = np.empty((k * n if cross else n, n_legs))
-    for g, take, put in rows:
-        vals = [_values(g, col[take]) for col in cols]
+    for g, take, put in rows:  # g: the subject, or the lift of basis rows
+        vals = [read(g, col[take]) for col in cols]
         for leg, (_, a, b) in enumerate(legs):
             errs[put, leg] = _abs_diff(vals[a], vals[b])
 

@@ -34,7 +34,7 @@ import sys as _sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -119,6 +119,7 @@ class _Option(NamedTuple):
     kind: type  # str, int, float or bool: how its text is read
     help: str = ""
     commands: tuple = ()
+    least: Optional[int] = None  # for an int: the smallest value allowed
 
 
 _OPTIONS = {
@@ -127,14 +128,15 @@ _OPTIONS = {
         _Option("system", str, "built-in system name: " + ", ".join(sorted(BUILTIN_SYSTEMS)),
                 ("check", "demo-naive", "fit", "predict")),
         _Option("seed", int, "generator seed (required off finite systems)", ("check", "fit")),
-        _Option("points", int, "sample budget", ("check", "fit")),
+        _Option("points", int, "sample budget", ("check", "fit"), least=1),
         _Option("tol", float, "pass/fail tolerance", ("check", "predict")),
         _Option("out", str, f"output directory (default: ${OUTPUT_DIR_ENV} or the current directory)",
                 ("check", "fit", "predict", "report")),
         _Option("only", str, "comma-separated check ids (C1..C20)", ("check",)),
         _Option("exact", bool, "exhaustive zero-tolerance run (finite systems only)", ("check",)),
         _Option("dict", str, "dictionary spec: indicator or monomial:<degree>", ("fit", "predict")),
-        *(_Option(k, int) for k in ("functions", "prefix-max", "period-max", "resolution", "steps")),
+        *(_Option(k, int, least=1) for k in ("functions", "period-max", "resolution")),
+        *(_Option(k, int, least=0) for k in ("prefix-max", "steps")),
         *(_Option(k, str) for k in ("sampler", "x0", "word", "name", "states", "inputs")),
     )
 }
@@ -161,7 +163,9 @@ def _merged(args) -> dict:
     cfg = {}
     for key, text in raw.items():
         if key in _OPTIONS:
-            cfg[key] = _read(key, _OPTIONS[key].kind, text)
+            cfg[key] = value = _read(key, _OPTIONS[key].kind, text)
+            if (least := _OPTIONS[key].least) is not None and value < least:
+                raise DomainError(f"config key {key!r}: expected an integer >= {least}, got {text!r}")
         elif key.startswith(("param.", "step.")):
             cfg[key] = text
         else:
@@ -375,7 +379,10 @@ def cmd_demo_naive(args) -> int:
 def _resolve_dictionary(cfg, sys_: ControlSystem):
     finite = isinstance(sys_.states, FiniteStates)
     spec = cfg.get("dict") or ("indicator" if finite else "monomial:2")
-    return dictionary_for(sys_, spec), spec
+    try:
+        return dictionary_for(sys_, spec), spec
+    except ValueError as exc:  # a DomainError, or a degree below 0
+        raise DomainError(f"config key 'dict': {exc}") from None
 
 
 def _resolve_sampler(cfg, sys_: ControlSystem):
@@ -420,7 +427,10 @@ def _resolve_x0(cfg, sys_: ControlSystem):
     if "x0" in cfg:
         if isinstance(sys_.states, FiniteStates):
             return _parse_label(cfg["x0"])
-        return np.array([_read("x0", float, tok) for tok in cfg["x0"].split(",")])
+        x0 = np.array([_read("x0", float, tok) for tok in cfg["x0"].split(",")])
+        if x0.size != (dim := sys_.states.dimension):
+            raise DomainError(f"config key 'x0': expected a {dim}-dimensional point, got {cfg['x0']!r}")
+        return x0
     if isinstance(sys_.states, FiniteStates):
         return sys_.states.labels[0]
     box: RealBox = sys_.states
@@ -448,7 +458,10 @@ def cmd_predict(args) -> int:
     model_path = out / "model.json"
     if not model_path.exists():
         raise DomainError(f"no model at {model_path}; run `koopcontrol fit` first")
-    model = import_model_json(model_path, dictionary, sys_)
+    try:
+        model = import_model_json(model_path, dictionary, sys_)
+    except DomainMismatchError:
+        raise DomainError(f"config key 'dict': {spec!r} is not the stored model's dictionary") from None
     x0 = _resolve_x0(cfg, sys_)
     seq = _resolve_sequence(cfg, sys_)
     steps = cfg.get("steps", 20)

@@ -152,6 +152,19 @@ def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.hypot(d.real, d.imag)
 
 
+def _combined(n: int, terms) -> np.ndarray:
+    """The sum of ``c * v`` over ``terms`` (``v``: ``n`` values; ``c``: one complex or one per value),
+    term by term with the complex product spelled out as Python computes it: the scalar path's bits."""
+    re, im = np.zeros(n), np.zeros(n)
+    with np.errstate(all="ignore"):
+        for c, v in terms:
+            re += c.real * v.real - c.imag * v.imag
+            im += c.real * v.imag + c.imag * v.real
+    out = np.empty(n, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def linear_combine(coeffs, observables) -> Observable:
     """Pointwise linear combination; all observables must share one domain."""
     coeffs = [complex(c) for c in coeffs]
@@ -173,17 +186,7 @@ def linear_combine(coeffs, observables) -> Observable:
         return total
 
     def batch(points):
-        # Term by term, with the complex product spelled out as Python
-        # computes it, so every value has the scalar path's bits.
-        re, im = np.zeros(len(points)), np.zeros(len(points))
-        with np.errstate(all="ignore"):
-            for c, o in pairs:
-                v = _values(o, points)
-                re += c.real * v.real - c.imag * v.imag
-                im += c.real * v.imag + c.imag * v.real
-        out = np.empty(len(points), dtype=complex)
-        out.real, out.imag = re, im
-        return out
+        return _combined(len(points), ((c, _values(o, points)) for c, o in pairs))
 
     stamps = {o.ci_input for o in observables}
     stamp = stamps.pop() if len(stamps) == 1 else None

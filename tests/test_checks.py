@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from koopcontrol import (
     ContractError,
@@ -341,6 +341,41 @@ def test_batched_box_run_steps_as_many_transitions_as_the_point_by_point_run(nam
     run_all(replace(counted, transition_batch=transition_batch), sampled_plan(7))
     assert calls["n"] + rows["rows"] == 71757
     assert rows["calls"] <= 200
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: builtin_system("scalarlinear"),
+        lambda: builtin_system("logistic-with-offset"),
+        _planar,
+        lambda: _noisy_box(1),
+        lambda: _noisy_box(2),
+        lambda: _overflowing_box(),
+    ],
+    ids=["scalarlinear", "logistic-with-offset", "planar", "noisy1d", "noisy2d", "overflowing"],
+)
+@settings(max_examples=5, derandomize=True)
+@example(n_points=7, n_functions=60, tolerance=1e-300)
+@given(st.integers(1, 60), st.integers(1, 60), st.sampled_from([1e-12, 1e-300]))
+def test_basis_rows_report_what_per_subject_reads_report(make, n_points, n_functions, tolerance):
+    """On boxes each basis function is read once over a mapped point list
+    and combined per point; handed the same combinations as plain
+    observables, the engine reads each subject over its own points, which
+    is the reference.  The noisy boxes (stepped point by point, without a
+    ``transition_batch``) and the overflowing box fail checks, so
+    discrepancies that depend on each point's coefficients and the
+    counterexample text are compared too; each run builds its system
+    afresh, so both see the same corrupted transition calls."""
+    sys, plan = make(), sampled_plan(3, n_points=n_points, n_functions=n_functions, tolerance=tolerance)
+    drawn = checks._functions(sys, plan, np.random.default_rng(0), checks._state_basis(sys))
+    assert isinstance(drawn, checks._Combinations)
+    rows = results_to_json(run_all(sys, plan).results)
+    plain = checks._functions
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "_functions", lambda *args: list(plain(*args)))
+        assert rows == results_to_json(run_all(make(), plan).results)
 
 
 def test_a_group_checks_every_products_contract_before_any_transition(f3):

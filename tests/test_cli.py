@@ -354,6 +354,62 @@ def test_fit_bad_monomial_degree_names_the_spec(tmp_path, capsys):
     assert "dictionary spec 'monomial:abc': degree must be an integer, got 'abc'" in capsys.readouterr().err
 
 
+def test_fit_negative_monomial_degree_names_the_dict_key(tmp_path, capsys):
+    code = run("fit", "--system", "scalarlinear", "--dict", "monomial:-1", "--seed", "3", "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: config key 'dict': need dimension >= 1 and degree >= 0\n"
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, lines, message",
+    [
+        ("check", ("--points", "0"), "", "config key 'points': expected an integer >= 1, got '0'"),
+        ("check", (), "functions = 0\n", "config key 'functions': expected an integer >= 1, got '0'"),
+        ("check", (), "prefix-max = -1\n", "config key 'prefix-max': expected an integer >= 0, got '-1'"),
+        ("check", (), "period-max = 0\n", "config key 'period-max': expected an integer >= 1, got '0'"),
+        ("fit", ("--points", "0"), "", "config key 'points': expected an integer >= 1, got '0'"),
+        ("fit", (), "sampler = grid\nresolution = 0\n", "config key 'resolution': expected an integer >= 1, got '0'"),
+        ("predict", (), "steps = -1\n", "config key 'steps': expected an integer >= 0, got '-1'"),
+    ],
+    ids=["points", "functions", "prefix-max", "period-max", "fit-points", "resolution", "steps"],
+)
+def test_bad_count_names_its_config_key(tmp_path, capsys, command, flags, lines, message):
+    config = tmp_path / "run.cfg"
+    config.write_text("system = scalarlinear\nseed = 1\n" + lines)
+    assert run(command, "--config", str(config), *flags, "--out", str(tmp_path)) == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert not any(tmp_path.glob("*.json"))
+
+
+def test_predict_with_another_dictionary_names_the_dict_key(tmp_path, capsys):
+    assert run(
+        "fit", "--system", "scalarlinear", "--dict", "monomial:3",
+        "--points", "50", "--seed", "1", "--out", str(tmp_path),
+    ) == 0
+    capsys.readouterr()
+    code = run("predict", "--system", "scalarlinear", "--dict", "monomial:4", "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: config key 'dict': 'monomial:4' is not the stored model's dictionary\n"
+    assert not (tmp_path / "prediction_errors.csv").exists()
+
+
+def test_predict_x0_of_the_wrong_dimension_names_its_config_key(tmp_path, capsys):
+    assert run(
+        "fit", "--system", "scalarlinear", "--seed", "3",
+        "--points", "50", "--out", str(tmp_path),
+    ) == 0
+    capsys.readouterr()
+    config = tmp_path / "predict.cfg"
+    config.write_text("x0 = 0.1,0.2\n")
+    code = run("predict", "--system", "scalarlinear", "--config", str(config), "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config key 'x0': expected a 1-dimensional point, got '0.1,0.2'" in err
+
+
 def test_predict_fails_impossible_tolerance(tmp_path, capsys):
     assert run(
         "fit", "--system", "scalarlinear", "--seed", "3",

@@ -15,6 +15,12 @@ runs in a fresh process on that tree's ``src``:
   from CHANGE and given to both trees);
 * ``koopcontrol check --seed 7 --points 1000 --tol 1e-12`` on
   ``scalarlinear`` and ``logistic-with-offset``;
+* ``koopcontrol check --seed 7 --points 30`` on ``scalarlinear`` with
+  ``functions = 50`` in a config, so that fewer points than functions
+  are drawn;
+* ``koopcontrol check --seed 7 --points 1000 --tol 1e-300`` on
+  ``logistic-with-offset``; every check still passes there, because both
+  sides of each identity are read with the same bits;
 * ``koopcontrol fit --system scalarlinear --dict monomial:10 --points 5000
   --seed 7``.
 
@@ -45,7 +51,7 @@ _EXACT = ["--exact", "--seed", "7"]
 _SAMPLED = ["--seed", "7", "--points", "1000", "--tol", "1e-12"]
 
 
-def _cases(table: Path) -> dict:
+def _cases(table: Path, few_points: Path) -> dict:
     """Case name -> argv after ``python``; ``{out}`` is the case's output directory."""
     cli = ["-m", "koopcontrol.cli"]
     cases = {"goldens": ["-c", _GOLDENS, "{out}"]}
@@ -54,6 +60,13 @@ def _cases(table: Path) -> dict:
     cases["check-table32x3"] = cli + ["check", "--config", str(table), *_EXACT, "--out", "{out}"]
     for name in ("scalarlinear", "logistic-with-offset"):
         cases[f"check-{name}"] = cli + ["check", "--system", name, *_SAMPLED, "--out", "{out}"]
+    cases["check-scalarlinear-few-points"] = cli + [
+        "check", "--config", str(few_points), "--seed", "7", "--points", "30", "--out", "{out}",
+    ]
+    cases["check-logistic-with-offset-tol1e-300"] = cli + [
+        "check", "--system", "logistic-with-offset", "--seed", "7", "--points", "1000",
+        "--tol", "1e-300", "--out", "{out}",
+    ]
     cases["fit-scalarlinear"] = cli + [
         "fit", "--system", "scalarlinear", "--dict", "monomial:10",
         "--points", "5000", "--seed", "7", "--out", "{out}",
@@ -90,7 +103,9 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         table = tmp / "table32x3.cfg"
         table.write_text(workloads.table_config(7))
-        cases = _cases(table)
+        few_points = tmp / "scalarlinear50.cfg"
+        few_points.write_text("system = scalarlinear\nfunctions = 50\n")
+        cases = _cases(table, few_points)
         for side, tree in (("parent", parent), ("change", change)):
             _run_tree(tree, cases, tmp / side)
         before, after = _files(tmp / "parent"), _files(tmp / "change")
