@@ -16,16 +16,14 @@ of a leg is one operator product built by
 :func:`~koopcontrol.operators.compose`; a trajectory leg's product starts
 with ``sim``, ``word``, ``K_inf^k`` or a path operator, which take a
 trajectory point ``(x0, seq, k)``.  Only C16 and C19 have runners.  The table
-maps each point with each distinct product of a group once, reads each
-function over a product's whole list of mapped points in one batch (see
-:func:`~koopcontrol.observables.evaluate`), and records the legs'
-discrepancy arrays in the order a point-by-point run would.  A box's
-random combinations are read as basis rows: each basis function once per
-list, then each point summed with its own coefficients, bits unchanged.
-On a system with a ``transition_batch`` each product maps the whole point
-list at once (one batched transition per input and step); any other
-system is stepped point by point, in the order a call-counting transition
-sees.
+maps a group's whole point list with each of its distinct products in
+turn (trajectory operators walk the list in lockstep, each step one
+``_step_many`` list step), reads each function over a product's mapped
+points in one batch (see :func:`~koopcontrol.observables.evaluate`), and
+records the legs' discrepancy arrays in the order a point-by-point run
+would.  A box's random combinations are read as basis rows: each basis
+function once per list, then each point summed with its own
+coefficients, bits unchanged.
 
 Results are deterministic: every check draws from a generator seeded by
 (plan seed, check index), so run order and concurrency cannot change the
@@ -88,7 +86,6 @@ from .systems import (
     random_sequence,
     random_state,
     state_distance,
-    step,
 )
 
 __all__ = [
@@ -419,17 +416,14 @@ _DRAWS = {
 }
 
 
-def _walk_op(
-    sys: ControlSystem, one: Callable, many: Callable, on_seq=False, path=False
-) -> CompositionOperator:
-    """A trajectory operator: each trajectory point ``(x0, seq, k)`` walks
-    ``k`` steps from ``x0`` (paired with ``seq`` when ``on_seq``), step ``j``
-    moving the point ``p`` of trajectory ``t`` to ``one(p, t, j)``.  It maps
-    to the walk's last point or, with ``path``, to the states the walk
-    visits: a stacked ``(k + 1, d)`` array on boxes, a tuple of labels on
-    finite systems.  ``precompose`` walks one trajectory; ``batch`` walks a
-    list in lockstep, moving the points of the trajectories ``ts`` with
-    ``k > j`` to ``many(points, ts, j)``, which equals ``one`` point by point."""
+def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> CompositionOperator:
+    """A trajectory operator: a list of trajectory points ``(x0, seq, k)``
+    walks in lockstep from the ``x0`` (each paired with its ``seq`` when
+    ``on_seq``), step ``j`` moving the points of the trajectories ``ts``
+    with ``k > j`` to ``many(points, ts, j)``.  Each point maps to its
+    walk's last point or, with ``path``, to the states the walk visits: a
+    stacked ``(k + 1, d)`` array on boxes, a tuple of labels on finite
+    systems.  ``precompose`` walks a one-trajectory list."""
     box = sys.states if isinstance(sys.states, RealBox) else None
     state = (lambda p: p[0]) if on_seq else (lambda p: p)
 
@@ -437,18 +431,7 @@ def _walk_op(
         x = box.coerce(t.x0) if box else t.x0
         return (x, t.seq) if on_seq else x
 
-    def precompose(t):
-        p = start(t)
-        states = [state(p)]
-        for j in range(t.k):
-            p = one(p, t, j)
-            if path:
-                states.append(state(p))
-        if not path:
-            return p
-        return np.array(states) if box else tuple(states)
-
-    def visited(pts):  # the states of one step of the lockstep walk, stacked on boxes
+    def visited(pts):  # the states of one step of the walk, stacked on boxes
         return np.array([state(p) for p in pts]) if box else [state(p) for p in pts]
 
     def batch(ts: list) -> list:
@@ -469,7 +452,7 @@ def _walk_op(
         return [tuple(states[i] for states in trail[: t.k + 1]) for i, t in enumerate(ts)]
 
     tag = DomainTag.STATE_SEQUENCE if on_seq and not path else DomainTag.STATE_ONLY
-    return CompositionOperator(tag, tag, precompose, batch=batch)
+    return CompositionOperator(tag, tag, lambda t: batch([t])[0], batch=batch)
 
 
 def _named(sys: ControlSystem, inputs: dict) -> dict:
@@ -480,8 +463,8 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
     ``path_aug`` to the states that iterating the point map of ``K_inf``,
     of each input's ``K_u`` or of ``K_aug`` visits.  They only stand at a
     chain's left end, so their target, never read, is their source.  Each
-    walk's step is ``step`` or one of these operators, for one point and
-    for a list."""
+    walk's step maps a point list through ``_step_many`` or one of these
+    operators."""
     iso, kin, kau = ci_isomorphisms(sys), k_inf(sys), k_aug(sys)
     ku = {u: k_u(sys, u) for u in sys.inputs.labels}
     heads = lambda ts, j: [t.seq.at(j) for t in ts]
@@ -494,12 +477,9 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
                 out[i] = y
         return out
 
-    simulated = (lambda x, t, j: step(sys, x, t.seq.at(j)),
-                 lambda xs, ts, j: _step_many(sys, xs, heads(ts, j)))
-    composed = (lambda x, t, j: ku[t.seq.at(j)].precompose(x), kcf)
-    augmented = (lambda x, t, j: kau.precompose((x, t.seq.at(j)))[0],
-                 lambda xs, ts, j: [p[0] for p in _mapped(kau, list(zip(xs, heads(ts, j))))])
-    sequenced = (lambda p, t, j: kin.precompose(p), lambda ps, ts, j: _mapped(kin, ps))
+    simulated = lambda xs, ts, j: _step_many(sys, xs, heads(ts, j))
+    augmented = lambda xs, ts, j: [p[0] for p in _mapped(kau, list(zip(xs, heads(ts, j))))]
+    sequenced = lambda ps, ts, j: _mapped(kin, ps)
     named = {
         "R": restriction_inf_to_aug(),
         "E": extension_aug_to_inf(),
@@ -510,13 +490,13 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
         "R_ci": iso.restrict_aug_to_state,
         "E_ci_seq": iso.extend_aug_to_seq,
         "R_ci_seq": iso.restrict_seq_to_aug,
-        "sim": _walk_op(sys, *simulated),
-        "word": _walk_op(sys, *composed),
-        "K_inf^k": _walk_op(sys, *sequenced, on_seq=True),
-        "path": _walk_op(sys, *simulated, path=True),
-        "path_inf": _walk_op(sys, *sequenced, on_seq=True, path=True),
-        "path_kcf": _walk_op(sys, *composed, path=True),
-        "path_aug": _walk_op(sys, *augmented, path=True),
+        "sim": _walk_op(sys, simulated),
+        "word": _walk_op(sys, kcf),
+        "K_inf^k": _walk_op(sys, sequenced, on_seq=True),
+        "path": _walk_op(sys, simulated, path=True),
+        "path_inf": _walk_op(sys, sequenced, on_seq=True, path=True),
+        "path_kcf": _walk_op(sys, kcf, path=True),
+        "path_aug": _walk_op(sys, augmented, path=True),
     }
     for key, u in inputs.items():
         named[f"R_{key}"] = restriction_aug_to_f(u, sys)
@@ -584,11 +564,7 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
             for op in products:
                 apply(op, g)
     legs = [(text, chains.index(a), chains.index(b)) for text, a, b in group.legs]
-    if sys.transition_batch is None:  # point by point, in the order a call-counting system sees
-        mapped = [[op.precompose(p) for op in products] for p in points]
-        cols = [[at[c] for at in mapped] for c in range(len(chains))]
-    else:
-        cols = [_mapped(op, points) for op in products]
+    cols = [_mapped(op, points) for op in products]
     n, n_legs = len(points), len(legs)
     if not group.funcs:
         errs = np.column_stack([_gaps(sys.states, cols[a], cols[b]) for _, a, b in legs])

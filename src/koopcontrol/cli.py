@@ -43,7 +43,6 @@ from .checks import (
     CheckResult,
     SamplePlan,
     check_ids,
-    exact_plan,
     is_applicable,
     results_to_json,
     results_to_text,
@@ -69,7 +68,7 @@ from .operators import (
     k_naive,
     two_step_discrepancy_witness,
 )
-from .systems import ControlSystem, FiniteStates, InputSequence, InputSet, RealBox
+from .systems import ControlSystem, FiniteStates, InputSequence, InputSet
 
 OUTPUT_DIR_ENV = "KOOPCONTROL_OUT"
 
@@ -119,7 +118,7 @@ class _Option(NamedTuple):
     kind: type  # str, int, float or bool: how its text is read
     help: str = ""
     commands: tuple = ()
-    least: Optional[int] = None  # for an int: the smallest value allowed
+    least: Optional[int] = None  # for a number: the smallest value allowed
 
 
 _OPTIONS = {
@@ -129,7 +128,7 @@ _OPTIONS = {
                 ("check", "demo-naive", "fit", "predict")),
         _Option("seed", int, "generator seed (required off finite systems)", ("check", "fit")),
         _Option("points", int, "sample budget", ("check", "fit"), least=1),
-        _Option("tol", float, "pass/fail tolerance", ("check", "predict")),
+        _Option("tol", float, "pass/fail tolerance", ("check", "predict"), least=0),
         _Option("out", str, f"output directory (default: ${OUTPUT_DIR_ENV} or the current directory)",
                 ("check", "fit", "predict", "report")),
         _Option("only", str, "comma-separated check ids (C1..C20)", ("check",)),
@@ -163,9 +162,10 @@ def _merged(args) -> dict:
     cfg = {}
     for key, text in raw.items():
         if key in _OPTIONS:
-            cfg[key] = value = _read(key, _OPTIONS[key].kind, text)
-            if (least := _OPTIONS[key].least) is not None and value < least:
-                raise DomainError(f"config key {key!r}: expected an integer >= {least}, got {text!r}")
+            kind, least = _OPTIONS[key].kind, _OPTIONS[key].least
+            cfg[key] = value = _read(key, kind, text)
+            if least is not None and not value >= least:  # NaN included
+                raise DomainError(f"config key {key!r}: expected {_EXPECTED[kind]} >= {least}, got {text!r}")
         elif key.startswith(("param.", "step.")):
             cfg[key] = text
         else:
@@ -262,24 +262,21 @@ def _atomic_export(path: Path, writer) -> None:
 
 
 def _build_plan(cfg, sys_: ControlSystem) -> SamplePlan:
+    """The plan of ``check``; finite systems run at tolerance 0 unless ``tol`` is given."""
     finite = isinstance(sys_.states, FiniteStates)
-    exact = cfg.get("exact", False)
-    if exact and not finite:
+    if cfg.get("exact") and not finite:
         raise DomainError("--exact needs a finite state space")
+    if cfg.get("exact") and "tol" in cfg:
+        raise DomainError("config key 'tol': an exact run has tolerance 0; drop 'tol' or 'exact'")
     if "seed" not in cfg and not finite:
         raise DomainError("sampled checks need a seed (--seed or config)")
-    seed = cfg.get("seed", 0)
-    points = cfg.get("points", 200 if finite else 1000)
-    tol = cfg.get("tol")
-    if exact or (finite and tol is None):
-        return exact_plan(seed=seed, n_points=points)
     return SamplePlan(
-        n_points=points,
+        n_points=cfg.get("points", 200 if finite else 1000),
         n_functions=cfg.get("functions", 50),
         seq_prefix_max=cfg.get("prefix-max", 4),
         seq_period_max=cfg.get("period-max", 3),
-        rng_seed=seed,
-        tolerance=1e-12 if tol is None else tol,
+        rng_seed=cfg.get("seed", 0),
+        tolerance=cfg.get("tol", 0.0 if finite else 1e-12),
     )
 
 
@@ -424,17 +421,21 @@ def cmd_fit(args) -> int:
 
 
 def _resolve_x0(cfg, sys_: ControlSystem):
-    if "x0" in cfg:
-        if isinstance(sys_.states, FiniteStates):
-            return _parse_label(cfg["x0"])
-        x0 = np.array([_read("x0", float, tok) for tok in cfg["x0"].split(",")])
-        if x0.size != (dim := sys_.states.dimension):
-            raise DomainError(f"config key 'x0': expected a {dim}-dimensional point, got {cfg['x0']!r}")
-        return x0
-    if isinstance(sys_.states, FiniteStates):
-        return sys_.states.labels[0]
-    box: RealBox = sys_.states
-    return (np.asarray(box.lower) + np.asarray(box.upper)) / 2
+    states = sys_.states
+    if "x0" not in cfg:
+        if isinstance(states, FiniteStates):
+            return states.labels[0]
+        return (np.asarray(states.lower) + np.asarray(states.upper)) / 2
+    text = cfg["x0"]
+    if isinstance(states, FiniteStates):
+        x0 = _parse_label(text)
+    else:
+        x0 = np.array([_read("x0", float, tok) for tok in text.split(",")])
+        if x0.size != (dim := states.dimension):
+            raise DomainError(f"config key 'x0': expected a {dim}-dimensional point, got {text!r}")
+    if not states.contains(x0):
+        raise DomainError(f"config key 'x0': {text!r} is not in {states!r}")
+    return x0
 
 
 def _resolve_sequence(cfg, sys_: ControlSystem) -> InputSequence:
@@ -442,7 +443,7 @@ def _resolve_sequence(cfg, sys_: ControlSystem) -> InputSequence:
         word = tuple(_parse_label(tok) for tok in cfg["word"].split(","))
         bad = [u for u in word if u not in sys_.inputs.labels]
         if bad:
-            raise DomainError(f"word uses labels outside the input set: {bad}")
+            raise DomainError(f"config key 'word': labels {bad} are not in {sys_.inputs!r}")
         return InputSequence((), word)
     return InputSequence((), (sys_.inputs.labels[0],))
 
@@ -450,8 +451,6 @@ def _resolve_sequence(cfg, sys_: ControlSystem) -> InputSequence:
 def cmd_predict(args) -> int:
     cfg = _merged(args)
     tol = cfg.get("tol")
-    if tol is not None and not tol >= 0:  # NaN included
-        raise DomainError(f"config key 'tol': expected a nonnegative number, got {str(tol)!r}")
     sys_ = resolve_system(cfg)
     dictionary, spec = _resolve_dictionary(cfg, sys_)
     out = _out_dir(cfg)

@@ -178,40 +178,35 @@ def _noisy_box(dimension):
 
 
 def _c18_by_loop(sys, plan):
-    """C18 as a loop over its trajectories: each reformulation's map is
-    iterated from ``x0`` and compared with ``simulate`` by the largest
-    ``state_distance`` along the path, scenario by scenario and method by
-    method, with the registry's generator for C18."""
+    """C18 as a loop over its trajectories: method by method (the simulated
+    truth first), each map is iterated from every ``x0`` in lockstep, step
+    ``j`` of every trajectory with ``k > j`` in list order, and
+    ``kcf-composition`` grouped by input label within a step.  Each path is
+    compared with the simulated one by the largest ``state_distance`` along
+    it, scenario by scenario, with the registry's generator for C18."""
     rng = np.random.default_rng([plan.rng_seed, check_ids().index("C18")])
     rec = checks._Recorder(plan.tolerance)
-    inf, aug = k_inf(sys).precompose, k_aug(sys).precompose
+    ts = checks._scenario_trajectories(sys, plan, rng, horizons=11)
+    inf, aug, labels = k_inf(sys).precompose, k_aug(sys).precompose, list(sys.inputs.labels)
 
-    def infinite_sequence(x0, seq, k):
-        point, out = (x0, seq), [x0]
-        for _ in range(k):
-            point = inf(point)
-            out.append(point[0])
-        return out
+    def lockstep(move, start=lambda t: t.x0, by_input=False):
+        paths = [[start(t)] for t in ts]
+        for j in range(max(t.k for t in ts)):
+            live = [i for i, t in enumerate(ts) if t.k > j]
+            if by_input:
+                live.sort(key=lambda i: labels.index(ts[i].seq.at(j)))
+            for i in live:
+                paths[i].append(move(paths[i][-1], ts[i].seq.at(j)))
+        return paths
 
-    def kcf_composition(x0, seq, k):
-        out = [x0]
-        for j in range(k):
-            out.append(k_u(sys, seq.at(j)).precompose(out[-1]))
-        return out
-
-    def augmented_stepwise(x0, seq, k):
-        out = [x0]
-        for j in range(k):
-            out.append(aug((out[-1], seq.at(j)))[0])
-        return out
-
-    methods = [("infinite-sequence", infinite_sequence), ("kcf-composition", kcf_composition),
-               ("augmented-stepwise", augmented_stepwise)]
-    for x0, seq, k in checks._scenario_trajectories(sys, plan, rng, horizons=11):
-        truth = simulate(sys, x0, seq, k)
-        for name, rebuild in methods:
-            got = rebuild(x0, seq, k)
-            err = max(state_distance(sys.states, a, b) for a, b in zip(truth, got))
+    truth = lockstep(lambda x, u: step(sys, x, u))
+    sequences = lockstep(lambda p, u: inf(p), start=lambda t: (t.x0, t.seq))
+    methods = [("infinite-sequence", [[p[0] for p in path] for path in sequences]),
+               ("kcf-composition", lockstep(lambda x, u: k_u(sys, u).precompose(x), by_input=True)),
+               ("augmented-stepwise", lockstep(lambda x, u: aug((x, u))[0]))]
+    for i, (x0, seq, k) in enumerate(ts):
+        for name, paths in methods:
+            err = max(state_distance(sys.states, a, b) for a, b in zip(truth[i], paths[i]))
             rec.record(err, lambda: f"method {name}, x0={x0!r}, k={k}, seq={seq!r}")
     return rec
 
@@ -297,8 +292,9 @@ def _planar():
     ids=["scalarlinear", "logistic-with-offset", "planar"],
 )
 def test_batched_engine_reports_what_the_point_by_point_engine_reports(make, seed):
-    """A system with ``transition_batch`` steps whole point lists; without
-    it, the same system is stepped point by point, which is the reference."""
+    """A system with ``transition_batch`` steps each point list with one
+    batched transition per input; without it, ``_step_many`` steps the list
+    through the ``step`` loop, which is the reference."""
     sys, plan = make(), sampled_plan(seed, n_points=200, n_functions=10)
     assert sys.transition_batch is not None
     batched = results_to_json(run_all(sys, plan).results)

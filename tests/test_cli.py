@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopcontrol import checks
+from koopcontrol import checks, cli
 from koopcontrol.cli import _build_parser, main, parse_config_text, resolve_system
 
 
@@ -226,7 +226,30 @@ def test_check_rejects_nan_tolerance(tmp_path, capsys):
         "--points", "20", "--tol", "nan", "--out", str(tmp_path),
     )
     assert code == 2
-    assert "tolerance must be a nonnegative number" in capsys.readouterr().err
+    assert "config key 'tol': expected a number >= 0, got 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "check_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [("functions", 1, "n_functions"), ("prefix-max", 0, "seq_prefix_max"), ("period-max", 1, "seq_period_max")],
+)
+def test_finite_check_plan_carries_its_config_key(monkeypatch, tmp_path, key, value, field):
+    plans = []
+    real = cli.run_all
+    monkeypatch.setattr(cli, "run_all", lambda sys_, plan, only=None: plans.append(plan) or real(sys_, plan, only))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"system = finite3\n{key} = {value}\n")
+    assert run("check", "--config", str(config), "--only", "C20", "--out", str(tmp_path)) == 0
+    assert getattr(plans[0], field) == value and plans[0].tolerance == 0.0
+    (c20,) = json.loads((tmp_path / "check_report.json").read_text())
+    assert c20["n_evaluated"] == 200 * min(plans[0].n_functions, 8)
+
+
+def test_exact_check_with_a_tolerance_names_tol(tmp_path, capsys):
+    code = run("check", "--system", "finite3", "--exact", "--tol", "0.5", "--out", str(tmp_path))
+    assert code == 2
+    assert "config key 'tol'" in capsys.readouterr().err
     assert not (tmp_path / "check_report.json").exists()
 
 
@@ -433,7 +456,7 @@ def test_predict_rejects_nan_tolerance(tmp_path, capsys):
     capsys.readouterr()
     code = run("predict", "--system", "scalarlinear", "--tol", "nan", "--out", str(tmp_path))
     assert code == 2
-    assert "'tol': expected a nonnegative number, got 'nan'" in capsys.readouterr().err
+    assert "'tol': expected a number >= 0, got 'nan'" in capsys.readouterr().err
     assert not (tmp_path / "prediction_errors.csv").exists()
 
 
@@ -448,6 +471,23 @@ def test_predict_bad_x0_names_its_config_key(tmp_path, capsys):
     code = run("predict", "--system", "scalarlinear", "--config", str(config), "--out", str(tmp_path))
     assert code == 2
     assert "config key 'x0': expected a number, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "system, text, message",
+    [("scalarlinear", "x0 = 5\n", "config key 'x0': '5' is not in RealBox"),
+     ("finite3", "x0 = 7\n", "config key 'x0': '7' is not in FiniteStates"),
+     ("scalarlinear", "word = a,zz\n", "config key 'word': labels ['zz'] are not in InputSet")],
+    ids=["x0-outside-box", "x0-unknown-label", "word-unknown-label"],
+)
+def test_predict_values_outside_the_system_name_their_config_key(tmp_path, capsys, system, text, message):
+    assert run("fit", "--system", system, "--seed", "3", "--points", "50", "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+    config = tmp_path / "predict.cfg"
+    config.write_text(text)
+    assert run("predict", "--system", system, "--config", str(config), "--out", str(tmp_path)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "prediction_errors.csv").exists()
 
 
 def test_predict_without_model(tmp_path, capsys):

@@ -4,11 +4,12 @@ Each case runs ``run_all`` on a fixed system and plan and compares
 ``results_to_json`` with a stored file under ``tests/data/``.  The
 corrupted systems count transition calls, so these files also pin the
 order in which the registry evaluates points and the text of every
-counterexample, not only pass/fail.  The registry maps each point
-through each distinct chain of a group's legs once and then reads every
-function at the mapped points, so on finite systems a chain steps each
-point once, not once per function or per leg; the call-counter files
-record that order.  ``table6x3`` has three inputs, so it pins the input
+counterexample, not only pass/fail.  The registry maps a group's whole
+point list through each distinct chain of its legs in turn (trajectory
+operators walk the list in lockstep) and then reads every function at
+the mapped points, so on finite systems a chain steps each point once,
+not once per function or per leg; the call-counter files record that
+order.  ``table6x3`` has three inputs, so it pins the input
 pairs of C7 and three-label words.
 
 Regenerate the files (only when a report change is intended and stated)

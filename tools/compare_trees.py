@@ -22,7 +22,8 @@ runs in a fresh process on that tree's ``src``:
   ``logistic-with-offset``; every check still passes there, because both
   sides of each identity are read with the same bits;
 * ``koopcontrol fit --system scalarlinear --dict monomial:10 --points 5000
-  --seed 7``.
+  --seed 7``;
+* each script of ``demos/`` (the scripts CHANGE has), run as ``__main__``.
 
 Every file a case writes, its stdout and stderr (with the case's output
 directory masked) and its exit status are compared byte for byte.  The
@@ -51,7 +52,7 @@ _EXACT = ["--exact", "--seed", "7"]
 _SAMPLED = ["--seed", "7", "--points", "1000", "--tol", "1e-12"]
 
 
-def _cases(table: Path, few_points: Path) -> dict:
+def _cases(table: Path, few_points: Path, demos: list) -> dict:
     """Case name -> argv after ``python``; ``{out}`` is the case's output directory."""
     cli = ["-m", "koopcontrol.cli"]
     cases = {"goldens": ["-c", _GOLDENS, "{out}"]}
@@ -71,6 +72,8 @@ def _cases(table: Path, few_points: Path) -> dict:
         "fit", "--system", "scalarlinear", "--dict", "monomial:10",
         "--points", "5000", "--seed", "7", "--out", "{out}",
     ]
+    for demo in demos:
+        cases[f"demo-{demo.stem}"] = [f"demos/{demo.name}"]
     return cases
 
 
@@ -105,7 +108,7 @@ def main(argv=None) -> int:
         table.write_text(workloads.table_config(7))
         few_points = tmp / "scalarlinear50.cfg"
         few_points.write_text("system = scalarlinear\nfunctions = 50\n")
-        cases = _cases(table, few_points)
+        cases = _cases(table, few_points, sorted((change / "demos").glob("*.py")))
         for side, tree in (("parent", parent), ("change", change)):
             _run_tree(tree, cases, tmp / side)
         before, after = _files(tmp / "parent"), _files(tmp / "change")
