@@ -59,7 +59,6 @@ from .observables import (
 )
 from .operators import (
     CompositionOperator,
-    _mapped,
     apply,
     ci_isomorphisms,
     compose,
@@ -294,10 +293,8 @@ def _scaled(phi: Observable, domain: DomainTag, weights: Callable, label: str, c
     ``weights(points)`` lists the weights read from a point list.  ``phi``
     is real-valued, as every state-basis function is, so the real products
     are the values."""
-    inner = phi.fn
     return Observable(
         domain,
-        lambda p: inner(p[0]) * weights([p])[0],
         label=f"{phi.label}*{label}",
         ci_input=ci_input,
         batch=lambda ps: (_values(phi, [p[0] for p in ps]).real * np.array(weights(ps))).astype(complex),
@@ -364,7 +361,7 @@ class _Combinations(list):
         """Point ``i`` read by subject ``i % k`` after the ``lift`` product, if any: each basis
         function read once over the whole list, summed as ``linear_combine``'s batch sums."""
         coeffs = self.coeffs[np.arange(len(points)) % len(self)].T
-        points = points if lift is None else _mapped(lift, points)
+        points = points if lift is None else lift.batch(points)
         return _combined(len(points), ((c, _values(phi, points)) for c, phi in zip(coeffs, self.basis)))
 
 
@@ -423,7 +420,8 @@ def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> Co
     with ``k > j`` to ``many(points, ts, j)``.  Each point maps to its
     walk's last point or, with ``path``, to the states the walk visits: a
     stacked ``(k + 1, d)`` array on boxes, a tuple of labels on finite
-    systems.  ``precompose`` walks a one-trajectory list."""
+    systems.  The walk is the operator's list map, so ``precompose`` walks
+    a one-trajectory list."""
     box = sys.states if isinstance(sys.states, RealBox) else None
     state = (lambda p: p[0]) if on_seq else (lambda p: p)
 
@@ -452,7 +450,7 @@ def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> Co
         return [tuple(states[i] for states in trail[: t.k + 1]) for i, t in enumerate(ts)]
 
     tag = DomainTag.STATE_SEQUENCE if on_seq and not path else DomainTag.STATE_ONLY
-    return CompositionOperator(tag, tag, lambda t: batch([t])[0], batch=batch)
+    return CompositionOperator(tag, tag, batch)
 
 
 def _named(sys: ControlSystem, inputs: dict) -> dict:
@@ -473,13 +471,13 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
         out, us = list(xs), heads(ts, j)
         for u, op in ku.items():
             idx = [i for i, v in enumerate(us) if v == u]
-            for i, y in zip(idx, _mapped(op, [xs[i] for i in idx])):
+            for i, y in zip(idx, op.batch([xs[i] for i in idx])):
                 out[i] = y
         return out
 
     simulated = lambda xs, ts, j: _step_many(sys, xs, heads(ts, j))
-    augmented = lambda xs, ts, j: [p[0] for p in _mapped(kau, list(zip(xs, heads(ts, j))))]
-    sequenced = lambda ps, ts, j: _mapped(kin, ps)
+    augmented = lambda xs, ts, j: [p[0] for p in kau.batch(list(zip(xs, heads(ts, j))))]
+    sequenced = lambda ps, ts, j: kin.batch(ps)
     named = {
         "R": restriction_inf_to_aug(),
         "E": extension_aug_to_inf(),
@@ -564,7 +562,7 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
             for op in products:
                 apply(op, g)
     legs = [(text, chains.index(a), chains.index(b)) for text, a, b in group.legs]
-    cols = [_mapped(op, points) for op in products]
+    cols = [op.batch(points) for op in products]
     n, n_legs = len(points), len(legs)
     if not group.funcs:
         errs = np.column_stack([_gaps(sys.states, cols[a], cols[b]) for _, a, b in legs])

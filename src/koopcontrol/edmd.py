@@ -7,14 +7,14 @@ per input, nonlinearly in the input label, which is exactly the finite
 section of the constant-input Koopman operators on the dictionary span.
 
 Lifting is batched: :meth:`Dictionary.lift_batch` maps a whole list of
-states to the ``(dim, n)`` lift matrix.  When every dictionary entry comes
-from :func:`~koopcontrol.observables.monomial`, all entries are evaluated
-in one power-and-product over the stacked states.  The exponent array
-holds one entry per (state, entry, coordinate), never a broadcast row, so
-each power rounds as in the per-point evaluation and the lift matrix has
-its bits.  Any other dictionary
-(indicators, user callables, or a mix) falls back to lifting one point at
-a time through :meth:`Dictionary.lift`.
+states to the ``(dim, n)`` lift matrix, and :meth:`Dictionary.lift` of one
+state is its one-column call.  When every dictionary entry comes from
+:func:`~koopcontrol.observables.monomial`, all entries are evaluated in
+one power-and-product over the stacked states.  The exponent array holds
+one entry per (state, entry, coordinate), never a broadcast row, so each
+power rounds as in a monomial's own read and the lift matrix has its
+bits.  Any other dictionary (indicators, user callables, or a mix) reads
+each entry over the whole list in turn.
 
 Each input slice is solved once with ``np.linalg.lstsq`` on the
 transposed lift matrices, an SVD-based solve that never forms the Gram
@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, DomainMismatchError, UnsupportedError
-from .observables import DomainTag, MonomialFn, _monomials, _stacked
+from .observables import DomainTag, MonomialFn, _monomials, _stacked, _values
 from .systems import (
     ControlSystem,
     FiniteStates,
@@ -68,7 +68,11 @@ _SPREAD_LIMIT = 1e6  # largest over smallest singular value of the lift matrix
 
 @dataclass(frozen=True, eq=False)
 class Dictionary:
-    """Ordered list of state-only observables defining the lifted state."""
+    """Ordered list of state-only observables defining the lifted state.
+
+    Every lift goes through :meth:`lift_batch`; a dictionary of monomials
+    of one dimension is lifted in one array op over its exponent matrix.
+    """
 
     observables: tuple
 
@@ -80,7 +84,7 @@ class Dictionary:
             if o.domain is not DomainTag.STATE_ONLY:
                 raise DomainMismatchError("dictionary entries must be state-only")
         # Exponent matrix (dim, d) when every entry is a monomial, else None.
-        fns = [o.fn for o in self.observables]
+        fns = [o.batch for o in self.observables]
         batched = all(isinstance(f, MonomialFn) for f in fns)
         batched = batched and len({len(f.powers) for f in fns}) == 1
         powers = np.array([f.powers for f in fns]) if batched else None
@@ -95,7 +99,7 @@ class Dictionary:
         return tuple(o.label for o in self.observables)
 
     def lift(self, x) -> np.ndarray:
-        return np.array([o(x) for o in self.observables], dtype=complex)
+        return self.lift_batch([x])[:, 0]
 
     def lift_batch(self, xs) -> np.ndarray:
         """The ``(dim, n)`` lift matrix of ``n`` states; column ``j`` is ``lift(xs[j])``."""
@@ -105,7 +109,7 @@ class Dictionary:
         arr = None if self._powers is None else _stacked(xs)
         if arr is not None and arr.shape[1] == self._powers.shape[1]:
             return np.array(_monomials(arr, self._powers).T, dtype=complex, order="C")
-        return np.column_stack([self.lift(x) for x in xs])
+        return np.array([_values(o, xs) for o in self.observables])
 
 
 @dataclass(frozen=True)

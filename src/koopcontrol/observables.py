@@ -10,10 +10,11 @@ only meaningful on control-independent functions require that stamp.
 
 :func:`evaluate` reads an observable over a whole list of points at once.
 Every observable built here (and every ``apply`` of an operator to one)
-carries a ``batch`` that computes all the values in array passes, with
-the same bits as one call per point; an observable built from a bare
-``fn`` is read one point at a time.  ``is_control_independent`` draws
-its sample first and then reads both sides in one batch.
+is defined by its list map ``batch`` alone, which computes all the values
+in array passes; a call at one point is the one-element read.  An
+observable built from a bare ``fn`` is read one point at a time.
+``is_control_independent`` draws its sample first and then reads both
+sides in one batch.
 """
 
 from __future__ import annotations
@@ -94,20 +95,27 @@ class Observable:
     (an input label, or a constant sequence of one) at which the state
     component may be read off.
 
-    ``batch``, if given, reads ``fn`` over a nonempty list of points at
-    once: ``batch(points)[i]`` equals ``complex(fn(points[i]))`` bit for
-    bit.  Like ``fn`` it skips the domain check; :func:`evaluate` does that.
+    The function is given as exactly one of two maps, and the other is
+    derived when it is read.  ``fn`` maps one point to its value; ``batch``
+    maps a nonempty list of points to the list of their values.  Neither
+    checks domains; :func:`evaluate` and the call do that.  A call at one
+    point reads ``batch([point])[0]``, and an observable given ``fn`` is
+    read over a list one point at a time.
     """
 
     domain: DomainTag
-    fn: Callable
+    fn: Optional[Callable] = None
     label: str = ""
     ci_input: object = None
     batch: Optional[Callable] = None
 
+    def __post_init__(self):
+        if (self.fn is None) == (self.batch is None):
+            raise ValueError("an observable takes exactly one of fn and batch")
+
     def __call__(self, point) -> complex:
         _check_point(self.domain, point)
-        return _as_complex(self.fn(point))
+        return complex(_values(self, [point])[0])
 
 
 def _pointwise(fn: Callable, points: list) -> np.ndarray:
@@ -115,10 +123,10 @@ def _pointwise(fn: Callable, points: list) -> np.ndarray:
 
 
 def _values(obs: Observable, points: list) -> np.ndarray:
-    """``obs.fn`` over ``points`` as a complex array, without domain checks."""
+    """``obs`` over ``points`` as a complex array, without domain checks."""
     if not points:
         return np.empty(0, dtype=complex)
-    if obs.batch is None:
+    if obs.fn is not None:  # a bare function, read point by point
         return _pointwise(obs.fn, points)
     return np.asarray(obs.batch(points), dtype=complex)
 
@@ -179,19 +187,13 @@ def linear_combine(coeffs, observables) -> Observable:
     (domain,) = domains
     pairs = tuple(zip(coeffs, observables))
 
-    def fn(point):
-        total = 0j
-        for c, o in pairs:
-            total += c * _as_complex(o.fn(point))
-        return total
-
     def batch(points):
         return _combined(len(points), ((c, _values(o, points)) for c, o in pairs))
 
     stamps = {o.ci_input for o in observables}
     stamp = stamps.pop() if len(stamps) == 1 else None
     label = " + ".join(f"({c:.3g})*{o.label or 'f'}" for c, o in pairs)
-    return Observable(domain, fn, label, ci_input=stamp, batch=batch)
+    return Observable(domain, label=label, ci_input=stamp, batch=batch)
 
 
 @dataclass(frozen=True)
@@ -306,10 +308,8 @@ def state_component(obs: Observable) -> Observable:
     if obs.ci_input is None:
         raise ContractError("observable is not certified control-independent")
     witness = obs.ci_input
-    inner = obs.fn
     return Observable(
         DomainTag.STATE_ONLY,
-        lambda x: inner((x, witness)),
         label=f"state<{obs.label or 'f'}>",
         batch=lambda xs: _values(obs, [(x, witness) for x in xs]),
     )
@@ -339,7 +339,6 @@ def indicator(x_star) -> Observable:
     """1 at the state labelled ``x_star``, 0 elsewhere (finite state spaces)."""
     return Observable(
         DomainTag.STATE_ONLY,
-        lambda x: 1.0 if x == x_star else 0.0,
         label=f"1[x={x_star}]",
         batch=lambda xs: np.array([1.0 if x == x_star else 0.0 for x in xs], dtype=complex),
     )
@@ -349,7 +348,6 @@ def pair_indicator(x_star, u_star) -> Observable:
     """1 at the pair ``(x_star, u_star)``, 0 elsewhere."""
     return Observable(
         DomainTag.STATE_INPUT,
-        lambda p: 1.0 if (p[0] == x_star and p[1] == u_star) else 0.0,
         label=f"1[x={x_star},u={u_star}]",
         batch=lambda ps: np.array(
             [1.0 if (p[0] == x_star and p[1] == u_star) else 0.0 for p in ps], dtype=complex
@@ -358,25 +356,26 @@ def pair_indicator(x_star, u_star) -> Observable:
 
 
 def coordinate(i: int) -> Observable:
-    """The ``i``-th state coordinate (works on numeric labels for ``i = 0``)."""
+    """The ``i``-th state coordinate, ``-d <= i < d`` for a ``d``-dimensional
+    state (works on numeric labels for ``i`` = 0 or -1)."""
 
-    def fn(x):
+    def at(x):
         arr = np.asarray(x, dtype=float).reshape(-1)
-        if i >= arr.size:
+        if not -arr.size <= i < arr.size:
             raise DomainError(f"coordinate {i} out of range for state {x!r}")
         return arr[i]
 
     def batch(xs):
         arr = _stacked(xs)
         if arr is None or not -arr.shape[1] <= i < arr.shape[1]:
-            return _pointwise(fn, xs)
+            return _pointwise(at, xs)  # ragged or out of range: state by state, raising at the first bad one
         return arr[:, i].astype(complex)
 
-    return Observable(DomainTag.STATE_ONLY, fn, label=f"x{i}", batch=batch)
+    return Observable(DomainTag.STATE_ONLY, label=f"x{i}", batch=batch)
 
 
 class MonomialFn:
-    """The function of :func:`monomial`; ``powers`` holds its exponent tuple,
+    """The list map of :func:`monomial`; ``powers`` holds its exponent tuple,
     so a dictionary of monomials can evaluate them all in one array op."""
 
     __slots__ = ("powers", "_exponents")
@@ -385,7 +384,14 @@ class MonomialFn:
         self.powers = powers
         self._exponents = np.asarray(powers)
 
-    def __call__(self, x) -> float:
+    def __call__(self, xs: list) -> np.ndarray:
+        """The monomial at every state of ``xs``, as a complex array."""
+        arr = _stacked(xs)
+        if arr is None or arr.shape[1] != len(self.powers):
+            return _pointwise(self._at, xs)  # ragged or wrong dimension: raises at the first bad state
+        return _monomials(arr, self._exponents[None])[:, 0].astype(complex)
+
+    def _at(self, x) -> float:
         arr = np.asarray(x, dtype=float).reshape(-1)
         if arr.size != len(self.powers):
             raise DomainError(
@@ -393,24 +399,20 @@ class MonomialFn:
             )
         return float((arr**self._exponents).prod())
 
-    def batch(self, xs: list) -> np.ndarray:
-        """``self`` at every state of ``xs``, as a complex array."""
-        arr = _stacked(xs)
-        if arr is None or arr.shape[1] != len(self.powers):
-            return _pointwise(self, xs)
-        return _monomials(arr, self._exponents[None])[:, 0].astype(complex)
-
 
 def _monomials(arr: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """The ``(n, k)`` values of ``k`` monomials, exponent rows ``powers``
     ``(k, d)``, at ``n`` stacked states ``arr`` ``(n, d)``, with the bits of
-    :class:`MonomialFn`'s per-point call.
+    :class:`MonomialFn`'s read of one state.
 
     The exponents are copied out to one contiguous entry per power: numpy
-    takes another power routine for a broadcast exponent than for the
-    per-point call's, and then ~3% of 1-D ``x^2`` values differ in the last bit.
+    takes another power routine for a broadcast exponent, or for a lone
+    entry of a 3-D array, than for the flat arrays of that read, and then
+    ~3% of 1-D ``x^2`` values differ in the last bit.
     """
     exponents = np.broadcast_to(powers, (len(arr), *powers.shape)).copy()
+    if exponents.size == 1:  # one state, one monomial, one coordinate
+        return (arr.ravel() ** exponents.ravel()).reshape(1, 1)
     return (arr[:, None, :] ** exponents).prod(axis=-1)
 
 
@@ -419,12 +421,9 @@ def monomial(powers) -> Observable:
     powers = tuple(int(p) for p in powers)
     terms = [f"x{i}^{p}" for i, p in enumerate(powers) if p]
     label = "*".join(terms) or "1"
-    fn = MonomialFn(powers)
-    return Observable(DomainTag.STATE_ONLY, fn, label=label, batch=fn.batch)
+    return Observable(DomainTag.STATE_ONLY, label=label, batch=MonomialFn(powers))
 
 
 def constant_one(domain: DomainTag) -> Observable:
     """The constant function 1 on the given domain."""
-    return Observable(
-        domain, lambda p: 1.0, label="1", batch=lambda ps: np.ones(len(ps), dtype=complex)
-    )
+    return Observable(domain, label="1", batch=lambda ps: np.ones(len(ps), dtype=complex))

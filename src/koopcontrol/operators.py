@@ -7,12 +7,17 @@ reformulations, the naive construction that cannot be iterated, and the
 restriction/extension operators that move observables between the
 state-only, state-input, and state-sequence domains.  On finite domains
 each operator has an exact 0-1 matrix realization.
+
+Each operator is defined by one list map, ``batch``, which maps a whole
+list of points at once (a Koopman operator steps them all through
+``_step_many``); the map of one point is the one-element call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,30 +64,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompositionOperator:
-    """Linear operator ``f -> f o precompose`` between observable spaces.
+    """Linear operator ``f -> f o m`` between observable spaces.
 
     ``source`` is the domain of acceptable inputs, ``target`` the domain
-    of results; ``precompose`` maps target-domain points to source-domain
+    of results; ``batch`` is the point map ``m`` over a list: it maps a
+    list of target-domain points to the list of their source-domain
     points.  ``requires_ci`` marks operators whose contract only covers
     certified control-independent inputs; ``ci_stamp`` is the witness
     stamped onto results that are control-independent by construction.
-
-    ``batch``, if given, maps a list of points at once:
-    ``batch(points)[i]`` equals ``precompose(points[i])`` bit for bit.
     """
 
     source: DomainTag
     target: DomainTag
-    precompose: Callable
+    batch: Callable
     label: str = ""
     ci_stamp: object = None
     requires_ci: bool = False
-    batch: Optional[Callable] = None
 
-
-def _mapped(op: CompositionOperator, points: list) -> list:
-    """``op.precompose`` of every point, through ``op.batch`` if it has one."""
-    return [op.precompose(p) for p in points] if op.batch is None else op.batch(points)
+    def precompose(self, point):
+        """The source-domain point that ``point`` maps to: ``batch([point])[0]``."""
+        return self.batch([point])[0]
 
 
 def apply(op: CompositionOperator, f: Observable) -> Observable:
@@ -90,8 +91,8 @@ def apply(op: CompositionOperator, f: Observable) -> Observable:
 
     Applying an operator to an observable from the wrong domain raises
     :class:`DomainMismatchError`.  In particular a naive one-sided
-    operator cannot be applied to its own output.  The result's ``batch``
-    maps every point first and then reads ``f`` over the mapped points.
+    operator cannot be applied to its own output.  The result maps every
+    point first and then reads ``f`` over the mapped points.
     """
     if f.domain is not op.source:
         raise DomainMismatchError(
@@ -103,13 +104,11 @@ def apply(op: CompositionOperator, f: Observable) -> Observable:
             f"operator {op.label or 'op'} requires a certified "
             "control-independent observable"
         )
-    inner, pre = f.fn, op.precompose
     return Observable(
         op.target,
-        lambda p: inner(pre(p)),
         label=f"{op.label}[{f.label}]" if op.label else f.label,
         ci_input=op.ci_stamp,
-        batch=lambda ps: _values(f, _mapped(op, ps)),
+        batch=lambda ps: _values(f, op.batch(ps)),
     )
 
 
@@ -132,21 +131,18 @@ def compose(op1: CompositionOperator, op2: CompositionOperator) -> CompositionOp
             f"operator {op1.label or 'op1'} requires a certified control-independent "
             f"observable, and {op2.label or 'op2'} certifies none"
         )
-    pre1, pre2 = op1.precompose, op2.precompose
-    batched = op1.batch is not None or op2.batch is not None
     return CompositionOperator(
         op2.source,
         op1.target,
-        lambda p: pre2(pre1(p)),
+        lambda ps: op2.batch(op1.batch(ps)),
         label=f"{op1.label} o {op2.label}".strip(),
         ci_stamp=op1.ci_stamp,
         requires_ci=op2.requires_ci,
-        batch=(lambda ps: _mapped(op2, _mapped(op1, ps))) if batched else None,
     )
 
 
 def identity_operator(domain: DomainTag) -> CompositionOperator:
-    return CompositionOperator(domain, domain, lambda p: p, label="id")
+    return CompositionOperator(domain, domain, list, label="id")
 
 
 def k_u(sys: ControlSystem, u_star) -> CompositionOperator:
@@ -154,24 +150,19 @@ def k_u(sys: ControlSystem, u_star) -> CompositionOperator:
     if not sys.inputs.contains(u_star):
         raise DomainError(f"unknown input label: {u_star!r}")
     domain = DomainTag.STATE_ONLY
-    pre = lambda x: step(sys, x, u_star)
     batch = lambda xs: _step_many(sys, xs, [u_star] * len(xs))
-    return CompositionOperator(domain, domain, pre, label=f"K[{u_star}]", batch=batch)
+    return CompositionOperator(domain, domain, batch, label=f"K[{u_star}]")
 
 
 def k_aug(sys: ControlSystem) -> CompositionOperator:
     """Koopman operator of the augmented (input-frozen) system."""
     domain = DomainTag.STATE_INPUT
 
-    def precompose(p):
-        x, u = p
-        return (step(sys, x, u), u)
-
     def batch(ps):
         us = [u for _, u in ps]
         return list(zip(_step_many(sys, [x for x, _ in ps], us), us))
 
-    return CompositionOperator(domain, domain, precompose, label="K_aug", batch=batch)
+    return CompositionOperator(domain, domain, batch, label="K_aug")
 
 
 def k_inf(sys: ControlSystem) -> CompositionOperator:
@@ -179,15 +170,11 @@ def k_inf(sys: ControlSystem) -> CompositionOperator:
     sequence's head and shifts its tail."""
     domain = DomainTag.STATE_SEQUENCE
 
-    def precompose(p):
-        x, s = p
-        return (step(sys, x, s.at(0)), shift(s))
-
     def batch(ps):
         seqs = [s for _, s in ps]
         return list(zip(_step_many(sys, [x for x, _ in ps], [s.at(0) for s in seqs]), map(shift, seqs)))
 
-    return CompositionOperator(domain, domain, precompose, label="K_inf", batch=batch)
+    return CompositionOperator(domain, domain, batch, label="K_inf")
 
 
 def k_naive(sys: ControlSystem) -> CompositionOperator:
@@ -199,7 +186,7 @@ def k_naive(sys: ControlSystem) -> CompositionOperator:
     return CompositionOperator(
         DomainTag.STATE_ONLY,
         DomainTag.STATE_INPUT,
-        lambda p: step(sys, p[0], p[1]),
+        lambda ps: _step_many(sys, [p[0] for p in ps], [p[1] for p in ps]),
         label="K_naive",
     )
 
@@ -212,15 +199,13 @@ def power(op: CompositionOperator, k: int) -> CompositionOperator:
         raise ValueError("power must be nonnegative")
     if k == 0:
         return identity_operator(op.source)
-    pre = op.precompose
 
-    def pre_k(p):
-        q = p
+    def batch(ps):
         for _ in range(k):
-            q = pre(q)
-        return q
+            ps = op.batch(ps)
+        return ps
 
-    return CompositionOperator(op.source, op.target, pre_k, label=f"{op.label}^{k}")
+    return CompositionOperator(op.source, op.target, batch, label=f"{op.label}^{k}")
 
 
 def restriction_inf_to_aug() -> CompositionOperator:
@@ -228,7 +213,7 @@ def restriction_inf_to_aug() -> CompositionOperator:
     return CompositionOperator(
         DomainTag.STATE_SEQUENCE,
         DomainTag.STATE_INPUT,
-        lambda p: (p[0], InputSequence.constant(p[1])),
+        lambda ps: [(p[0], InputSequence.constant(p[1])) for p in ps],
         label="R:inf->aug",
     )
 
@@ -238,7 +223,7 @@ def extension_aug_to_inf() -> CompositionOperator:
     return CompositionOperator(
         DomainTag.STATE_INPUT,
         DomainTag.STATE_SEQUENCE,
-        lambda p: (p[0], p[1].at(0)),
+        lambda ps: [(p[0], p[1].at(0)) for p in ps],
         label="E:aug->inf",
     )
 
@@ -250,7 +235,7 @@ def restriction_aug_to_f(u_star, sys: Optional[ControlSystem] = None) -> Composi
     return CompositionOperator(
         DomainTag.STATE_INPUT,
         DomainTag.STATE_ONLY,
-        lambda x: (x, u_star),
+        lambda xs: [(x, u_star) for x in xs],
         label=f"R[{u_star}]:aug->state",
     )
 
@@ -258,7 +243,7 @@ def restriction_aug_to_f(u_star, sys: Optional[ControlSystem] = None) -> Composi
 def extension_f_to_aug() -> CompositionOperator:
     """State observables extended to pairs by ignoring the input: (x, u) -> x."""
     return CompositionOperator(
-        DomainTag.STATE_ONLY, DomainTag.STATE_INPUT, lambda p: p[0], label="E:state->aug"
+        DomainTag.STATE_ONLY, DomainTag.STATE_INPUT, lambda ps: [p[0] for p in ps], label="E:state->aug"
     )
 
 
@@ -315,21 +300,10 @@ def kcf_word(sys: ControlSystem, inputs) -> CompositionOperator:
     gives the identity.
     """
     word = tuple(inputs)
-    for u in word:
-        if not sys.inputs.contains(u):
-            raise DomainError(f"unknown input label: {u!r}")
-    if not word:
+    factors = [k_u(sys, u) for u in word]  # raises at the first unknown label
+    if not factors:
         return identity_operator(DomainTag.STATE_ONLY)
-
-    def pre(x):
-        y = x
-        for u in word:
-            y = step(sys, y, u)
-        return y
-
-    return CompositionOperator(
-        DomainTag.STATE_ONLY, DomainTag.STATE_ONLY, pre, label=f"K_word{list(word)}"
-    )
+    return replace(reduce(compose, factors), label=f"K_word{list(word)}")
 
 
 def to_matrix(op: CompositionOperator, sys: ControlSystem) -> np.ndarray:
@@ -339,14 +313,14 @@ def to_matrix(op: CompositionOperator, sys: ControlSystem) -> np.ndarray:
     that of the source domain, so that
     ``tabulate(apply(op, f)) == to_matrix(op, sys) @ tabulate(f)``.
     Only operators between enumerable domains qualify; anything touching
-    the sequence domain has no finite matrix and is rejected.
+    the sequence domain has no finite matrix and is rejected.  The target
+    enumeration is mapped once, as one list.
     """
     rows = enumerate_points(op.target, sys)
     cols = enumerate_points(op.source, sys)
     index = {p: j for j, p in enumerate(cols)}
     entries = np.zeros((len(rows), len(cols)), dtype=complex)
-    for i, p in enumerate(rows):
-        q = op.precompose(p)
+    for i, (p, q) in enumerate(zip(rows, op.batch(list(rows)))):
         if q not in index:
             raise DomainError(f"precompose left the enumerated domain at {p!r} -> {q!r}")
         entries[i, index[q]] = 1.0

@@ -232,11 +232,13 @@ def _stacked(points: list) -> Optional[np.ndarray]:
 def _step_many(sys: ControlSystem, xs: list, us: list) -> list:
     """``[step(sys, x, u) for x, u in zip(xs, us)]`` bit for bit, raising
     what that loop raises first.  A box system with a ``transition_batch``
-    has all labels, states and outputs checked at once (with ``_inside``'s
-    bounds) and one batch call per input label; other systems, or states
-    that do not stack to ``(n, d)``, run the loop."""
+    has all labels, states and outputs of two or more states checked at
+    once (with ``_inside``'s bounds) and one batch call per input label;
+    one state (cheaper to step alone), other systems, or states that do
+    not stack to ``(n, d)`` run the loop."""
     box = sys.states
-    arr = _stacked(xs) if sys.transition_batch is not None and isinstance(box, RealBox) else None
+    batched = sys.transition_batch is not None and isinstance(box, RealBox) and len(xs) > 1
+    arr = _stacked(xs) if batched else None
     if arr is None or arr.shape[1] != box.dimension:
         return [step(sys, x, u) for x, u in zip(xs, us)]
     lo, hi = np.array(box._slack_bounds).T

@@ -78,7 +78,7 @@ def _per_point_lift(d, xs):
 def _without_batching(d):
     """The same functions, hidden behind plain callables: lifted point by point."""
     return Dictionary(
-        tuple(Observable(DomainTag.STATE_ONLY, lambda x, fn=o.fn: fn(x), o.label)
+        tuple(Observable(DomainTag.STATE_ONLY, lambda x, o=o: o(x), o.label)
               for o in d.observables)
     )
 
@@ -88,7 +88,7 @@ def test_batched_lift_is_bitwise_per_point_monomial10_1d():
     rng = np.random.default_rng(2024)
     xs = [np.array([v]) for v in (-1.0, 0.0, 1.0, -0.0, 1e-300, -1e-3)]
     xs += list(rng.uniform(-1.0, 1.0, size=(10_000, 1)))
-    assert [o.fn.powers for o in d.observables] == [(k,) for k in range(11)]
+    assert [o.batch.powers for o in d.observables] == [(k,) for k in range(11)]
     batch = d.lift_batch(xs)
     assert batch.shape == (11, len(xs)) and batch.dtype == complex
     assert np.array_equal(batch, _per_point_lift(d, xs))

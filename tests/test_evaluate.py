@@ -190,6 +190,8 @@ def _first_error(call):
         (monomial((1, 2)), [np.array([1.0, 2.0]), np.array([3.0])]),  # ragged: read one by one
         (monomial((1, 2)), [np.array([1.0]), np.array([3.0])]),  # stacked, wrong dimension
         (coordinate(2), [np.array([1.0, 2.0])] * 3),
+        (coordinate(-5), [np.array([1.0])] * 3),
+        (coordinate(-2), [np.array([1.0, 2.0]), np.array([3.0])]),  # ragged: read one by one
         (apply(extension_f_to_aug(), monomial((1, 1))), [(np.array([1.0]), "a")]),
     ],
 )

@@ -43,8 +43,8 @@ SYSTEMS = {
 
 
 def _op(source, target, point_map, label):
-    """The operator that maps each point through ``point_map``."""
-    return CompositionOperator(source, target, point_map, label=label)
+    """The operator that maps each point of a list through ``point_map``."""
+    return CompositionOperator(source, target, lambda ps: [point_map(p) for p in ps], label=label)
 
 
 def _mutants(sys) -> dict:

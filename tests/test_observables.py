@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +39,19 @@ def test_observable_call_returns_complex(f3):
     value = indicator(2)(2)
     assert isinstance(value, complex)
     assert value == 1
+
+
+def test_an_observable_takes_exactly_one_map():
+    """A library observable is its list map; a custom one gives ``fn`` or
+    ``batch``.  Neither or both is refused, so a ``replace`` of the map an
+    observable does not read cannot pass silently."""
+    square = Observable(DomainTag.STATE_ONLY, batch=lambda xs: [x * x for x in xs])
+    assert square(3) == 9 and square.fn is None
+    assert monomial((2,)).fn is None
+    with pytest.raises(ValueError, match="exactly one of fn and batch"):
+        Observable(DomainTag.STATE_ONLY)
+    with pytest.raises(ValueError, match="exactly one of fn and batch"):
+        replace(monomial((2,)), fn=lambda x: x)
 
 
 def test_pair_domain_rejects_bare_states():

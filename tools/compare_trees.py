@@ -27,7 +27,8 @@ runs in a fresh process on that tree's ``src``:
 
 Every file a case writes, its stdout and stderr (with the case's output
 directory masked) and its exit status are compared byte for byte.  The
-script lists each difference and exits 1 if there is any, else 0.
+script lists each difference, prints ``wc -l src/koopcontrol/*.py`` of
+both trees, and exits 1 if there is any difference, else 0.
 """
 
 from __future__ import annotations
@@ -89,6 +90,19 @@ def _run_tree(tree: Path, cases: dict, dest: Path) -> None:
         (dest / name / "streams.txt").write_text(streams.replace(str(out), "<out>"))
 
 
+def _line_counts(tree: Path) -> dict:
+    """Library module name -> its line count, as ``wc -l`` counts them."""
+    return {p.name: p.read_bytes().count(b"\n") for p in (tree / "src" / "koopcontrol").glob("*.py")}
+
+
+def _print_sizes(parent: Path, change: Path) -> None:
+    before, after = _line_counts(parent), _line_counts(change)
+    print("wc -l  parent  change")
+    for name in sorted(before.keys() | after.keys()):
+        print(f"{before.get(name, 0):14d}  {after.get(name, 0):6d}  src/koopcontrol/{name}")
+    print(f"{sum(before.values()):14d}  {sum(after.values()):6d}  total")
+
+
 def _files(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -120,6 +134,7 @@ def main(argv=None) -> int:
                 line + "\n" for line in list(difflib.unified_diff(old, new, "parent", "change", lineterm=""))[:40]
             )
         print(f"{len(before.keys() | after.keys()) - len(differ)} identical, {len(differ)} different")
+    _print_sizes(parent, change)
     return 1 if differ else 0
 
 
