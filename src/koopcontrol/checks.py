@@ -330,7 +330,7 @@ def _aug_basis(sys: ControlSystem) -> list:
     w = lambda ps: [table[p[1]] for p in ps]
     for phi in _state_basis(sys)[1:]:
         basis.append(_scaled(phi, DomainTag.STATE_INPUT, w, "w(u)"))
-        basis.append(_scaled(phi, DomainTag.STATE_INPUT, _unit_weights, "w(u)"))
+        basis.append(_scaled(phi, DomainTag.STATE_INPUT, _unit_weights, "1"))
     basis.append(_scaled(constant_one(DomainTag.STATE_ONLY), DomainTag.STATE_INPUT, w, "w(u)"))
     return basis
 
@@ -624,16 +624,19 @@ _C16_STEP = _Group("", "p", "E_ci fx", ("single step: {f} at {p}", "K_aug E_f R_
 def _run_c16(sys, plan, rng):
     rec = _run_table(sys, plan, rng, ("fx", "p"), (_C16_STEP,))
     iso, kau = ci_isomorphisms(sys), k_aug(sys)
-    witness = two_step_discrepancy_witness(sys, tol=plan.tolerance or 1e-12)
+    tol = plan.tolerance
+    witness = two_step_discrepancy_witness(sys, tol=tol)
     if witness is None:
         rec.note = "no two-step discrepancy exists for this system"
     else:
         lifted = apply(iso.extend_state_to_aug, witness.observable)
         v_power = apply(power(kau, 2), lifted)((witness.x, witness.word[0]))
         v_word = apply(kcf_word(sys, witness.word), witness.observable)(witness.x)
-        diverge = abs(v_power - v_word) > (plan.tolerance or 1e-12)
-        rec.record(0.0 if diverge else 1.0, lambda: "claimed two-step witness shows no gap")
-        claim = "two steps diverge" if diverge else "claimed two-step witness did not reproduce"
+        # The values must differ (NaN counts as a gap) and equal those the witness stepped by hand.
+        ok = not abs(v_power - v_word) <= tol
+        ok = ok and abs(v_power - witness.value_power) <= tol and abs(v_word - witness.value_word) <= tol
+        claim = "two steps diverge" if ok else "claimed two-step witness did not reproduce"
+        rec.record(0.0 if ok else 1.0, lambda: claim)
         rec.note = (
             f"{claim} at x={witness.x!r}, word={witness.word!r}: "
             f"frozen-input value {v_power:.6g} vs word value {v_word:.6g}"
@@ -644,7 +647,7 @@ def _run_c16(sys, plan, rng):
 def _run_c19(sys, plan, rng):
     rec = _Recorder(plan.tolerance)
     probes = _aug_basis(sys)
-    report = input_aug_well_definedness(sys, probes, tol=plan.tolerance or 1e-12)
+    report = input_aug_well_definedness(sys, probes, tol=plan.tolerance)
     if len(sys.inputs.labels) == 1:
         ok = report.reason is WellDefinednessReason.SINGLETON_INPUT
         rec.note = "single input: construction well defined"
@@ -654,7 +657,7 @@ def _run_c19(sys, plan, rng):
         ok = report.reason is WellDefinednessReason.WITNESS_FOUND
         if report.witness is not None:
             label, x, u, u1, u2, v1, v2 = report.witness
-            ok = ok and not abs(v1 - v2) <= (plan.tolerance or 1e-12)
+            ok = ok and not abs(v1 - v2) <= plan.tolerance
             rec.note = (
                 f"witness: probe {label} at T({x!r}, {u!r}) gives "
                 f"{v1:.6g} under {u1!r} vs {v2:.6g} under {u2!r}"

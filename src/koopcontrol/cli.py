@@ -13,8 +13,9 @@ command-line flags; flags win.  The table ``_OPTIONS`` lists every config
 key, how its value is read, and which commands take it as a flag; any
 other key is an error.  Inline finite systems use ``system = table`` with
 ``states``, ``inputs``, and one ``step.<state>.<input> = <next>`` line per
-transition; built-in parametric systems take overrides via ``param.*``
-keys (``param.r = 3.0``, ``param.lambdas.a = 0.4``).
+transition; built-in systems take the ``param.*`` overrides they name
+(``param.r = 3.0``; ``param.lambdas.a = 0.4``, where the ``param.lambdas.*``
+keys given replace the whole table).
 
 Output files go to ``--out``, else the directory named by the
 ``KOOPCONTROL_OUT`` environment variable, else the current directory.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys as _sys
@@ -186,19 +188,20 @@ def _parse_label(token: str):
 # --- system resolution -----------------------------------------------------
 
 
-def _collect_params(cfg) -> dict:
+def _collect_params(cfg, name: str) -> dict:
     params = {}
     for key, value in cfg.items():
         if not key.startswith("param."):
             continue
-        rest = key[len("param.") :]
-        if "." in rest:
-            head, _, sub = rest.partition(".")
+        head, dot, sub = key[len("param.") :].partition(".")
+        if name in BUILTIN_SYSTEMS and head not in inspect.signature(BUILTIN_SYSTEMS[name]).parameters:
+            raise DomainError(f"config key {key!r}: system {name!r} takes no such parameter")
+        if dot:
             params.setdefault(head, {})[_parse_label(sub)] = _read(key, float, value)
         elif "," in value:
-            params[rest] = tuple(_read(key, float, tok) for tok in value.split(","))
+            params[head] = tuple(_read(key, float, tok) for tok in value.split(","))
         else:
-            params[rest] = _read(key, float, value)
+            params[head] = _read(key, float, value)
     return params
 
 
@@ -236,7 +239,7 @@ def resolve_system(cfg) -> ControlSystem:
     name = cfg.get("system", "finite3")
     if name == "table":
         return _table_system(cfg)
-    return builtin_system(name, **_collect_params(cfg))
+    return builtin_system(name, **_collect_params(cfg, name))
 
 
 def _out_dir(cfg) -> Path:

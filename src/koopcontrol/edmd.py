@@ -29,7 +29,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -136,23 +135,15 @@ class ExhaustiveFinite:
 class TrainingSet:
     """Transition triples ``(x, u, x_next)`` plus the full input label set.
 
-    ``input_labels`` lets the fit flag labels that received no samples;
-    it defaults to the labels present in the triples.
+    ``input_labels`` lets the fit flag labels that received no samples.
     """
 
     triples: tuple
-    input_labels: tuple = ()
+    input_labels: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "triples", tuple(self.triples))
-        if not self.input_labels:
-            seen = []
-            for _, u, _ in self.triples:
-                if u not in seen:
-                    seen.append(u)
-            object.__setattr__(self, "input_labels", tuple(seen))
-        else:
-            object.__setattr__(self, "input_labels", tuple(self.input_labels))
+        object.__setattr__(self, "input_labels", tuple(self.input_labels))
 
     def per_input(self) -> dict:
         groups = {u: [] for u in self.input_labels}
@@ -183,17 +174,15 @@ class FitReport:
     missing_inputs: tuple
 
 
-def collect_data(sys: ControlSystem, sampler, per_input: bool = True) -> TrainingSet:
+def collect_data(sys: ControlSystem, sampler) -> TrainingSet:
     """Generate transition triples from a system with the given sampler.
 
-    With ``per_input`` every sampled state is paired with every input
-    label; otherwise inputs are cycled across the samples.
+    Every sampled state is paired with every input label.
     """
     if isinstance(sampler, ExhaustiveFinite):
         if not isinstance(sys.states, FiniteStates):
             raise UnsupportedError("exhaustive sampling needs a finite state space")
         xs = list(sys.states.labels)
-        per_input = True
     elif isinstance(sampler, GridOnBox):
         if not isinstance(sys.states, RealBox):
             raise UnsupportedError("grid sampling needs a box state space")
@@ -213,13 +202,9 @@ def collect_data(sys: ControlSystem, sampler, per_input: bool = True) -> Trainin
     else:
         raise ValueError(f"unknown sampler: {sampler!r}")
 
-    ulabels = sys.inputs.labels
-    if per_input:
-        pairs = [(x, u) for x in xs for u in ulabels]
-    else:
-        pairs = [(x, ulabels[j % len(ulabels)]) for j, x in enumerate(xs)]
+    pairs = [(x, u) for x in xs for u in sys.inputs.labels]
     ys = _step_many(sys, [x for x, _ in pairs], [u for _, u in pairs])
-    return TrainingSet(tuple((x, u, y) for (x, u), y in zip(pairs, ys)), input_labels=ulabels)
+    return TrainingSet(tuple((x, u, y) for (x, u), y in zip(pairs, ys)), input_labels=sys.inputs.labels)
 
 
 def _solve_ls(phi0: np.ndarray, phi1: np.ndarray) -> tuple:
@@ -367,22 +352,21 @@ def import_training_csv(path, sys: ControlSystem) -> TrainingSet:
     return TrainingSet(tuple(triples), input_labels=sys.inputs.labels)
 
 
-def export_model_json(model: SeparableModel, path, report: Optional[FitReport] = None) -> None:
-    """Write the model (and optionally its fit report) as deterministic JSON."""
+def export_model_json(model: SeparableModel, path, report: FitReport) -> None:
+    """Write the model and its fit report as deterministic JSON."""
     payload = {
         "dictionary": list(model.dictionary.labels),
         "matrices": {
             str(u): [[[v.real, v.imag] for v in row] for row in mat]
             for u, mat in model.matrices.items()
         },
-    }
-    if report is not None:
-        payload["fit"] = {
+        "fit": {
             "residuals": {str(u): r for u, r in report.residuals.items()},
             "counts": {str(u): c for u, c in report.counts.items()},
             "rank_deficient": {str(u): f for u, f in report.rank_deficient.items()},
             "missing_inputs": [str(u) for u in report.missing_inputs],
-        }
+        },
+    }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

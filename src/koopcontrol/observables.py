@@ -221,7 +221,8 @@ def is_control_independent(
 ) -> CIReport:
     """Test whether ``obs`` ignores its input component.
 
-    Exhaustive mode enumerates all (x, u1, u2) triples and is only
+    Exhaustive mode scans the triples ``(x, u0, u)`` state-major, with
+    ``u0`` the first input label and ``u`` each later one; it is only
     available for state-input observables over finite state spaces.
     Sampled mode draws points and input pairs (or eventually-periodic
     sequence pairs) from a seeded generator; a negative witness refutes
@@ -246,28 +247,22 @@ def is_control_independent(
             raise UnsupportedError("exhaustive mode needs a finite state space")
         if obs.domain is not DomainTag.STATE_INPUT:
             raise UnsupportedError("exhaustive mode needs a state-input observable")
-        states = sys.states.labels
-        values = evaluate(obs, enumerate_points(DomainTag.STATE_INPUT, sys))
-        values = values.reshape(len(states), len(labels))
-        first = _first_gap(values[:, 1:], values[:, :1], tol)  # state-major
-        if first is None:
-            return CIReport(True, None, mode)
-        i, j = divmod(first, len(labels) - 1)
-        return CIReport(False, (states[i], labels[0], labels[j + 1]), mode)
-    if not isinstance(mode, Sampled):
+        triples = [(x, labels[0], u) for x in sys.states.labels for u in labels[1:]]
+    elif isinstance(mode, Sampled):
+        rng = np.random.default_rng(mode.seed)
+        triples = []
+        for _ in range(mode.count):
+            x = random_state(rng, sys.states)
+            if obs.domain is DomainTag.STATE_INPUT:
+                i = int(rng.integers(len(labels)))
+                j = int(rng.integers(max(len(labels) - 1, 1)))
+                w1, w2 = labels[i], labels[j + (1 if j >= i and len(labels) > 1 else 0)]
+            else:
+                w1 = random_sequence(rng, labels)
+                w2 = random_sequence(rng, labels)
+            triples.append((x, w1, w2))
+    else:
         raise ValueError(f"unknown mode: {mode!r}")
-    rng = np.random.default_rng(mode.seed)
-    triples = []
-    for _ in range(mode.count):
-        x = random_state(rng, sys.states)
-        if obs.domain is DomainTag.STATE_INPUT:
-            i = int(rng.integers(len(labels)))
-            j = int(rng.integers(max(len(labels) - 1, 1)))
-            w1, w2 = labels[i], labels[j + (1 if j >= i and len(labels) > 1 else 0)]
-        else:
-            w1 = random_sequence(rng, labels)
-            w2 = random_sequence(rng, labels)
-        triples.append((x, w1, w2))
     values = evaluate(obs, [(x, w1) for x, w1, _ in triples] + [(x, w2) for x, _, w2 in triples])
     first = _first_gap(values[: len(triples)], values[len(triples) :], tol)
     if first is None:
@@ -276,7 +271,7 @@ def is_control_independent(
 
 
 def _first_gap(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[int]:
-    """Flat index of the first ``|a - b|`` that is not ``<= tol`` (NaN
+    """Index of the first ``|a - b|`` that is not ``<= tol`` (NaN
     included), or ``None``."""
     bad = np.flatnonzero(~(_abs_diff(a, b) <= tol))
     return int(bad[0]) if bad.size else None

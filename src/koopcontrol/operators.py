@@ -396,14 +396,12 @@ class TwoStepWitness:
     value_word: complex
 
 
-def two_step_discrepancy_witness(
-    sys: ControlSystem, tol: float = 1e-12, n_samples: int = 100, seed: int = 0
-) -> Optional[TwoStepWitness]:
+def two_step_discrepancy_witness(sys: ControlSystem, tol: float = 1e-12) -> Optional[TwoStepWitness]:
     """Deterministic search for a two-step mismatch between the augmented
     operator squared and a length-2 input word.
 
     Finite systems are scanned exhaustively (states, then ordered input
-    pairs); box systems are scanned over seeded samples with the first
+    pairs); box systems over 100 states drawn with seed 0, with the first
     state coordinate as the probe.  Returns ``None`` when no mismatch
     exists within the scan, as happens for dynamics that ignore the input.
     """
@@ -411,7 +409,7 @@ def two_step_discrepancy_witness(
         starts = sys.states.labels
         probe_of = indicator
     else:
-        starts = random_state(np.random.default_rng(seed), sys.states, n_samples)
+        starts = random_state(np.random.default_rng(0), sys.states, 100)
         probe_of = None
     for x in starts:
         for u0 in sys.inputs.labels:

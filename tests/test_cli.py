@@ -282,6 +282,13 @@ def test_bad_param_value_names_its_config_key(tmp_path, capsys):
     assert "config key 'param.lambdas.a': expected a number, got 'oops'" in capsys.readouterr().err
 
 
+def test_unknown_param_key_is_named(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("system = finite3\nparam.foo = 1\n")
+    assert run("check", "--config", str(config), "--out", str(tmp_path)) == 2
+    assert "config key 'param.foo': system 'finite3' takes no such parameter" in capsys.readouterr().err
+
+
 def test_bad_scalar_param_value_names_its_config_key(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("system = logistic-with-offset\nseed = 1\nparam.r = oops\n")

@@ -172,19 +172,13 @@ def test_collect_data_grid(sl):
     assert len(data.triples) == 5 * 2  # 5 grid points, both inputs each
 
 
-def test_collect_data_cycles_inputs_when_not_per_input(sl):
-    data = collect_data(sl, UniformRandom(6, seed=0), per_input=False)
-    assert [u for _, u, _ in data.triples] == ["a", "b", "a", "b", "a", "b"]
-
-
-@pytest.mark.parametrize("per_input", [True, False])
 @pytest.mark.parametrize("name", ["scalarlinear", "logistic-with-offset"])
-def test_collect_data_gives_the_same_triples_without_transition_batch(name, per_input):
+def test_collect_data_gives_the_same_triples_without_transition_batch(name):
     sys = builtin_system(name)
     assert sys.transition_batch is not None
     bits = lambda data: [(x.tobytes(), u, y.shape, y.tobytes()) for x, u, y in data.triples]
-    batched = collect_data(sys, UniformRandom(300, seed=5), per_input=per_input)
-    looped = collect_data(replace(sys, transition_batch=None), UniformRandom(300, seed=5), per_input=per_input)
+    batched = collect_data(sys, UniformRandom(300, seed=5))
+    looped = collect_data(replace(sys, transition_batch=None), UniformRandom(300, seed=5))
     assert bits(batched) == bits(looped)
 
 

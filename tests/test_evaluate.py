@@ -18,6 +18,7 @@ from koopcontrol import (
     DomainMismatchError,
     DomainTag,
     Exhaustive,
+    FiniteStates,
     InputSequence,
     InputSet,
     Observable,
@@ -245,6 +246,9 @@ def _ci_cases():
     head = Observable(DomainTag.STATE_SEQUENCE, lambda p: 1.0 if p[1].at(1) == "a" else 0.0)
     blind = apply(extension_aug_to_inf(), apply(extension_f_to_aug(), coordinate(0)))
     signed = Observable(DomainTag.STATE_INPUT, lambda p: p[0] if p[1] == "a" else -p[0])
+    # Three inputs: the only gap is under the third label, at the last state.
+    t3 = ControlSystem(FiniteStates((0, 1, 2)), InputSet(("a", "b", "c")), lambda x, u: (x + 1) % 3)
+    third = Observable(DomainTag.STATE_INPUT, lambda p: 1.0 if p == (2, "c") else 0.0)
     return [
         (weighted, f3, Exhaustive()),
         (late, f3, Exhaustive()),
@@ -255,6 +259,8 @@ def _ci_cases():
         (blind, f3, Sampled(100, 2)),
         (signed, sl, Sampled(200, 1)),
         (blind, sl, Sampled(50, 3)),
+        (third, t3, Exhaustive()),
+        (third, t3, Sampled(40, 5)),
     ]
 
 

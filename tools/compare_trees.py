@@ -13,6 +13,7 @@ runs in a fresh process on that tree's ``src``:
 * ``koopcontrol check --exact --seed 7`` on ``finite3``, ``collapse2`` and
   the perfbench 32x3 table (``perfbench/workloads.table_config(7)``, read
   from CHANGE and given to both trees);
+* ``koopcontrol check --seed 7`` on ``finite3``, without ``--exact``;
 * ``koopcontrol check --seed 7 --points 1000 --tol 1e-12`` on
   ``scalarlinear`` and ``logistic-with-offset``;
 * ``koopcontrol check --seed 7 --points 30`` on ``scalarlinear`` with
@@ -22,7 +23,9 @@ runs in a fresh process on that tree's ``src``:
   ``logistic-with-offset``; every check still passes there, because both
   sides of each identity are read with the same bits;
 * ``koopcontrol fit --system scalarlinear --dict monomial:10 --points 5000
-  --seed 7``;
+  --seed 7``, then in the same output directory one ``koopcontrol
+  predict`` with the first of ``perfbench/workloads.predict_inputs(7)``,
+  as the perfbench ``identify`` workload runs it;
 * each script of ``demos/`` (the scripts CHANGE has), run as ``__main__``.
 
 Every file a case writes, its stdout and stderr (with the case's output
@@ -53,12 +56,14 @@ _EXACT = ["--exact", "--seed", "7"]
 _SAMPLED = ["--seed", "7", "--points", "1000", "--tol", "1e-12"]
 
 
-def _cases(table: Path, few_points: Path, demos: list) -> dict:
-    """Case name -> argv after ``python``; ``{out}`` is the case's output directory."""
+def _cases(table: Path, few_points: Path, predict: Path, demos: list) -> dict:
+    """Case name -> the argv lists after ``python`` that run in turn; ``{out}``
+    is the case's output directory."""
     cli = ["-m", "koopcontrol.cli"]
     cases = {"goldens": ["-c", _GOLDENS, "{out}"]}
     for name in ("finite3", "collapse2"):
         cases[f"check-{name}"] = cli + ["check", "--system", name, *_EXACT, "--out", "{out}"]
+    cases["check-finite3-default"] = cli + ["check", "--system", "finite3", "--seed", "7", "--out", "{out}"]
     cases["check-table32x3"] = cli + ["check", "--config", str(table), *_EXACT, "--out", "{out}"]
     for name in ("scalarlinear", "logistic-with-offset"):
         cases[f"check-{name}"] = cli + ["check", "--system", name, *_SAMPLED, "--out", "{out}"]
@@ -69,24 +74,27 @@ def _cases(table: Path, few_points: Path, demos: list) -> dict:
         "check", "--system", "logistic-with-offset", "--seed", "7", "--points", "1000",
         "--tol", "1e-300", "--out", "{out}",
     ]
-    cases["fit-scalarlinear"] = cli + [
-        "fit", "--system", "scalarlinear", "--dict", "monomial:10",
-        "--points", "5000", "--seed", "7", "--out", "{out}",
-    ]
+    fit = ["--system", "scalarlinear", "--dict", "monomial:10", "--out", "{out}"]
+    cases["fit-scalarlinear"] = (
+        cli + ["fit", *fit, "--points", "5000", "--seed", "7"],
+        cli + ["predict", *fit, "--config", str(predict), "--tol", "1e-08"],
+    )
     for demo in demos:
         cases[f"demo-{demo.stem}"] = [f"demos/{demo.name}"]
-    return cases
+    return {name: argvs if isinstance(argvs, tuple) else (argvs,) for name, argvs in cases.items()}
 
 
 def _run_tree(tree: Path, cases: dict, dest: Path) -> None:
     """Run every case in ``tree``; write its files and streams under ``dest/<case>``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    for name, argv in cases.items():
+    for name, argvs in cases.items():
         out = dest / name / "files"
         out.mkdir(parents=True)
-        cmd = [sys.executable] + [a.replace("{out}", str(out)) for a in argv]
-        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-        streams = f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
+        streams = ""
+        for argv in argvs:
+            cmd = [sys.executable] + [a.replace("{out}", str(out)) for a in argv]
+            proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+            streams += f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
         (dest / name / "streams.txt").write_text(streams.replace(str(out), "<out>"))
 
 
@@ -122,7 +130,10 @@ def main(argv=None) -> int:
         table.write_text(workloads.table_config(7))
         few_points = tmp / "scalarlinear50.cfg"
         few_points.write_text("system = scalarlinear\nfunctions = 50\n")
-        cases = _cases(table, few_points, sorted((change / "demos").glob("*.py")))
+        predict = tmp / "predict.cfg"
+        x0, word = workloads.predict_inputs(7)[0]
+        predict.write_text(f"x0 = {x0!r}\nword = {','.join(word)}\nsteps = {workloads.PREDICT_STEPS}\n")
+        cases = _cases(table, few_points, predict, sorted((change / "demos").glob("*.py")))
         for side, tree in (("parent", parent), ("change", change)):
             _run_tree(tree, cases, tmp / side)
         before, after = _files(tmp / "parent"), _files(tmp / "change")
