@@ -172,13 +172,15 @@ def test_collect_data_grid(sl):
     assert len(data.triples) == 5 * 2  # 5 grid points, both inputs each
 
 
+@pytest.mark.parametrize("on_grid", [True, False])
 @pytest.mark.parametrize("name", ["scalarlinear", "logistic-with-offset"])
-def test_collect_data_gives_the_same_triples_without_transition_batch(name):
+def test_collect_data_gives_the_same_triples_without_transition_batch(name, on_grid):
     sys = builtin_system(name)
     assert sys.transition_batch is not None
+    sampler = GridOnBox(300) if on_grid else UniformRandom(300, seed=5)
     bits = lambda data: [(x.tobytes(), u, y.shape, y.tobytes()) for x, u, y in data.triples]
-    batched = collect_data(sys, UniformRandom(300, seed=5))
-    looped = collect_data(replace(sys, transition_batch=None), UniformRandom(300, seed=5))
+    batched = collect_data(sys, sampler)
+    looped = collect_data(replace(sys, transition_batch=None), sampler)
     assert bits(batched) == bits(looped)
 
 
