@@ -83,6 +83,7 @@ from .systems import (
     RealBox,
     _step_many,
     random_sequence,
+    random_sequences,
     random_state,
     state_distance,
 )
@@ -244,18 +245,17 @@ def _scenario_pairs(sys, plan, rng) -> list:
     if isinstance(sys.states, FiniteStates):
         return list(enumerate_points(DomainTag.STATE_INPUT, sys))
     labels = sys.inputs.labels
-    return [
-        (random_state(rng, sys.states), labels[int(rng.integers(len(labels)))])
-        for _ in range(plan.n_points)
-    ]
+    states = random_state(rng, sys.states, plan.n_points)
+    return [(x, labels[i]) for x, i in zip(states, rng.integers(len(labels), size=plan.n_points).tolist())]
 
 
 def _scenario_seq_points(sys, plan, rng, n=None) -> list:
+    """Box states, then their sequences; finite systems draw point by point."""
     labels, pmax, qmax = sys.inputs.labels, plan.seq_prefix_max, plan.seq_period_max
-    return [
-        (random_state(rng, sys.states), random_sequence(rng, labels, pmax, qmax))
-        for _ in range(plan.n_points if n is None else n)
-    ]
+    n = plan.n_points if n is None else n
+    if _is_finite(sys):
+        return [(random_state(rng, sys.states), random_sequence(rng, labels, pmax, qmax)) for _ in range(n)]
+    return list(zip(random_state(rng, sys.states, n), random_sequences(rng, labels, n, pmax, qmax)))
 
 
 class _Trajectory(NamedTuple):
@@ -273,19 +273,17 @@ class _Trajectory(NamedTuple):
 def _scenario_trajectories(sys, plan, rng, horizons: int = 6) -> list:
     """Sequence points, then one horizon below ``horizons`` per point, in point order."""
     points = _scenario_seq_points(sys, plan, rng)
-    return [_Trajectory(x0, seq, int(rng.integers(0, horizons))) for x0, seq in points]
+    return [_Trajectory(*p, k) for p, k in zip(points, rng.integers(0, horizons, size=len(points)).tolist())]
 
 
 def _scenario_words(sys, plan, rng) -> list:
     """Start states (six rounds on finite systems, covering lengths 0..5), each
     with a random word of length ``i % 6`` followed by the first input forever."""
     labels = sys.inputs.labels
-    states = _scenario_states(sys, plan, rng)
-    out = []
-    for i, x0 in enumerate(states * 6 if _is_finite(sys) else states):
-        word = tuple(labels[int(rng.integers(len(labels)))] for _ in range(i % 6))
-        out.append(_Trajectory(x0, InputSequence(word, (labels[0],)), len(word)))
-    return out
+    states = _scenario_states(sys, plan, rng) * (6 if _is_finite(sys) else 1)
+    picks = iter(rng.integers(len(labels), size=sum(i % 6 for i in range(len(states)))).tolist())
+    words = [tuple(labels[next(picks)] for _ in range(i % 6)) for i in range(len(states))]
+    return [_Trajectory(x0, InputSequence(w, (labels[0],)), len(w)) for x0, w in zip(states, words)]
 
 
 def _scaled(phi: Observable, domain: DomainTag, weights: Callable, label: str, ci_input=None) -> Observable:
@@ -369,9 +367,8 @@ def _functions(sys, plan, rng, basis: list) -> list:
     """Exhaustive basis on finite systems, seeded random combinations on boxes."""
     if isinstance(sys.states, FiniteStates):
         return basis
-    m = len(basis)
-    coeffs = [rng.uniform(-1, 1, size=m) + 1j * rng.uniform(-1, 1, size=m) for _ in range(plan.n_functions)]
-    return _Combinations(basis, np.array(coeffs))
+    parts = rng.uniform(-1, 1, size=(plan.n_functions, 2, len(basis)))  # real, imaginary rows
+    return _Combinations(basis, parts[:, 0] + 1j * parts[:, 1])
 
 
 def _ci_seq_direct(sys: ControlSystem) -> list:
@@ -402,9 +399,8 @@ _DRAWS = {
     "t11": lambda sys, plan, rng: _scenario_trajectories(sys, plan, rng, horizons=11),
     "tw": _scenario_words,
     "c": lambda sys, plan, rng: [
-        linear_combine([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))],
-                       [constant_one(DomainTag.STATE_SEQUENCE)])
-        for _ in range(min(plan.n_functions, 8))
+        linear_combine([complex(re, im)], [constant_one(DomainTag.STATE_SEQUENCE)])
+        for re, im in rng.uniform(-1, 1, size=(min(plan.n_functions, 8), 2)).tolist()
     ],
     "fx": lambda sys, plan, rng: _functions(sys, plan, rng, _state_basis(sys)),
     "fp": lambda sys, plan, rng: _functions(sys, plan, rng, _aug_basis(sys)),

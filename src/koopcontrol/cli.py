@@ -188,6 +188,10 @@ def _parse_label(token: str):
 # --- system resolution -----------------------------------------------------
 
 
+# The value shapes each built-in parameter takes; a lone number is a one-element list.
+_PARAM_SHAPES = {"r": ("a number",), "offsets": ("a list", "a number"), "lambdas": ("per-label keys",)}
+
+
 def _collect_params(cfg, name: str) -> dict:
     params = {}
     for key, value in cfg.items():
@@ -196,12 +200,15 @@ def _collect_params(cfg, name: str) -> dict:
         head, dot, sub = key[len("param.") :].partition(".")
         if name in BUILTIN_SYSTEMS and head not in inspect.signature(BUILTIN_SYSTEMS[name]).parameters:
             raise DomainError(f"config key {key!r}: system {name!r} takes no such parameter")
+        shape = "per-label keys" if dot else "a list" if "," in value else "a number"
+        takes = _PARAM_SHAPES.get(head, (shape,))
+        if shape not in takes:
+            raise DomainError(f"config key {key!r}: {head!r} takes {' or '.join(takes)}, not {shape}")
         if dot:
             params.setdefault(head, {})[_parse_label(sub)] = _read(key, float, value)
-        elif "," in value:
-            params[head] = tuple(_read(key, float, tok) for tok in value.split(","))
         else:
-            params[head] = _read(key, float, value)
+            values = tuple(_read(key, float, tok) for tok in value.split(","))
+            params[head] = values if "a list" in takes else values[0]
     return params
 
 

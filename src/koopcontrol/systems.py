@@ -32,6 +32,7 @@ __all__ = [
     "shift",
     "range_map",
     "random_sequence",
+    "random_sequences",
     "random_state",
     "state_distance",
     "states_equal",
@@ -77,9 +78,10 @@ class RealBox(StateSpace):
             raise ValueError("lower and upper bounds must have equal length")
         if not all(a < b for a, b in zip(lo, hi)):
             raise ValueError("require lower < upper in every coordinate")
-        # Built once: every step validates against these widened bounds.
+        # Built once: steps check these widened bounds (pairs per state, arrays per stack).
         slack = tuple((a - _BOX_SLACK, b + _BOX_SLACK) for a, b in zip(lo, hi))
         object.__setattr__(self, "_slack_bounds", slack)
+        object.__setattr__(self, "_slack_arrays", tuple(np.array(slack).T))
 
     @property
     def dimension(self) -> int:
@@ -230,24 +232,30 @@ def _stacked(points: list) -> Optional[np.ndarray]:
 
 
 def _step_many(sys: ControlSystem, xs: list, us: list) -> list:
-    """``[step(sys, x, u) for x, u in zip(xs, us)]`` bit for bit, raising
-    what that loop raises first.  A box system with a ``transition_batch``
-    has all labels, states and outputs of two or more states checked at
-    once (with ``_inside``'s bounds) and one batch call per input label;
-    one state (cheaper to step alone), other systems, or states that do
-    not stack to ``(n, d)`` run the loop."""
+    """``[step(sys, x, u) for x, u in zip(xs, us)]`` bit for bit, raising what that loop raises
+    first.  On a box with a ``transition_batch``, two or more states are checked at once and
+    stepped with one batch call per input label; one state (cheaper alone), other systems, or
+    states that do not stack to ``(n, d)`` run the loop."""
     box = sys.states
     batched = sys.transition_batch is not None and isinstance(box, RealBox) and len(xs) > 1
     arr = _stacked(xs) if batched else None
     if arr is None or arr.shape[1] != box.dimension:
         return [step(sys, x, u) for x, u in zip(xs, us)]
-    lo, hi = np.array(box._slack_bounds).T
+    lo, hi = box._slack_arrays
     inside = lambda a: ((a >= lo) & (a <= hi)).all(axis=1)  # NaN is outside
-    ok = inside(arr) & np.array([sys.inputs.contains(u) for u in us], dtype=bool)
+    ok = inside(arr)
+    try:
+        known = frozenset(sys.inputs.labels).issuperset(us)  # one set lookup
+    except TypeError:  # an unhashable label, which is no input
+        known = False
+    if not known:
+        ok &= np.array([sys.inputs.contains(u) for u in us], dtype=bool)
     n = len(xs) if ok.all() else int(np.argmin(ok))  # the points before the first bad one
+    rows = {}  # label -> its row indices, labels in order of first use
+    for i, u in enumerate(us[:n]):
+        rows.setdefault(u, []).append(i)
     ys = np.empty((n, box.dimension))
-    for u in dict.fromkeys(us[:n]):
-        idx = [i for i in range(n) if us[i] == u]
+    for u, idx in rows.items():
         y = sys.transition_batch(arr[idx], u)
         ys[idx] = np.asarray(y, dtype=float).reshape(len(idx), box.dimension)
     if not inside(ys).all():
@@ -287,27 +295,34 @@ def range_map(sys: ControlSystem) -> frozenset:
     )
 
 
-def random_sequence(
-    rng: np.random.Generator, labels, prefix_max: int = 4, period_max: int = 3
-) -> InputSequence:
+def random_sequence(rng: np.random.Generator, labels, prefix_max=4, period_max=3) -> InputSequence:
     """Draw an eventually-periodic sequence with bounded prefix and period."""
     labels = tuple(labels)
     plen = int(rng.integers(0, prefix_max + 1))
     qlen = int(rng.integers(1, period_max + 1))
     pick = lambda: labels[int(rng.integers(len(labels)))]
-    return InputSequence(
-        tuple(pick() for _ in range(plen)), tuple(pick() for _ in range(qlen))
-    )
+    return InputSequence(tuple(pick() for _ in range(plen)), tuple(pick() for _ in range(qlen)))
+
+
+def random_sequences(rng: np.random.Generator, labels, n: int, prefix_max=4, period_max=3) -> list:
+    """``n`` sequences in three generator calls: the prefix lengths, the period lengths and one
+    ``(n, prefix_max + period_max)`` label matrix, row ``i`` holding sequence ``i``'s prefix, then period."""
+    labels = tuple(labels)
+    plens = rng.integers(0, prefix_max + 1, size=n).tolist()
+    qlens = rng.integers(1, period_max + 1, size=n).tolist()
+    picks = rng.integers(len(labels), size=(n, prefix_max + period_max)).tolist()
+    rows = ([labels[j] for j in row] for row in picks)
+    return [InputSequence(row[:p], row[p : p + q]) for row, p, q in zip(rows, plens, qlens)]
 
 
 def random_state(rng: np.random.Generator, space: StateSpace, n=None):
     """Uniform draw from a state space: one state, or a list of ``n`` states.
 
-    Finite spaces draw a label index, boxes a point in the box.  A batch of
-    ``n`` consumes the generator exactly as ``n`` single draws do, and a
-    single box point drawn one coordinate at a time equals the vector draw
-    ``rng.uniform(lower, upper)`` bit for bit, without its broadcasting
-    cost; so callers may batch or not without changing a seeded result.
+    Finite spaces draw a label index, boxes a point in the box.  ``n``
+    states are one generator call, which consumes it exactly as ``n`` single
+    draws in a row do.  A single box point is drawn one coordinate at a time:
+    that equals ``rng.uniform(lower, upper)`` bit for bit, without its
+    broadcasting cost.
     """
     if isinstance(space, FiniteStates):
         labels = space.labels

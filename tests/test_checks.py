@@ -1,6 +1,7 @@
 import itertools
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,6 +313,64 @@ def _counting(sys):
     return ControlSystem(sys.states, sys.inputs, transition, name=sys.name), calls
 
 
+class _CountingGenerator:
+    """A generator whose method calls are counted in ``calls["n"]``."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self._calls["n"] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def _generator_calls(monkeypatch, sys, plan) -> int:
+    calls, real = {"n": 0}, np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: _CountingGenerator(real(*a, **k), calls))
+    run_all(sys, plan)
+    return calls["n"]
+
+
+@pytest.mark.parametrize("name", ["scalarlinear", "logistic-with-offset"])
+def test_a_box_run_draws_each_point_list_in_a_few_generator_calls(monkeypatch, name):
+    """Box point lists are drawn as arrays: 72 generator calls per acceptance
+    pass, against one per state coordinate and sequence label before
+    (61,177)."""
+    assert _generator_calls(monkeypatch, builtin_system(name), sampled_plan(7)) <= 100
+
+
+def test_an_exact_finite3_run_makes_a_pinned_number_of_generator_calls(monkeypatch, f3):
+    """Finite sequence points are drawn point by point, each state with its
+    sequence; horizons, words and constants are one call each."""
+    assert _generator_calls(monkeypatch, f3, exact_plan(seed=7)) == 8429
+
+
+@settings(max_examples=25, derandomize=True)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_coefficients_are_the_per_function_draws_bit_for_bit(n_functions, seed):
+    """One ``(k, 2, m)`` uniform array gives the bits of ``k`` pairs of
+    ``uniform(size=m)`` draws, real part first; the ``"c"`` constants'
+    ``(k, 2)`` array gives those of ``k`` scalar pairs."""
+    sys = builtin_system("logistic-with-offset")
+    plan = sampled_plan(7, n_functions=n_functions)
+    basis = checks._seq_basis(sys)
+    drawn, by_hand = np.random.default_rng(seed), np.random.default_rng(seed)
+    m = len(basis)
+    old = [by_hand.uniform(-1, 1, size=m) + 1j * by_hand.uniform(-1, 1, size=m) for _ in range(n_functions)]
+    assert checks._functions(sys, plan, drawn, basis).coeffs.tobytes() == np.array(old).tobytes()
+    old = [complex(by_hand.uniform(-1, 1), by_hand.uniform(-1, 1)) for _ in range(min(n_functions, 8))]
+    with mock.patch.object(checks, "linear_combine", lambda coeffs, basis: coeffs[0]):
+        assert checks._DRAWS["c"](sys, plan, drawn) == old
+    assert drawn.random() == by_hand.random()
+
+
 def test_exact_run_steps_each_leg_once_per_point(f3):
     """The transition budget of a full exact run on finite3: a group maps
     each point through each distinct chain of its legs once, not once per
@@ -323,11 +382,14 @@ def test_exact_run_steps_each_leg_once_per_point(f3):
 
 @pytest.mark.parametrize("name", ["scalarlinear", "logistic-with-offset"])
 def test_batched_box_run_steps_as_many_transitions_as_the_point_by_point_run(name):
-    """A full acceptance-plan run on a box steps 71,757 transitions point by
+    """A full acceptance-plan run on a box steps 71,289 transitions point by
     point; with ``transition_batch`` the same transitions, counted as
     per-point calls plus batch rows, go through at most 200 batch calls."""
     base = builtin_system(name)
     counted, calls = _counting(base)
+    run_all(counted, sampled_plan(7))
+    assert calls["n"] == 71289
+    calls["n"] = 0
     rows = {"calls": 0, "rows": 0}
 
     def transition_batch(X, u):
@@ -336,7 +398,7 @@ def test_batched_box_run_steps_as_many_transitions_as_the_point_by_point_run(nam
         return base.transition_batch(X, u)
 
     run_all(replace(counted, transition_batch=transition_batch), sampled_plan(7))
-    assert calls["n"] + rows["rows"] == 71757
+    assert calls["n"] + rows["rows"] == 71289
     assert rows["calls"] <= 200
 
 

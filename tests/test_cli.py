@@ -296,6 +296,23 @@ def test_bad_scalar_param_value_names_its_config_key(tmp_path, capsys):
     assert "config key 'param.r': expected a number, got 'oops'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("system, line, message", [
+    ("scalarlinear", "param.lambdas = 0.4", "config key 'param.lambdas': 'lambdas' takes per-label keys, not a number"),
+    ("logistic-with-offset", "param.r = 1,2", "config key 'param.r': 'r' takes a number, not a list"),
+    ("logistic-with-offset", "param.r.a = 1", "config key 'param.r.a': 'r' takes a number, not per-label keys"),
+])
+def test_param_of_the_wrong_shape_names_its_config_key(tmp_path, capsys, system, line, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"system = {system}\nseed = 1\n{line}\n")
+    assert run("check", "--config", str(config), "--out", str(tmp_path)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_one_offset_makes_a_one_input_system():
+    cfg = {"system": "logistic-with-offset", "param.offsets": "0.05"}
+    assert resolve_system(cfg).inputs.labels == (0.05,)
+
+
 def test_check_unknown_system(tmp_path, capsys):
     code = run("check", "--system", "never", "--out", str(tmp_path))
     assert code == 2

@@ -1,10 +1,12 @@
 """Each registry row can fail: a matrix of operator mutants.
 
 A mutant replaces one operator constructor that ``checks`` imports with a
-wrong map.  Every mutant runs ``run_all`` on ``finite3`` with an exact plan
-and on ``scalarlinear`` with a small sampled plan, and the rows that fail
-are compared with ``tests/data/mutant_matrix.json``.  A change that stops
-a row from catching a mutant shows as a diff of that file.
+wrong map, or the list step ``_step_many`` of the ground-truth walks
+(``sim``, ``path``) with a wrong one.  Every mutant runs ``run_all`` on
+``finite3`` with an exact plan and on ``scalarlinear`` with a small
+sampled plan, and the rows that fail are compared with
+``tests/data/mutant_matrix.json``.  A change that stops a row from
+catching a mutant shows as a diff of that file.
 
 Regenerate the file (only when a change of the matrix is intended and
 stated) with::
@@ -20,6 +22,7 @@ from koopcontrol import (
     CompositionOperator,
     DomainTag,
     InputSequence,
+    RealBox,
     builtin_system,
     exact_plan,
     k_u,
@@ -31,6 +34,7 @@ from koopcontrol import (
     step,
 )
 from koopcontrol import checks
+from koopcontrol.systems import _step_many
 
 MATRIX = Path(__file__).parent / "data" / "mutant_matrix.json"
 
@@ -45,6 +49,13 @@ SYSTEMS = {
 def _op(source, target, point_map, label):
     """The operator that maps each point of a list through ``point_map``."""
     return CompositionOperator(source, target, lambda ps: [point_map(p) for p in ps], label=label)
+
+
+def _first_label_batches(sys, xs, us):
+    """``_step_many`` whose batch path (a box with a ``transition_batch``,
+    two or more states) steps every row with the first label."""
+    batched = sys.transition_batch is not None and isinstance(sys.states, RealBox) and len(xs) > 1
+    return _step_many(sys, xs, [sys.inputs.labels[0]] * len(xs) if batched else us)
 
 
 def _mutants(sys) -> dict:
@@ -82,6 +93,7 @@ def _mutants(sys) -> dict:
         "kcf_word repeats its first input": {
             "kcf_word": lambda s, word: kcf_word(s, [tuple(word)[0]] * len(tuple(word)))
         },
+        "_step_many batches step every row with the first label": {"_step_many": _first_label_batches},
     }
 
 
@@ -108,6 +120,9 @@ def test_mutant_matrix_matches_the_stored_rows():
 # on scalarlinear, which compares the operators' values with the ones its
 # two-step witness stepped by hand; on finite3 the witness starts at state 0,
 # which the doubling input fixes, so one more frozen step reads the same.
+# The ``_step_many`` mutant trips nothing on finite3, which has no batch path.
+# It replaces only the ground-truth walks' list step: the same wrong step
+# under every operator too would keep both sides of each identity equal.
 _UNSEEN = set()
 
 

@@ -17,6 +17,7 @@ from koopcontrol import (
     k_u,
     logistic_with_offset,
     random_sequence,
+    random_sequences,
     random_state,
     range_map,
     shift,
@@ -334,6 +335,43 @@ def test_random_sequence_is_seed_deterministic():
     one = [random_sequence(np.random.default_rng(9), ("a", "b")) for _ in range(5)]
     two = [random_sequence(np.random.default_rng(9), ("a", "b")) for _ in range(5)]
     assert one == two
+
+
+_SEQUENCE_DRAWS = dict(
+    labels=st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True),
+    n=st.integers(0, 40),
+    prefix_max=st.integers(0, 5),
+    period_max=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=25, derandomize=True)
+@given(**_SEQUENCE_DRAWS)
+def test_random_sequences_keep_their_bounds_and_labels(labels, n, prefix_max, period_max, seed):
+    seqs = random_sequences(np.random.default_rng(seed), labels, n, prefix_max, period_max)
+    assert len(seqs) == n
+    for seq in seqs:
+        assert 0 <= len(seq.prefix) <= prefix_max and 1 <= len(seq.period) <= period_max
+        assert set(seq.prefix) | set(seq.period) <= set(labels)
+        if prefix_max == 0:
+            assert seq.prefix == ()
+
+
+@settings(max_examples=25, derandomize=True)
+@given(**_SEQUENCE_DRAWS)
+def test_random_sequences_consume_the_generator_as_their_three_calls(labels, n, prefix_max, period_max, seed):
+    """The prefix lengths, the period lengths, then one label matrix whose
+    row ``i`` holds sequence ``i``'s prefix and then its period."""
+    drawn, by_hand = np.random.default_rng(seed), np.random.default_rng(seed)
+    seqs = random_sequences(drawn, labels, n, prefix_max, period_max)
+    plens = by_hand.integers(0, prefix_max + 1, size=n)
+    qlens = by_hand.integers(1, period_max + 1, size=n)
+    picks = by_hand.integers(len(labels), size=(n, prefix_max + period_max))
+    for seq, p, q, row in zip(seqs, plens, qlens, picks):
+        assert seq.prefix == tuple(labels[j] for j in row[:p])
+        assert seq.period == tuple(labels[j] for j in row[p : p + q])
+    assert drawn.random() == by_hand.random()
 
 
 def test_state_distance(sl, f3):
