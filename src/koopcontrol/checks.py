@@ -258,6 +258,11 @@ def _scenario_seq_points(sys, plan, rng, n=None) -> list:
     return list(zip(random_state(rng, sys.states, n), random_sequences(rng, labels, n, pmax, qmax)))
 
 
+def _first_inputs(seq: InputSequence, k: int) -> list:
+    """``[seq.at(j) for j in range(k)]``: the prefix, then enough periods, cut at ``k``."""
+    return list((seq.prefix + seq.period * (k // len(seq.period) + 1))[:k]) if k > 0 else []
+
+
 class _Trajectory(NamedTuple):
     """A start state, an input sequence and a horizon; ``word`` is the first ``k`` inputs."""
 
@@ -267,7 +272,7 @@ class _Trajectory(NamedTuple):
 
     @property
     def word(self) -> list:
-        return [self.seq.at(j) for j in range(self.k)]
+        return _first_inputs(self.seq, self.k)
 
 
 def _scenario_trajectories(sys, plan, rng, horizons: int = 6) -> list:
@@ -412,29 +417,32 @@ _DRAWS = {
 def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> CompositionOperator:
     """A trajectory operator: a list of trajectory points ``(x0, seq, k)``
     walks in lockstep from the ``x0`` (each paired with its ``seq`` when
-    ``on_seq``), step ``j`` moving the points of the trajectories ``ts``
-    with ``k > j`` to ``many(points, ts, j)``.  Each point maps to its
-    walk's last point or, with ``path``, to the states the walk visits: a
-    stacked ``(k + 1, d)`` array on boxes, a tuple of labels on finite
-    systems.  The walk is the operator's list map, so ``precompose`` walks
-    a one-trajectory list."""
+    ``on_seq``).  Each trajectory's first ``k`` inputs are read once; step
+    ``j`` moves the points with ``k > j`` to ``many(points, their j-th inputs)``.
+    Each point maps to its walk's last point or, with ``path``, to the states
+    it visits: a stacked ``(k + 1, d)`` array on boxes, a tuple of labels on
+    finite systems.  The walk is the operator's list map."""
     box = sys.states if isinstance(sys.states, RealBox) else None
-    state = (lambda p: p[0]) if on_seq else (lambda p: p)
+    states_of = (lambda pts: [p[0] for p in pts]) if on_seq else list
 
-    def start(t):
-        x = box.coerce(t.x0) if box else t.x0
-        return (x, t.seq) if on_seq else x
+    def starts(ts):  # box starts stacked once, or coerced one by one where they do not stack
+        xs = [t.x0 for t in ts]
+        if box:
+            arr = _stacked(xs)
+            xs = list(arr) if arr is not None and arr.shape[1] == box.dimension else list(map(box.coerce, xs))
+        return list(zip(xs, [t.seq for t in ts])) if on_seq else xs
 
     def visited(pts):  # the states of one step of the walk, stacked on boxes
-        return np.array([state(p) for p in pts]) if box else [state(p) for p in pts]
+        return np.array(states_of(pts)) if box else states_of(pts)
 
     def batch(ts: list) -> list:
-        pts = [start(t) for t in ts]
+        words = [_first_inputs(t.seq, t.k) for t in ts]
+        pts, live = starts(ts), range(len(ts))
         trail = [visited(pts)] if path else None
         for j in range(max((t.k for t in ts), default=0)):
-            live = [i for i, t in enumerate(ts) if t.k > j]
+            live = [i for i in live if ts[i].k > j]
             pts = list(pts)
-            for i, p in zip(live, many([pts[i] for i in live], [ts[i] for i in live], j)):
+            for i, p in zip(live, many([pts[i] for i in live], [words[i][j] for i in live])):
                 pts[i] = p
             if path:
                 trail.append(visited(pts))
@@ -461,19 +469,18 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
     operators."""
     iso, kin, kau = ci_isomorphisms(sys), k_inf(sys), k_aug(sys)
     ku = {u: k_u(sys, u) for u in sys.inputs.labels}
-    heads = lambda ts, j: [t.seq.at(j) for t in ts]
 
-    def kcf(xs, ts, j):  # each state through the K_u of its input
-        out, us = list(xs), heads(ts, j)
+    def kcf(xs, us):  # each state through the K_u of its input
+        out = list(xs)
         for u, op in ku.items():
             idx = [i for i, v in enumerate(us) if v == u]
             for i, y in zip(idx, op.batch([xs[i] for i in idx])):
                 out[i] = y
         return out
 
-    simulated = lambda xs, ts, j: _step_many(sys, xs, heads(ts, j))
-    augmented = lambda xs, ts, j: [p[0] for p in kau.batch(list(zip(xs, heads(ts, j))))]
-    sequenced = lambda ps, ts, j: kin.batch(ps)
+    simulated = lambda xs, us: _step_many(sys, xs, us)
+    augmented = lambda xs, us: [p[0] for p in kau.batch(list(zip(xs, us)))]
+    sequenced = lambda ps, us: kin.batch(ps)
     named = {
         "R": restriction_inf_to_aug(),
         "E": extension_aug_to_inf(),

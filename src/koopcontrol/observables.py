@@ -132,9 +132,11 @@ def _values(obs: Observable, points: list) -> np.ndarray:
 
 
 def _check_points(domain: DomainTag, points) -> None:
-    if domain is not DomainTag.STATE_ONLY:
+    if domain is not DomainTag.STATE_ONLY:  # _check_point runs only where the inline test fails
+        seq = domain is DomainTag.STATE_SEQUENCE
         for p in points:
-            _check_point(domain, p)
+            if not (isinstance(p, tuple) and len(p) == 2 and isinstance(p[1], InputSequence) is seq):
+                _check_point(domain, p)
 
 
 def evaluate(obs: Observable, points) -> np.ndarray:

@@ -172,7 +172,8 @@ def k_inf(sys: ControlSystem) -> CompositionOperator:
 
     def batch(ps):
         seqs = [s for _, s in ps]
-        return list(zip(_step_many(sys, [x for x, _ in ps], [s.at(0) for s in seqs]), map(shift, seqs)))
+        heads = [(s.prefix or s.period)[0] for s in seqs]  # each s.at(0)
+        return list(zip(_step_many(sys, [x for x, _ in ps], heads), map(shift, seqs)))
 
     return CompositionOperator(domain, domain, batch, label="K_inf")
 
@@ -209,13 +210,16 @@ def power(op: CompositionOperator, k: int) -> CompositionOperator:
 
 
 def restriction_inf_to_aug() -> CompositionOperator:
-    """Sequence observables restricted to constant sequences: (x, u) -> (x, (u, u, ...))."""
-    return CompositionOperator(
-        DomainTag.STATE_SEQUENCE,
-        DomainTag.STATE_INPUT,
-        lambda ps: [(p[0], InputSequence.constant(p[1])) for p in ps],
-        label="R:inf->aug",
-    )
+    """Sequence observables restricted to constant sequences: (x, u) -> (x, (u, u, ...)).
+    A list call builds one constant per label object, keyed by identity, so unhashable
+    labels need no other path and equal labels that print differently (0.0, -0.0) keep theirs."""
+
+    def batch(ps):
+        consts = {id(p[1]): p[1] for p in ps}  # ``ps`` keeps every label alive
+        consts = {key: InputSequence.constant(u) for key, u in consts.items()}
+        return [(p[0], consts[id(p[1])]) for p in ps]
+
+    return CompositionOperator(DomainTag.STATE_SEQUENCE, DomainTag.STATE_INPUT, batch, label="R:inf->aug")
 
 
 def extension_aug_to_inf() -> CompositionOperator:
@@ -223,7 +227,7 @@ def extension_aug_to_inf() -> CompositionOperator:
     return CompositionOperator(
         DomainTag.STATE_INPUT,
         DomainTag.STATE_SEQUENCE,
-        lambda ps: [(p[0], p[1].at(0)) for p in ps],
+        lambda ps: [(p[0], (p[1].prefix or p[1].period)[0]) for p in ps],  # (x, s.at(0))
         label="E:aug->inf",
     )
 

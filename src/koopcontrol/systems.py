@@ -14,6 +14,7 @@ behavior reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -126,6 +127,7 @@ class InputSet:
             raise ValueError("input label list must be nonempty")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("input labels must be unique")
+        object.__setattr__(self, "_positions", {u: i for i, u in enumerate(self.labels)})  # for list steps
 
     def contains(self, u) -> bool:
         return u in self.labels
@@ -147,24 +149,35 @@ class ControlSystem:
     transition_batch: Optional[Callable] = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class InputSequence:
     """Eventually-periodic infinite input sequence.
 
     Element ``k`` is ``prefix[k]`` while the prefix lasts, then the period
     repeats forever.  Equality and hashing go through a canonical form
-    (primitive period, minimal prefix), so two representations of the same
-    infinite sequence compare equal.
+    (primitive period, minimal prefix), computed once at construction, so
+    two representations of the same infinite sequence compare equal.
     """
 
     prefix: tuple
     period: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        object.__setattr__(self, "period", tuple(self.period))
-        if not self.period:
+    def __init__(self, prefix, period):
+        pre, per = tuple(prefix), tuple(period)
+        if not per:
             raise ValueError("period must be nonempty")
+        fields = self.__dict__  # frozen: written once, here
+        fields["prefix"], fields["period"] = pre, per
+        n = len(per)
+        for d in range(1, n // 2 + 1):
+            if n % d == 0 and per[d:] == per[:-d]:  # per repeats its first d elements
+                per = per[:d]
+                break
+        # Pull the period boundary left while the last prefix element
+        # matches the last period element (rotating the period with it).
+        while pre and pre[-1] == per[-1]:
+            pre, per = pre[:-1], per[-1:] + per[:-1]
+        fields["_canonical"] = (pre, per)
 
     @classmethod
     def constant(cls, u) -> "InputSequence":
@@ -178,27 +191,15 @@ class InputSequence:
         return self.period[(k - len(self.prefix)) % len(self.period)]
 
     def canonical(self) -> tuple:
-        per = self.period
-        n = len(per)
-        for d in range(1, n + 1):
-            if n % d == 0 and per == per[:d] * (n // d):
-                per = per[:d]
-                break
-        pre = self.prefix
-        # Pull the period boundary left while the last prefix element
-        # matches the last period element (rotating the period with it).
-        while pre and pre[-1] == per[-1]:
-            per = (per[-1],) + per[:-1]
-            pre = pre[:-1]
-        return (pre, per)
+        return self._canonical
 
     def __eq__(self, other):
         if not isinstance(other, InputSequence):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return self._canonical == other._canonical
 
     def __hash__(self):
-        return hash(self.canonical())
+        return hash(self._canonical)
 
 
 def step(sys: ControlSystem, x, u):
@@ -243,20 +244,17 @@ def _step_many(sys: ControlSystem, xs: list, us: list) -> list:
         return [step(sys, x, u) for x, u in zip(xs, us)]
     lo, hi = box._slack_arrays
     inside = lambda a: ((a >= lo) & (a <= hi)).all(axis=1)  # NaN is outside
-    ok = inside(arr)
-    try:
-        known = frozenset(sys.inputs.labels).issuperset(us)  # one set lookup
-    except TypeError:  # an unhashable label, which is no input
-        known = False
-    if not known:
-        ok &= np.array([sys.inputs.contains(u) for u in us], dtype=bool)
+    try:  # each label's position in the input set, -1 for none
+        codes = np.fromiter(map(sys.inputs._positions.get, us, repeat(-1)), dtype=np.intp, count=len(us))
+    except TypeError:  # an unhashable label: looked up as ``contains`` does
+        codes = np.array([sys.inputs.labels.index(u) if sys.inputs.contains(u) else -1 for u in us])
+    ok = inside(arr) & (codes >= 0)
     n = len(xs) if ok.all() else int(np.argmin(ok))  # the points before the first bad one
-    rows = {}  # label -> its row indices, labels in order of first use
-    for i, u in enumerate(us[:n]):
-        rows.setdefault(u, []).append(i)
+    codes = codes[:n]
     ys = np.empty((n, box.dimension))
-    for u, idx in rows.items():
-        y = sys.transition_batch(arr[idx], u)
+    for c in dict.fromkeys(codes.tolist()):  # labels in order of first use
+        idx = np.flatnonzero(codes == c)
+        y = sys.transition_batch(arr[idx], us[idx[0]])
         ys[idx] = np.asarray(y, dtype=float).reshape(len(idx), box.dimension)
     if not inside(ys).all():
         raise DomainError(f"transition output {ys[np.argmin(inside(ys))]!r} outside the declared box")
@@ -280,9 +278,12 @@ def simulate(sys: ControlSystem, x0, seq: InputSequence, k: int) -> list:
 
 
 def shift(seq: InputSequence) -> InputSequence:
-    """Left shift: drops element 0, so ``shift(s).at(k) == s.at(k + 1)``."""
+    """Left shift: drops element 0, so ``shift(s).at(k) == s.at(k + 1)``.
+    A constant sequence is its own shift, and comes back as the same object."""
     if seq.prefix:
         return InputSequence(seq.prefix[1:], seq.period)
+    if len(seq.period) == 1:
+        return seq
     return InputSequence((), seq.period[1:] + seq.period[:1])
 
 

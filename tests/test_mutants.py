@@ -1,12 +1,13 @@
 """Each registry row can fail: a matrix of operator mutants.
 
 A mutant replaces one operator constructor that ``checks`` imports with a
-wrong map, or the list step ``_step_many`` of the ground-truth walks
-(``sim``, ``path``) with a wrong one.  Every mutant runs ``run_all`` on
-``finite3`` with an exact plan and on ``scalarlinear`` with a small
-sampled plan, and the rows that fail are compared with
-``tests/data/mutant_matrix.json``.  A change that stops a row from
-catching a mutant shows as a diff of that file.
+wrong map, the list step ``_step_many`` of the ground-truth walks
+(``sim``, ``path``) with a wrong one, or the walks' read of each
+trajectory's inputs (``_first_inputs``) with a late one.  Every mutant
+runs ``run_all`` on ``finite3`` with an exact plan and on
+``scalarlinear`` with a small sampled plan, and the rows that fail are
+compared with ``tests/data/mutant_matrix.json``.  A change that stops a
+row from catching a mutant shows as a diff of that file.
 
 Regenerate the file (only when a change of the matrix is intended and
 stated) with::
@@ -94,6 +95,9 @@ def _mutants(sys) -> dict:
             "kcf_word": lambda s, word: kcf_word(s, [tuple(word)[0]] * len(tuple(word)))
         },
         "_step_many batches step every row with the first label": {"_step_many": _first_label_batches},
+        "walks read each input one step late": {
+            "_first_inputs": lambda seq, k: [seq.at(max(j - 1, 0)) for j in range(k)]
+        },
     }
 
 

@@ -1,8 +1,9 @@
 from enum import Enum
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from koopcontrol import (
     ControlSystem,
@@ -26,7 +27,7 @@ from koopcontrol import (
     states_equal,
     step,
 )
-from koopcontrol.checks import _Trajectory, _named
+from koopcontrol.checks import _Trajectory, _first_inputs, _named
 from koopcontrol.systems import _step_many
 
 # Hand-computed transition table for the finite3 system.
@@ -227,6 +228,33 @@ def test_equality_implies_pointwise_agreement(s1, s2):
     assert (s1 == s2) == agree
 
 
+# Laws the canonical form rests on; it is computed once, at construction.
+@settings(max_examples=25, derandomize=True)
+@given(_seqs)
+def test_canonical_is_idempotent(seq):
+    assert InputSequence(*seq.canonical()).canonical() == seq.canonical()
+
+
+def test_bounded_canonical_sequences_are_160_and_closed_under_shift():
+    words = lambda n: list(product("ab", repeat=n))
+    seqs = {InputSequence(p, q) for i in range(5) for p in words(i) for j in range(1, 4) for q in words(j)}
+    assert len(seqs) == len({s.canonical() for s in seqs}) == 160
+    assert all(shift(s) in seqs for s in seqs)
+
+
+@settings(max_examples=25, derandomize=True)
+@given(_labels)
+def test_shift_returns_a_constant_sequence_itself(u):
+    seq = InputSequence.constant(u)
+    assert shift(seq) is seq
+
+
+@settings(max_examples=25, derandomize=True)
+@given(_seqs, st.integers(0, 20))
+def test_the_walks_word_read_equals_reading_each_input(seq, k):
+    assert _first_inputs(seq, k) == [seq.at(j) for j in range(k)]
+
+
 def _bits(y):
     return y.shape, y.dtype, y.tobytes()
 
@@ -235,14 +263,34 @@ def _bits(y):
 _fractions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
+def _tuple_labelled() -> ControlSystem:
+    """A 1-D box whose input labels are tuples, stepped elementwise."""
+    step_ = lambda x, u: 0.5 * x + u[1]
+    labels = InputSet((("up", 0.25), ("down", -0.25)))
+    return ControlSystem(RealBox((-1.0,), (1.0,)), labels, step_, "tuple-labels", transition_batch=step_)
+
+
+_BATCHED = {
+    "scalarlinear": lambda: builtin_system("scalarlinear"),
+    "logistic-with-offset": lambda: builtin_system("logistic-with-offset"),
+    "tuple labels": _tuple_labelled,
+    "three offsets": lambda: logistic_with_offset(offsets=(0.0, 0.02, 0.05)),
+}
+_MIXED = [(0.5, 2), (0.1, 0), (0.9, 1), (0.3, 2), (0.7, 1), (0.2, 0)]  # labels out of declared order
+
+
+# A draw's label index is taken modulo the label count: 0..5 covers two and three labels evenly.
 @settings(max_examples=25)
-@given(st.sampled_from(["scalarlinear", "logistic-with-offset"]),
-       st.lists(st.tuples(_fractions, st.integers(0, 1)), min_size=1, max_size=40))
+@example("tuple labels", _MIXED)
+@example("three offsets", _MIXED)
+@given(st.sampled_from(sorted(_BATCHED)),
+       st.lists(st.tuples(_fractions, st.integers(0, 5)), min_size=1, max_size=40))
 def test_step_many_equals_the_step_loop_bit_for_bit(name, draws):
-    sys = builtin_system(name)
+    sys = _BATCHED[name]()
     (lo,), (hi,) = sys.states.lower, sys.states.upper
+    labels = sys.inputs.labels
     xs = [np.array([lo + f * (hi - lo)]) for f, _ in draws]
-    us = [sys.inputs.labels[i] for _, i in draws]
+    us = [labels[i % len(labels)] for _, i in draws]
     assert sys.transition_batch is not None
     got = _step_many(sys, xs, us)
     assert [_bits(y) for y in got] == [_bits(step(sys, x, u)) for x, u in zip(xs, us)]

@@ -22,6 +22,9 @@ runs in a fresh process on that tree's ``src``:
 * ``koopcontrol check --seed 7 --points 1000 --tol 1e-300`` on
   ``logistic-with-offset``; every check still passes there, because both
   sides of each identity are read with the same bits;
+* ``koopcontrol check --seed 7 --points 1000 --tol 1e-12`` on
+  ``logistic-with-offset`` with ``param.offsets = 0.0,0.02,0.05`` in a
+  config: the one case with three float input labels;
 * ``koopcontrol fit --system scalarlinear --dict monomial:10 --points 5000
   --seed 7``, then in the same output directory one ``koopcontrol
   predict`` with the first of ``perfbench/workloads.predict_inputs(7)``,
@@ -56,7 +59,7 @@ _EXACT = ["--exact", "--seed", "7"]
 _SAMPLED = ["--seed", "7", "--points", "1000", "--tol", "1e-12"]
 
 
-def _cases(table: Path, few_points: Path, predict: Path, demos: list) -> dict:
+def _cases(table: Path, few_points: Path, offsets: Path, predict: Path, demos: list) -> dict:
     """Case name -> the argv lists after ``python`` that run in turn; ``{out}``
     is the case's output directory."""
     cli = ["-m", "koopcontrol.cli"]
@@ -73,6 +76,9 @@ def _cases(table: Path, few_points: Path, predict: Path, demos: list) -> dict:
     cases["check-logistic-with-offset-tol1e-300"] = cli + [
         "check", "--system", "logistic-with-offset", "--seed", "7", "--points", "1000",
         "--tol", "1e-300", "--out", "{out}",
+    ]
+    cases["check-logistic-with-offset-three-offsets"] = cli + [
+        "check", "--config", str(offsets), *_SAMPLED, "--out", "{out}",
     ]
     fit = ["--system", "scalarlinear", "--dict", "monomial:10", "--out", "{out}"]
     cases["fit-scalarlinear"] = (
@@ -130,10 +136,12 @@ def main(argv=None) -> int:
         table.write_text(workloads.table_config(7))
         few_points = tmp / "scalarlinear50.cfg"
         few_points.write_text("system = scalarlinear\nfunctions = 50\n")
+        offsets = tmp / "logistic3.cfg"
+        offsets.write_text("system = logistic-with-offset\nparam.offsets = 0.0,0.02,0.05\n")
         predict = tmp / "predict.cfg"
         x0, word = workloads.predict_inputs(7)[0]
         predict.write_text(f"x0 = {x0!r}\nword = {','.join(word)}\nsteps = {workloads.PREDICT_STEPS}\n")
-        cases = _cases(table, few_points, predict, sorted((change / "demos").glob("*.py")))
+        cases = _cases(table, few_points, offsets, predict, sorted((change / "demos").glob("*.py")))
         for side, tree in (("parent", parent), ("change", change)):
             _run_tree(tree, cases, tmp / side)
         before, after = _files(tmp / "parent"), _files(tmp / "change")
