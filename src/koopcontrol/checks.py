@@ -82,7 +82,6 @@ from .systems import (
     InputSequence,
     RealBox,
     _step_many,
-    random_sequence,
     random_sequences,
     random_state,
     state_distance,
@@ -250,11 +249,9 @@ def _scenario_pairs(sys, plan, rng) -> list:
 
 
 def _scenario_seq_points(sys, plan, rng, n=None) -> list:
-    """Box states, then their sequences; finite systems draw point by point."""
+    """The states, then their sequences, one list each."""
     labels, pmax, qmax = sys.inputs.labels, plan.seq_prefix_max, plan.seq_period_max
     n = plan.n_points if n is None else n
-    if _is_finite(sys):
-        return [(random_state(rng, sys.states), random_sequence(rng, labels, pmax, qmax)) for _ in range(n)]
     return list(zip(random_state(rng, sys.states, n), random_sequences(rng, labels, n, pmax, qmax)))
 
 
@@ -417,8 +414,9 @@ _DRAWS = {
 def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> CompositionOperator:
     """A trajectory operator: a list of trajectory points ``(x0, seq, k)``
     walks in lockstep from the ``x0`` (each paired with its ``seq`` when
-    ``on_seq``).  Each trajectory's first ``k`` inputs are read once; step
-    ``j`` moves the points with ``k > j`` to ``many(points, their j-th inputs)``.
+    ``on_seq``).  Step ``j`` moves the points with ``k > j`` to
+    ``many(points, their j-th inputs)``, each trajectory's first ``k`` inputs
+    read once, or to ``many(points)`` when ``on_seq``: sequence points carry their inputs.
     Each point maps to its walk's last point or, with ``path``, to the states
     it visits: a stacked ``(k + 1, d)`` array on boxes, a tuple of labels on
     finite systems.  The walk is the operator's list map."""
@@ -436,13 +434,13 @@ def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> Co
         return np.array(states_of(pts)) if box else states_of(pts)
 
     def batch(ts: list) -> list:
-        words = [_first_inputs(t.seq, t.k) for t in ts]
+        words = None if on_seq else [_first_inputs(t.seq, t.k) for t in ts]
         pts, live = starts(ts), range(len(ts))
         trail = [visited(pts)] if path else None
         for j in range(max((t.k for t in ts), default=0)):
             live = [i for i in live if ts[i].k > j]
-            pts = list(pts)
-            for i, p in zip(live, many([pts[i] for i in live], [words[i][j] for i in live])):
+            pts, moved = list(pts), [pts[i] for i in live]
+            for i, p in zip(live, many(moved) if on_seq else many(moved, [words[i][j] for i in live])):
                 pts[i] = p
             if path:
                 trail.append(visited(pts))
@@ -480,7 +478,6 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
 
     simulated = lambda xs, us: _step_many(sys, xs, us)
     augmented = lambda xs, us: [p[0] for p in kau.batch(list(zip(xs, us)))]
-    sequenced = lambda ps, us: kin.batch(ps)
     named = {
         "R": restriction_inf_to_aug(),
         "E": extension_aug_to_inf(),
@@ -493,9 +490,9 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
         "R_ci_seq": iso.restrict_seq_to_aug,
         "sim": _walk_op(sys, simulated),
         "word": _walk_op(sys, kcf),
-        "K_inf^k": _walk_op(sys, sequenced, on_seq=True),
+        "K_inf^k": _walk_op(sys, kin.batch, on_seq=True),
         "path": _walk_op(sys, simulated, path=True),
-        "path_inf": _walk_op(sys, sequenced, on_seq=True, path=True),
+        "path_inf": _walk_op(sys, kin.batch, on_seq=True, path=True),
         "path_kcf": _walk_op(sys, kcf, path=True),
         "path_aug": _walk_op(sys, augmented, path=True),
     }

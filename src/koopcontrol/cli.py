@@ -300,7 +300,7 @@ def cmd_check(args) -> int:
     only = None
     skipped = []
     if "only" in cfg:
-        only = [tok.strip().upper() for tok in cfg["only"].split(",") if tok.strip()]
+        only = list(dict.fromkeys(tok.strip().upper() for tok in cfg["only"].split(",") if tok.strip()))
         if not only:
             raise DomainError(f"config key 'only': expected check ids, got {cfg['only']!r}")
         unknown = [cid for cid in only if cid not in check_ids()]

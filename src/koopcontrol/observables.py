@@ -31,7 +31,7 @@ from .systems import (
     FiniteStates,
     InputSequence,
     _stacked,
-    random_sequence,
+    random_sequences,
     random_state,
 )
 
@@ -226,10 +226,11 @@ def is_control_independent(
     Exhaustive mode scans the triples ``(x, u0, u)`` state-major, with
     ``u0`` the first input label and ``u`` each later one; it is only
     available for state-input observables over finite state spaces.
-    Sampled mode draws points and input pairs (or eventually-periodic
-    sequence pairs) from a seeded generator; a negative witness refutes
-    independence, while a clean pass is a non-refutation certificate,
-    recorded as such through the ``mode`` field of the report.
+    Sampled mode draws all its states, then all its input pairs (or both
+    lists of eventually-periodic sequences), from a seeded generator, one
+    array each; a negative witness refutes independence, while a clean
+    pass is a non-refutation certificate, recorded as such through the
+    ``mode`` field of the report.
 
     Either mode reads every point of its scan in one :func:`evaluate`
     before it reports the first witness in scan order, so an observable
@@ -251,18 +252,15 @@ def is_control_independent(
             raise UnsupportedError("exhaustive mode needs a state-input observable")
         triples = [(x, labels[0], u) for x in sys.states.labels for u in labels[1:]]
     elif isinstance(mode, Sampled):
-        rng = np.random.default_rng(mode.seed)
-        triples = []
-        for _ in range(mode.count):
-            x = random_state(rng, sys.states)
-            if obs.domain is DomainTag.STATE_INPUT:
-                i = int(rng.integers(len(labels)))
-                j = int(rng.integers(max(len(labels) - 1, 1)))
-                w1, w2 = labels[i], labels[j + (1 if j >= i and len(labels) > 1 else 0)]
-            else:
-                w1 = random_sequence(rng, labels)
-                w2 = random_sequence(rng, labels)
-            triples.append((x, w1, w2))
+        rng, n = np.random.default_rng(mode.seed), mode.count
+        xs = random_state(rng, sys.states, n)
+        if obs.domain is DomainTag.STATE_INPUT:  # two distinct labels per point, if there are two
+            i, j = rng.integers(len(labels), size=n), rng.integers(max(len(labels) - 1, 1), size=n)
+            j += (j >= i) & (len(labels) > 1)
+            w1s, w2s = [labels[k] for k in i.tolist()], [labels[k] for k in j.tolist()]
+        else:
+            w1s, w2s = random_sequences(rng, labels, n), random_sequences(rng, labels, n)
+        triples = list(zip(xs, w1s, w2s))
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     values = evaluate(obs, [(x, w1) for x, w1, _ in triples] + [(x, w2) for x, _, w2 in triples])

@@ -149,14 +149,15 @@ class ControlSystem:
     transition_batch: Optional[Callable] = None
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, init=False)
 class InputSequence:
     """Eventually-periodic infinite input sequence.
 
     Element ``k`` is ``prefix[k]`` while the prefix lasts, then the period
-    repeats forever.  Equality and hashing go through a canonical form
-    (primitive period, minimal prefix), computed once at construction, so
-    two representations of the same infinite sequence compare equal.
+    repeats forever.  The fields hold the canonical form (primitive period,
+    minimal prefix), computed at construction, so two representations of the
+    same infinite sequence store equal fields, compare equal and hash alike:
+    ``InputSequence(("a",), ("a",)).prefix == ()``.
     """
 
     prefix: tuple
@@ -166,8 +167,6 @@ class InputSequence:
         pre, per = tuple(prefix), tuple(period)
         if not per:
             raise ValueError("period must be nonempty")
-        fields = self.__dict__  # frozen: written once, here
-        fields["prefix"], fields["period"] = pre, per
         n = len(per)
         for d in range(1, n // 2 + 1):
             if n % d == 0 and per[d:] == per[:-d]:  # per repeats its first d elements
@@ -177,7 +176,8 @@ class InputSequence:
         # matches the last period element (rotating the period with it).
         while pre and pre[-1] == per[-1]:
             pre, per = pre[:-1], per[-1:] + per[:-1]
-        fields["_canonical"] = (pre, per)
+        fields = self.__dict__  # frozen: written once, here
+        fields["prefix"], fields["period"] = pre, per
 
     @classmethod
     def constant(cls, u) -> "InputSequence":
@@ -191,15 +191,7 @@ class InputSequence:
         return self.period[(k - len(self.prefix)) % len(self.period)]
 
     def canonical(self) -> tuple:
-        return self._canonical
-
-    def __eq__(self, other):
-        if not isinstance(other, InputSequence):
-            return NotImplemented
-        return self._canonical == other._canonical
-
-    def __hash__(self):
-        return hash(self._canonical)
+        return self.prefix, self.period
 
 
 def step(sys: ControlSystem, x, u):
@@ -297,12 +289,9 @@ def range_map(sys: ControlSystem) -> frozenset:
 
 
 def random_sequence(rng: np.random.Generator, labels, prefix_max=4, period_max=3) -> InputSequence:
-    """Draw an eventually-periodic sequence with bounded prefix and period."""
-    labels = tuple(labels)
-    plen = int(rng.integers(0, prefix_max + 1))
-    qlen = int(rng.integers(1, period_max + 1))
-    pick = lambda: labels[int(rng.integers(len(labels)))]
-    return InputSequence(tuple(pick() for _ in range(plen)), tuple(pick() for _ in range(qlen)))
+    """One eventually-periodic sequence with bounded prefix and period: the one-row draw
+    ``random_sequences(rng, labels, 1, prefix_max, period_max)[0]``."""
+    return random_sequences(rng, labels, 1, prefix_max, period_max)[0]
 
 
 def random_sequences(rng: np.random.Generator, labels, n: int, prefix_max=4, period_max=3) -> list:
@@ -319,19 +308,14 @@ def random_sequences(rng: np.random.Generator, labels, n: int, prefix_max=4, per
 def random_state(rng: np.random.Generator, space: StateSpace, n=None):
     """Uniform draw from a state space: one state, or a list of ``n`` states.
 
-    Finite spaces draw a label index, boxes a point in the box.  ``n``
-    states are one generator call, which consumes it exactly as ``n`` single
-    draws in a row do.  A single box point is drawn one coordinate at a time:
-    that equals ``rng.uniform(lower, upper)`` bit for bit, without its
-    broadcasting cost.
+    Finite spaces draw label indices, boxes points in the box; ``n`` states
+    are one generator call.  One state is the one-element draw
+    ``random_state(rng, space, 1)[0]``.
     """
-    if isinstance(space, FiniteStates):
-        labels = space.labels
-        if n is None:
-            return labels[int(rng.integers(len(labels)))]
-        return [labels[int(i)] for i in rng.integers(len(labels), size=n)]
     if n is None:
-        return np.array([rng.uniform(lo, hi) for lo, hi in zip(space.lower, space.upper)])
+        return random_state(rng, space, 1)[0]
+    if isinstance(space, FiniteStates):
+        return [space.labels[i] for i in rng.integers(len(space.labels), size=n).tolist()]
     return list(rng.uniform(space.lower, space.upper, size=(n, space.dimension)))
 
 

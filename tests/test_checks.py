@@ -347,9 +347,11 @@ def test_a_box_run_draws_each_point_list_in_a_few_generator_calls(monkeypatch, n
 
 
 def test_an_exact_finite3_run_makes_a_pinned_number_of_generator_calls(monkeypatch, f3):
-    """Finite sequence points are drawn point by point, each state with its
-    sequence; horizons, words and constants are one call each."""
-    assert _generator_calls(monkeypatch, f3, exact_plan(seed=7)) == 8429
+    """Every point list is drawn as arrays on finite systems too: sequence
+    points are one state draw, then the three calls of ``random_sequences``;
+    horizons, words and constants are one call each.  Drawing each sequence
+    point's state and sequence one at a time made 8,429 calls."""
+    assert _generator_calls(monkeypatch, f3, exact_plan(seed=7)) == 29
 
 
 @settings(max_examples=25, derandomize=True)
@@ -374,10 +376,12 @@ def test_coefficients_are_the_per_function_draws_bit_for_bit(n_functions, seed):
 def test_exact_run_steps_each_leg_once_per_point(f3):
     """The transition budget of a full exact run on finite3: a group maps
     each point through each distinct chain of its legs once, not once per
-    (point, function) pair or once per leg."""
+    (point, function) pair or once per leg.  Sequence points drawn as
+    arrays give the trajectories other horizons than point-by-point draws,
+    which stepped 7,072 transitions."""
     counted, calls = _counting(f3)
     run_all(counted, exact_plan(seed=7))
-    assert calls["n"] == 7072
+    assert calls["n"] == 7085
 
 
 @pytest.mark.parametrize("name", ["scalarlinear", "logistic-with-offset"])

@@ -197,6 +197,14 @@ def test_check_only_subset_prints_witness(tmp_path, capsys):
     assert "1/1 checks passed" in out
 
 
+def test_check_only_runs_each_id_once_in_first_given_order(tmp_path, capsys):
+    code = run("check", "--system", "finite3", "--only", "C2,c1,C1, c2", "--out", str(tmp_path))
+    assert code == 0
+    assert "2/2 checks passed" in capsys.readouterr().out
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert [r["id"] for r in report] == ["C2", "C1"]
+
+
 def test_check_unknown_only_id(tmp_path, capsys):
     code = run("check", "--system", "finite3", "--only", "C77", "--out", str(tmp_path))
     assert code == 2

@@ -38,6 +38,7 @@ from koopcontrol import (
     monomial,
     pair_indicator,
     random_sequence,
+    random_sequences,
     random_state,
     restriction_inf_to_aug,
     state_component,
@@ -224,15 +225,16 @@ def _ci_one_point_at_a_time(obs, sys, mode, tol=1e-12):
                 if not abs(obs((x, u)) - v0) <= tol:
                     return False, (x, labels[0], u)
         return True, None
-    rng = np.random.default_rng(mode.seed)
-    for _ in range(mode.count):
-        x = random_state(rng, sys.states)
-        if obs.domain is DomainTag.STATE_INPUT:
-            i = int(rng.integers(len(labels)))
-            j = int(rng.integers(max(len(labels) - 1, 1)))
-            w1, w2 = labels[i], labels[j + (1 if j >= i and len(labels) > 1 else 0)]
-        else:
-            w1, w2 = random_sequence(rng, labels), random_sequence(rng, labels)
+    rng, n = np.random.default_rng(mode.seed), mode.count
+    xs = random_state(rng, sys.states, n)  # all states, then all label pairs or sequences
+    if obs.domain is DomainTag.STATE_INPUT:
+        firsts = rng.integers(len(labels), size=n).tolist()
+        seconds = rng.integers(max(len(labels) - 1, 1), size=n).tolist()
+        w1s = [labels[i] for i in firsts]
+        w2s = [labels[j + (1 if j >= i and len(labels) > 1 else 0)] for i, j in zip(firsts, seconds)]
+    else:
+        w1s, w2s = random_sequences(rng, labels, n), random_sequences(rng, labels, n)
+    for x, w1, w2 in zip(xs, w1s, w2s):
         if not abs(obs((x, w1)) - obs((x, w2))) <= tol:
             return False, (x, w1, w2)
     return True, None

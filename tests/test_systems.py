@@ -124,6 +124,26 @@ def test_random_state_batch_matches_single_draws(f3):
     assert all(box.contains(x) for x in draws)
 
 
+@pytest.mark.parametrize(
+    "space", [RealBox((-1.0,), (1.0,)), RealBox((-1.0, 0.0), (1.0, 0.5)), FiniteStates((0, 1, 2))],
+    ids=["box1d", "box2d", "finite"],
+)
+@settings(max_examples=25, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_one_state_is_the_one_element_draw(space, seed):
+    """Bit for bit, and consuming the generator alike; both equal the
+    draw of one label index, or of one uniform per coordinate."""
+    one, row, by_hand = (np.random.default_rng(seed) for _ in range(3))
+    x, y = random_state(one, space), random_state(row, space, 1)[0]
+    if isinstance(space, FiniteStates):
+        expected = space.labels[int(by_hand.integers(len(space.labels)))]
+    else:
+        expected = np.array([by_hand.uniform(lo, hi) for lo, hi in zip(space.lower, space.upper)])
+    assert type(x) is type(y) is type(expected)
+    assert np.asarray(x).tobytes() == np.asarray(y).tobytes() == np.asarray(expected).tobytes()
+    assert one.random() == row.random() == by_hand.random()
+
+
 def test_realbox_requires_ordered_bounds():
     with pytest.raises(ValueError):
         RealBox((1.0,), (0.0,))
@@ -199,11 +219,8 @@ def test_constant_sequence():
 
 
 _labels = st.sampled_from(["a", "b", "c"])
-_seqs = st.builds(
-    InputSequence,
-    st.lists(_labels, max_size=4).map(tuple),
-    st.lists(_labels, min_size=1, max_size=3).map(tuple),
-)
+_raw = st.tuples(st.lists(_labels, max_size=4).map(tuple), st.lists(_labels, min_size=1, max_size=3).map(tuple))
+_seqs = _raw.map(lambda raw: InputSequence(*raw))
 
 
 @given(_seqs, st.integers(0, 20))
@@ -226,6 +243,28 @@ def test_equality_implies_pointwise_agreement(s1, s2):
     horizon = len(s1.prefix) + len(s2.prefix) + len(s1.period) * len(s2.period)
     agree = all(s1.at(k) == s2.at(k) for k in range(horizon))
     assert (s1 == s2) == agree
+
+
+@settings(max_examples=25, derandomize=True)
+@given(_raw, st.integers(0, 20))
+def test_the_stored_fields_read_as_the_raw_sequence(raw, k):
+    prefix, period = raw
+    seq = InputSequence(prefix, period)
+    assert seq.at(k) == (prefix[k] if k < len(prefix) else period[(k - len(prefix)) % len(period)])
+    rebuilt = InputSequence(seq.prefix, seq.period)
+    assert (rebuilt.prefix, rebuilt.period) == (seq.prefix, seq.period) == seq.canonical()
+
+
+@settings(max_examples=25, derandomize=True)
+@given(_raw, st.integers(0, 3), st.integers(1, 3))
+def test_equal_sequences_store_equal_fields_and_hashes(raw, pushed, repeats):
+    """A longer prefix and a repeated period spell the same sequence."""
+    seq = InputSequence(*raw)
+    m = len(raw[0]) + pushed
+    other = InputSequence([seq.at(j) for j in range(m)], [seq.at(m + j) for j in range(len(raw[1]) * repeats)])
+    assert other == seq
+    assert (other.prefix, other.period) == (seq.prefix, seq.period)
+    assert hash(other) == hash(seq)
 
 
 # Laws the canonical form rests on; it is computed once, at construction.
@@ -417,9 +456,19 @@ def test_random_sequences_consume_the_generator_as_their_three_calls(labels, n, 
     qlens = by_hand.integers(1, period_max + 1, size=n)
     picks = by_hand.integers(len(labels), size=(n, prefix_max + period_max))
     for seq, p, q, row in zip(seqs, plens, qlens, picks):
-        assert seq.prefix == tuple(labels[j] for j in row[:p])
-        assert seq.period == tuple(labels[j] for j in row[p : p + q])
+        row = [labels[j] for j in row]
+        assert seq == InputSequence(row[:p], row[p : p + q])
     assert drawn.random() == by_hand.random()
+
+
+@settings(max_examples=25, derandomize=True)
+@given(**{key: draw for key, draw in _SEQUENCE_DRAWS.items() if key != "n"})
+def test_random_sequence_is_the_one_row_draw(labels, prefix_max, period_max, seed):
+    one, row = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert random_sequence(one, labels, prefix_max, period_max) == random_sequences(
+        row, labels, 1, prefix_max, period_max
+    )[0]
+    assert one.random() == row.random()
 
 
 def test_state_distance(sl, f3):

@@ -33,14 +33,18 @@ runs in a fresh process on that tree's ``src``:
 
 Every file a case writes, its stdout and stderr (with the case's output
 directory masked) and its exit status are compared byte for byte.  The
-script lists each difference, prints ``wc -l src/koopcontrol/*.py`` of
-both trees, and exits 1 if there is any difference, else 0.
+script lists each difference; for a check report (a JSON list of checks)
+it also prints one line saying whether every ``pass`` and ``n_evaluated``
+is equal, or naming the ids whose values changed.  It then prints
+``wc -l src/koopcontrol/*.py`` of both trees, and exits 1 if there is any
+difference, else 0.
 """
 
 from __future__ import annotations
 
 import difflib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -121,6 +125,19 @@ def _files(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _verdict_line(old: bytes, new: bytes):
+    """Whether every ``pass`` and ``n_evaluated`` of two versions of a check
+    report is equal, as one line; ``None`` if either is not a check report."""
+    try:
+        a, b = ({r["id"]: (r["pass"], r["n_evaluated"]) for r in json.loads(d)} for d in (old, new))
+    except (ValueError, TypeError, KeyError):
+        return None
+    changed = [cid for cid in dict.fromkeys([*a, *b]) if a.get(cid) != b.get(cid)]
+    if changed:
+        return f"pass or n_evaluated changed: {', '.join(changed)}"
+    return "every pass and n_evaluated equal"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -148,6 +165,9 @@ def main(argv=None) -> int:
         differ = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
         for key in differ:
             print(f"DIFFERS: {key}")
+            verdict = _verdict_line(before.get(key, b""), after.get(key, b""))
+            if verdict:
+                print(verdict)
             old, new = (d.get(key, b"").decode(errors="replace").splitlines() for d in (before, after))
             sys.stdout.writelines(
                 line + "\n" for line in list(difflib.unified_diff(old, new, "parent", "change", lineterm=""))[:40]
