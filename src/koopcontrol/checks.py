@@ -25,6 +25,17 @@ would.  A box's random combinations are read as basis rows: each basis
 function once per list, then each point summed with its own
 coefficients, bits unchanged.
 
+Point lists carry columns (``systems._Points``): box states stacked once
+at the draw, input labels as codes, and sequences as ids into one
+sequence table per :func:`_run_table` call, which holds each id's
+sequence, head code and tail id and is filled lazily: each draw interns
+its sequences, and its points hold the table's objects; each shift is
+interned on first use.  ``K_inf`` steps with the head codes and moves to
+the tails, sequence-basis weights gather head codes, and :func:`_gaps`
+compares state columns.  The ground-truth walks read each trajectory's
+inputs off its sequence's own fields (:func:`_first_inputs`), so they
+check the operators that read the table.
+
 Results are deterministic: every check draws from a generator seeded by
 (plan seed, check index), so run order and concurrency cannot change the
 outcome, and reports contain no timestamps.
@@ -47,7 +58,6 @@ from .observables import (
     _abs_diff,
     _check_points,
     _combined,
-    _stacked,
     _values,
     constant_one,
     coordinate,
@@ -81,6 +91,13 @@ from .systems import (
     FiniteStates,
     InputSequence,
     RealBox,
+    _Points,
+    _SeqTable,
+    _as_points,
+    _column,
+    _firsts,
+    _input_positions,
+    _state_column,
     _step_many,
     random_sequences,
     random_state,
@@ -214,8 +231,8 @@ def _gap(space, a, b) -> float:
 
 def _gaps(space, a: list, b: list) -> np.ndarray:
     """:func:`_gap` of each pair ``a[i]``, ``b[i]``, as one array; box
-    states are compared stacked.  Box paths, ``(k + 1, d)`` arrays, are
-    compared by the largest gap of their states."""
+    states are compared by their state columns.  Box paths, ``(k + 1, d)``
+    arrays, are compared by the largest gap of their states."""
     if isinstance(space, RealBox) and a:
         if isinstance(a[0], np.ndarray) and a[0].ndim == 2:
             starts = np.cumsum([0] + [len(path) for path in a[:-1]])
@@ -223,8 +240,7 @@ def _gaps(space, a: list, b: list) -> np.ndarray:
                 gaps = np.max(np.abs(np.concatenate(a) - np.concatenate(b)), axis=1)
             return np.maximum.reduceat(gaps, starts)
         pairs = isinstance(a[0], tuple)
-        sa, sb = ([p[0] for p in a], [p[0] for p in b]) if pairs else (a, b)
-        sa, sb = _stacked(sa), _stacked(sb)
+        sa, sb = (_state_column(_firsts(a)), _state_column(_firsts(b))) if pairs else (_state_column(a), _state_column(b))
         if sa is not None and sb is not None and sa.shape == sb.shape == (len(a), space.dimension):
             with np.errstate(all="ignore"):
                 gaps = np.max(np.abs(sa - sb), axis=1)
@@ -234,30 +250,40 @@ def _gaps(space, a: list, b: list) -> np.ndarray:
     return np.array([_gap(space, p, q) for p, q in zip(a, b)], dtype=float)
 
 
-def _scenario_states(sys, plan, rng) -> list:
+def _scenario_states(sys, plan, rng, table=None) -> list:
+    xs = _Points(sys.states.labels) if _is_finite(sys) else random_state(rng, sys.states, plan.n_points)
+    xs.table = table
+    return xs
+
+
+def _scenario_pairs(sys, plan, rng, table=None) -> list:
+    table = table or _SeqTable(sys.inputs.labels)
     if isinstance(sys.states, FiniteStates):
-        return list(sys.states.labels)
-    return random_state(rng, sys.states, plan.n_points)
+        return _Points(enumerate_points(DomainTag.STATE_INPUT, sys), table=table)
+    xs = random_state(rng, sys.states, plan.n_points)
+    codes = rng.integers(len(sys.inputs.labels), size=plan.n_points)  # the table starts with the input labels
+    return _Points(zip(xs, table.labels_at(codes)), xs.states, codes, None, table)
 
 
-def _scenario_pairs(sys, plan, rng) -> list:
-    if isinstance(sys.states, FiniteStates):
-        return list(enumerate_points(DomainTag.STATE_INPUT, sys))
-    labels = sys.inputs.labels
-    states = random_state(rng, sys.states, plan.n_points)
-    return [(x, labels[i]) for x, i in zip(states, rng.integers(len(labels), size=plan.n_points).tolist())]
-
-
-def _scenario_seq_points(sys, plan, rng, n=None) -> list:
-    """The states, then their sequences, one list each."""
+def _scenario_seq_points(sys, plan, rng, table=None, n=None) -> list:
+    """The states, then their sequences, one list each; each point holds the
+    table's own object of its sequence."""
     labels, pmax, qmax = sys.inputs.labels, plan.seq_prefix_max, plan.seq_period_max
-    n = plan.n_points if n is None else n
-    return list(zip(random_state(rng, sys.states, n), random_sequences(rng, labels, n, pmax, qmax)))
+    n, table = plan.n_points if n is None else n, table or _SeqTable(labels)
+    xs = random_state(rng, sys.states, n)
+    ids = table.intern(random_sequences(rng, labels, n, pmax, qmax))
+    return _Points(zip(xs, table.seqs_at(ids)), getattr(xs, "states", None), None, ids, table)
 
 
-def _first_inputs(seq: InputSequence, k: int) -> list:
-    """``[seq.at(j) for j in range(k)]``: the prefix, then enough periods, cut at ``k``."""
-    return list((seq.prefix + seq.period * (k // len(seq.period) + 1))[:k]) if k > 0 else []
+def _first_inputs(table: _SeqTable, ids: np.ndarray, k: int) -> np.ndarray:
+    """The ``(n, k)`` codes of each sequence's first ``k`` inputs: row ``i``
+    codes ``[seq.at(j) for j in range(k)]`` of sequence ``ids[i]``.  Read off
+    each distinct sequence's own fields, not the table's heads and tails, so
+    walks stepped with these words check the operators that read the table."""
+    distinct, row = list(dict.fromkeys(ids.tolist())), np.zeros(len(table.seqs), dtype=np.intp)
+    row[distinct] = range(len(distinct))
+    words = [(s.prefix + s.period * (k // len(s.period) + 1))[:k] for s in map(table.seqs.__getitem__, distinct)]
+    return table.codes([u for w in words for u in w]).reshape(len(distinct), k)[row[ids]]
 
 
 class _Trajectory(NamedTuple):
@@ -269,23 +295,28 @@ class _Trajectory(NamedTuple):
 
     @property
     def word(self) -> list:
-        return _first_inputs(self.seq, self.k)
+        return [self.seq.at(j) for j in range(self.k)]
 
 
-def _scenario_trajectories(sys, plan, rng, horizons: int = 6) -> list:
+def _scenario_trajectories(sys, plan, rng, table=None, horizons: int = 6) -> list:
     """Sequence points, then one horizon below ``horizons`` per point, in point order."""
-    points = _scenario_seq_points(sys, plan, rng)
-    return [_Trajectory(*p, k) for p, k in zip(points, rng.integers(0, horizons, size=len(points)).tolist())]
+    points = _scenario_seq_points(sys, plan, rng, table)
+    ks = rng.integers(0, horizons, size=len(points)).tolist()
+    return points.derived([_Trajectory(*p, k) for p, k in zip(points, ks)], points.states, ids=points.ids)
 
 
-def _scenario_words(sys, plan, rng) -> list:
+def _scenario_words(sys, plan, rng, table=None) -> list:
     """Start states (six rounds on finite systems, covering lengths 0..5), each
     with a random word of length ``i % 6`` followed by the first input forever."""
     labels = sys.inputs.labels
-    states = _scenario_states(sys, plan, rng) * (6 if _is_finite(sys) else 1)
+    states = _scenario_states(sys, plan, rng)
+    states = _Points(states * 6) if _is_finite(sys) else states
     picks = iter(rng.integers(len(labels), size=sum(i % 6 for i in range(len(states)))).tolist())
     words = [tuple(labels[next(picks)] for _ in range(i % 6)) for i in range(len(states))]
-    return [_Trajectory(x0, InputSequence(w, (labels[0],)), len(w)) for x0, w in zip(states, words)]
+    table = table or _SeqTable(labels)
+    ids = table.intern([InputSequence(w, (labels[0],)) for w in words])
+    trajs = [_Trajectory(x0, seq, len(w)) for x0, seq, w in zip(states, table.seqs_at(ids), words)]
+    return _Points(trajs, states.states, None, ids, table)
 
 
 def _scaled(phi: Observable, domain: DomainTag, weights: Callable, label: str, ci_input=None) -> Observable:
@@ -297,12 +328,12 @@ def _scaled(phi: Observable, domain: DomainTag, weights: Callable, label: str, c
         domain,
         label=f"{phi.label}*{label}",
         ci_input=ci_input,
-        batch=lambda ps: (_values(phi, [p[0] for p in ps]).real * np.array(weights(ps))).astype(complex),
+        batch=lambda ps: (_values(phi, _firsts(ps)).real * np.asarray(weights(ps))).astype(complex),
     )
 
 
-def _unit_weights(points: list) -> list:
-    return [1.0] * len(points)
+def _unit_weights(points: list) -> np.ndarray:
+    return np.ones(len(points))
 
 
 def _state_basis(sys: ControlSystem) -> list:
@@ -318,16 +349,33 @@ def _state_basis(sys: ControlSystem) -> list:
     return basis
 
 
-def _weight_table(sys: ControlSystem) -> dict:
-    return {u: 1.0 + 0.5 * j for j, u in enumerate(sys.inputs.labels)}
+def _input_weights(sys: ControlSystem, k=None) -> Callable:
+    """The weight ``1 + j / 2`` of input label ``j``, read per point from a
+    pair list's label codes, or (``k``) from the head codes of each point's
+    sequence after ``k`` shifts."""
+    weights = {u: 1.0 + 0.5 * j for j, u in enumerate(sys.inputs.labels)}
+
+    def read(ps) -> np.ndarray:
+        if k is None:
+            table, codes = _column(ps, "codes")
+        else:
+            table, ids = _column(ps, "ids")
+            for _ in range(k):
+                ids = table.shifted(ids)
+            codes = table.head[ids]
+        w = np.zeros(len(table.labels))
+        for c in dict.fromkeys(codes.tolist()):  # a label without a weight raises the lookup's KeyError
+            w[c] = weights[table.labels[c]]
+        return w[codes]
+
+    return read
 
 
 def _aug_basis(sys: ControlSystem) -> list:
     if isinstance(sys.states, FiniteStates):
         return [pair_indicator(x, u) for x, u in enumerate_points(DomainTag.STATE_INPUT, sys)]
-    table = _weight_table(sys)
     basis = [constant_one(DomainTag.STATE_INPUT)]
-    w = lambda ps: [table[p[1]] for p in ps]
+    w = _input_weights(sys)
     for phi in _state_basis(sys)[1:]:
         basis.append(_scaled(phi, DomainTag.STATE_INPUT, w, "w(u)"))
         basis.append(_scaled(phi, DomainTag.STATE_INPUT, _unit_weights, "1"))
@@ -336,7 +384,6 @@ def _aug_basis(sys: ControlSystem) -> list:
 
 
 def _seq_basis(sys: ControlSystem) -> list:
-    table = _weight_table(sys)
     basis = [constant_one(DomainTag.STATE_SEQUENCE)]
     phis = _state_basis(sys)
     if isinstance(sys.states, FiniteStates):
@@ -344,7 +391,7 @@ def _seq_basis(sys: ControlSystem) -> list:
     else:
         phis = phis[1:]
     for k in (0, 1, 2):
-        w = lambda ps, k=k: [table[p[1].at(k)] for p in ps]
+        w = _input_weights(sys, k)
         for phi in phis:
             basis.append(_scaled(phi, DomainTag.STATE_SEQUENCE, w, f"w(u({k}))"))
     return basis
@@ -393,21 +440,21 @@ def _is_finite(sys: ControlSystem) -> bool:
 # it is the fixed list of sequence-blind observables.
 _DRAWS = {
     "x": _scenario_states,
-    "x_per_u": lambda sys, plan, rng: {u: _scenario_states(sys, plan, rng) for u in sys.inputs.labels},
+    "x_per_u": lambda sys, plan, rng, table=None: {u: _scenario_states(sys, plan, rng, table) for u in sys.inputs.labels},
     "p": _scenario_pairs,
     "s": _scenario_seq_points,
-    "s200": lambda sys, plan, rng: _scenario_seq_points(sys, plan, rng, n=min(plan.n_points, 200)),
+    "s200": lambda sys, plan, rng, table=None: _scenario_seq_points(sys, plan, rng, table, n=min(plan.n_points, 200)),
     "t": _scenario_trajectories,
-    "t11": lambda sys, plan, rng: _scenario_trajectories(sys, plan, rng, horizons=11),
+    "t11": lambda sys, plan, rng, table=None: _scenario_trajectories(sys, plan, rng, table, horizons=11),
     "tw": _scenario_words,
-    "c": lambda sys, plan, rng: [
+    "c": lambda sys, plan, rng, *_: [
         linear_combine([complex(re, im)], [constant_one(DomainTag.STATE_SEQUENCE)])
         for re, im in rng.uniform(-1, 1, size=(min(plan.n_functions, 8), 2)).tolist()
     ],
-    "fx": lambda sys, plan, rng: _functions(sys, plan, rng, _state_basis(sys)),
-    "fp": lambda sys, plan, rng: _functions(sys, plan, rng, _aug_basis(sys)),
-    "fs": lambda sys, plan, rng: _functions(sys, plan, rng, _seq_basis(sys)),
-    "ci_seq": lambda sys, plan, rng: _ci_seq_direct(sys),
+    "fx": lambda sys, plan, rng, *_: _functions(sys, plan, rng, _state_basis(sys)),
+    "fp": lambda sys, plan, rng, *_: _functions(sys, plan, rng, _aug_basis(sys)),
+    "fs": lambda sys, plan, rng, *_: _functions(sys, plan, rng, _seq_basis(sys)),
+    "ci_seq": lambda sys, plan, rng, *_: _ci_seq_direct(sys),
 }
 
 
@@ -415,41 +462,41 @@ def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> Co
     """A trajectory operator: a list of trajectory points ``(x0, seq, k)``
     walks in lockstep from the ``x0`` (each paired with its ``seq`` when
     ``on_seq``).  Step ``j`` moves the points with ``k > j`` to
-    ``many(points, their j-th inputs)``, each trajectory's first ``k`` inputs
-    read once, or to ``many(points)`` when ``on_seq``: sequence points carry their inputs.
+    ``many(points, their j-th inputs)``, the codes of each trajectory's
+    first ``k`` inputs read once (:func:`_first_inputs`), or to
+    ``many(points)`` when ``on_seq``: sequence points carry their inputs.
     Each point maps to its walk's last point or, with ``path``, to the states
     it visits: a stacked ``(k + 1, d)`` array on boxes, a tuple of labels on
     finite systems.  The walk is the operator's list map."""
     box = sys.states if isinstance(sys.states, RealBox) else None
-    states_of = (lambda pts: [p[0] for p in pts]) if on_seq else list
-
-    def starts(ts):  # box starts stacked once, or coerced one by one where they do not stack
-        xs = [t.x0 for t in ts]
-        if box:
-            arr = _stacked(xs)
-            xs = list(arr) if arr is not None and arr.shape[1] == box.dimension else list(map(box.coerce, xs))
-        return list(zip(xs, [t.seq for t in ts])) if on_seq else xs
-
-    def visited(pts):  # the states of one step of the walk, stacked on boxes
-        return np.array(states_of(pts)) if box else states_of(pts)
+    states_of = _firsts if on_seq else _as_points
+    visited = (lambda pts: _state_column(states_of(pts))) if box else states_of  # stacked on boxes
 
     def batch(ts: list) -> list:
-        words = None if on_seq else [_first_inputs(t.seq, t.k) for t in ts]
-        pts, live = starts(ts), range(len(ts))
-        trail = [visited(pts)] if path else None
-        for j in range(max((t.k for t in ts), default=0)):
-            live = [i for i in live if ts[i].k > j]
-            pts, moved = list(pts), [pts[i] for i in live]
-            for i, p in zip(live, many(moved) if on_seq else many(moved, [words[i][j] for i in live])):
-                pts[i] = p
+        ts = _as_points(ts)
+        table, ids = _column(ts, "ids")
+        ks = np.array([t.k for t in ts], dtype=np.intp)
+        steps = int(ks.max(initial=0))
+        words = None if on_seq else _first_inputs(table, ids, steps)
+        starts = [t.x0 for t in ts]
+        if box and ts.states is None:  # box starts without their column, coerced as ``step`` does
+            starts = list(map(box.coerce, starts))
+        pts = ts.derived(starts, ts.states)
+        pts = pts.derived(zip(pts, [t.seq for t in ts]), pts.states, ids=ids) if on_seq else pts
+        trail = [visited(pts)] if path else None  # the states of each step
+        for j in range(steps):
+            live = np.flatnonzero(ks > j)
+            moved = pts.take(live)
+            us = None if on_seq else moved.derived(table.labels_at(words[live, j]), codes=words[live, j])
+            pts = pts.put(live, many(moved) if on_seq else many(moved, us))
             if path:
                 trail.append(visited(pts))
         if not path:
             return pts
         if box:
-            trail = np.stack(trail, axis=1)  # (n, longest k + 1, d)
-            return [trail[i, : t.k + 1] for i, t in enumerate(ts)]
-        return [tuple(states[i] for states in trail[: t.k + 1]) for i, t in enumerate(ts)]
+            stacked = np.stack(trail, axis=1)  # (n, longest k + 1, d)
+            return [stacked[i, : k + 1] for i, k in enumerate(ks.tolist())]
+        return [tuple(states[i] for states in trail[: k + 1]) for i, k in enumerate(ks.tolist())]
 
     tag = DomainTag.STATE_SEQUENCE if on_seq and not path else DomainTag.STATE_ONLY
     return CompositionOperator(tag, tag, batch)
@@ -468,16 +515,15 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
     iso, kin, kau = ci_isomorphisms(sys), k_inf(sys), k_aug(sys)
     ku = {u: k_u(sys, u) for u in sys.inputs.labels}
 
-    def kcf(xs, us):  # each state through the K_u of its input
-        out = list(xs)
-        for u, op in ku.items():
-            idx = [i for i, v in enumerate(us) if v == u]
-            for i, y in zip(idx, op.batch([xs[i] for i in idx])):
-                out[i] = y
-        return out
+    def kcf(xs, us):  # each state through the K_u of its input, grouped by input code
+        xs, codes = _as_points(xs), _input_positions(sys.inputs, us)
+        for c, op in enumerate(ku.values()):
+            idx = np.flatnonzero(codes == c)
+            xs = xs.put(idx, op.batch(xs.take(idx))) if idx.size else xs
+        return xs
 
+    augmented = lambda xs, us: _firsts(kau.batch(xs.derived(zip(xs, us), xs.states, us.codes)))
     simulated = lambda xs, us: _step_many(sys, xs, us)
-    augmented = lambda xs, us: [p[0] for p in kau.batch(list(zip(xs, us)))]
     named = {
         "R": restriction_inf_to_aug(),
         "E": extension_aug_to_inf(),
@@ -575,14 +621,14 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
     k, cross = len(subjects), group.cross or _is_finite(sys)
     read = _values
     if cross:  # row j * n + i: subject j at point i
-        rows = [(g, slice(None), slice(j * n, (j + 1) * n)) for j, g in enumerate(subjects)]
+        rows = [(g, None, slice(j * n, (j + 1) * n)) for j, g in enumerate(subjects)]
     elif isinstance(drawn[fset], _Combinations):  # row i: point i, read by combination i % k
-        read, rows = drawn[fset].rows, [(lift_op, slice(None), slice(None))]
+        read, rows = drawn[fset].rows, [(lift_op, None, slice(None))]
     else:  # row i: point i, read by subject i % k
         rows = [(g, slice(j, None, k), slice(j, None, k)) for j, g in enumerate(subjects[:n])]
     errs = np.empty((k * n if cross else n, n_legs))
     for g, take, put in rows:  # g: the subject, or the lift of basis rows
-        vals = [read(g, col[take]) for col in cols]
+        vals = [read(g, col if take is None else _as_points(col).take(take)) for col in cols]
         for leg, (_, a, b) in enumerate(legs):
             errs[put, leg] = _abs_diff(vals[a], vals[b])
 
@@ -599,7 +645,8 @@ def _run_table(sys, plan, rng, draws: tuple, groups: tuple, note: str = "") -> _
     then every other group in order."""
     rec = _Recorder(plan.tolerance)
     rec.note = note
-    drawn = {name: _DRAWS[name](sys, plan, rng) for name in draws}
+    table = _SeqTable(sys.inputs.labels)  # every drawn sequence and each shift the run reads
+    drawn = {name: _DRAWS[name](sys, plan, rng, table) for name in draws}
     labels = sys.inputs.labels
     pairs = [{"u1": a, "u2": b} for i, a in enumerate(labels) for b in labels[i + 1 :]]
     for u in labels:

@@ -81,8 +81,9 @@ __all__ = ["main", "parse_config_text", "load_config", "resolve_system"]
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines; ``#`` starts a comment."""
-    cfg = {}
+    """Parse flat ``key = value`` lines; ``#`` starts a comment.  A key may
+    be given once."""
+    cfg, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -98,7 +99,9 @@ def parse_config_text(text: str) -> dict:
             value = value[1:-1]
         elif " #" in value:
             value = value.split(" #", 1)[0].rstrip()
-        cfg[key] = value
+        if key in cfg:
+            raise DomainError(f"config key {key!r} is given twice, on lines {lines[key]} and {lineno}")
+        cfg[key], lines[key] = value, lineno
     return cfg
 
 
@@ -218,7 +221,7 @@ def _table_system(cfg) -> ControlSystem:
             raise DomainError(f"inline table system needs a {req!r} key")
     states = tuple(_parse_label(t) for t in cfg["states"].split(","))
     inputs = tuple(_parse_label(t) for t in cfg["inputs"].split(","))
-    table = {}
+    table, keys = {}, {}
     for key, value in cfg.items():
         if not key.startswith("step."):
             continue
@@ -230,7 +233,9 @@ def _table_system(cfg) -> ControlSystem:
         if x not in states or u not in inputs:
             kind = "state" if x not in states else "input"
             raise DomainError(f"config key {key!r} names an undeclared {kind}")
-        table[(x, u)] = _parse_label(value)
+        if (x, u) in table:
+            raise DomainError(f"config keys {keys[(x, u)]!r} and {key!r} both give the step from {x!r} under {u!r}")
+        table[(x, u)], keys[(x, u)] = _parse_label(value), key
     missing = [(x, u) for x in states for u in inputs if (x, u) not in table]
     if missing:
         raise DomainError(f"transition table is missing entries for {missing}")

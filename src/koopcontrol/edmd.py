@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, DomainMismatchError, UnsupportedError
-from .observables import DomainTag, MonomialFn, _monomials, _stacked, _values
+from .observables import DomainTag, MonomialFn, _monomials, _state_column, _values
 from .systems import (
     ControlSystem,
     FiniteStates,
@@ -105,7 +105,7 @@ class Dictionary:
         xs = list(xs)
         if not xs:
             return np.empty((self.dim, 0), dtype=complex)
-        arr = None if self._powers is None else _stacked(xs)
+        arr = None if self._powers is None else _state_column(xs)
         if arr is not None and arr.shape[1] == self._powers.shape[1]:
             return np.array(_monomials(arr, self._powers).T, dtype=complex, order="C")
         return np.array([_values(o, xs) for o in self.observables])

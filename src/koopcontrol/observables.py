@@ -14,7 +14,8 @@ is defined by its list map ``batch`` alone, which computes all the values
 in array passes; a call at one point is the one-element read.  An
 observable built from a bare ``fn`` is read one point at a time.
 ``is_control_independent`` draws its sample first and then reads both
-sides in one batch.
+sides in one batch.  State-basis batches read a list's stacked state
+column when it carries one (see ``systems._Points``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .systems import (
     ControlSystem,
     FiniteStates,
     InputSequence,
-    _stacked,
+    _state_column,
     random_sequences,
     random_state,
 )
@@ -361,7 +362,7 @@ def coordinate(i: int) -> Observable:
         return arr[i]
 
     def batch(xs):
-        arr = _stacked(xs)
+        arr = _state_column(xs)
         if arr is None or not -arr.shape[1] <= i < arr.shape[1]:
             return _pointwise(at, xs)  # ragged or out of range: state by state, raising at the first bad one
         return arr[:, i].astype(complex)
@@ -381,7 +382,7 @@ class MonomialFn:
 
     def __call__(self, xs: list) -> np.ndarray:
         """The monomial at every state of ``xs``, as a complex array."""
-        arr = _stacked(xs)
+        arr = _state_column(xs)
         if arr is None or arr.shape[1] != len(self.powers):
             return _pointwise(self._at, xs)  # ragged or wrong dimension: raises at the first bad state
         return _monomials(arr, self._exponents[None])[:, 0].astype(complex)

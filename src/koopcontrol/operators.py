@@ -10,7 +10,10 @@ each operator has an exact 0-1 matrix realization.
 
 Each operator is defined by one list map, ``batch``, which maps a whole
 list of points at once (a Koopman operator steps them all through
-``_step_many``); the map of one point is the one-element call.
+``_step_many``); the map of one point is the one-element call.  A list
+map reads the columns a point list carries (stacked box states, label
+codes, sequence ids) and hands the mapped list its columns: ``K_inf``
+steps with the head codes and moves each id to its tail.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .systems import (
     ControlSystem,
     FiniteStates,
     InputSequence,
+    _as_points,
+    _column,
+    _firsts,
     _step_many,
     random_state,
     range_map,
@@ -142,7 +148,7 @@ def compose(op1: CompositionOperator, op2: CompositionOperator) -> CompositionOp
 
 
 def identity_operator(domain: DomainTag) -> CompositionOperator:
-    return CompositionOperator(domain, domain, list, label="id")
+    return CompositionOperator(domain, domain, lambda ps: _as_points(ps).take(slice(None)), label="id")
 
 
 def k_u(sys: ControlSystem, u_star) -> CompositionOperator:
@@ -159,21 +165,29 @@ def k_aug(sys: ControlSystem) -> CompositionOperator:
     domain = DomainTag.STATE_INPUT
 
     def batch(ps):
-        us = [u for _, u in ps]
-        return list(zip(_step_many(sys, [x for x, _ in ps], us), us))
+        ps = _as_points(ps)
+        us = ps.derived([u for _, u in ps], codes=ps.codes)
+        ys = _step_many(sys, _firsts(ps), us)
+        return us.derived(zip(ys, us), states=ys.states, codes=us.codes)  # the codes index ``us``'s table
 
     return CompositionOperator(domain, domain, batch, label="K_aug")
 
 
 def k_inf(sys: ControlSystem) -> CompositionOperator:
     """Koopman operator of the infinite-sequence system: steps with the
-    sequence's head and shifts its tail."""
+    sequence's head and shifts its tail.  A list call steps with the head
+    codes and reads each shift as the tail id in the list's sequence table."""
     domain = DomainTag.STATE_SEQUENCE
 
     def batch(ps):
-        seqs = [s for _, s in ps]
-        heads = [(s.prefix or s.period)[0] for s in seqs]  # each s.at(0)
-        return list(zip(_step_many(sys, [x for x, _ in ps], heads), map(shift, seqs)))
+        ps = _as_points(ps)
+        table, ids = _column(ps, "ids")
+        seqs, tails = [s for _, s in ps], table.shifted(ids)
+        heads = ps.derived([(s.prefix or s.period)[0] for s in seqs], codes=table.head[ids])  # each s.at(0)
+        ys = _step_many(sys, _firsts(ps), heads)
+        held = table.seqs_at(ids)  # a sequence the table does not hold itself is shifted itself
+        shifted = [t if s is h else shift(s) for s, h, t in zip(seqs, held, table.seqs_at(tails))]
+        return ps.derived(zip(ys, shifted), ys.states, ids=tails)
 
     return CompositionOperator(domain, domain, batch, label="K_inf")
 
@@ -211,44 +225,47 @@ def power(op: CompositionOperator, k: int) -> CompositionOperator:
 
 def restriction_inf_to_aug() -> CompositionOperator:
     """Sequence observables restricted to constant sequences: (x, u) -> (x, (u, u, ...)).
-    A list call builds one constant per label object, keyed by identity, so unhashable
-    labels need no other path and equal labels that print differently (0.0, -0.0) keep theirs."""
+    A list call reads one constant per label code from the list's sequence table, and
+    builds its own for a label that is not the table's (0.0 beside -0.0)."""
 
     def batch(ps):
-        consts = {id(p[1]): p[1] for p in ps}  # ``ps`` keeps every label alive
-        consts = {key: InputSequence.constant(u) for key, u in consts.items()}
-        return [(p[0], consts[id(p[1])]) for p in ps]
+        ps = _as_points(ps)
+        table, codes = _column(ps, "codes")
+        ids = table.intern([InputSequence.constant(u) for u in table.labels])[codes]
+        seqs = [s if s.period[0] is u else InputSequence.constant(u) for (_, u), s in zip(ps, table.seqs_at(ids))]
+        return ps.derived(zip(_firsts(ps), seqs), ps.states, ids=ids)
 
     return CompositionOperator(DomainTag.STATE_SEQUENCE, DomainTag.STATE_INPUT, batch, label="R:inf->aug")
 
 
 def extension_aug_to_inf() -> CompositionOperator:
     """Pair observables extended to sequences via the first input: (x, s) -> (x, s(0))."""
-    return CompositionOperator(
-        DomainTag.STATE_INPUT,
-        DomainTag.STATE_SEQUENCE,
-        lambda ps: [(p[0], (p[1].prefix or p[1].period)[0]) for p in ps],  # (x, s.at(0))
-        label="E:aug->inf",
-    )
+
+    def batch(ps):
+        ps = _as_points(ps)
+        table, ids = _column(ps, "ids")
+        heads = [(x, (s.prefix or s.period)[0]) for x, s in ps]  # (x, s.at(0))
+        return ps.derived(heads, ps.states, table.head[ids])
+
+    return CompositionOperator(DomainTag.STATE_INPUT, DomainTag.STATE_SEQUENCE, batch, label="E:aug->inf")
 
 
 def restriction_aug_to_f(u_star, sys: Optional[ControlSystem] = None) -> CompositionOperator:
     """Pair observables with the input frozen at ``u_star``: x -> (x, u_star)."""
     if sys is not None and not sys.inputs.contains(u_star):
         raise DomainError(f"unknown input label: {u_star!r}")
-    return CompositionOperator(
-        DomainTag.STATE_INPUT,
-        DomainTag.STATE_ONLY,
-        lambda xs: [(x, u_star) for x in xs],
-        label=f"R[{u_star}]:aug->state",
-    )
+
+    def batch(xs):
+        xs = _as_points(xs)
+        return xs.derived([(x, u_star) for x in xs], states=xs.states)
+
+    return CompositionOperator(DomainTag.STATE_INPUT, DomainTag.STATE_ONLY, batch, label=f"R[{u_star}]:aug->state")
 
 
 def extension_f_to_aug() -> CompositionOperator:
     """State observables extended to pairs by ignoring the input: (x, u) -> x."""
-    return CompositionOperator(
-        DomainTag.STATE_ONLY, DomainTag.STATE_INPUT, lambda ps: [p[0] for p in ps], label="E:state->aug"
-    )
+    batch = lambda ps: _firsts(ps).take(slice(None))  # a copy: the list's own states stay its own
+    return CompositionOperator(DomainTag.STATE_ONLY, DomainTag.STATE_INPUT, batch, label="E:state->aug")
 
 
 @dataclass(frozen=True)

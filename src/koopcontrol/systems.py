@@ -14,7 +14,6 @@ behavior reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -215,31 +214,207 @@ def step(sys: ControlSystem, x, u):
     return y
 
 
-def _stacked(points: list) -> Optional[np.ndarray]:
-    """Numeric states as an ``(n, d)`` float array, or ``None`` when they
-    do not stack (then the per-point path raises the precise error)."""
-    try:
-        return np.asarray(points, dtype=float).reshape(len(points), -1)
-    except (TypeError, ValueError):
-        return None
+class _Points(list):
+    """A point list carrying columns beside its points, so list maps read arrays
+    instead of the points: ``states``, the box states (each point's state
+    component) stacked ``(n, d)``; ``codes``, each label's (or each pair's
+    input's) code in ``table``, a :class:`_SeqTable`; ``ids``, each point's
+    sequence id there.  A column is ``None`` until built, and is built once
+    where a map needs it, so a plain list is as valid an input."""
+
+    __slots__ = ("states", "codes", "ids", "table", "firsts")
+
+    def __init__(self, points=(), states=None, codes=None, ids=None, table=None):
+        super().__init__(points)
+        self.states, self.codes, self.ids, self.table, self.firsts = states, codes, ids, table, None
+
+    def derived(self, points, states=None, codes=None, ids=None) -> "_Points":
+        """Points mapped from this list, keeping its table."""
+        return _Points(points, states, codes, ids, self.table)
+
+    def take(self, idx) -> "_Points":
+        """The points at ``idx`` (a slice or an index array), with their columns."""
+        picked = list.__getitem__(self, idx) if isinstance(idx, slice) else [self[i] for i in idx.tolist()]
+        at = lambda col: None if col is None else col[idx]
+        return _Points(picked, at(self.states), at(self.codes), at(self.ids), self.table)
+
+    def put(self, idx: np.ndarray, other) -> "_Points":
+        """A copy with the points at ``idx`` replaced by ``other``'s, keeping
+        each column that both lists carry."""
+        points = list(self)
+        for i, p in zip(idx.tolist(), other):
+            points[i] = p
+        out = self.derived(points)
+        same = getattr(other, "table", None) is self.table  # codes and ids index one table
+        for col in ("states", "codes", "ids") if same else ("states",):
+            mine, theirs = getattr(self, col), getattr(other, col, None)
+            if mine is not None and theirs is not None:
+                mine = mine.copy()
+                mine[idx] = theirs
+                setattr(out, col, mine)
+        return out
 
 
-def _step_many(sys: ControlSystem, xs: list, us: list) -> list:
+def _dropping_columns(name: str) -> Callable:
+    def mutate(self, *args, **kwargs):
+        self.states = self.codes = self.ids = self.firsts = None
+        return getattr(list, name)(self, *args, **kwargs)
+
+    return mutate
+
+
+# Changing a list's points drops its columns, which then are built again where read.
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend", "insert", "pop", "remove",
+              "clear", "sort", "reverse"):
+    setattr(_Points, _name, _dropping_columns(_name))
+
+
+def _as_points(points) -> _Points:
+    return points if isinstance(points, _Points) else _Points(points)
+
+
+def _state_column(points) -> Optional[np.ndarray]:
+    """The states of a state list as an ``(n, d)`` float array: the carried
+    column, else stacked (and kept on a :class:`_Points`); ``None`` when they do
+    not stack (then the per-point path raises the precise error)."""
+    arr = getattr(points, "states", None)
+    if arr is None:
+        try:
+            arr = np.asarray(points, dtype=float).reshape(len(points), -1)
+        except (TypeError, ValueError):
+            return None
+        if isinstance(points, _Points):
+            points.states = arr
+    return arr
+
+
+def _firsts(points) -> _Points:
+    """Each point's state component, with the list's state column; built once per list."""
+    points = _as_points(points)
+    if points.firsts is None:
+        points.firsts = points.derived([p[0] for p in points], states=points.states)
+    return points.firsts
+
+
+def _unknown(labels) -> DomainError:
+    """``step``'s error for the first label that cannot be a dict key, as no input set's can."""
+    for u in labels:
+        try:
+            hash(u)
+        except TypeError:
+            return DomainError(f"unknown input label: {u!r}")
+
+
+class _SeqTable:
+    """Labels and input sequences as integer codes and ids, filled lazily:
+    ``labels[c]`` is label ``c``, ``seqs[i]`` sequence ``i``, ``head[i]``
+    the code of its first input, and ``tail[i]`` the id of its shift, -1
+    until first asked for.  Over bounded sequences this is the shift
+    automaton restricted to the sequences drawn and their shifts; the whole
+    bounded set is never enumerated.  A label that cannot be a dict key
+    raises ``step``'s :class:`DomainError`."""
+
+    def __init__(self, labels=()):
+        self.labels, self.seqs, self._codes, self._ids = [], [], {}, {}
+        self._head, self._tail, self._arrays = [], [], None  # the arrays of the two lists, once read
+        self.codes(list(labels))
+
+    head = property(lambda self: self._read()[0])
+    tail = property(lambda self: self._read()[1])
+
+    def _read(self) -> tuple:
+        if self._arrays is None:
+            self._arrays = np.array(self._head, dtype=np.intp), np.array(self._tail, dtype=np.intp)
+        return self._arrays
+
+    def code(self, u) -> int:
+        """The code of label ``u``, appended on first sight."""
+        if u not in self._codes:
+            self._codes[u] = len(self.labels)
+            self.labels.append(u)
+        return self._codes[u]
+
+    def codes(self, labels: list) -> np.ndarray:
+        try:
+            for u in dict.fromkeys(labels):  # new labels are coded in order of first sight
+                self.code(u)
+        except TypeError:
+            raise _unknown(labels) from None
+        return np.fromiter(map(self._codes.__getitem__, labels), dtype=np.intp, count=len(labels))
+
+    def intern(self, seqs: list) -> np.ndarray:
+        """The ids of ``seqs``, interning the ones not yet held in order of first sight.
+        A sequence is keyed by its canonical fields, compared as ``==`` compares them."""
+        known, keys = self._ids, [(s.prefix, s.period) for s in seqs]
+        try:
+            new = [key for key in dict.fromkeys(keys) if key not in known]
+        except TypeError:
+            raise _unknown(u for pre, per in keys for u in pre + per) from None
+        first = dict(zip(reversed(keys), reversed(seqs))) if new else {}  # each key's first sequence
+        for key in new:
+            s = first[key]
+            known[key], self._arrays = len(self.seqs), None
+            self.seqs.append(s)
+            self._head.append(self.code((s.prefix or s.period)[0]))  # s.at(0)
+            self._tail.append(-1)
+        return np.fromiter(map(known.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+    def shifted(self, ids: np.ndarray) -> np.ndarray:
+        """``tail[ids]``, shifting each sequence not shifted before once."""
+        todo = list(dict.fromkeys(ids[self.tail[ids] < 0].tolist()))
+        if todo:
+            for i, j in zip(todo, self.intern([shift(self.seqs[i]) for i in todo]).tolist()):
+                self._tail[i] = j
+            self._arrays = None
+        return self.tail[ids]
+
+    def seqs_at(self, ids: np.ndarray) -> list:
+        return [self.seqs[i] for i in ids.tolist()]
+
+    def labels_at(self, codes: np.ndarray) -> list:
+        return [self.labels[c] for c in codes.tolist()]
+
+
+def _column(points, col: str, table=None, pairs=True) -> tuple:
+    """``(table, column)``: ``col`` is ``"ids"`` of each point's sequence or
+    ``"codes"`` of its label, read off each point's second component
+    (``pairs``: pairs and trajectory points) or the points themselves.  The
+    carried column, else built once into ``table``, the list's table or a new
+    one, and kept on a :class:`_Points` whose columns index that table."""
+    own = getattr(points, "table", None)
+    table = table or own or _SeqTable()
+    if own is table and getattr(points, col) is not None:
+        return table, getattr(points, col)
+    values = (table.intern if col == "ids" else table.codes)([p[1] for p in points] if pairs else points)
+    if isinstance(points, _Points) and own in (None, table):
+        setattr(points, col, values)
+        points.table = table
+    return table, values
+
+
+def _input_positions(inputs: "InputSet", us) -> np.ndarray:
+    """Each label's position in ``inputs``, -1 for none, read off the labels' codes."""
+    table, codes = _column(us, "codes", pairs=False)
+    return np.array([inputs._positions.get(u, -1) for u in table.labels], dtype=np.intp)[codes]
+
+
+def _step_many(sys: ControlSystem, xs: list, us: list) -> _Points:
     """``[step(sys, x, u) for x, u in zip(xs, us)]`` bit for bit, raising what that loop raises
-    first.  On a box with a ``transition_batch``, two or more states are checked at once and
-    stepped with one batch call per input label; one state (cheaper alone), other systems, or
-    states that do not stack to ``(n, d)`` run the loop."""
-    box = sys.states
+    first, with the box states' column.  On a box with a ``transition_batch``, two or more states
+    are checked at once and stepped with one batch call per input label; one state (cheaper alone),
+    other systems, states that do not stack to ``(n, d)``, or a label that cannot be looked up run
+    the loop."""
+    box, out = sys.states, _as_points(xs).derived
     batched = sys.transition_batch is not None and isinstance(box, RealBox) and len(xs) > 1
-    arr = _stacked(xs) if batched else None
-    if arr is None or arr.shape[1] != box.dimension:
-        return [step(sys, x, u) for x, u in zip(xs, us)]
+    arr = _state_column(xs) if batched else None
+    try:
+        codes = None if arr is None or arr.shape[1] != box.dimension else _input_positions(sys.inputs, us)
+    except DomainError:
+        codes = None
+    if codes is None:
+        return out([step(sys, x, u) for x, u in zip(xs, us)])
     lo, hi = box._slack_arrays
     inside = lambda a: ((a >= lo) & (a <= hi)).all(axis=1)  # NaN is outside
-    try:  # each label's position in the input set, -1 for none
-        codes = np.fromiter(map(sys.inputs._positions.get, us, repeat(-1)), dtype=np.intp, count=len(us))
-    except TypeError:  # an unhashable label: looked up as ``contains`` does
-        codes = np.array([sys.inputs.labels.index(u) if sys.inputs.contains(u) else -1 for u in us])
     ok = inside(arr) & (codes >= 0)
     n = len(xs) if ok.all() else int(np.argmin(ok))  # the points before the first bad one
     codes = codes[:n]
@@ -252,7 +427,7 @@ def _step_many(sys: ControlSystem, xs: list, us: list) -> list:
         raise DomainError(f"transition output {ys[np.argmin(inside(ys))]!r} outside the declared box")
     if n < len(xs):
         step(sys, xs[n], us[n])  # raises the loop's error before any transition call
-    return list(ys)
+    return out(list(ys), states=ys)
 
 
 def simulate(sys: ControlSystem, x0, seq: InputSequence, k: int) -> list:
@@ -308,15 +483,16 @@ def random_sequences(rng: np.random.Generator, labels, n: int, prefix_max=4, per
 def random_state(rng: np.random.Generator, space: StateSpace, n=None):
     """Uniform draw from a state space: one state, or a list of ``n`` states.
 
-    Finite spaces draw label indices, boxes points in the box; ``n`` states
-    are one generator call.  One state is the one-element draw
-    ``random_state(rng, space, 1)[0]``.
+    Finite spaces draw label indices, boxes points in the box, carrying them
+    stacked as the list's state column; ``n`` states are one generator call.
+    One state is the one-element draw ``random_state(rng, space, 1)[0]``.
     """
     if n is None:
         return random_state(rng, space, 1)[0]
     if isinstance(space, FiniteStates):
         return [space.labels[i] for i in rng.integers(len(space.labels), size=n).tolist()]
-    return list(rng.uniform(space.lower, space.upper, size=(n, space.dimension)))
+    arr = rng.uniform(space.lower, space.upper, size=(n, space.dimension))
+    return _Points(list(arr), states=arr)
 
 
 def state_distance(space: StateSpace, a, b) -> float:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopcontrol import checks, cli
+from koopcontrol import builtin_system, checks, cli, exact_plan, results_to_json, run_all
 from koopcontrol.cli import _build_parser, main, parse_config_text, resolve_system
 
 
@@ -147,6 +147,35 @@ def test_table_rejects_transitions_on_undeclared_labels(tmp_path, capsys, line, 
     )
     assert run("check", "--config", str(config), "--out", str(tmp_path)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("step.p.go = q\nstep.p.go = p\n", "config key 'step.p.go' is given twice, on lines 4 and 5"),
+    ("seed = 1\nstep.p.go = q\nseed = 2\n", "config key 'seed' is given twice, on lines 4 and 6"),
+    ("step.p.go = q\nstep.p.go  =  q\n", "config key 'step.p.go' is given twice, on lines 4 and 5"),
+], ids=["step", "seed", "same value"])
+def test_a_key_given_twice_in_a_config_exits_2(tmp_path, capsys, lines, message):
+    config = tmp_path / "table.cfg"
+    config.write_text("system = table\nstates = p,q\ninputs = go\n" + lines + "step.q.go = q\n")
+    assert run("check", "--config", str(config), "--out", str(tmp_path)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "check_report.json").exists()
+
+
+def test_two_step_keys_for_one_pair_exit_2(tmp_path, capsys):
+    config = tmp_path / "table.cfg"
+    config.write_text("system = table\nstates = 0,1\ninputs = a\nstep.0.a = 1\nstep.00.a = 0\nstep.1.a = 1\n")
+    assert run("check", "--config", str(config), "--out", str(tmp_path)) == 2
+    assert "config keys 'step.0.a' and 'step.00.a' both give the step from 0 under 'a'" in capsys.readouterr().err
+
+
+def test_a_flag_still_overrides_a_key_given_once(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("system = finite3\nseed = 3\n")
+    assert run("check", "--config", str(config), "--seed", "5", "--out", str(tmp_path)) == 0
+    assert json.loads((tmp_path / "check_report.json").read_text()) == json.loads(
+        results_to_json(run_all(builtin_system("finite3"), exact_plan(seed=5)).results)
+    )
 
 
 def test_resolve_builtin_with_params():

@@ -44,6 +44,7 @@ from koopcontrol import (
     state_component,
 )
 from koopcontrol import checks
+from koopcontrol.systems import _Points, _SeqTable
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 SPECIAL = [0.0, -0.0, 1e-310, -1e-310, 1e150, -1e150, math.inf, -math.inf, math.nan]
@@ -124,6 +125,38 @@ def test_batches_match_per_point_calls_on_box_points(case):
     for f in funcs[:-1]:  # certified by sampling, then read back on states
         part = state_component(certify_control_independent(apply(extension_f_to_aug(), f), sys))
         _assert_same_bits(part, states)
+
+
+def _carried(states: list) -> _Points:
+    """``states`` as a list carrying their stacked column."""
+    return _Points(states, states=np.array(states, dtype=float).reshape(len(states), -1))
+
+
+@PROPERTY
+@given(box_cases(), st.booleans())
+def test_state_batches_read_a_carried_column_bit_for_bit(case, carried):
+    """Coordinates, monomials and their combinations read a list's carried
+    state column as they read the states one by one."""
+    d, states, funcs = case
+    xs = _carried(states) if carried else list(states)
+    with np.errstate(all="ignore"):
+        for f in funcs:
+            assert _bits(f.batch(xs)) == _bits([f(x) for x in states]), f.label
+
+
+_RAGGED = [np.array([0.5]), np.array([0.25, 0.5]), np.array([1.0, 2.0, 3.0])]
+_ONE_D = [np.array([0.5]), np.array([0.25]), np.array([-1.0])]
+
+
+@pytest.mark.parametrize("states", [_RAGGED, _ONE_D, _carried(_ONE_D)], ids=["ragged", "1-d", "1-d carried"])
+@pytest.mark.parametrize("obs", [coordinate(1), coordinate(-2), monomial((2, 1)), monomial((0, 0, 1))],
+                         ids=lambda o: o.label)
+def test_state_batches_raise_the_per_point_error_at_the_first_bad_state(states, obs):
+    with pytest.raises(DomainError) as per_point:
+        [obs(x) for x in states]
+    with pytest.raises(DomainError) as batched:
+        obs.batch(states)
+    assert str(batched.value) == str(per_point.value)
 
 
 @PROPERTY
@@ -329,18 +362,49 @@ def test_record_many_never_describes_a_pass():
     assert (rec.passed, rec.counterexample, rec.max_err) == (False, "at 1", 7.0)
 
 
-@pytest.mark.parametrize(
-    "space, a, b",
-    [
-        (RealBox((-1.0, -1.0), (1.0, 1.0)), [np.array([0.5, -0.25]), np.array([math.nan, 0.0])],
-         [np.array([0.5, 0.75]), np.array([0.0, 0.0])]),
-        (RealBox((-1.0,), (1.0,)),
-         [(np.array([0.5]), "a"), (np.array([0.5]), "a"), (np.array([math.nan]), "a")],
-         [(np.array([0.25]), "a"), (np.array([0.5]), "b"), (np.array([0.0]), "b")]),
-        (builtin_system("finite3").states, [0, (1, "a"), (2, InputSequence.constant("a"))],
-         [0, (1, "b"), (2, InputSequence(("a",), ("a",)))]),
-    ],
-)
+_GAP_CASES = [
+    (RealBox((-1.0, -1.0), (1.0, 1.0)), [np.array([0.5, -0.25]), np.array([math.nan, 0.0])],
+     [np.array([0.5, 0.75]), np.array([0.0, 0.0])]),
+    (RealBox((-1.0,), (1.0,)),
+     [(np.array([0.5]), "a"), (np.array([0.5]), "a"), (np.array([math.nan]), "a")],
+     [(np.array([0.25]), "a"), (np.array([0.5]), "b"), (np.array([0.0]), "b")]),
+    (builtin_system("finite3").states, [0, (1, "a"), (2, InputSequence.constant("a"))],
+     [0, (1, "b"), (2, InputSequence(("a",), ("a",)))]),
+    (RealBox((-1.0,), (1.0,)),
+     [(np.array([0.5]), InputSequence(("b",), ("a",))), (np.array([-0.0]), InputSequence.constant("a"))],
+     [(np.array([0.5]), InputSequence(("a",), ("b", "a"))), (np.array([0.0]), InputSequence(("a",), ("a",)))]),
+]
+
+
+@pytest.mark.parametrize("space, a, b", _GAP_CASES)
 def test_stacked_gaps_equal_pointwise_gaps(space, a, b):
     expected = [checks._gap(space, p, q) for p, q in zip(a, b)]
     assert _bits(checks._gaps(space, a, b)) == _bits(expected)
+
+
+@pytest.mark.parametrize("space, a, b", [c for c in _GAP_CASES if isinstance(c[0], RealBox)])
+def test_gaps_read_carried_columns_bit_for_bit(space, a, b):
+    """Box state columns read as the stacked states; pairs that also carry
+    label codes or sequence ids in one table compare their seconds as the
+    per-pair gap does."""
+    table = _SeqTable()
+
+    def carried(points):
+        if not isinstance(points[0], tuple):
+            return _carried(points)
+        col = "ids" if isinstance(points[0][1], InputSequence) else "codes"
+        seconds = (table.intern if col == "ids" else table.codes)([p[1] for p in points])
+        return _Points(points, _carried([p[0] for p in points]).states, table=table, **{col: seconds})
+
+    expected = [checks._gap(space, p, q) for p, q in zip(a, b)]
+    assert _bits(checks._gaps(space, carried(a), carried(b))) == _bits(expected)
+
+
+def test_gaps_raise_the_per_pair_error_on_ragged_states():
+    space = RealBox((-1.0,), (1.0,))
+    a, b = [np.array([0.5]), np.array([0.5, 0.25]), np.array([1.0, 2.0, 3.0])], [np.array([0.0])] * 3
+    with pytest.raises(DomainError) as per_pair:
+        [checks._gap(space, p, q) for p, q in zip(a, b)]
+    with pytest.raises(DomainError) as batched:
+        checks._gaps(space, a, b)
+    assert str(batched.value) == str(per_pair.value)

@@ -2,8 +2,10 @@
 
 A mutant replaces one operator constructor that ``checks`` imports with a
 wrong map, the list step ``_step_many`` of the ground-truth walks
-(``sim``, ``path``) with a wrong one, or the walks' read of each
-trajectory's inputs (``_first_inputs``) with a late one.  Every mutant
+(``sim``, ``path``) with a wrong one, the walks' read of each
+trajectory's input codes (``_first_inputs``) with a late one, or the
+run's sequence table (``_SeqTable``) with one whose tails or head codes
+are wrong.  Every mutant
 runs ``run_all`` on ``finite3`` with an exact plan and on
 ``scalarlinear`` with a small sampled plan, and the rows that fail are
 compared with ``tests/data/mutant_matrix.json``.  A change that stops a
@@ -34,8 +36,10 @@ from koopcontrol import (
     shift,
     step,
 )
+import numpy as np
+
 from koopcontrol import checks
-from koopcontrol.systems import _step_many
+from koopcontrol.systems import _SeqTable, _step_many
 
 MATRIX = Path(__file__).parent / "data" / "mutant_matrix.json"
 
@@ -57,6 +61,30 @@ def _first_label_batches(sys, xs, us):
     two or more states) steps every row with the first label."""
     batched = sys.transition_batch is not None and isinstance(sys.states, RealBox) and len(xs) > 1
     return _step_many(sys, xs, [sys.inputs.labels[0]] * len(xs) if batched else us)
+
+
+class _DoubleShiftTable(_SeqTable):
+    """A sequence table whose tail of each sequence is its double shift."""
+
+    def shifted(self, ids):
+        return super().shifted(super().shifted(ids))
+
+
+class _LateHeadTable(_SeqTable):
+    """A sequence table whose head code of each sequence is its second input's."""
+
+    def intern(self, seqs):
+        ids = super().intern(seqs)
+        self._head[:], self._arrays = [self.code(s.at(1)) for s in self.seqs], None
+        return ids
+
+
+def _late_words(table, ids, k):
+    """The walks' word read, each input read one step late."""
+    return _first_inputs(table, ids, k)[:, np.maximum(np.arange(k) - 1, 0)]
+
+
+_first_inputs = checks._first_inputs
 
 
 def _mutants(sys) -> dict:
@@ -95,9 +123,9 @@ def _mutants(sys) -> dict:
             "kcf_word": lambda s, word: kcf_word(s, [tuple(word)[0]] * len(tuple(word)))
         },
         "_step_many batches step every row with the first label": {"_step_many": _first_label_batches},
-        "walks read each input one step late": {
-            "_first_inputs": lambda seq, k: [seq.at(max(j - 1, 0)) for j in range(k)]
-        },
+        "walks read each input one step late": {"_first_inputs": _late_words},
+        "the sequence table's tail is the double shift": {"_SeqTable": _DoubleShiftTable},
+        "the sequence table reads each head code one label late": {"_SeqTable": _LateHeadTable},
     }
 
 

@@ -3,11 +3,14 @@ import pytest
 
 from koopcontrol import (
     ContractError,
+    ControlSystem,
     DomainError,
     DomainMismatchError,
     DomainTag,
     InputSequence,
+    InputSet,
     Observable,
+    RealBox,
     WellDefinednessReason,
     apply,
     ci_isomorphisms,
@@ -26,7 +29,9 @@ from koopcontrol import (
     power,
     restriction_aug_to_f,
     restriction_inf_to_aug,
+    shift,
     simulate,
+    step,
     tabulate,
     to_matrix,
     two_step_discrepancy_witness,
@@ -52,6 +57,35 @@ def test_restrict_then_extend_is_identity_on_pairs():
     first, constant = extension_aug_to_inf().precompose, restriction_inf_to_aug().precompose
     for pair in [(0, "a"), (1, "b")]:
         assert first(constant(pair)) == pair
+
+
+def test_bridges_and_k_inf_raise_the_step_error_at_an_unhashable_label(f3):
+    """No input set holds a label that cannot be a dict key; R, E and K_inf
+    raise the DomainError that ``step`` raises for it."""
+    bad = ["a"]
+    with pytest.raises(DomainError) as stepped:
+        step(f3, 0, bad)
+    seq = InputSequence((bad,), ("a",))
+    for op, point in [(restriction_inf_to_aug(), (0, bad)), (extension_aug_to_inf(), (0, seq)), (k_inf(f3), (0, seq))]:
+        with pytest.raises(DomainError) as mapped:
+            op.precompose(point)
+        assert str(mapped.value) == str(stepped.value), op.label
+
+
+def test_bridges_and_k_inf_keep_each_points_own_labels():
+    """Labels that are equal but print differently (0.0, -0.0) stay each
+    point's own through R, E and K_inf, and a list maps as its points do
+    one by one; the transition shows the label it was given."""
+    sys = ControlSystem(RealBox((-1.0,), (1.0,)), InputSet((0.0, 1.0)), lambda x, u: x * u, "scale")
+    x = np.array([0.5])
+    pairs = [(x, 0.0), (x, -0.0), (x, 1.0)]
+    seqs = [(x, InputSequence((u,), (1.0, u))) for u in (0.0, -0.0, 1.0)]
+    for op, points in [(restriction_inf_to_aug(), pairs), (extension_aug_to_inf(), seqs), (k_inf(sys), seqs)]:
+        assert [repr(q) for q in op.batch(points)] == [repr(op.precompose(p)) for p in points], op.label
+    assert repr(restriction_inf_to_aug().batch(pairs)[1][1]) == repr(InputSequence.constant(-0.0))
+    assert repr(extension_aug_to_inf().batch(seqs)[1][1]) == "-0.0"
+    y, tail = k_inf(sys).batch(seqs)[1]
+    assert repr(y) == repr(np.array([-0.0])) and repr(tail) == repr(shift(seqs[1][1]))
 
 
 # --- operator application and composition ----------------------------------

@@ -28,7 +28,7 @@ from koopcontrol import (
     step,
 )
 from koopcontrol.checks import _Trajectory, _first_inputs, _named
-from koopcontrol.systems import _step_many
+from koopcontrol.systems import _Points, _SeqTable, _state_column, _step_many
 
 # Hand-computed transition table for the finite3 system.
 FINITE3_TABLE = {
@@ -281,6 +281,42 @@ def test_bounded_canonical_sequences_are_160_and_closed_under_shift():
     assert all(shift(s) in seqs for s in seqs)
 
 
+def _closed(table: _SeqTable) -> _SeqTable:
+    """Shift every interned sequence until the shifts add none."""
+    size = -1
+    while size != len(table.seqs):
+        size = len(table.seqs)
+        table.shifted(np.arange(size))
+    return table
+
+
+# The sequence table is the shift automaton of the drawn sequences: every
+# id's head code names its first input, its tail id its shift, and a drawn
+# point's id gives back its own sequence.
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["ab", "abc"]), st.integers(1, 120),
+       st.integers(0, 4), st.integers(1, 3))
+def test_the_sequence_table_is_the_shift_automaton_of_its_draws(seed, labels, n, prefix_max, period_max):
+    drawn = random_sequences(np.random.default_rng(seed), labels, n, prefix_max, period_max)
+    table = _SeqTable(labels)
+    assert [repr(table.seqs[i]) for i in table.intern(drawn).tolist()] == [repr(s) for s in drawn]
+    for i, seq in enumerate(_closed(table).seqs):
+        assert table.labels[table.head[i]] == seq.at(0)
+        assert table.seqs[table.tail[i]] == shift(seq)
+        copy = InputSequence(list(seq.prefix), list(seq.period))
+        assert table.intern([copy]).tolist() == [i] and repr(table.seqs[i]) == repr(copy)
+
+
+def test_the_sequence_table_holds_only_the_draws_and_their_shifts():
+    """Over 5 labels with prefixes up to 30 the bounded set is astronomically
+    large; the table interns each draw's at most prefix + period sequences."""
+    n, prefix_max, period_max = 50, 30, 3
+    table = _SeqTable()
+    table.intern(random_sequences(np.random.default_rng(11), "abcde", n, prefix_max, period_max))
+    assert len(table.seqs) <= n
+    assert len(_closed(table).seqs) <= n * (prefix_max + period_max)
+
+
 @settings(max_examples=25, derandomize=True)
 @given(_labels)
 def test_shift_returns_a_constant_sequence_itself(u):
@@ -291,7 +327,9 @@ def test_shift_returns_a_constant_sequence_itself(u):
 @settings(max_examples=25, derandomize=True)
 @given(_seqs, st.integers(0, 20))
 def test_the_walks_word_read_equals_reading_each_input(seq, k):
-    assert _first_inputs(seq, k) == [seq.at(j) for j in range(k)]
+    table = _SeqTable()
+    (codes,) = _first_inputs(table, table.intern([seq]), k)
+    assert table.labels_at(codes) == [seq.at(j) for j in range(k)]
 
 
 def _bits(y):
@@ -335,6 +373,44 @@ def test_step_many_equals_the_step_loop_bit_for_bit(name, draws):
     assert [_bits(y) for y in got] == [_bits(step(sys, x, u)) for x, u in zip(xs, us)]
 
 
+@settings(max_examples=25, derandomize=True)
+@example("tuple labels", _MIXED)
+@example("three offsets", _MIXED)
+@given(st.sampled_from(sorted(_BATCHED)),
+       st.lists(st.tuples(_fractions, st.integers(0, 5)), min_size=1, max_size=40))
+def test_step_many_reads_carried_columns_bit_for_bit(name, draws):
+    """The same list step from a carried state column and label codes; the
+    stepped list's state column (carried, or stacked where one state ran
+    alone) holds in row ``i`` the bits of state ``i``."""
+    sys = _BATCHED[name]()
+    (lo,), (hi,) = sys.states.lower, sys.states.upper
+    labels, table = sys.inputs.labels, _SeqTable(reversed(sys.inputs.labels))
+    arr = np.array([[lo + f * (hi - lo)] for f, _ in draws])
+    us = [labels[i % len(labels)] for _, i in draws]
+    got = _step_many(sys, _Points(list(arr), states=arr), _Points(us, codes=table.codes(us), table=table))
+    expected = [step(sys, x, u) for x, u in zip(arr, us)]
+    assert [_bits(y) for y in got] == [_bits(y) for y in expected]
+    assert [_bits(row) for row in _state_column(got)] == [_bits(y) for y in expected]
+
+
+@pytest.mark.parametrize("change", ["set", "slice", "append", "insert", "pop", "sort", "extend", "iadd", "del"])
+def test_changing_a_point_list_drops_its_columns(change):
+    """A drawn box list and a stepped one carry their state column; after
+    any change of their points, list maps read the points again."""
+    sys = builtin_system("scalarlinear")
+    drawn = random_state(np.random.default_rng(3), sys.states, 6)
+    for xs in (drawn, _step_many(sys, drawn, [sys.inputs.labels[0]] * 6)):
+        assert _state_column(xs) is not None
+        x = np.array([0.125])
+        {"set": lambda: xs.__setitem__(0, x), "slice": lambda: xs.__setitem__(slice(1, 3), [x, x]),
+         "append": lambda: xs.append(x), "insert": lambda: xs.insert(2, x), "pop": lambda: xs.pop(1),
+         "sort": lambda: xs.sort(key=lambda y: -y[0]), "extend": lambda: xs.extend([x]),
+         "iadd": lambda: xs.__iadd__([x]), "del": lambda: xs.__delitem__(0)}[change]()
+        expected = [step(sys, y, sys.inputs.labels[1]) for y in list(xs)]
+        assert [_bits(y) for y in _step_many(sys, xs, [sys.inputs.labels[1]] * len(xs))] == [_bits(y) for y in expected]
+        assert [_bits(row) for row in _state_column(xs)] == [_bits(np.asarray(y, dtype=float)) for y in list(xs)]
+
+
 # One point of each kind the loop rejects.  logistic_with_offset(r=4.0)
 # sends x = 0.5 under offset 0.05 to 1.05, outside its box; offset 0.0
 # keeps every state of [0, 1] inside.
@@ -359,6 +435,26 @@ def test_step_many_raises_what_the_step_loop_raises_first(bad, points, at):
     xs, us = [np.array([x]) for x, _ in points], [u for _, u in points]
     with pytest.raises(DomainError) as loop:
         [step(sys, x, u) for x, u in zip(xs, us)]
+    with pytest.raises(DomainError) as batched:
+        _step_many(sys, xs, us)
+    assert str(batched.value) == str(loop.value)
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD) + ["ragged state"])
+@settings(max_examples=25, derandomize=True)
+@given(points=st.lists(_GOOD_OR_BAD, max_size=12), at=st.integers(0, 12), carried=st.booleans())
+def test_step_many_with_carried_columns_raises_what_the_step_loop_raises_first(bad, points, at, carried):
+    """As above, with the states' column and the label codes carried where
+    the states stack; a ragged state stacks with no other, so its list
+    carries no column and runs the loop."""
+    sys = logistic_with_offset(r=4.0)
+    points.insert(at, (np.array([0.25, 0.5]), 0.0) if bad == "ragged state" else _BAD[bad])
+    xs, us = [np.atleast_1d(x) for x, _ in points], [u for _, u in points]
+    with pytest.raises(DomainError) as loop:
+        [step(sys, x, u) for x, u in zip(xs, us)]
+    if carried and bad != "ragged state":
+        table = _SeqTable(sys.inputs.labels)
+        xs, us = _Points(xs, states=np.array(xs)), _Points(us, codes=table.codes(us), table=table)
     with pytest.raises(DomainError) as batched:
         _step_many(sys, xs, us)
     assert str(batched.value) == str(loop.value)
