@@ -604,7 +604,12 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
         lift_op = _products(named, [lift])[0] if lift else None
         if lift:  # an identity would drop the functions' certification stamps
             subjects = [apply(lift_op, f) for f in subjects]
-        for g in subjects:  # apply-time domain and contract checks of every product
+        # apply-time domain and contract checks of every product; apply reads only a
+        # subject's domain and whether it is certified, so the first subject of each kind serves
+        kinds = {}
+        for g in subjects:
+            kinds.setdefault((g.domain, g.ci_input is None), g)
+        for g in kinds.values():
             for op in products:
                 apply(op, g)
     legs = [(text, chains.index(a), chains.index(b)) for text, a, b in group.legs]

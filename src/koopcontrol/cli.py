@@ -3,7 +3,6 @@
 Commands::
 
     koopcontrol check      run the identity-check registry, write reports
-    koopcontrol demo-naive walk through the failures of the naive encoding
     koopcontrol fit        sample transitions and fit one matrix per input
     koopcontrol predict    roll a fitted model forward and score it
     koopcontrol report     re-render a saved check report
@@ -28,7 +27,6 @@ toleranced prediction failed, 2 on bad config or usage.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import json
 import os
@@ -62,14 +60,6 @@ from .edmd import (
     prediction_error,
 )
 from .errors import DomainError, DomainMismatchError, UnsupportedError
-from .observables import DomainTag, coordinate, enumerate_points, indicator, pair_indicator
-from .operators import (
-    apply,
-    extension_f_to_aug,
-    input_aug_well_definedness,
-    k_naive,
-    two_step_discrepancy_witness,
-)
 from .systems import ControlSystem, FiniteStates, InputSequence, InputSet
 
 OUTPUT_DIR_ENV = "KOOPCONTROL_OUT"
@@ -130,7 +120,7 @@ _OPTIONS = {
     opt.key: opt
     for opt in (
         _Option("system", str, "built-in system name: " + ", ".join(sorted(BUILTIN_SYSTEMS)),
-                ("check", "demo-naive", "fit", "predict")),
+                ("check", "fit", "predict")),
         _Option("seed", int, "generator seed (required off finite systems)", ("check", "fit")),
         _Option("points", int, "sample budget", ("check", "fit"), least=1),
         _Option("tol", float, "pass/fail tolerance", ("check", "predict"), least=0),
@@ -325,69 +315,6 @@ def cmd_check(args) -> int:
     return 0 if summary.all_passed else 1
 
 
-def cmd_demo_naive(args) -> int:
-    cfg = _merged(args)
-    sys_ = resolve_system(cfg)
-    finite = isinstance(sys_.states, FiniteStates)
-    print(f"naive encoding on {sys_.name}")
-    print()
-
-    f = indicator(sys_.states.labels[0]) if finite else coordinate(0)
-    x0 = _resolve_x0({}, sys_)
-    u0 = sys_.inputs.labels[0]
-    op = k_naive(sys_)
-    g = apply(op, f)
-    print("one application is fine: the composed observable reads the next state")
-    print(f"  ({op.label} {f.label})({x0!r}, {u0!r}) = {g((x0, u0)):g}")
-    try:
-        apply(op, g)
-    except DomainMismatchError as exc:
-        print("a second application is impossible:")
-        print(f"  {exc}")
-    else:
-        raise RuntimeError("expected the second application to fail")
-    print()
-
-    if finite:
-        print("treating the input as a frozen extra state:")
-        probes = [pair_indicator(p[0], p[1]) for p in enumerate_points(DomainTag.STATE_INPUT, sys_)]
-        report = input_aug_well_definedness(sys_, probes)
-        if report.witness is not None:
-            label, x, u, u1, u2, v1, v2 = report.witness
-            print(f"  input-sensitive probes break it ({report.reason.value}):")
-            print(
-                f"    probe {label} at the successor of ({x!r}, {u!r}) reads "
-                f"{v1:g} if the next input is {u1!r} but {v2:g} if it is {u2!r}"
-            )
-        else:
-            print(f"  {report.reason.value}: construction is well defined here")
-        blind = [apply(extension_f_to_aug(), indicator(x)) for x in sys_.states.labels]
-        report2 = input_aug_well_definedness(sys_, blind)
-        print(f"  input-blind probes cannot tell: {report2.reason.value}")
-        if len(sys_.inputs.labels) > 1:
-            single = dataclasses.replace(
-                sys_, inputs=InputSet((u0,)), name=f"{sys_.name}-single-input"
-            )
-            report3 = input_aug_well_definedness(single, probes[:1])
-            print(f"  with only one input the question is moot: {report3.reason.value}")
-        print()
-
-    witness = two_step_discrepancy_witness(sys_)
-    print("freezing the input survives one step but not two:")
-    if witness is None:
-        print("  no two-step gap exists here; these dynamics ignore the input")
-    else:
-        print(
-            f"  start at {witness.x!r}, apply the word {witness.word!r}: "
-            f"probe {witness.observable.label} reads {witness.value_word:g}"
-        )
-        print(
-            f"  the frozen-input square replays {witness.word[0]!r} instead "
-            f"and reads {witness.value_power:g}"
-        )
-    return 0
-
-
 def _resolve_dictionary(cfg, sys_: ControlSystem):
     finite = isinstance(sys_.states, FiniteStates)
     spec = cfg.get("dict") or ("indicator" if finite else "monomial:2")
@@ -523,7 +450,6 @@ def cmd_report(args) -> int:
 
 _COMMANDS = (
     ("check", "run the identity-check registry", cmd_check),
-    ("demo-naive", "walk through the naive-encoding failures", cmd_demo_naive),
     ("fit", "sample transitions and fit one matrix per input", cmd_fit),
     ("predict", "roll a fitted model forward and score it", cmd_predict),
     ("report", "re-render a saved check report", cmd_report),
@@ -539,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """
     parser = argparse.ArgumentParser(
         prog="koopcontrol",
-        description="Operator encodings of input-driven dynamics: checks, demos, identification.",
+        description="Operator encodings of input-driven dynamics: checks and identification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_, func in _COMMANDS:

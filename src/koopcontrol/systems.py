@@ -375,18 +375,18 @@ class _SeqTable:
         return [self.labels[c] for c in codes.tolist()]
 
 
-def _column(points, col: str, table=None, pairs=True) -> tuple:
+def _column(points, col: str, pairs=True) -> tuple:
     """``(table, column)``: ``col`` is ``"ids"`` of each point's sequence or
     ``"codes"`` of its label, read off each point's second component
     (``pairs``: pairs and trajectory points) or the points themselves.  The
-    carried column, else built once into ``table``, the list's table or a new
-    one, and kept on a :class:`_Points` whose columns index that table."""
-    own = getattr(points, "table", None)
-    table = table or own or _SeqTable()
-    if own is table and getattr(points, col) is not None:
+    carried column, else built once into the list's table or a new one, and
+    kept on a :class:`_Points` whose columns index that table."""
+    table = getattr(points, "table", None)
+    if table is not None and getattr(points, col) is not None:
         return table, getattr(points, col)
+    table = table or _SeqTable()
     values = (table.intern if col == "ids" else table.codes)([p[1] for p in points] if pairs else points)
-    if isinstance(points, _Points) and own in (None, table):
+    if isinstance(points, _Points):
         setattr(points, col, values)
         points.table = table
     return table, values

@@ -44,7 +44,6 @@ def test_cli_surface_is_pinned():
             **store("system", "seed", "points", "tol", "out", "only"),
             "--exact": "_StoreTrueAction",
         },
-        "demo-naive": store("system"),
         "fit": store("system", "seed", "points", "out", "dict"),
         "predict": store("system", "tol", "out", "dict"),
         "report": store("out"),
@@ -57,7 +56,7 @@ def test_cli_surface_is_pinned():
     [
         ("report", "--system", "nope", "--seed", "1"),
         ("predict", "--seed", "3", "--points", "9"),
-        ("demo-naive", "--out", "results"),
+        ("check", "--dict", "indicator"),
         ("fit", "--tol", "1e-8"),
     ],
 )
@@ -66,6 +65,15 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
         run(*argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_demo_naive_is_no_command(capsys):
+    """The naive-encoding walkthrough is demo 02's own code."""
+    with pytest.raises(SystemExit) as exc:
+        run("demo-naive")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "demo-naive" in err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -381,29 +389,6 @@ def test_config_file_alone_drives_a_run(tmp_path):
     )
     assert run("check", "--config", str(config)) == 0
     assert (tmp_path / "check_report.json").exists()
-
-
-# --- demo-naive ------------------------------------------------------------
-
-
-def test_demo_naive_narrative(capsys):
-    assert run("demo-naive", "--system", "finite3") == 0
-    out = capsys.readouterr().out
-    assert "second application is impossible" in out
-    assert "witness-found" in out
-    assert "singleton-input" in out
-    assert "all-restrictions-input-free" in out
-    assert "not two" in out
-
-
-def test_demo_naive_on_input_blind_system(capsys):
-    assert run("demo-naive", "--system", "collapse2") == 0
-    assert "no two-step gap" in capsys.readouterr().out
-
-
-def test_demo_naive_on_box(capsys):
-    assert run("demo-naive", "--system", "scalarlinear") == 0
-    assert "impossible" in capsys.readouterr().out
 
 
 # --- fit / predict / report -----------------------------------------------

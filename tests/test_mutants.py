@@ -3,10 +3,10 @@
 A mutant replaces one operator constructor that ``checks`` imports with a
 wrong map, the list step ``_step_many`` of the ground-truth walks
 (``sim``, ``path``) with a wrong one, the walks' read of each
-trajectory's input codes (``_first_inputs``) with a late one, or the
+trajectory's input codes (``_first_inputs``) with a late one, the
 run's sequence table (``_SeqTable``) with one whose tails or head codes
-are wrong.  Every mutant
-runs ``run_all`` on ``finite3`` with an exact plan and on
+are wrong, or the pair basis (``_aug_basis``) with input-blind probes.
+Every mutant runs ``run_all`` on ``finite3`` with an exact plan and on
 ``scalarlinear`` with a small sampled plan, and the rows that fail are
 compared with ``tests/data/mutant_matrix.json``.  A change that stops a
 row from catching a mutant shows as a diff of that file.
@@ -26,8 +26,10 @@ from koopcontrol import (
     DomainTag,
     InputSequence,
     RealBox,
+    apply,
     builtin_system,
     exact_plan,
+    extension_f_to_aug,
     k_u,
     kcf_word,
     power,
@@ -126,6 +128,9 @@ def _mutants(sys) -> dict:
         "walks read each input one step late": {"_first_inputs": _late_words},
         "the sequence table's tail is the double shift": {"_SeqTable": _DoubleShiftTable},
         "the sequence table reads each head code one label late": {"_SeqTable": _LateHeadTable},
+        "the pair basis is input-blind": {
+            "_aug_basis": lambda s: [apply(extension_f_to_aug(), phi) for phi in checks._state_basis(s)]
+        },
     }
 
 
@@ -155,6 +160,8 @@ def test_mutant_matrix_matches_the_stored_rows():
 # The ``_step_many`` mutant trips nothing on finite3, which has no batch path.
 # It replaces only the ground-truth walks' list step: the same wrong step
 # under every operator too would keep both sides of each identity equal.
+# The input-blind pair basis trips only C19, which runs on finite systems
+# only: every other row that reads pair functions holds for these too.
 _UNSEEN = set()
 
 
