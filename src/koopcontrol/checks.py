@@ -5,11 +5,12 @@ documented counterexample) over enumerated or plan-sampled scenarios and
 reports the maximum absolute discrepancy.  Finite systems are checked
 over exhaustive state/input/function bases, where indicator functions
 span the whole observable space, so any linear identity that fails
-anywhere fails on the basis; input sequences are still drawn at random.
+anywhere fails on the basis; input sequences are still drawn at random,
+at the default bounds of :func:`~koopcontrol.systems.random_sequences`.
 Box systems are checked over seeded samples and random linear
 combinations of a built-in basis; a clean pass there is a
 non-refutation certificate, with the evaluation count recorded.  A
-discrepancy that is not a number within tolerance (NaN included) fails.
+discrepancy not within the plan's finite tolerance (NaN included) fails.
 Most identities are rows of one table (:data:`_REGISTRY`) that
 :func:`_run_table` evaluates, the trajectory checks included.  Each side
 of a leg is one operator product built by
@@ -126,18 +127,14 @@ class SamplePlan:
 
     n_points: int = 200
     n_functions: int = 20
-    seq_prefix_max: int = 4
-    seq_period_max: int = 3
     rng_seed: int = 0
     tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.n_points < 1 or self.n_functions < 1 or self.seq_period_max < 1:
+        if self.n_points < 1 or self.n_functions < 1:
             raise ValueError("plan bounds must be positive")
-        if self.seq_prefix_max < 0:
-            raise ValueError("plan bounds must be nonnegative")
-        if not self.tolerance >= 0:  # NaN included
-            raise ValueError(f"tolerance must be a nonnegative number, got {self.tolerance!r}")
+        if not 0 <= self.tolerance < math.inf:  # NaN included
+            raise ValueError(f"tolerance must be a nonnegative number and finite, got {self.tolerance!r}")
 
 
 def exact_plan(seed: int = 0, n_points: int = 200) -> SamplePlan:
@@ -145,16 +142,9 @@ def exact_plan(seed: int = 0, n_points: int = 200) -> SamplePlan:
     return SamplePlan(n_points=n_points, rng_seed=seed, tolerance=0.0)
 
 
-def sampled_plan(
-    seed: int, n_points: int = 1000, n_functions: int = 50, tolerance: float = 1e-12
-) -> SamplePlan:
+def sampled_plan(seed: int, n_points: int = 1000, n_functions: int = 50, tolerance: float = 1e-12) -> SamplePlan:
     """Seeded sampling plan for box systems."""
-    return SamplePlan(
-        n_points=n_points,
-        n_functions=n_functions,
-        rng_seed=seed,
-        tolerance=tolerance,
-    )
+    return SamplePlan(n_points=n_points, n_functions=n_functions, rng_seed=seed, tolerance=tolerance)
 
 
 @dataclass(frozen=True)
@@ -268,10 +258,9 @@ def _scenario_pairs(sys, plan, rng, table=None) -> list:
 def _scenario_seq_points(sys, plan, rng, table=None, n=None) -> list:
     """The states, then their sequences, one list each; each point holds the
     table's own object of its sequence."""
-    labels, pmax, qmax = sys.inputs.labels, plan.seq_prefix_max, plan.seq_period_max
-    n, table = plan.n_points if n is None else n, table or _SeqTable(labels)
+    n, table = plan.n_points if n is None else n, table or _SeqTable(sys.inputs.labels)
     xs = random_state(rng, sys.states, n)
-    ids = table.intern(random_sequences(rng, labels, n, pmax, qmax))
+    ids = table.intern(random_sequences(rng, sys.inputs.labels, n))
     return _Points(zip(xs, table.seqs_at(ids)), getattr(xs, "states", None), None, ids, table)
 
 

@@ -5,7 +5,6 @@ Commands::
     koopcontrol check      run the identity-check registry, write reports
     koopcontrol fit        sample transitions and fit one matrix per input
     koopcontrol predict    roll a fitted model forward and score it
-    koopcontrol report     re-render a saved check report
 
 Options come from an optional config file of ``key = value`` lines plus
 command-line flags; flags win.  The table ``_OPTIONS`` lists every config
@@ -14,7 +13,10 @@ other key is an error.  Inline finite systems use ``system = table`` with
 ``states``, ``inputs``, and one ``step.<state>.<input> = <next>`` line per
 transition; built-in systems take the ``param.*`` overrides they name
 (``param.r = 3.0``; ``param.lambdas.a = 0.4``, where the ``param.lambdas.*``
-keys given replace the whole table).
+keys given replace the whole table).  ``check`` overlays the ``points``,
+``functions`` and ``tol`` given on ``exact_plan`` (finite systems) or
+``sampled_plan`` (boxes); ``fit`` takes every pair of a finite system,
+else ``points`` uniform states of the box.
 
 Output files go to ``--out``, else the directory named by the
 ``KOOPCONTROL_OUT`` environment variable, else the current directory.
@@ -28,10 +30,11 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
+import math
 import os
 import sys as _sys
 import tempfile
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -40,17 +43,17 @@ import numpy as np
 
 from .catalog import BUILTIN_SYSTEMS, builtin_system, dictionary_for
 from .checks import (
-    CheckResult,
     SamplePlan,
     check_ids,
+    exact_plan,
     is_applicable,
     results_to_json,
     results_to_text,
     run_all,
+    sampled_plan,
 )
 from .edmd import (
     ExhaustiveFinite,
-    GridOnBox,
     UniformRandom,
     collect_data,
     export_model_json,
@@ -125,13 +128,13 @@ _OPTIONS = {
         _Option("points", int, "sample budget", ("check", "fit"), least=1),
         _Option("tol", float, "pass/fail tolerance", ("check", "predict"), least=0),
         _Option("out", str, f"output directory (default: ${OUTPUT_DIR_ENV} or the current directory)",
-                ("check", "fit", "predict", "report")),
+                ("check", "fit", "predict")),
         _Option("only", str, "comma-separated check ids (C1..C20)", ("check",)),
         _Option("exact", bool, "exhaustive zero-tolerance run (finite systems only)", ("check",)),
         _Option("dict", str, "dictionary spec: indicator or monomial:<degree>", ("fit", "predict")),
-        *(_Option(k, int, least=1) for k in ("functions", "period-max", "resolution")),
-        *(_Option(k, int, least=0) for k in ("prefix-max", "steps")),
-        *(_Option(k, str) for k in ("sampler", "x0", "word", "name", "states", "inputs")),
+        _Option("functions", int, least=1),
+        _Option("steps", int, least=0),
+        *(_Option(k, str) for k in ("x0", "word", "name", "states", "inputs")),
     )
 }
 _EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
@@ -161,6 +164,8 @@ def _merged(args) -> dict:
             cfg[key] = value = _read(key, kind, text)
             if least is not None and not value >= least:  # NaN included
                 raise DomainError(f"config key {key!r}: expected {_EXPECTED[kind]} >= {least}, got {text!r}")
+            if value == math.inf:
+                raise DomainError(f"config key {key!r}: expected a finite number, got {text!r}")
         elif key.startswith(("param.", "step.")):
             cfg[key] = text
         else:
@@ -275,14 +280,11 @@ def _build_plan(cfg, sys_: ControlSystem) -> SamplePlan:
         raise DomainError("config key 'tol': an exact run has tolerance 0; drop 'tol' or 'exact'")
     if "seed" not in cfg and not finite:
         raise DomainError("sampled checks need a seed (--seed or config)")
-    return SamplePlan(
-        n_points=cfg.get("points", 200 if finite else 1000),
-        n_functions=cfg.get("functions", 50),
-        seq_prefix_max=cfg.get("prefix-max", 4),
-        seq_period_max=cfg.get("period-max", 3),
-        rng_seed=cfg.get("seed", 0),
-        tolerance=cfg.get("tol", 0.0 if finite else 1e-12),
-    )
+    if cfg.get("tol") == 0 and not finite:
+        raise DomainError("config key 'tol': zero tolerance is reserved for finite systems")
+    plan = (exact_plan if finite else sampled_plan)(cfg.get("seed", 0))
+    given = {"points": "n_points", "functions": "n_functions", "tol": "tolerance"}
+    return replace(plan, **{field: cfg[key] for key, field in given.items() if key in cfg})
 
 
 # --- commands --------------------------------------------------------------
@@ -325,17 +327,11 @@ def _resolve_dictionary(cfg, sys_: ControlSystem):
 
 
 def _resolve_sampler(cfg, sys_: ControlSystem):
-    finite = isinstance(sys_.states, FiniteStates)
-    kind = cfg.get("sampler") or ("exhaustive" if finite else "uniform")
-    if kind == "exhaustive":
+    if isinstance(sys_.states, FiniteStates):
         return ExhaustiveFinite()
-    if kind == "grid":
-        return GridOnBox(cfg.get("resolution", 40))
-    if kind == "uniform":
-        if "seed" not in cfg:
-            raise DomainError("uniform sampling needs a seed (--seed or config)")
-        return UniformRandom(cfg.get("points", 500), cfg["seed"])
-    raise DomainError(f"unknown sampler {kind!r}; use exhaustive, grid, or uniform")
+    if "seed" not in cfg:
+        raise DomainError("uniform sampling needs a seed (--seed or config)")
+    return UniformRandom(cfg.get("points", 500), cfg["seed"])
 
 
 def cmd_fit(args) -> int:
@@ -423,28 +419,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    cfg = _merged(args)
-    out = _out_dir(cfg)
-    path = out / "check_report.json"
-    if not path.exists():
-        raise DomainError(f"no report at {path}; run `koopcontrol check` first")
-    payload = json.loads(path.read_text())
-    results = [
-        CheckResult(
-            id=entry["id"],
-            passed=bool(entry["pass"]),
-            max_abs_error=float(entry["max_abs_error"]),
-            counterexample=entry.get("counterexample"),
-            n_evaluated=int(entry.get("n_evaluated", 0)),
-            note=entry.get("note", ""),
-        )
-        for entry in payload
-    ]
-    print(results_to_text(results), end="")
-    return 0 if all(r.passed for r in results) else 1
-
-
 # --- entry point -----------------------------------------------------------
 
 
@@ -452,7 +426,6 @@ _COMMANDS = (
     ("check", "run the identity-check registry", cmd_check),
     ("fit", "sample transitions and fit one matrix per input", cmd_fit),
     ("predict", "roll a fitted model forward and score it", cmd_predict),
-    ("report", "re-render a saved check report", cmd_report),
 )
 
 

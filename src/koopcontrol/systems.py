@@ -189,9 +189,6 @@ class InputSequence:
             return self.prefix[k]
         return self.period[(k - len(self.prefix)) % len(self.period)]
 
-    def canonical(self) -> tuple:
-        return self.prefix, self.period
-
 
 def step(sys: ControlSystem, x, u):
     """One transition ``T(x, u)``, with domain validation on both ends."""
@@ -471,7 +468,8 @@ def random_sequence(rng: np.random.Generator, labels, prefix_max=4, period_max=3
 
 def random_sequences(rng: np.random.Generator, labels, n: int, prefix_max=4, period_max=3) -> list:
     """``n`` sequences in three generator calls: the prefix lengths, the period lengths and one
-    ``(n, prefix_max + period_max)`` label matrix, row ``i`` holding sequence ``i``'s prefix, then period."""
+    ``(n, prefix_max + period_max)`` label matrix, row ``i`` holding sequence ``i``'s prefix, then period.
+    The default bounds are the sequence domain that the identity checks draw from."""
     labels = tuple(labels)
     plens = rng.integers(0, prefix_max + 1, size=n).tolist()
     qlens = rng.integers(1, period_max + 1, size=n).tolist()

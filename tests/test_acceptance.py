@@ -53,8 +53,6 @@ from koopcontrol import (
 SAMPLED_PLAN = SamplePlan(
     n_points=1000,
     n_functions=50,
-    seq_prefix_max=4,
-    seq_period_max=3,
     rng_seed=7,
     tolerance=1e-12,
 )

@@ -60,10 +60,10 @@ def test_plan_validation():
         SamplePlan(n_points=0)
     with pytest.raises(ValueError):
         SamplePlan(tolerance=-1.0)
-    with pytest.raises(ValueError):
-        SamplePlan(seq_period_max=0)
     with pytest.raises(ValueError, match="tolerance must be a nonnegative number"):
         SamplePlan(tolerance=float("nan"))
+    with pytest.raises(ValueError, match="tolerance must be a nonnegative number and finite"):
+        SamplePlan(tolerance=float("inf"))
 
 
 def test_exact_suite_passes_on_finite3(f3):

@@ -46,15 +46,18 @@ def test_cli_surface_is_pinned():
         },
         "fit": store("system", "seed", "points", "out", "dict"),
         "predict": store("system", "tol", "out", "dict"),
-        "report": store("out"),
     }
     assert {name: _flags(p) for name, p in _subcommands().items()} == expected
+    assert list(cli._OPTIONS) == [
+        "system", "seed", "points", "tol", "out", "only", "exact", "dict",
+        "functions", "steps", "x0", "word", "name", "states", "inputs",
+    ]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("report", "--system", "nope", "--seed", "1"),
+        ("predict", "--exact"),
         ("predict", "--seed", "3", "--points", "9"),
         ("check", "--dict", "indicator"),
         ("fit", "--tol", "1e-8"),
@@ -68,12 +71,14 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
 
 
 def test_demo_naive_is_no_command(capsys):
-    """The naive-encoding walkthrough is demo 02's own code."""
-    with pytest.raises(SystemExit) as exc:
-        run("demo-naive")
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "invalid choice" in err and "demo-naive" in err
+    """The naive-encoding walkthrough is demo 02's own code, and the table
+    ``report`` printed is the ``check_report.txt`` that ``check`` writes."""
+    for command in ("demo-naive", "report"):
+        with pytest.raises(SystemExit) as exc:
+            run(command)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and repr(command) in err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -277,7 +282,7 @@ def test_check_rejects_nan_tolerance(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value, field",
-    [("functions", 1, "n_functions"), ("prefix-max", 0, "seq_prefix_max"), ("period-max", 1, "seq_period_max")],
+    [("functions", 1, "n_functions")],
 )
 def test_finite_check_plan_carries_its_config_key(monkeypatch, tmp_path, key, value, field):
     plans = []
@@ -436,13 +441,20 @@ def test_fit_negative_monomial_degree_names_the_dict_key(tmp_path, capsys):
     [
         ("check", ("--points", "0"), "", "config key 'points': expected an integer >= 1, got '0'"),
         ("check", (), "functions = 0\n", "config key 'functions': expected an integer >= 1, got '0'"),
-        ("check", (), "prefix-max = -1\n", "config key 'prefix-max': expected an integer >= 0, got '-1'"),
-        ("check", (), "period-max = 0\n", "config key 'period-max': expected an integer >= 1, got '0'"),
+        ("check", (), "prefix-max = 4\n", "unknown config key 'prefix-max'"),
+        ("check", (), "period-max = 3\n", "unknown config key 'period-max'"),
         ("fit", ("--points", "0"), "", "config key 'points': expected an integer >= 1, got '0'"),
-        ("fit", (), "sampler = grid\nresolution = 0\n", "config key 'resolution': expected an integer >= 1, got '0'"),
+        ("fit", (), "resolution = 40\n", "unknown config key 'resolution'"),
         ("predict", (), "steps = -1\n", "config key 'steps': expected an integer >= 0, got '-1'"),
+        ("fit", (), "sampler = grid\n", "unknown config key 'sampler'"),
+        ("check", ("--tol", "0"), "", "config key 'tol': zero tolerance is reserved for finite systems"),
+        ("check", ("--tol", "inf"), "", "config key 'tol': expected a finite number, got 'inf'"),
+        ("predict", (), "tol = inf\n", "config key 'tol': expected a finite number, got 'inf'"),
     ],
-    ids=["points", "functions", "prefix-max", "period-max", "fit-points", "resolution", "steps"],
+    ids=[
+        "points", "functions", "prefix-max", "period-max", "fit-points", "resolution", "steps",
+        "sampler", "tol-zero-on-box", "tol-inf", "predict-tol-inf",
+    ],
 )
 def test_bad_count_names_its_config_key(tmp_path, capsys, command, flags, lines, message):
     config = tmp_path / "run.cfg"
@@ -561,31 +573,3 @@ def test_fit_with_param_override(tmp_path):
     model = json.loads((tmp_path / "model.json").read_text())
     a = np.array([[c[0] + 1j * c[1] for c in row] for row in model["matrices"]["a"]])
     assert np.allclose(a, np.diag([1.0, 0.3, 0.09]), atol=1e-8)
-
-
-def test_report_rerenders_saved_run(tmp_path, capsys):
-    assert run("check", "--system", "finite3", "--exact", "--out", str(tmp_path)) == 0
-    capsys.readouterr()
-    assert run("report", "--out", str(tmp_path)) == 0
-    assert "20/20 checks passed" in capsys.readouterr().out
-
-
-def test_report_exit_one_on_recorded_failure(tmp_path, capsys):
-    payload = [
-        {
-            "id": "C1",
-            "pass": False,
-            "max_abs_error": 1.0,
-            "n_evaluated": 3,
-            "counterexample": "pair (0, 'a')",
-            "note": "",
-        }
-    ]
-    (tmp_path / "check_report.json").write_text(json.dumps(payload))
-    assert run("report", "--out", str(tmp_path)) == 1
-    assert "FAIL" in capsys.readouterr().out
-
-
-def test_report_without_file(tmp_path, capsys):
-    assert run("report", "--out", str(tmp_path)) == 2
-    assert "run `koopcontrol check` first" in capsys.readouterr().err

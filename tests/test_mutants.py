@@ -5,7 +5,9 @@ wrong map, the list step ``_step_many`` of the ground-truth walks
 (``sim``, ``path``) with a wrong one, the walks' read of each
 trajectory's input codes (``_first_inputs``) with a late one, the
 run's sequence table (``_SeqTable``) with one whose tails or head codes
-are wrong, or the pair basis (``_aug_basis``) with input-blind probes.
+are wrong, the pair basis (``_aug_basis``) with input-blind probes, or one
+restriction of the control-independent isomorphisms (``ci_isomorphisms``)
+with a map that moves the state.
 Every mutant runs ``run_all`` on ``finite3`` with an exact plan and on
 ``scalarlinear`` with a small sampled plan, and the rows that fail are
 compared with ``tests/data/mutant_matrix.json``.  A change that stops a
@@ -18,6 +20,7 @@ stated) with::
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -28,6 +31,7 @@ from koopcontrol import (
     RealBox,
     apply,
     builtin_system,
+    ci_isomorphisms,
     exact_plan,
     extension_f_to_aug,
     k_u,
@@ -89,6 +93,14 @@ def _late_words(table, ids, k):
 _first_inputs = checks._first_inputs
 
 
+def _moved_isomorphism(sys, field, point_map):
+    """``ci_isomorphisms(sys)`` with the point map of ``field`` replaced by
+    ``point_map``; its label, stamp and ``requires_ci`` stay."""
+    iso = ci_isomorphisms(sys)
+    op = replace(getattr(iso, field), batch=lambda ps: [point_map(p) for p in ps])
+    return replace(iso, **{field: op})
+
+
 def _mutants(sys) -> dict:
     """Mutant name -> the names of ``checks`` it replaces, for ``sys``.
     "Moving the state" steps it once with the first input."""
@@ -119,6 +131,14 @@ def _mutants(sys) -> dict:
         },
         "R_u moves the state": {
             "restriction_aug_to_f": lambda u, s=None: _op(PAIR, STATE, lambda x: (moved(x), u), "R_u")
+        },
+        "R_ci moves the state": {
+            "ci_isomorphisms": lambda s: _moved_isomorphism(s, "restrict_aug_to_state", lambda x: (moved(x), u0))
+        },
+        "R_ci_seq moves the state": {
+            "ci_isomorphisms": lambda s: _moved_isomorphism(
+                s, "restrict_seq_to_aug", lambda p: (moved(p[0]), InputSequence.constant(p[1]))
+            )
         },
         "power takes one extra step": {"power": lambda op, k: power(op, k + 1)},
         "kcf_word repeats its first input": {
