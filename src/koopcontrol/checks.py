@@ -271,20 +271,16 @@ def _first_inputs(table: _SeqTable, ids: np.ndarray, k: int) -> np.ndarray:
     walks stepped with these words check the operators that read the table."""
     distinct, row = list(dict.fromkeys(ids.tolist())), np.zeros(len(table.seqs), dtype=np.intp)
     row[distinct] = range(len(distinct))
-    words = [(s.prefix + s.period * (k // len(s.period) + 1))[:k] for s in map(table.seqs.__getitem__, distinct)]
+    words = [s.word(k) for s in map(table.seqs.__getitem__, distinct)]
     return table.codes([u for w in words for u in w]).reshape(len(distinct), k)[row[ids]]
 
 
 class _Trajectory(NamedTuple):
-    """A start state, an input sequence and a horizon; ``word`` is the first ``k`` inputs."""
+    """A start state, an input sequence and a horizon."""
 
     x0: object
     seq: InputSequence
     k: int
-
-    @property
-    def word(self) -> list:
-        return [self.seq.at(j) for j in range(self.k)]
 
 
 def _scenario_trajectories(sys, plan, rng, table=None, horizons: int = 6) -> list:
@@ -568,7 +564,7 @@ class _Group:
 
 def _describe(text: str, p, fields: dict, f: str = "") -> str:
     if isinstance(p, _Trajectory):
-        fields = dict(fields, x0=repr(p.x0), k=p.k, word=repr(p.word), seq=repr(p.seq))
+        fields = dict(fields, x0=repr(p.x0), k=p.k, word=repr(list(p.seq.word(p.k))), seq=repr(p.seq))
     return text.format(f=f, p=repr(p), **fields)
 
 

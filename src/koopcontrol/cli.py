@@ -403,11 +403,8 @@ def cmd_predict(args) -> int:
     seq = _resolve_sequence(cfg, sys_)
     steps = cfg.get("steps", 20)
     errors = prediction_error(model, dictionary, sys_, x0, seq, steps)
-    lines = ["step,input,error"]
-    for k, err in enumerate(errors):
-        u = "" if k == 0 else repr(seq.at(k - 1))
-        lines.append(f"{k},{u},{err:.17g}")
-    text = "\n".join(lines) + "\n"
+    rows = zip(range(steps + 1), [""] + [repr(u) for u in seq.word(steps)], errors.tolist())
+    text = "step,input,error\n" + "".join(["%d,%s,%.17g\n" % row for row in rows])
     _atomic_export(out / "prediction_errors.csv", lambda p: Path(p).write_text(text))
     worst = float(np.max(errors))
     print(f"predict {sys_.name}: dictionary {spec}, {steps} steps from x0={x0!r}")

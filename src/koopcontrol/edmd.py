@@ -16,6 +16,12 @@ power rounds as in a monomial's own read and the lift matrix has its
 bits.  Any other dictionary (indicators, user callables, or a mix) reads
 each entry over the whole list in turn.
 
+A :class:`TrainingSet` carries columns built once: its distinct sampled
+states (stacked on a box), each triple's row among them, input codes and
+the next states.  :func:`fit_kcf` lifts the state table once, and each
+slice's lift is a column gather of it, the same bits since a lift is per
+state; :func:`export_training_csv` formats the columns block by block.
+
 Each input slice is solved once with ``np.linalg.lstsq`` on the
 transposed lift matrices, an SVD-based solve that never forms the Gram
 matrix.  The same SVD gives the rank flag: a slice is rank deficient
@@ -29,6 +35,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +46,9 @@ from .systems import (
     FiniteStates,
     InputSequence,
     RealBox,
+    _as_points,
+    _Points,
+    _SeqTable,
     _step_many,
     random_state,
     simulate,
@@ -102,7 +112,7 @@ class Dictionary:
 
     def lift_batch(self, xs) -> np.ndarray:
         """The ``(dim, n)`` lift matrix of ``n`` states; column ``j`` is ``lift(xs[j])``."""
-        xs = list(xs)
+        xs = xs if isinstance(xs, list) else list(xs)  # a point list keeps its state column
         if not xs:
             return np.empty((self.dim, 0), dtype=complex)
         arr = None if self._powers is None else _state_column(xs)
@@ -131,11 +141,22 @@ class ExhaustiveFinite:
     """Every (state, input) pair of a finite system."""
 
 
+def _distinct(xs) -> tuple:
+    """The distinct state objects of ``xs`` in order of first sight (``xs``
+    itself when all are), as a point list, and each entry's row there."""
+    first = {}  # id -> (row, state)
+    rows = np.array([first.setdefault(id(x), (len(first), x))[0] for x in xs], dtype=np.intp)
+    return _as_points(xs if len(first) == len(xs) else [x for _, x in first.values()]), rows
+
+
 @dataclass(frozen=True, eq=False)
 class TrainingSet:
     """Transition triples ``(x, u, x_next)`` plus the full input label set.
 
-    ``input_labels`` lets the fit flag labels that received no samples.
+    ``input_labels`` lets the fit flag labels that received no samples.  The
+    fit and the CSV export read its columns: the distinct sampled states (by
+    object), each triple's row there, its input's position in the labels
+    (``input_labels``, then others as first seen), and the next states.
     """
 
     triples: tuple
@@ -144,6 +165,14 @@ class TrainingSet:
     def __post_init__(self):
         object.__setattr__(self, "triples", tuple(self.triples))
         object.__setattr__(self, "input_labels", tuple(self.input_labels))
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """``(states, rows, codes, labels, nexts)``, derived from the triples unless handed over."""
+        xs, us, ys = zip(*self.triples) if self.triples else ((), (), ())
+        table = _SeqTable(self.input_labels)
+        codes = table.codes(list(us))
+        return (*_distinct(xs), codes, table.labels, _as_points(ys))
 
     def per_input(self) -> dict:
         groups = {u: [] for u in self.input_labels}
@@ -188,13 +217,9 @@ def collect_data(sys: ControlSystem, sampler) -> TrainingSet:
             raise UnsupportedError("grid sampling needs a box state space")
         if sampler.resolution < 1:
             raise ValueError("grid resolution must be positive")
-        box = sys.states
-        axes = [
-            np.linspace(lo, hi, sampler.resolution)
-            for lo, hi in zip(box.lower, box.upper)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        xs = [np.array(p) for p in zip(*(m.ravel() for m in mesh))]
+        axes = [np.linspace(lo, hi, sampler.resolution) for lo, hi in zip(sys.states.lower, sys.states.upper)]
+        grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        xs = _Points(list(grid), states=grid)
     elif isinstance(sampler, UniformRandom):
         if sampler.n < 1:
             raise ValueError("sample count must be positive")
@@ -202,9 +227,14 @@ def collect_data(sys: ControlSystem, sampler) -> TrainingSet:
     else:
         raise ValueError(f"unknown sampler: {sampler!r}")
 
-    pairs = [(x, u) for x in xs for u in sys.inputs.labels]
-    ys = _step_many(sys, [x for x, _ in pairs], [u for _, u in pairs])
-    return TrainingSet(tuple((x, u, y) for (x, u), y in zip(pairs, ys)), input_labels=sys.inputs.labels)
+    labels = sys.inputs.labels
+    states, rows = _distinct(xs)
+    rows, codes = np.repeat(rows, len(labels)), np.tile(np.arange(len(labels)), len(xs))
+    xs, us = states.take(rows), _Points(labels * len(xs), codes=codes, table=_SeqTable(labels))
+    ys = _step_many(sys, xs, us)
+    data = TrainingSet(tuple(zip(xs, us, ys)), input_labels=labels)
+    data.__dict__["_columns"] = (states, rows, codes, list(labels), ys)  # handed over, not derived
+    return data
 
 
 def _solve_ls(phi0: np.ndarray, phi1: np.ndarray) -> tuple:
@@ -220,29 +250,23 @@ def fit_kcf(dictionary: Dictionary, data: TrainingSet) -> tuple:
     Returns ``(SeparableModel, FitReport)``.  Labels without samples are
     left out of the model and listed in ``FitReport.missing_inputs``.
     """
-    matrices = {}
-    residuals = {}
-    counts = {}
-    rank_flags = {}
-    missing = []
-    for u, pairs in data.per_input().items():
-        if not pairs:
+    matrices, residuals, counts, rank_flags, missing = {}, {}, {}, {}, []
+    states, rows, codes, labels, nexts = data._columns
+    lifted = dictionary.lift_batch(states)  # each sampled state once; lifts are per state, so gathers keep bits
+    for c, u in enumerate(labels):
+        idx = np.flatnonzero(codes == c)
+        if not idx.size:
             missing.append(u)
             continue
-        phi0 = dictionary.lift_batch([x for x, _ in pairs])
-        phi1 = dictionary.lift_batch([y for _, y in pairs])
+        phi0, phi1 = lifted[:, rows[idx]], dictionary.lift_batch(nexts.take(idx))
         a, rank_flags[u] = _solve_ls(phi0, phi1)
-        matrices[u] = a
-        n = len(pairs)
-        residuals[u] = float(np.sum(np.abs(phi1 - a @ phi0) ** 2) / n)
-        counts[u] = n
+        matrices[u], counts[u] = a, len(idx)
+        residuals[u] = float(np.sum(np.abs(phi1 - a @ phi0) ** 2) / len(idx))
     report = FitReport(residuals, counts, rank_flags, tuple(missing))
     return SeparableModel(matrices, dictionary), report
 
 
-def predict(
-    model: SeparableModel, dictionary: Dictionary, x0, seq: InputSequence, k: int
-) -> list:
+def predict(model: SeparableModel, dictionary: Dictionary, x0, seq: InputSequence, k: int) -> list:
     """Lifted k-step prediction: ``z_{j+1} = A(seq(j)) z_j`` from ``z_0 = Psi(x0)``."""
     if dictionary.dim != model.dictionary.dim:
         raise DomainMismatchError("dictionary does not match the fitted model")
@@ -250,8 +274,7 @@ def predict(
         raise ValueError("horizon must be nonnegative")
     z = dictionary.lift(x0)
     out = [z]
-    for j in range(k):
-        u = seq.at(j)
+    for u in seq.word(k):
         if u not in model.matrices:
             raise DomainError(f"no fitted matrix for input label {u!r}")
         z = model.matrices[u] @ z
@@ -259,22 +282,12 @@ def predict(
     return out
 
 
-def prediction_error(
-    model: SeparableModel,
-    dictionary: Dictionary,
-    sys: ControlSystem,
-    x0,
-    seq: InputSequence,
-    k: int,
-) -> np.ndarray:
+def prediction_error(model: SeparableModel, dictionary: Dictionary, sys: ControlSystem, x0, seq: InputSequence,
+                     k: int) -> np.ndarray:
     """Max-abs gap per step between the lifted prediction and the true lift."""
-    preds = np.column_stack(predict(model, dictionary, x0, seq, k))
+    preds = np.array(predict(model, dictionary, x0, seq, k))  # (k + 1, dim)
     truth = dictionary.lift_batch(simulate(sys, x0, seq, k))
-    return np.abs(preds - truth).max(axis=0)
-
-
-def _state_columns(sys: ControlSystem) -> int:
-    return sys.states.dimension if isinstance(sys.states, RealBox) else 1
+    return np.abs(preds - truth.T).max(axis=1)
 
 
 _CSV_BLOCK = 1024  # triples formatted per write, so memory stays bounded
@@ -292,32 +305,37 @@ def _csv_fields(values) -> list:
 
 
 def _state_fields(states) -> list:
-    """The comma-joined columns of each state: ``%.17g`` coordinates of box
-    states, formatted from one ``tolist()`` of the stacked array, or the label."""
+    """The comma-joined columns of each state of a point list: ``%.17g``
+    coordinates of box states, formatted from their column in one ``%``, or the label."""
     if not isinstance(states[0], np.ndarray):
         return _csv_fields(states)
-    coords = np.array(states).tolist()
-    row = ",".join(["%.17g"] * len(coords[0]))
-    return [row % tuple(c) for c in coords]
+    arr = _state_column(states)
+    if arr is None:
+        raise DomainError("box states of different dimensions do not stack")
+    row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+    return ((row * len(arr)) % tuple(arr.ravel().tolist())).split("\n")[:-1]
 
 
 def export_training_csv(data: TrainingSet, path) -> None:
     """Write triples as rows: state columns, input label, next-state columns.
 
-    Rows are formatted a block of ``_CSV_BLOCK`` triples at a time, with
+    Rows are formatted from the set's columns a block of ``_CSV_BLOCK``
+    triples at a time, each distinct sampled state and label once, with
     ``csv.writer``'s quoting and line endings.
     """
     if not data.triples:
         raise ValueError("nothing to export")
-    x0 = data.triples[0][0]
-    d = x0.size if isinstance(x0, np.ndarray) else 1
+    d = x0.size if isinstance(x0 := data.triples[0][0], np.ndarray) else 1
     header = [f"x{i}" for i in range(d)] + ["u"] + [f"y{i}" for i in range(d)]
+    states, rows, codes, labels, nexts = data._columns
+    xs, us = _state_fields(states), _csv_fields(labels)  # each distinct state and label once
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(data.triples), _CSV_BLOCK):
-            xs, us, ys = zip(*data.triples[start : start + _CSV_BLOCK])
-            rows = zip(_state_fields(xs), _csv_fields(us), _state_fields(ys))
-            fh.write("".join([f"{x},{u},{y}\r\n" for x, u, y in rows]))
+        for start in range(0, len(rows), _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            fields = zip(map(xs.__getitem__, rows[block].tolist()), map(us.__getitem__, codes[block].tolist()),
+                         _state_fields(nexts.take(block)))
+            fh.write("".join([f"{x},{u},{y}\r\n" for x, u, y in fields]))
 
 
 def _label_parser(labels):
@@ -332,23 +350,35 @@ def _label_parser(labels):
 
 
 def import_training_csv(path, sys: ControlSystem) -> TrainingSet:
-    """Read triples back, resolving labels against the given system."""
-    parse_u = _label_parser(sys.inputs.labels)
-    finite = isinstance(sys.states, FiniteStates)
-    parse_x = _label_parser(sys.states.labels) if finite else None
-    d = _state_columns(sys)
+    """Read triples back, resolving labels against the given system.
+
+    A row with the wrong field count, a coordinate that is not a number, an
+    unknown label or a state outside the box raises :class:`DomainError`
+    naming its line.  Equal state texts give one state object.
+    """
+    parse_u, box, seen = _label_parser(sys.inputs.labels), sys.states, {}
+    finite = isinstance(box, FiniteStates)
+    d, parse_label = (1, _label_parser(box.labels)) if finite else (box.dimension, None)
+
+    def parse_x(fields):
+        key = tuple(fields)
+        if key not in seen:
+            seen[key] = parse_label(key[0]) if finite else np.array([float(v) for v in key])
+            if not (finite or box._inside(seen[key])):
+                raise DomainError(f"state {seen[key]!r} outside the declared box")
+        return seen[key]
+
     triples = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)  # header
         for row in reader:
-            if finite:
-                x, u, y = parse_x(row[0]), parse_u(row[1]), parse_x(row[2])
-            else:
-                x = np.array([float(v) for v in row[:d]])
-                u = parse_u(row[d])
-                y = np.array([float(v) for v in row[d + 1 :]])
-            triples.append((x, u, y))
+            try:
+                if len(row) != 2 * d + 1:
+                    raise DomainError(f"expected {2 * d + 1} fields, got {len(row)}")
+                triples.append((parse_x(row[:d]), parse_u(row[d]), parse_x(row[d + 1 :])))
+            except ValueError as exc:  # a DomainError, or a coordinate that is not a number
+                raise DomainError(f"{path} line {reader.line_num}: {exc}") from None
     return TrainingSet(tuple(triples), input_labels=sys.inputs.labels)
 
 
@@ -381,8 +411,8 @@ def import_model_json(path, dictionary: Dictionary, sys: ControlSystem) -> Separ
     parse_u = _label_parser(sys.inputs.labels)
     matrices = {}
     for key, rows in payload["matrices"].items():
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-        )
+        parts = np.array(rows, dtype=float)  # (dim, dim, 2): each entry's (re, im)
+        mat = np.empty(parts.shape[:2], dtype=complex)
+        mat.real, mat.imag = parts[..., 0], parts[..., 1]
         matrices[parse_u(key)] = mat
     return SeparableModel(matrices, dictionary)

@@ -31,6 +31,8 @@ from .systems import (
     ControlSystem,
     FiniteStates,
     InputSequence,
+    _Points,
+    _SeqTable,
     _as_points,
     _column,
     _firsts,
@@ -155,8 +157,9 @@ def k_u(sys: ControlSystem, u_star) -> CompositionOperator:
     """Koopman operator of the constant-input system at ``u_star``."""
     if not sys.inputs.contains(u_star):
         raise DomainError(f"unknown input label: {u_star!r}")
-    domain = DomainTag.STATE_ONLY
-    batch = lambda xs: _step_many(sys, xs, [u_star] * len(xs))
+    domain, table = DomainTag.STATE_ONLY, None if sys.transition_batch is None else _SeqTable([u_star])  # coded once
+    labels = lambda n: [u_star] * n if table is None else _Points([u_star] * n, codes=np.zeros(n, np.intp), table=table)
+    batch = lambda xs: _step_many(sys, xs, labels(len(xs)))  # only batch steps read the label codes
     return CompositionOperator(domain, domain, batch, label=f"K[{u_star}]")
 
 

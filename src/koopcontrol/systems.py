@@ -8,7 +8,8 @@ input, input-augmented, and input-sequence) are built in
 
 Input sequences are represented by a finite prefix plus a repeating
 period, which keeps the left shift exact and makes every finite-horizon
-behavior reachable.
+behavior reachable; ``word(k)`` reads their first ``k`` inputs at once.
+:func:`simulate` validates each state of a box trajectory once.
 """
 
 from __future__ import annotations
@@ -189,6 +190,12 @@ class InputSequence:
             return self.prefix[k]
         return self.period[(k - len(self.prefix)) % len(self.period)]
 
+    def word(self, k: int) -> tuple:
+        """The first ``k`` inputs, ``tuple(self.at(j) for j in range(k))``."""
+        if k < 0:
+            raise ValueError("word length must be nonnegative")
+        return (self.prefix + self.period * (k // len(self.period) + 1))[:k]
+
 
 def step(sys: ControlSystem, x, u):
     """One transition ``T(x, u)``, with domain validation on both ends."""
@@ -205,8 +212,13 @@ def step(sys: ControlSystem, x, u):
     arr = box.coerce(x)
     if not box._inside(arr):
         raise DomainError(f"state {arr!r} outside the declared box")
-    y = box.coerce(sys.transition(arr, u))
-    if not box._inside(y):
+    return _box_step(sys, arr, u)
+
+
+def _box_step(sys: ControlSystem, arr: np.ndarray, u) -> np.ndarray:
+    """``step`` from a box state and a label already checked, checking the output."""
+    y = sys.states.coerce(sys.transition(arr, u))
+    if not sys.states._inside(y):
         raise DomainError(f"transition output {y!r} outside the declared box")
     return y
 
@@ -431,13 +443,15 @@ def simulate(sys: ControlSystem, x0, seq: InputSequence, k: int) -> list:
     """States ``[x_0, ..., x_k]`` driven by the first ``k`` sequence elements.
 
     This is the ground-truth oracle every trajectory identity is checked
-    against.
+    against.  It raises what the ``step`` loop raises, checking each box state once.
     """
     if k < 0:
         raise ValueError("horizon must be nonnegative")
-    xs = [x0 if not isinstance(sys.states, RealBox) else sys.states.coerce(x0)]
-    for j in range(k):
-        xs.append(step(sys, xs[-1], seq.at(j)))
+    box = isinstance(sys.states, RealBox)
+    xs = [sys.states.coerce(x0) if box else x0]
+    for j, u in enumerate(seq.word(k)):
+        checked = box and j and sys.inputs.contains(u)  # the last step checked this state
+        xs.append(_box_step(sys, xs[-1], u) if checked else step(sys, xs[-1], u))
     return xs
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -344,6 +345,50 @@ def test_training_csv_roundtrip_box(tmp_path, sl):
         assert u1 == u2
         assert np.allclose(x1, x2, atol=0)
         assert np.allclose(y1, y2, atol=0)
+    # the re-imported set fits to the same bits as the collected one
+    d = monomial_dictionary(1, 4)
+    (model, report), (again, report_again) = fit_kcf(d, data), fit_kcf(d, back)
+    for u in model.matrices:
+        assert np.array_equal(model.matrices[u], again.matrices[u])
+    assert report.residuals == report_again.residuals
+
+
+@pytest.mark.parametrize(
+    "row", ["0.5,a", "0.5,a,0.25,7", "5,a,2.5", "abc,a,0.1"],
+    ids=["too-few-fields", "too-many-fields", "state-outside-the-box", "not-a-number"],
+)
+def test_import_training_csv_rejects_malformed_rows(tmp_path, sl, row):
+    path = tmp_path / "train.csv"
+    path.write_text(f"x0,u,y0\r\n0.5,a,0.25\r\n{row}\r\n")
+    with pytest.raises(DomainError, match=re.escape(f"{path} line 3: ")):
+        import_training_csv(path, sl)
+
+
+def _counted(sys):
+    """``sys`` with its per-point and batch transition calls counted."""
+    calls = {"point": 0, "batch": 0}
+
+    def transition(x, u):
+        calls["point"] += 1
+        return sys.transition(x, u)
+
+    def transition_batch(xs, u):
+        calls["batch"] += 1
+        return sys.transition_batch(xs, u)
+
+    return replace(sys, transition=transition, transition_batch=transition_batch), calls
+
+
+def test_identification_work_is_pinned(sl):
+    """Collecting 5000 states steps one batch per input; a 200-step
+    prediction steps its trajectory once, state by state."""
+    counted, calls = _counted(sl)
+    d = monomial_dictionary(1, 10)
+    model, _ = fit_kcf(d, collect_data(counted, UniformRandom(5000, seed=7)))
+    assert calls == {"point": 0, "batch": 2}
+    calls.update(point=0, batch=0)
+    prediction_error(model, d, counted, np.array([0.3]), InputSequence((), ("a", "b", "b")), 200)
+    assert calls == {"point": 200, "batch": 0}
 
 
 def test_training_csv_roundtrip_finite(tmp_path, f3):

@@ -168,6 +168,41 @@ def test_simulate_rejects_negative_horizon(f3):
         simulate(f3, 0, InputSequence.constant("a"), -1)
 
 
+def _doubling_box():
+    """A 1-D box in which "up" doubles the state and "down" halves it; transitions are counted."""
+    calls = {"n": 0}
+
+    def transition(x, u):
+        calls["n"] += 1
+        return 2 * x if u == "up" else x / 2
+
+    return ControlSystem(RealBox((-1.0,), (1.0,)), InputSet(("up", "down")), transition), calls
+
+
+@pytest.mark.parametrize(
+    "x0, seq",
+    [
+        (2.0, InputSequence.constant("down")),
+        (0.75, InputSequence.constant("up")),
+        (0.1, InputSequence.constant("up")),
+        (0.5, InputSequence(("down", "down", "left"), ("down",))),
+    ],
+    ids=["x0-outside", "leaves-at-step-0", "leaves-at-step-3", "unknown-label-at-step-2"],
+)
+def test_simulate_on_a_box_raises_what_the_step_loop_raises(x0, seq):
+    """Checking each box state once raises the loop's error after as many transitions."""
+    sys, calls = _doubling_box()
+    with pytest.raises(DomainError) as fast:
+        simulate(sys, x0, seq, 6)
+    fast_calls, calls["n"] = calls["n"], 0
+    xs = [np.array([x0])]
+    with pytest.raises(DomainError) as loop:
+        for j in range(6):
+            xs.append(step(sys, xs[-1], seq.at(j)))
+    assert str(fast.value) == str(loop.value)
+    assert fast_calls == calls["n"]
+
+
 def test_sequence_values():
     seq = InputSequence(("a", "b"), ("b", "a"))
     assert [seq.at(k) for k in range(6)] == ["a", "b", "b", "a", "b", "a"]
@@ -226,6 +261,12 @@ _seqs = _raw.map(lambda raw: InputSequence(*raw))
 @given(_seqs, st.integers(0, 20))
 def test_shift_agrees_with_index_offset(seq, k):
     assert shift(seq).at(k) == seq.at(k + 1)
+
+
+@settings(max_examples=25, derandomize=True)
+@given(_seqs, st.integers(0, 20))
+def test_word_reads_the_first_k_inputs(seq, k):
+    assert seq.word(k) == tuple(seq.at(j) for j in range(k))
 
 
 @given(_seqs)

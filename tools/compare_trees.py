@@ -29,6 +29,13 @@ runs in a fresh process on that tree's ``src``:
   --seed 7``, then in the same output directory one ``koopcontrol
   predict`` with the first of ``perfbench/workloads.predict_inputs(7)``,
   as the perfbench ``identify`` workload runs it;
+* ``koopcontrol fit`` then ``predict`` on ``finite3`` with the indicator
+  dictionary (label fields in ``training.csv``), predicting from state 2
+  along the word ``b,a,a`` for 12 steps;
+* ``koopcontrol fit --dict monomial:4 --points 500 --seed 7`` then
+  ``predict`` on ``logistic-with-offset``, predicting from 0.3 along the
+  word ``0.05,0.0,0.05`` for 30 steps (float labels, written with their
+  ``repr`` in ``prediction_errors.csv``);
 * each script of ``demos/`` (the scripts CHANGE has), run as ``__main__``.
 
 Every file a case writes, its stdout and stderr (with the case's output
@@ -63,7 +70,7 @@ _EXACT = ["--exact", "--seed", "7"]
 _SAMPLED = ["--seed", "7", "--points", "1000", "--tol", "1e-12"]
 
 
-def _cases(table: Path, few_points: Path, offsets: Path, predict: Path, demos: list) -> dict:
+def _cases(table: Path, few_points: Path, offsets: Path, predict: Path, demos: list, words: dict) -> dict:
     """Case name -> the argv lists after ``python`` that run in turn; ``{out}``
     is the case's output directory."""
     cli = ["-m", "koopcontrol.cli"]
@@ -89,6 +96,10 @@ def _cases(table: Path, few_points: Path, offsets: Path, predict: Path, demos: l
         cli + ["fit", *fit, "--points", "5000", "--seed", "7"],
         cli + ["predict", *fit, "--config", str(predict), "--tol", "1e-08"],
     )
+    sampled = ["--points", "500", "--seed", "7"]
+    for name, spec, extra in (("finite3", "indicator", []), ("logistic-with-offset", "monomial:4", sampled)):
+        fit = ["--system", name, "--dict", spec, "--out", "{out}"]
+        cases[f"fit-{name}"] = (cli + ["fit", *fit, *extra], cli + ["predict", *fit, "--config", str(words[name])])
     for demo in demos:
         cases[f"demo-{demo.stem}"] = [f"demos/{demo.name}"]
     return {name: argvs if isinstance(argvs, tuple) else (argvs,) for name, argvs in cases.items()}
@@ -158,7 +169,10 @@ def main(argv=None) -> int:
         predict = tmp / "predict.cfg"
         x0, word = workloads.predict_inputs(7)[0]
         predict.write_text(f"x0 = {x0!r}\nword = {','.join(word)}\nsteps = {workloads.PREDICT_STEPS}\n")
-        cases = _cases(table, few_points, offsets, predict, sorted((change / "demos").glob("*.py")))
+        words = {"finite3": tmp / "finite3-predict.cfg", "logistic-with-offset": tmp / "logistic-predict.cfg"}
+        words["finite3"].write_text("x0 = 2\nword = b,a,a\nsteps = 12\n")
+        words["logistic-with-offset"].write_text("x0 = 0.3\nword = 0.05,0.0,0.05\nsteps = 30\n")
+        cases = _cases(table, few_points, offsets, predict, sorted((change / "demos").glob("*.py")), words)
         for side, tree in (("parent", parent), ("change", change)):
             _run_tree(tree, cases, tmp / side)
         before, after = _files(tmp / "parent"), _files(tmp / "change")
