@@ -95,12 +95,14 @@ def builtin_system(name: str, **params) -> ControlSystem:
 
 
 def monomial_dictionary(dimension: int, degree: int) -> Dictionary:
-    """All monomials up to the given total degree, constant first.
+    """All monomials up to the given total degree (at most 100), constant first.
 
     Ordered by total degree, then lexicographically by exponent tuple.
     """
     if degree < 0 or dimension < 1:
         raise ValueError("need dimension >= 1 and degree >= 0")
+    if degree > 100:  # checked before any monomial is built
+        raise ValueError(f"degree must be at most 100, got {degree}")
     powers = sorted(
         (p for p in product(range(degree + 1), repeat=dimension) if sum(p) <= degree),
         key=lambda p: (sum(p), p),

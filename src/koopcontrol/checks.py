@@ -27,15 +27,15 @@ function once per list, then each point summed with its own
 coefficients, bits unchanged.
 
 Point lists carry columns (``systems._Points``): box states stacked once
-at the draw, input labels as codes, and sequences as ids into one
-sequence table per :func:`_run_table` call, which holds each id's
-sequence, head code and tail id and is filled lazily: each draw interns
-its sequences, and its points hold the table's objects; each shift is
-interned on first use.  ``K_inf`` steps with the head codes and moves to
-the tails, sequence-basis weights gather head codes, and :func:`_gaps`
-compares state columns.  The ground-truth walks read each trajectory's
-inputs off its sequence's own fields (:func:`_first_inputs`), so they
-check the operators that read the table.
+at the draw, finite states and input labels as codes, and sequences as
+ids into one sequence table per :func:`_run_table` call, which holds each
+id's sequence, head code and tail id and is filled lazily: each draw
+interns its sequences, and its points hold the table's objects; each
+shift is interned on first use.  ``K_inf`` steps with the head codes and
+moves to the tails, sequence-basis weights gather head codes, indicators
+compare state codes, and :func:`_gaps` compares state columns.  The
+ground-truth walks read each trajectory's inputs off its sequence's own
+fields (:func:`_first_inputs`), so they check the operators that read the table.
 
 Results are deterministic: every check draws from a generator seeded by
 (plan seed, check index), so run order and concurrency cannot change the
@@ -241,18 +241,23 @@ def _gaps(space, a: list, b: list) -> np.ndarray:
 
 
 def _scenario_states(sys, plan, rng, table=None) -> list:
-    xs = _Points(sys.states.labels) if _is_finite(sys) else random_state(rng, sys.states, plan.n_points)
+    if _is_finite(sys):  # every state in order, with its code
+        xs = _Points(sys.states.labels, xcodes=np.arange(len(sys.states.labels)), space=sys.states)
+    else:
+        xs = random_state(rng, sys.states, plan.n_points)
     xs.table = table
     return xs
 
 
 def _scenario_pairs(sys, plan, rng, table=None) -> list:
-    table = table or _SeqTable(sys.inputs.labels)
+    """Every finite pair, state-major, or drawn box pairs; input codes index the table (inputs first)."""
+    table, m = table or _SeqTable(sys.inputs.labels), len(sys.inputs.labels)
     if isinstance(sys.states, FiniteStates):
-        return _Points(enumerate_points(DomainTag.STATE_INPUT, sys), table=table)
-    xs = random_state(rng, sys.states, plan.n_points)
-    codes = rng.integers(len(sys.inputs.labels), size=plan.n_points)  # the table starts with the input labels
-    return _Points(zip(xs, table.labels_at(codes)), xs.states, codes, None, table)
+        n = len(sys.states.labels)
+        xs, codes = _scenario_states(sys, plan, rng).take(np.repeat(np.arange(n), m)), np.tile(np.arange(m), n)
+    else:
+        xs, codes = random_state(rng, sys.states, plan.n_points), rng.integers(m, size=plan.n_points)
+    return _Points(zip(xs, table.labels_at(codes)), xs.states, codes, None, table, xs.xcodes, xs.space)
 
 
 def _scenario_seq_points(sys, plan, rng, table=None, n=None) -> list:
@@ -261,7 +266,7 @@ def _scenario_seq_points(sys, plan, rng, table=None, n=None) -> list:
     n, table = plan.n_points if n is None else n, table or _SeqTable(sys.inputs.labels)
     xs = random_state(rng, sys.states, n)
     ids = table.intern(random_sequences(rng, sys.inputs.labels, n))
-    return _Points(zip(xs, table.seqs_at(ids)), getattr(xs, "states", None), None, ids, table)
+    return _Points(zip(xs, table.seqs_at(ids)), xs.states, None, ids, table, xs.xcodes, xs.space)
 
 
 def _first_inputs(table: _SeqTable, ids: np.ndarray, k: int) -> np.ndarray:
@@ -287,7 +292,7 @@ def _scenario_trajectories(sys, plan, rng, table=None, horizons: int = 6) -> lis
     """Sequence points, then one horizon below ``horizons`` per point, in point order."""
     points = _scenario_seq_points(sys, plan, rng, table)
     ks = rng.integers(0, horizons, size=len(points)).tolist()
-    return points.derived([_Trajectory(*p, k) for p, k in zip(points, ks)], points.states, ids=points.ids)
+    return points.derived([_Trajectory(*p, k) for p, k in zip(points, ks)], points.states, None, points.ids, points.xcodes)
 
 
 def _scenario_words(sys, plan, rng, table=None) -> list:
@@ -295,13 +300,13 @@ def _scenario_words(sys, plan, rng, table=None) -> list:
     with a random word of length ``i % 6`` followed by the first input forever."""
     labels = sys.inputs.labels
     states = _scenario_states(sys, plan, rng)
-    states = _Points(states * 6) if _is_finite(sys) else states
+    states = states.take(np.tile(np.arange(len(states)), 6)) if _is_finite(sys) else states
     picks = iter(rng.integers(len(labels), size=sum(i % 6 for i in range(len(states)))).tolist())
     words = [tuple(labels[next(picks)] for _ in range(i % 6)) for i in range(len(states))]
     table = table or _SeqTable(labels)
     ids = table.intern([InputSequence(w, (labels[0],)) for w in words])
     trajs = [_Trajectory(x0, seq, len(w)) for x0, seq, w in zip(states, table.seqs_at(ids), words)]
-    return _Points(trajs, states.states, None, ids, table)
+    return _Points(trajs, states.states, None, ids, table, states.xcodes, states.space)
 
 
 def _scaled(phi: Observable, domain: DomainTag, weights: Callable, label: str, ci_input=None) -> Observable:
@@ -309,12 +314,8 @@ def _scaled(phi: Observable, domain: DomainTag, weights: Callable, label: str, c
     ``weights(points)`` lists the weights read from a point list.  ``phi``
     is real-valued, as every state-basis function is, so the real products
     are the values."""
-    return Observable(
-        domain,
-        label=f"{phi.label}*{label}",
-        ci_input=ci_input,
-        batch=lambda ps: (_values(phi, _firsts(ps)).real * np.asarray(weights(ps))).astype(complex),
-    )
+    batch = lambda ps: (_values(phi, _firsts(ps)).real * np.asarray(weights(ps))).astype(complex)
+    return Observable(domain, label=f"{phi.label}*{label}", ci_input=ci_input, batch=batch)
 
 
 def _unit_weights(points: list) -> np.ndarray:
@@ -323,9 +324,7 @@ def _unit_weights(points: list) -> np.ndarray:
 
 def _state_basis(sys: ControlSystem) -> list:
     if isinstance(sys.states, FiniteStates):
-        return [indicator(x) for x in sys.states.labels] + [
-            constant_one(DomainTag.STATE_ONLY)
-        ]
+        return [indicator(x) for x in sys.states.labels] + [constant_one(DomainTag.STATE_ONLY)]
     box: RealBox = sys.states
     basis = [constant_one(DomainTag.STATE_ONLY)]
     for i in range(box.dimension):
@@ -370,11 +369,8 @@ def _aug_basis(sys: ControlSystem) -> list:
 
 def _seq_basis(sys: ControlSystem) -> list:
     basis = [constant_one(DomainTag.STATE_SEQUENCE)]
-    phis = _state_basis(sys)
-    if isinstance(sys.states, FiniteStates):
-        phis = phis[:-1]  # indicators already span; drop the redundant constant
-    else:
-        phis = phis[1:]
+    phis = _state_basis(sys)  # finite indicators already span, so the constant goes
+    phis = phis[:-1] if _is_finite(sys) else phis[1:]
     for k in (0, 1, 2):
         w = _input_weights(sys, k)
         for phi in phis:
@@ -466,8 +462,8 @@ def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> Co
         starts = [t.x0 for t in ts]
         if box and ts.states is None:  # box starts without their column, coerced as ``step`` does
             starts = list(map(box.coerce, starts))
-        pts = ts.derived(starts, ts.states)
-        pts = pts.derived(zip(pts, [t.seq for t in ts]), pts.states, ids=ids) if on_seq else pts
+        pts = ts.derived(starts, ts.states, xcodes=ts.xcodes)
+        pts = pts.derived(zip(pts, [t.seq for t in ts]), pts.states, ids=ids, xcodes=pts.xcodes) if on_seq else pts
         trail = [visited(pts)] if path else None  # the states of each step
         for j in range(steps):
             live = np.flatnonzero(ks > j)
@@ -487,8 +483,9 @@ def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> Co
     return CompositionOperator(tag, tag, batch)
 
 
-def _named(sys: ControlSystem, inputs: dict) -> dict:
-    """Operators by name; ``R_u`` and ``K_u`` exist for each key of ``inputs``.
+def _named(sys: ControlSystem, inputs: dict, ops: Optional[tuple] = None) -> dict:
+    """Operators by name; ``R_u`` and ``K_u`` exist for each key of ``inputs``,
+    taken from ``ops`` (:func:`_operator_set`), else from a set built here.
     The trajectory operators map trajectory points ``(x0, seq, k)``:
     ``sim``, ``word`` and ``K_inf^k`` to the point ``k`` steps on, ``path``
     to the states ``simulate`` visits, and ``path_inf``, ``path_kcf`` and
@@ -497,6 +494,13 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
     chain's left end, so their target, never read, is their source.  Each
     walk's step maps a point list through ``_step_many`` or one of these
     operators."""
+    named, per_input = ops or _operator_set(sys)
+    return {**named, **{f"{p}_{key}": op for key, u in inputs.items() for p, op in zip("RK", per_input[u])}}
+
+
+def _operator_set(sys: ControlSystem) -> tuple:
+    """``(named, per_input)``: the operators of :func:`_named` that no input context names, and each
+    input label's ``(R_u, K_u)``.  None keeps state between list maps, so one set serves a table run."""
     iso, kin, kau = ci_isomorphisms(sys), k_inf(sys), k_aug(sys)
     ku = {u: k_u(sys, u) for u in sys.inputs.labels}
 
@@ -507,7 +511,7 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
             xs = xs.put(idx, op.batch(xs.take(idx))) if idx.size else xs
         return xs
 
-    augmented = lambda xs, us: _firsts(kau.batch(xs.derived(zip(xs, us), xs.states, us.codes)))
+    augmented = lambda xs, us: _firsts(kau.batch(xs.derived(zip(xs, us), xs.states, us.codes, xcodes=xs.xcodes)))
     simulated = lambda xs, us: _step_many(sys, xs, us)
     named = {
         "R": restriction_inf_to_aug(),
@@ -527,10 +531,7 @@ def _named(sys: ControlSystem, inputs: dict) -> dict:
         "path_kcf": _walk_op(sys, kcf, path=True),
         "path_aug": _walk_op(sys, augmented, path=True),
     }
-    for key, u in inputs.items():
-        named[f"R_{key}"] = restriction_aug_to_f(u, sys)
-        named[f"K_{key}"] = k_u(sys, u)
-    return named
+    return named, {u: (restriction_aug_to_f(u, sys), op) for u, op in ku.items()}
 
 
 def _products(named: dict, chains: list) -> list:
@@ -568,15 +569,17 @@ def _describe(text: str, p, fields: dict, f: str = "") -> str:
     return text.format(f=f, p=repr(p), **fields)
 
 
-def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
+def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict, ops: tuple) -> None:
     """Build each distinct chain's product once and map every point with
     it, then compare each leg's two mapped point lists (point-level legs)
     or read each subject over them in one batch: ``apply(op, g)(p) ==
     g(op.precompose(p))``, cycled random combinations as basis rows
-    (``_Combinations.rows``).  Discrepancies are recorded subject-major when
-    every subject meets every point, in point order when subjects are
-    cycled over the points, and leg by leg within a point."""
-    named = _named(sys, inputs)
+    (``_Combinations.rows``); a cross product reads the drawn functions over
+    each list lifted once, as ``apply`` reads them.  Discrepancies are
+    recorded subject-major when every subject meets every point, in point
+    order when subjects are cycled over the points, and leg by leg within a
+    point."""
+    named = _named(sys, inputs, ops)
     fields = {key: repr(u) for key, u in inputs.items()}
     points = drawn[group.points]
     if isinstance(points, dict):  # one point list per input
@@ -610,8 +613,9 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict) -> None:
         _check_points(subjects[0].domain, col)
     k, cross = len(subjects), group.cross or _is_finite(sys)
     read = _values
-    if cross:  # row j * n + i: subject j at point i
-        rows = [(g, None, slice(j * n, (j + 1) * n)) for j, g in enumerate(subjects)]
+    if cross:  # row j * n + i: subject j at point i, the drawn function j read after the lift
+        cols = cols if lift_op is None else [lift_op.batch(col) for col in cols]
+        rows = [(g, None, slice(j * n, (j + 1) * n)) for j, g in enumerate(drawn[fset])]
     elif isinstance(drawn[fset], _Combinations):  # row i: point i, read by combination i % k
         read, rows = drawn[fset].rows, [(lift_op, None, slice(None))]
     else:  # row i: point i, read by subject i % k
@@ -637,14 +641,14 @@ def _run_table(sys, plan, rng, draws: tuple, groups: tuple, note: str = "") -> _
     rec.note = note
     table = _SeqTable(sys.inputs.labels)  # every drawn sequence and each shift the run reads
     drawn = {name: _DRAWS[name](sys, plan, rng, table) for name in draws}
-    labels = sys.inputs.labels
+    labels, ops = sys.inputs.labels, _operator_set(sys)
     pairs = [{"u1": a, "u2": b} for i, a in enumerate(labels) for b in labels[i + 1 :]]
     for u in labels:
         for group in (g for g in groups if g.over == "u"):
-            _run_group(sys, rec, group, drawn, {"u": u})
+            _run_group(sys, rec, group, drawn, {"u": u}, ops)
     for group in (g for g in groups if g.over != "u"):
         for inputs in pairs if group.over == "uu" else [{}]:
-            _run_group(sys, rec, group, drawn, inputs)
+            _run_group(sys, rec, group, drawn, inputs, ops)
     return rec
 
 

@@ -117,6 +117,7 @@ class _Option(NamedTuple):
     help: str = ""
     commands: tuple = ()
     least: Optional[int] = None  # for a number: the smallest value allowed
+    most: Optional[int] = None  # for a size: the largest, read before anything is allocated
 
 
 _OPTIONS = {
@@ -124,16 +125,16 @@ _OPTIONS = {
     for opt in (
         _Option("system", str, "built-in system name: " + ", ".join(sorted(BUILTIN_SYSTEMS)),
                 ("check", "fit", "predict")),
-        _Option("seed", int, "generator seed (required off finite systems)", ("check", "fit")),
-        _Option("points", int, "sample budget", ("check", "fit"), least=1),
+        _Option("seed", int, "generator seed (required off finite systems)", ("check", "fit"), least=0),
+        _Option("points", int, "sample budget", ("check", "fit"), least=1, most=100_000),
         _Option("tol", float, "pass/fail tolerance", ("check", "predict"), least=0),
         _Option("out", str, f"output directory (default: ${OUTPUT_DIR_ENV} or the current directory)",
                 ("check", "fit", "predict")),
         _Option("only", str, "comma-separated check ids (C1..C20)", ("check",)),
         _Option("exact", bool, "exhaustive zero-tolerance run (finite systems only)", ("check",)),
         _Option("dict", str, "dictionary spec: indicator or monomial:<degree>", ("fit", "predict")),
-        _Option("functions", int, least=1),
-        _Option("steps", int, least=0),
+        _Option("functions", int, least=1, most=1_000),
+        _Option("steps", int, least=0, most=100_000),
         *(_Option(k, str) for k in ("x0", "word", "name", "states", "inputs")),
     )
 }
@@ -160,10 +161,12 @@ def _merged(args) -> dict:
     cfg = {}
     for key, text in raw.items():
         if key in _OPTIONS:
-            kind, least = _OPTIONS[key].kind, _OPTIONS[key].least
+            kind, least, most = _OPTIONS[key].kind, _OPTIONS[key].least, _OPTIONS[key].most
             cfg[key] = value = _read(key, kind, text)
             if least is not None and not value >= least:  # NaN included
                 raise DomainError(f"config key {key!r}: expected {_EXPECTED[kind]} >= {least}, got {text!r}")
+            if most is not None and value > most:
+                raise DomainError(f"config key {key!r}: expected {_EXPECTED[kind]} <= {most}, got {text!r}")
             if value == math.inf:
                 raise DomainError(f"config key {key!r}: expected a finite number, got {text!r}")
         elif key.startswith(("param.", "step.")):

@@ -19,7 +19,8 @@ each entry over the whole list in turn.
 A :class:`TrainingSet` carries columns built once: its distinct sampled
 states (stacked on a box), each triple's row among them, input codes and
 the next states.  :func:`fit_kcf` lifts the state table once, and each
-slice's lift is a column gather of it, the same bits since a lift is per
+slice's lift is a column gather of it (or the lift itself, when the slice's
+rows are the whole table in order), the same bits since a lift is per
 state; :func:`export_training_csv` formats the columns block by block.
 
 Each input slice is solved once with ``np.linalg.lstsq`` on the
@@ -258,7 +259,8 @@ def fit_kcf(dictionary: Dictionary, data: TrainingSet) -> tuple:
         if not idx.size:
             missing.append(u)
             continue
-        phi0, phi1 = lifted[:, rows[idx]], dictionary.lift_batch(nexts.take(idx))
+        whole = len(idx) == lifted.shape[1] and (rows[idx] == np.arange(len(idx))).all()  # no gathered copy
+        phi0, phi1 = lifted if whole else lifted[:, rows[idx]], dictionary.lift_batch(nexts.take(idx))
         a, rank_flags[u] = _solve_ls(phi0, phi1)
         matrices[u], counts[u] = a, len(idx)
         residuals[u] = float(np.sum(np.abs(phi1 - a @ phi0) ** 2) / len(idx))

@@ -15,7 +15,9 @@ in array passes; a call at one point is the one-element read.  An
 observable built from a bare ``fn`` is read one point at a time.
 ``is_control_independent`` draws its sample first and then reads both
 sides in one batch.  State-basis batches read a list's stacked state
-column when it carries one (see ``systems._Points``).
+column when it carries one (see ``systems._Points``), and indicators its
+finite state codes (and a pair list's input codes), falling back to
+comparing each point where it carries none.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .systems import (
     ControlSystem,
     FiniteStates,
     InputSequence,
+    _column,
     _state_column,
     random_sequences,
     random_state,
@@ -331,24 +334,38 @@ def tabulate(obs: Observable, sys: ControlSystem) -> np.ndarray:
     return evaluate(obs, enumerate_points(obs.domain, sys))
 
 
+def _hits(points, label, col: str = "xcodes") -> Optional[np.ndarray]:
+    """Whether each state (``col="codes"``: each pair's input) of a list with state codes is ``==`` ``label``,
+    read off its codes; ``None`` for other lists and for a label not coded there or not ``==`` to itself."""
+    try:
+        table, codes = (points.space, points.xcodes) if col == "xcodes" else _column(points, "codes")
+        code = None if codes is None else (table._positions if col == "xcodes" else table._codes).get(label)
+    except (AttributeError, TypeError, DomainError):  # a list without columns; a label or point that is no dict key
+        return None
+    return None if code is None or not label == label else codes == code
+
+
 def indicator(x_star) -> Observable:
     """1 at the state labelled ``x_star``, 0 elsewhere (finite state spaces)."""
-    return Observable(
-        DomainTag.STATE_ONLY,
-        label=f"1[x={x_star}]",
-        batch=lambda xs: np.array([1.0 if x == x_star else 0.0 for x in xs], dtype=complex),
-    )
+
+    def batch(xs):
+        hits = _hits(xs, x_star)
+        return [1.0 if x == x_star else 0.0 for x in xs] if hits is None else hits.astype(complex)
+
+    return Observable(DomainTag.STATE_ONLY, label=f"1[x={x_star}]", batch=batch)
 
 
 def pair_indicator(x_star, u_star) -> Observable:
     """1 at the pair ``(x_star, u_star)``, 0 elsewhere."""
-    return Observable(
-        DomainTag.STATE_INPUT,
-        label=f"1[x={x_star},u={u_star}]",
-        batch=lambda ps: np.array(
-            [1.0 if (p[0] == x_star and p[1] == u_star) else 0.0 for p in ps], dtype=complex
-        ),
-    )
+
+    def batch(ps):
+        xs = _hits(ps, x_star)
+        us = None if xs is None else _hits(ps, u_star, "codes")
+        if us is None:
+            return [1.0 if (p[0] == x_star and p[1] == u_star) else 0.0 for p in ps]
+        return (xs & us).astype(complex)
+
+    return Observable(DomainTag.STATE_INPUT, label=f"1[x={x_star},u={u_star}]", batch=batch)
 
 
 def coordinate(i: int) -> Observable:

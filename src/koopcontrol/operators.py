@@ -11,9 +11,9 @@ each operator has an exact 0-1 matrix realization.
 Each operator is defined by one list map, ``batch``, which maps a whole
 list of points at once (a Koopman operator steps them all through
 ``_step_many``); the map of one point is the one-element call.  A list
-map reads the columns a point list carries (stacked box states, label
-codes, sequence ids) and hands the mapped list its columns: ``K_inf``
-steps with the head codes and moves each id to its tail.
+map reads the columns a point list carries (stacked box states, finite
+state codes, label codes, sequence ids) and hands the mapped list its
+columns: ``K_inf`` steps with the head codes and moves each id to its tail.
 """
 
 from __future__ import annotations
@@ -157,9 +157,8 @@ def k_u(sys: ControlSystem, u_star) -> CompositionOperator:
     """Koopman operator of the constant-input system at ``u_star``."""
     if not sys.inputs.contains(u_star):
         raise DomainError(f"unknown input label: {u_star!r}")
-    domain, table = DomainTag.STATE_ONLY, None if sys.transition_batch is None else _SeqTable([u_star])  # coded once
-    labels = lambda n: [u_star] * n if table is None else _Points([u_star] * n, codes=np.zeros(n, np.intp), table=table)
-    batch = lambda xs: _step_many(sys, xs, labels(len(xs)))  # only batch steps read the label codes
+    domain, table = DomainTag.STATE_ONLY, _SeqTable([u_star])  # coded once
+    batch = lambda xs: _step_many(sys, xs, _Points([u_star] * len(xs), codes=np.zeros(len(xs), np.intp), table=table))
     return CompositionOperator(domain, domain, batch, label=f"K[{u_star}]")
 
 
@@ -171,7 +170,7 @@ def k_aug(sys: ControlSystem) -> CompositionOperator:
         ps = _as_points(ps)
         us = ps.derived([u for _, u in ps], codes=ps.codes)
         ys = _step_many(sys, _firsts(ps), us)
-        return us.derived(zip(ys, us), states=ys.states, codes=us.codes)  # the codes index ``us``'s table
+        return us.derived(zip(ys, us), ys.states, us.codes, xcodes=ys.xcodes, space=ys.space)  # codes index us.table
 
     return CompositionOperator(domain, domain, batch, label="K_aug")
 
@@ -190,7 +189,7 @@ def k_inf(sys: ControlSystem) -> CompositionOperator:
         ys = _step_many(sys, _firsts(ps), heads)
         held = table.seqs_at(ids)  # a sequence the table does not hold itself is shifted itself
         shifted = [t if s is h else shift(s) for s, h, t in zip(seqs, held, table.seqs_at(tails))]
-        return ps.derived(zip(ys, shifted), ys.states, ids=tails)
+        return ps.derived(zip(ys, shifted), ys.states, ids=tails, xcodes=ys.xcodes, space=ys.space)
 
     return CompositionOperator(domain, domain, batch, label="K_inf")
 
@@ -201,12 +200,8 @@ def k_naive(sys: ControlSystem) -> CompositionOperator:
     Well defined as a single map, but its target differs from its source,
     so it cannot be applied twice.
     """
-    return CompositionOperator(
-        DomainTag.STATE_ONLY,
-        DomainTag.STATE_INPUT,
-        lambda ps: _step_many(sys, [p[0] for p in ps], [p[1] for p in ps]),
-        label="K_naive",
-    )
+    batch = lambda ps: _step_many(sys, [p[0] for p in ps], [p[1] for p in ps])
+    return CompositionOperator(DomainTag.STATE_ONLY, DomainTag.STATE_INPUT, batch, label="K_naive")
 
 
 def power(op: CompositionOperator, k: int) -> CompositionOperator:
@@ -236,7 +231,7 @@ def restriction_inf_to_aug() -> CompositionOperator:
         table, codes = _column(ps, "codes")
         ids = table.intern([InputSequence.constant(u) for u in table.labels])[codes]
         seqs = [s if s.period[0] is u else InputSequence.constant(u) for (_, u), s in zip(ps, table.seqs_at(ids))]
-        return ps.derived(zip(_firsts(ps), seqs), ps.states, ids=ids)
+        return ps.derived(zip(_firsts(ps), seqs), ps.states, ids=ids, xcodes=ps.xcodes)
 
     return CompositionOperator(DomainTag.STATE_SEQUENCE, DomainTag.STATE_INPUT, batch, label="R:inf->aug")
 
@@ -248,7 +243,7 @@ def extension_aug_to_inf() -> CompositionOperator:
         ps = _as_points(ps)
         table, ids = _column(ps, "ids")
         heads = [(x, (s.prefix or s.period)[0]) for x, s in ps]  # (x, s.at(0))
-        return ps.derived(heads, ps.states, table.head[ids])
+        return ps.derived(heads, ps.states, table.head[ids], xcodes=ps.xcodes)
 
     return CompositionOperator(DomainTag.STATE_INPUT, DomainTag.STATE_SEQUENCE, batch, label="E:aug->inf")
 
@@ -260,7 +255,7 @@ def restriction_aug_to_f(u_star, sys: Optional[ControlSystem] = None) -> Composi
 
     def batch(xs):
         xs = _as_points(xs)
-        return xs.derived([(x, u_star) for x in xs], states=xs.states)
+        return xs.derived([(x, u_star) for x in xs], states=xs.states, xcodes=xs.xcodes)
 
     return CompositionOperator(DomainTag.STATE_INPUT, DomainTag.STATE_ONLY, batch, label=f"R[{u_star}]:aug->state")
 
@@ -399,9 +394,7 @@ def input_aug_well_definedness(
                                 WellDefinednessReason.WITNESS_FOUND,
                                 (f.label, x, u, u1, u2, v1, v2),
                             )
-    return WellDefinednessReport(
-        True, WellDefinednessReason.ALL_RESTRICTIONS_INPUT_FREE, None
-    )
+    return WellDefinednessReport(True, WellDefinednessReason.ALL_RESTRICTIONS_INPUT_FREE, None)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ input, input-augmented, and input-sequence) are built in
 Input sequences are represented by a finite prefix plus a repeating
 period, which keeps the left shift exact and makes every finite-horizon
 behavior reachable; ``word(k)`` reads their first ``k`` inputs at once.
-:func:`simulate` validates each state of a box trajectory once.
+:func:`simulate` validates each state of a box trajectory once.  A finite
+space keeps each label's position (its state code): ``contains`` and a
+finite list step (``_step_many``) look states up there, and a finite point
+list carries its states' codes as a column beside the points.
 """
 
 from __future__ import annotations
@@ -58,9 +61,13 @@ class FiniteStates(StateSpace):
             raise ValueError("state label list must be nonempty")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("state labels must be unique")
+        object.__setattr__(self, "_positions", {x: i for i, x in enumerate(self.labels)})  # the state codes
 
     def contains(self, x) -> bool:
-        return x in self.labels
+        try:
+            return x in self._positions
+        except TypeError:  # an unhashable probe is searched for as before, and raises what that raises
+            return x in self.labels
 
 
 @dataclass(frozen=True)
@@ -224,28 +231,29 @@ def _box_step(sys: ControlSystem, arr: np.ndarray, u) -> np.ndarray:
 
 
 class _Points(list):
-    """A point list carrying columns beside its points, so list maps read arrays
-    instead of the points: ``states``, the box states (each point's state
-    component) stacked ``(n, d)``; ``codes``, each label's (or each pair's
-    input's) code in ``table``, a :class:`_SeqTable`; ``ids``, each point's
-    sequence id there.  A column is ``None`` until built, and is built once
-    where a map needs it, so a plain list is as valid an input."""
+    """A point list carrying columns beside its points, so list maps read arrays instead of the
+    points: ``states``, the box states (each point's state component) stacked ``(n, d)``; ``xcodes``,
+    each finite state's position in ``space.labels``, a :class:`FiniteStates`; ``codes``, each label's
+    (or each pair's input's) code in ``table``, a :class:`_SeqTable`; ``ids``, each point's sequence
+    id there.  A column is ``None`` until built, and is built once where a map needs it, so a plain
+    list is as valid an input."""
 
-    __slots__ = ("states", "codes", "ids", "table", "firsts")
+    __slots__ = ("states", "xcodes", "codes", "ids", "table", "space", "firsts")
 
-    def __init__(self, points=(), states=None, codes=None, ids=None, table=None):
+    def __init__(self, points=(), states=None, codes=None, ids=None, table=None, xcodes=None, space=None):
         super().__init__(points)
         self.states, self.codes, self.ids, self.table, self.firsts = states, codes, ids, table, None
+        self.xcodes, self.space = xcodes, space
 
-    def derived(self, points, states=None, codes=None, ids=None) -> "_Points":
-        """Points mapped from this list, keeping its table."""
-        return _Points(points, states, codes, ids, self.table)
+    def derived(self, points, states=None, codes=None, ids=None, xcodes=None, space=None) -> "_Points":
+        """Points mapped from this list, keeping its table, and its space unless given one."""
+        return _Points(points, states, codes, ids, self.table, xcodes, space or self.space)
 
     def take(self, idx) -> "_Points":
         """The points at ``idx`` (a slice or an index array), with their columns."""
         picked = list.__getitem__(self, idx) if isinstance(idx, slice) else [self[i] for i in idx.tolist()]
         at = lambda col: None if col is None else col[idx]
-        return _Points(picked, at(self.states), at(self.codes), at(self.ids), self.table)
+        return _Points(picked, at(self.states), at(self.codes), at(self.ids), self.table, at(self.xcodes), self.space)
 
     def put(self, idx: np.ndarray, other) -> "_Points":
         """A copy with the points at ``idx`` replaced by ``other``'s, keeping
@@ -254,8 +262,8 @@ class _Points(list):
         for i, p in zip(idx.tolist(), other):
             points[i] = p
         out = self.derived(points)
-        same = getattr(other, "table", None) is self.table  # codes and ids index one table
-        for col in ("states", "codes", "ids") if same else ("states",):
+        same = getattr(other, "table", None) is self.table  # codes and ids index one table, xcodes one space
+        for col in ("states",) + ("codes", "ids") * same + ("xcodes",) * (getattr(other, "space", None) is self.space):
             mine, theirs = getattr(self, col), getattr(other, col, None)
             if mine is not None and theirs is not None:
                 mine = mine.copy()
@@ -266,7 +274,7 @@ class _Points(list):
 
 def _dropping_columns(name: str) -> Callable:
     def mutate(self, *args, **kwargs):
-        self.states = self.codes = self.ids = self.firsts = None
+        self.states = self.xcodes = self.codes = self.ids = self.firsts = None
         return getattr(list, name)(self, *args, **kwargs)
 
     return mutate
@@ -298,10 +306,10 @@ def _state_column(points) -> Optional[np.ndarray]:
 
 
 def _firsts(points) -> _Points:
-    """Each point's state component, with the list's state column; built once per list."""
+    """Each point's state component, with the list's state columns; built once per list."""
     points = _as_points(points)
     if points.firsts is None:
-        points.firsts = points.derived([p[0] for p in points], states=points.states)
+        points.firsts = points.derived([p[0] for p in points], states=points.states, xcodes=points.xcodes)
     return points.firsts
 
 
@@ -407,12 +415,44 @@ def _input_positions(inputs: "InputSet", us) -> np.ndarray:
     return np.array([inputs._positions.get(u, -1) for u in table.labels], dtype=np.intp)[codes]
 
 
+def _finite_steps(sys: ControlSystem, xs: list, us: list) -> _Points:
+    """The ``step`` loop on a finite space, checking by lookup: the state codes (carried, else each
+    state's position, -1 for none) and input codes first, then one transition call per point in order,
+    each output's code looked up as it comes.  A state or label that is no dict key runs the loop."""
+    space, out = sys.states, _as_points(xs).derived
+    try:
+        carried = getattr(xs, "space", None) is space and xs.xcodes is not None
+        codes = xs.xcodes if carried else np.fromiter(map(space._positions.get, xs, [-1] * len(xs)), np.intp, len(xs))
+        ok = (codes >= 0) & (_input_positions(sys.inputs, us) >= 0)
+    except (TypeError, DomainError):
+        return out([step(sys, x, u) for x, u in zip(xs, us)])
+    n = len(xs) if ok.all() else int(np.argmin(ok))  # the points before the first bad one
+    transition, code, ys, ycodes = sys.transition, space._positions.get, [], []
+    for _, x, u in zip(range(n), xs, us):
+        y = transition(x, u)
+        try:
+            c = code(y)
+        except TypeError:  # in the space by the tuple search alone, with no code
+            c = -1 if space.contains(y) else None
+        if c is None:
+            raise DomainError(f"transition left the state space: {y!r}")
+        ys.append(y)
+        ycodes.append(c)
+    if n < len(xs):
+        step(sys, xs[n], us[n])  # raises the loop's error before any transition call
+    ys, ycodes = out(ys), np.array(ycodes, dtype=np.intp)
+    if ycodes.min(initial=0) >= 0:
+        ys.xcodes, ys.space = ycodes, space
+    return ys
+
+
 def _step_many(sys: ControlSystem, xs: list, us: list) -> _Points:
-    """``[step(sys, x, u) for x, u in zip(xs, us)]`` bit for bit, raising what that loop raises
-    first, with the box states' column.  On a box with a ``transition_batch``, two or more states
-    are checked at once and stepped with one batch call per input label; one state (cheaper alone),
-    other systems, states that do not stack to ``(n, d)``, or a label that cannot be looked up run
-    the loop."""
+    """``[step(sys, x, u) for x, u in zip(xs, us)]`` bit for bit, raising what that loop raises first,
+    with the states' column (:func:`_finite_steps` on finite spaces).  On a box with a ``transition_batch``,
+    two or more states are checked at once and stepped with one batch call per input label; one state
+    (cheaper alone), other boxes, states that do not stack to ``(n, d)``, or a label that is no dict key run the loop."""
+    if isinstance(sys.states, FiniteStates):
+        return _finite_steps(sys, xs, us)
     box, out = sys.states, _as_points(xs).derived
     batched = sys.transition_batch is not None and isinstance(box, RealBox) and len(xs) > 1
     arr = _state_column(xs) if batched else None
@@ -469,9 +509,7 @@ def range_map(sys: ControlSystem) -> frozenset:
     """The exact set of reachable next states, ``{T(x, u)}`` over all pairs."""
     if not isinstance(sys.states, FiniteStates):
         raise UnsupportedError("range enumeration needs a finite state space")
-    return frozenset(
-        step(sys, x, u) for x in sys.states.labels for u in sys.inputs.labels
-    )
+    return frozenset(step(sys, x, u) for x in sys.states.labels for u in sys.inputs.labels)
 
 
 def random_sequence(rng: np.random.Generator, labels, prefix_max=4, period_max=3) -> InputSequence:
@@ -495,14 +533,15 @@ def random_sequences(rng: np.random.Generator, labels, n: int, prefix_max=4, per
 def random_state(rng: np.random.Generator, space: StateSpace, n=None):
     """Uniform draw from a state space: one state, or a list of ``n`` states.
 
-    Finite spaces draw label indices, boxes points in the box, carrying them
-    stacked as the list's state column; ``n`` states are one generator call.
+    Finite spaces draw label indices (carried as the list's state codes), boxes
+    points in the box (carried stacked); ``n`` states are one generator call.
     One state is the one-element draw ``random_state(rng, space, 1)[0]``.
     """
     if n is None:
         return random_state(rng, space, 1)[0]
     if isinstance(space, FiniteStates):
-        return [space.labels[i] for i in rng.integers(len(space.labels), size=n).tolist()]
+        codes = rng.integers(len(space.labels), size=n)
+        return _Points([space.labels[i] for i in codes.tolist()], xcodes=codes.astype(np.intp, copy=False), space=space)
     arr = rng.uniform(space.lower, space.upper, size=(n, space.dimension))
     return _Points(list(arr), states=arr)
 

@@ -24,11 +24,13 @@ from koopcontrol import (
     ci_isomorphisms,
     describe_check,
     exact_plan,
+    indicator,
     is_applicable,
     k_aug,
     k_inf,
     k_u,
     kcf_word,
+    pair_indicator,
     power,
     results_to_json,
     results_to_text,
@@ -658,6 +660,60 @@ def test_random_tables_fail_when_one_pair_alternates(table, data):
     summary = run_all(_table_system(states, inputs, transition), _FUZZ_PLAN)
     assert summary.n_fail > 0
     assert all(r.counterexample for r in summary.results if not r.passed)
+
+
+def _finite_lists(sys) -> tuple:
+    """The drawn state and pair lists of a finite system, each mapped through every finite operator:
+    ``(state lists, pair lists)``."""
+    plan, rng, table = _FUZZ_PLAN, np.random.default_rng(5), checks._SeqTable(sys.inputs.labels)
+    named = checks._named(sys, {"u": sys.inputs.labels[-1]})
+    xs, ps = checks._scenario_states(sys, plan, rng, table), checks._scenario_pairs(sys, plan, rng, table)
+    ss, ts = checks._scenario_seq_points(sys, plan, rng, table), checks._scenario_trajectories(sys, plan, rng, table)
+    seqs = [ss, named["K_inf"].batch(ss), named["R"].batch(ps)]
+    states = [xs, named["K_u"].batch(xs), named["E_f"].batch(ps), named["sim"].batch(ts), named["word"].batch(ts)]
+    pairs = [ps, named["K_aug"].batch(ps), named["R_u"].batch(xs), named["E"].batch(ss), named["K_aug"].batch(named["E"].batch(ss))]
+    return states + [checks._firsts(s) for s in seqs], pairs
+
+
+def _listed(values) -> bytes:
+    return np.array(values, dtype=complex).tobytes()
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_tables())
+def test_indicators_read_state_codes_as_their_points_compare(table):
+    """Over lists mapped through the finite operators, which carry state codes,
+    indicators read off the codes the bits that comparing each point gives.  A
+    label that is not a state or input of the list, an unhashable label, a list
+    with a point outside the space, and one with an unhashable point (as an
+    array-valued transition makes) are compared point by point."""
+    states, inputs, succ = table
+    sys = _table_system(states, inputs, lambda x, u: succ[(x, u)])
+    xlabels, ulabels = list(states) + ["zz", np.array([states[0]])], list(inputs) + ["zz"]
+    state_lists, pair_lists = _finite_lists(sys)
+    arrays = _table_system(states, inputs, lambda x, u: np.array([succ[(x, u)]]))
+    outside, unhashable = state_lists[0].take(slice(None)), k_u(arrays, inputs[0]).batch(state_lists[0])
+    outside.append(max(states) + 1)
+    assert all(xs.xcodes is not None for xs in state_lists + pair_lists)
+    assert outside.xcodes is None and unhashable.xcodes is None
+    for xs in state_lists + [outside, unhashable]:
+        for x_star in xlabels:
+            assert checks._values(indicator(x_star), xs).tobytes() == _listed([1.0 if x == x_star else 0.0 for x in xs])
+    for ps in pair_lists:
+        for x_star, u_star in itertools.product(xlabels, ulabels):
+            expected = _listed([1.0 if (p[0] == x_star and p[1] == u_star) else 0.0 for p in ps])
+            assert checks._values(pair_indicator(x_star, u_star), ps).tobytes() == expected
+
+
+def test_indicators_compare_points_at_a_label_that_is_not_equal_to_itself():
+    """A NaN label holds a code, yet no point is ``==`` to it, so its indicator is 0."""
+    nan = float("nan")
+    sys = _table_system((nan, 1.0), ("a",), lambda x, u: x)
+    xs = checks._scenario_states(sys, _FUZZ_PLAN, None)
+    ps = checks._scenario_pairs(sys, _FUZZ_PLAN, None)
+    assert checks._values(indicator(nan), xs).tolist() == [0j, 0j]
+    assert checks._values(indicator(1.0), xs).tolist() == [0j, 1 + 0j]
+    assert checks._values(pair_indicator(nan, "a"), ps).tolist() == [0j, 0j]
 
 
 def test_json_report_is_deterministic(f3):

@@ -464,6 +464,31 @@ def test_bad_count_names_its_config_key(tmp_path, capsys, command, flags, lines,
     assert not any(tmp_path.glob("*.json"))
 
 
+_HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "command, flags, lines, message",
+    [
+        ("predict", (), f"steps = {_HUGE}\n", f"config key 'steps': expected an integer <= 100000, got '{_HUGE}'"),
+        ("check", ("--points", _HUGE), "", f"config key 'points': expected an integer <= 100000, got '{_HUGE}'"),
+        ("check", (), f"functions = {_HUGE}\n", f"config key 'functions': expected an integer <= 1000, got '{_HUGE}'"),
+        ("fit", ("--dict", f"monomial:{_HUGE}"), "", f"config key 'dict': degree must be at most 100, got {_HUGE}"),
+        ("check", ("--seed", "-1"), "", "config key 'seed': expected an integer >= 0, got '-1'"),
+    ],
+    ids=["steps", "points", "functions", "degree", "seed"],
+)
+def test_a_size_beyond_its_limit_exits_2_naming_its_key(tmp_path, capsys, command, flags, lines, message):
+    """Sizes are checked against their stated limits before anything is
+    allocated: a huge ``steps`` or degree once overflowed with a traceback
+    (exit 1), and a negative seed reached numpy's error, which names no key."""
+    config = tmp_path / "run.cfg"
+    config.write_text("system = scalarlinear\nseed = 1\n" + lines)
+    assert run(command, "--config", str(config), *flags, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.glob("*.json"))
+
+
 def test_predict_with_another_dictionary_names_the_dict_key(tmp_path, capsys):
     assert run(
         "fit", "--system", "scalarlinear", "--dict", "monomial:3",

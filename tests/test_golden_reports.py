@@ -10,7 +10,9 @@ operators walk the list in lockstep) and then reads every function at
 the mapped points, so on finite systems a chain steps each point once,
 not once per function or per leg; the call-counter files record that
 order.  ``table6x3`` has three inputs, so it pins the input
-pairs of C7 and three-label words.
+pairs of C7 and three-label words.  ``mixed5x2`` has string, integer and
+float labels, none at its own position, so a label code read as a label
+fails it.
 
 Regenerate the files (only when a report change is intended and stated)
 with::
@@ -83,6 +85,20 @@ def _table6x3():
     )
 
 
+# The successors of ``mixed5x2``; ``tools/compare_trees.py`` gives the CLI the same table.
+_MIXED_STEPS = {
+    ("b", "q"): 7, ("b", 1): "x", (7, "q"): 0, (7, 1): 7, ("x", "q"): 1000.0,
+    ("x", 1): "b", (1000.0, "q"): "b", (1000.0, 1): 0, (0, "q"): "x", (0, 1): 1000.0,
+}
+
+
+def _mixed5x2():
+    """Five states ``b, 7, x, 1e3, 0`` and inputs ``q, 1``: labels that are not their positions."""
+    return ControlSystem(
+        FiniteStates(("b", 7, "x", 1000.0, 0)), InputSet(("q", 1)), lambda x, u: _MIXED_STEPS[(x, u)], name="mixed5x2"
+    )
+
+
 _BOX_PLAN = dict(seed=7, n_points=200, n_functions=10)
 
 CASES = {
@@ -94,6 +110,7 @@ CASES = {
         sampled_plan(**_BOX_PLAN),
     ),
     "table6x3_exact": lambda: (_table6x3(), exact_plan(seed=7)),
+    "mixed5x2_exact": lambda: (_mixed5x2(), exact_plan(seed=7)),
     "flaky7_exact": lambda: (_flaky_finite3(7), exact_plan(seed=7)),
     "flaky23_exact": lambda: (_flaky_finite3(23), exact_plan(seed=7)),
     "noisy_box_sampled": lambda: (_noisy_box(), sampled_plan(**_BOX_PLAN)),

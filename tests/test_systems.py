@@ -502,6 +502,64 @@ def test_step_many_with_carried_columns_raises_what_the_step_loop_raises_first(b
     assert str(batched.value) == str(loop.value)
 
 
+@pytest.mark.parametrize(
+    "probe", [2, 7, [0], np.array([1]), np.array([0, 1])],
+    ids=["label", "non-label", "list", "1-element array", "2-element array"],
+)
+def test_finite_contains_agrees_with_the_tuple_search(probe):
+    """``contains`` looks a label up in the space's position map; a probe that
+    cannot be a dict key is searched for in the label tuple, so a 1-element
+    array is found as a bool and a 2-element one raises numpy's ValueError."""
+    space = FiniteStates((0, 1, 2))
+    try:
+        expected = probe in space.labels
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            space.contains(probe)
+        assert str(got.value) == str(exc)
+    else:
+        assert space.contains(probe) is expected
+
+
+def _counting_finite3(bad_call):
+    """finite3 counting its transition calls; call number ``bad_call`` returns a state it lacks."""
+    calls = {"n": 0}
+
+    def transition(x, u):
+        calls["n"] += 1
+        return "out" if calls["n"] == bad_call else FINITE3_TABLE[(x, u)]
+
+    return ControlSystem(FiniteStates((0, 1, 2)), InputSet(("a", "b")), transition, name="counted"), calls
+
+
+# (states, inputs, the call that leaves the space, the loop's calls before it raises)
+_FINITE_BAD = {
+    "unknown state at 3": ([0, 1, 2, 9, 0, 1], list("ababab"), None, 3),
+    "unknown input at 2": ([0, 1, 2, 0, 1, 2], list("abzaba"), None, 2),
+    "output outside at 4": ([0, 1, 2, 0, 1, 2], list("ababab"), 5, 5),
+    "unhashable state": ([0, [1], 2, 0], list("abab"), None, 1),
+}
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["plain", "carried"])
+@pytest.mark.parametrize("case", sorted(_FINITE_BAD))
+def test_finite_step_many_raises_the_loop_error_after_as_many_calls(case, carried):
+    """A finite list step checks codes up front, yet calls the transition for
+    exactly the points the ``step`` loop steps before it raises, and raises
+    its error; ``carried`` gives the valid state lists their code column."""
+    xs, us, bad_call, before = _FINITE_BAD[case]
+    sys, calls = _counting_finite3(bad_call)
+    with pytest.raises(DomainError) as loop:
+        [step(sys, x, u) for x, u in zip(xs, us)]
+    assert calls["n"] == before
+    calls["n"] = 0
+    if carried and all(isinstance(x, int) and x in (0, 1, 2) for x in xs):  # finite3's labels are their codes
+        xs = _Points(xs, xcodes=np.array(xs), space=sys.states)
+    with pytest.raises(DomainError) as listed:
+        _step_many(sys, xs, us)
+    assert (str(listed.value), calls["n"]) == (str(loop.value), before)
+
+
 def test_range_map(f3, c2):
     assert range_map(f3) == frozenset({0, 1, 2})
     assert range_map(c2) == frozenset({1})

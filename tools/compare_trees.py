@@ -13,6 +13,9 @@ runs in a fresh process on that tree's ``src``:
 * ``koopcontrol check --exact --seed 7`` on ``finite3``, ``collapse2`` and
   the perfbench 32x3 table (``perfbench/workloads.table_config(7)``, read
   from CHANGE and given to both trees);
+* ``koopcontrol check --exact --seed 7`` on ``mixed5x2``, the table of
+  ``tests/test_golden_reports.py`` whose labels (``b,7,x,1e3,0`` and
+  ``q,1``) are not their positions, given as a config;
 * ``koopcontrol check --seed 7`` on ``finite3``, without ``--exact``;
 * ``koopcontrol check --seed 7 --points 1000 --tol 1e-12`` on
   ``scalarlinear`` and ``logistic-with-offset``;
@@ -67,10 +70,25 @@ for name in sorted(mod["CASES"]):
 """
 
 _EXACT = ["--exact", "--seed", "7"]
+_MIXED = """system = table
+name = mixed5x2
+states = b,7,x,1e3,0
+inputs = q,1
+step.b.q = 7
+step.b.1 = x
+step.7.q = 0
+step.7.1 = 7
+step.x.q = 1e3
+step.x.1 = b
+step.1e3.q = b
+step.1e3.1 = 0
+step.0.q = x
+step.0.1 = 1e3
+"""
 _SAMPLED = ["--seed", "7", "--points", "1000", "--tol", "1e-12"]
 
 
-def _cases(table: Path, few_points: Path, offsets: Path, predict: Path, demos: list, words: dict) -> dict:
+def _cases(table: Path, mixed: Path, few_points: Path, offsets: Path, predict: Path, demos: list, words: dict) -> dict:
     """Case name -> the argv lists after ``python`` that run in turn; ``{out}``
     is the case's output directory."""
     cli = ["-m", "koopcontrol.cli"]
@@ -79,6 +97,7 @@ def _cases(table: Path, few_points: Path, offsets: Path, predict: Path, demos: l
         cases[f"check-{name}"] = cli + ["check", "--system", name, *_EXACT, "--out", "{out}"]
     cases["check-finite3-default"] = cli + ["check", "--system", "finite3", "--seed", "7", "--out", "{out}"]
     cases["check-table32x3"] = cli + ["check", "--config", str(table), *_EXACT, "--out", "{out}"]
+    cases["check-mixed5x2"] = cli + ["check", "--config", str(mixed), *_EXACT, "--out", "{out}"]
     for name in ("scalarlinear", "logistic-with-offset"):
         cases[f"check-{name}"] = cli + ["check", "--system", name, *_SAMPLED, "--out", "{out}"]
     cases["check-scalarlinear-few-points"] = cli + [
@@ -162,6 +181,8 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         table = tmp / "table32x3.cfg"
         table.write_text(workloads.table_config(7))
+        mixed = tmp / "mixed5x2.cfg"
+        mixed.write_text(_MIXED)
         few_points = tmp / "scalarlinear50.cfg"
         few_points.write_text("system = scalarlinear\nfunctions = 50\n")
         offsets = tmp / "logistic3.cfg"
@@ -172,7 +193,7 @@ def main(argv=None) -> int:
         words = {"finite3": tmp / "finite3-predict.cfg", "logistic-with-offset": tmp / "logistic-predict.cfg"}
         words["finite3"].write_text("x0 = 2\nword = b,a,a\nsteps = 12\n")
         words["logistic-with-offset"].write_text("x0 = 0.3\nword = 0.05,0.0,0.05\nsteps = 30\n")
-        cases = _cases(table, few_points, offsets, predict, sorted((change / "demos").glob("*.py")), words)
+        cases = _cases(table, mixed, few_points, offsets, predict, sorted((change / "demos").glob("*.py")), words)
         for side, tree in (("parent", parent), ("change", change)):
             _run_tree(tree, cases, tmp / side)
         before, after = _files(tmp / "parent"), _files(tmp / "change")
