@@ -19,12 +19,12 @@ with ``sim``, ``word``, ``K_inf^k`` or a path operator, which take a
 trajectory point ``(x0, seq, k)``.  Only C16 and C19 have runners.  The table
 maps a group's whole point list with each of its distinct products in
 turn (trajectory operators walk the list in lockstep, each step one
-``_step_many`` list step), reads each function over a product's mapped
-points in one batch (see :func:`~koopcontrol.observables.evaluate`), and
-records the legs' discrepancy arrays in the order a point-by-point run
-would.  A box's random combinations are read as basis rows: each basis
-function once per list, then each point summed with its own
-coefficients, bits unchanged.
+``_step_many`` list step), lifts each mapped list once if the group names
+a lift, reads each function once over it in one batch (see
+:func:`~koopcontrol.observables.evaluate`; a box's random combinations are
+read as their basis functions, each point then summed with its own
+coefficients, bits unchanged), and records the legs' discrepancy arrays in
+the order a point-by-point run would.
 
 Point lists carry columns (``systems._Points``): box states stacked once
 at the draw, finite states and input labels as codes, and sequences as
@@ -378,19 +378,18 @@ def _seq_basis(sys: ControlSystem) -> list:
     return basis
 
 
-class _Combinations(list):
-    """Subject ``j`` combines ``basis`` with row ``j`` of the ``(k, m)`` array ``coeffs``."""
+class _Combinations:
+    """Function ``j`` combines ``basis`` with row ``j`` of the ``(k, m)`` array ``coeffs``; it is
+    built only when asked for, since the engine reads the basis and sums with the rows."""
 
     def __init__(self, basis: list, coeffs: np.ndarray):
-        super().__init__(linear_combine(c, basis) for c in coeffs)
         self.basis, self.coeffs = basis, coeffs
 
-    def rows(self, lift, points: list) -> np.ndarray:
-        """Point ``i`` read by subject ``i % k`` after the ``lift`` product, if any: each basis
-        function read once over the whole list, summed as ``linear_combine``'s batch sums."""
-        coeffs = self.coeffs[np.arange(len(points)) % len(self)].T
-        points = points if lift is None else lift.batch(points)
-        return _combined(len(points), ((c, _values(phi, points)) for c, phi in zip(coeffs, self.basis)))
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __getitem__(self, j: int) -> Observable:  # past the last row, numpy's IndexError ends iteration
+        return linear_combine(self.coeffs[j], self.basis)
 
 
 def _functions(sys, plan, rng, basis: list) -> list:
@@ -571,14 +570,15 @@ def _describe(text: str, p, fields: dict, f: str = "") -> str:
 
 def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict, ops: tuple) -> None:
     """Build each distinct chain's product once and map every point with
-    it, then compare each leg's two mapped point lists (point-level legs)
-    or read each subject over them in one batch: ``apply(op, g)(p) ==
-    g(op.precompose(p))``, cycled random combinations as basis rows
-    (``_Combinations.rows``); a cross product reads the drawn functions over
-    each list lifted once, as ``apply`` reads them.  Discrepancies are
-    recorded subject-major when every subject meets every point, in point
-    order when subjects are cycled over the points, and leg by leg within a
-    point."""
+    it, then compare each leg's two mapped point lists (point-level legs) or
+    read the functions over them: ``apply(op, g)(p) == g(op.precompose(p))``.
+    Each mapped list is lifted once, if the group names a lift, and each
+    drawn function (each basis function of random combinations) is read once
+    over it.  Row ``r`` is subject ``fi[r]`` at point ``at[r]``: every subject
+    at every point, subject-major, on finite systems and in ``cross`` groups,
+    else point ``i`` by subject ``i % k``, a combination summed with its own
+    coefficient row.  Subjects are built only for ``apply``'s checks and the
+    first counterexample's label.  Each row is recorded leg by leg."""
     named = _named(sys, inputs, ops)
     fields = {key: repr(u) for key, u in inputs.items()}
     points = drawn[group.points]
@@ -586,50 +586,41 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict, ops: tuple) -
         points = points[inputs["u"]]
     chains = list(dict.fromkeys(c for _, a, b in group.legs for c in (a, b)))
     products = _products(named, chains)
+    n, label = len(points), lambda j: ""
+    fi = at = np.arange(n)
     if group.funcs:
         lift, _, fset = group.funcs.rpartition(" ")
-        subjects = drawn[fset]
-        lift_op = _products(named, [lift])[0] if lift else None
-        if lift:  # an identity would drop the functions' certification stamps
-            subjects = [apply(lift_op, f) for f in subjects]
-        # apply-time domain and contract checks of every product; apply reads only a
-        # subject's domain and whether it is certified, so the first subject of each kind serves
-        kinds = {}
-        for g in subjects:
-            kinds.setdefault((g.domain, g.ci_input is None), g)
-        for g in kinds.values():
+        funcs, lift_op = drawn[fset], _products(named, [lift])[0] if lift else None
+        combos = isinstance(funcs, _Combinations)
+        kinds = {}  # apply reads only a function's domain and whether it is certified
+        for f in [funcs[0]] if combos else funcs:  # combinations share one kind
+            kinds.setdefault((f.domain, f.ci_input is None), f)
+        # apply's checks: the lift first (an identity would drop the functions' certification stamps),
+        # then every product, on one subject of each kind
+        kinds = [f if lift_op is None else apply(lift_op, f) for f in kinds.values()]
+        for g in kinds:
             for op in products:
                 apply(op, g)
+        label = lambda j: (funcs[j] if lift_op is None else apply(lift_op, funcs[j])).label
     legs = [(text, chains.index(a), chains.index(b)) for text, a, b in group.legs]
     cols = [op.batch(points) for op in products]
-    n, n_legs = len(points), len(legs)
-    if not group.funcs:
+    if group.funcs:
+        k = len(funcs)
+        fi, at = (np.repeat(np.arange(k), n), np.tile(at, k)) if group.cross or _is_finite(sys) else (at % k, at)
+        for col in cols:  # the subjects share one domain
+            _check_points(kinds[0].domain, col)
+        vals = []
+        for col in cols:
+            col = col if lift_op is None else lift_op.batch(col)
+            read = np.stack([_values(f, col) for f in (funcs.basis if combos else funcs)])  # (functions, points)
+            vals.append(_combined(fi.size, zip(funcs.coeffs[fi].T, read[:, at])) if combos else read[fi, at])
+        errs = np.column_stack([_abs_diff(vals[a], vals[b]) for _, a, b in legs])
+    else:
         errs = np.column_stack([_gaps(sys.states, cols[a], cols[b]) for _, a, b in legs])
-        rec.record_many(
-            errs.ravel(), lambda i: _describe(legs[i % n_legs][0], points[i // n_legs], fields)
-        )
-        return
-    for col in cols:  # the subjects share one domain
-        _check_points(subjects[0].domain, col)
-    k, cross = len(subjects), group.cross or _is_finite(sys)
-    read = _values
-    if cross:  # row j * n + i: subject j at point i, the drawn function j read after the lift
-        cols = cols if lift_op is None else [lift_op.batch(col) for col in cols]
-        rows = [(g, None, slice(j * n, (j + 1) * n)) for j, g in enumerate(drawn[fset])]
-    elif isinstance(drawn[fset], _Combinations):  # row i: point i, read by combination i % k
-        read, rows = drawn[fset].rows, [(lift_op, None, slice(None))]
-    else:  # row i: point i, read by subject i % k
-        rows = [(g, slice(j, None, k), slice(j, None, k)) for j, g in enumerate(subjects[:n])]
-    errs = np.empty((k * n if cross else n, n_legs))
-    for g, take, put in rows:  # g: the subject, or the lift of basis rows
-        vals = [read(g, col if take is None else _as_points(col).take(take)) for col in cols]
-        for leg, (_, a, b) in enumerate(legs):
-            errs[put, leg] = _abs_diff(vals[a], vals[b])
 
     def describe(i):
-        r = i // n_legs
-        p, g = (points[r % n], subjects[r // n]) if cross else (points[r], subjects[r % k])
-        return _describe(legs[i % n_legs][0], p, fields, g.label)
+        r, leg = divmod(i, len(legs))
+        return _describe(legs[leg][0], points[at[r]], fields, label(fi[r]))
 
     rec.record_many(errs.ravel(), describe)
 

@@ -325,7 +325,7 @@ def _resolve_dictionary(cfg, sys_: ControlSystem):
     spec = cfg.get("dict") or ("indicator" if finite else "monomial:2")
     try:
         return dictionary_for(sys_, spec), spec
-    except ValueError as exc:  # a DomainError, or a degree below 0
+    except (ValueError, UnsupportedError) as exc:  # a DomainError, a degree below 0, or a kind the space lacks
         raise DomainError(f"config key 'dict': {exc}") from None
 
 
@@ -355,8 +355,6 @@ def cmd_fit(args) -> int:
                 f"  input {u!r}: residual {report.residuals[u]:.3e} "
                 f"over {report.counts[u]} samples{flag}"
             )
-    for u in report.missing_inputs:
-        print(f"  input {u!r}: no samples, no matrix")
     print(f"wrote {out / 'model.json'} and {out / 'training.csv'}")
     return 0
 

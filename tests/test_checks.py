@@ -426,12 +426,13 @@ def test_batched_box_run_steps_as_many_transitions_as_the_point_by_point_run(nam
 @given(st.integers(1, 60), st.integers(1, 60), st.sampled_from([1e-12, 1e-300]))
 def test_basis_rows_report_what_per_subject_reads_report(make, n_points, n_functions, tolerance):
     """On boxes each basis function is read once over a mapped point list
-    and combined per point; handed the same combinations as plain
-    observables, the engine reads each subject over its own points, which
-    is the reference.  The noisy boxes (stepped point by point, without a
-    ``transition_batch``) and the overflowing box fail checks, so
-    discrepancies that depend on each point's coefficients and the
-    counterexample text are compared too; each run builds its system
+    and combined per point; handed the same combinations as a plain list of
+    observables, the engine reads each combination at every point through
+    the combination's own batch and keeps, at each point, the value of that
+    point's subject, which is the reference.  The noisy boxes (stepped point
+    by point, without a ``transition_batch``) and the overflowing box fail
+    checks, so discrepancies that depend on each point's coefficients and
+    the counterexample text are compared too; each run builds its system
     afresh, so both see the same corrupted transition calls."""
     sys, plan = make(), sampled_plan(3, n_points=n_points, n_functions=n_functions, tolerance=tolerance)
     drawn = checks._functions(sys, plan, np.random.default_rng(0), checks._state_basis(sys))
@@ -441,6 +442,41 @@ def test_basis_rows_report_what_per_subject_reads_report(make, n_points, n_funct
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checks, "_functions", lambda *args: list(plain(*args)))
         assert rows == results_to_json(run_all(make(), plan).results)
+
+
+@pytest.mark.parametrize("make", [lambda: builtin_system("scalarlinear"), _planar], ids=["scalarlinear", "planar"])
+def test_a_cross_group_reads_each_combination_at_every_point(make):
+    """No registry row crosses random combinations with points, but a
+    ``cross`` group over them reads combination ``j`` at every point,
+    subject-major, as it reads the same combinations handed as a plain list:
+    same discrepancies, count and counterexample, never a basis function
+    standing in for a subject."""
+    sys, plan = make(), sampled_plan(5, n_points=9, n_functions=4, tolerance=1e-300)
+    group = checks._Group("u", "x", "fx", ("{f} at {p}, input {u}", "K_u", ""), cross=True)
+    run = lambda: checks._run_table(sys, plan, np.random.default_rng(1), ("x", "fx"), (group,))
+    rows = run()
+    assert rows.n == 2 * 4 * 9 and not rows.passed
+    plain = checks._functions
+    with mock.patch.object(checks, "_functions", lambda *args: list(plain(*args))):
+        listed = run()
+    assert (rows.n, rows.max_err, rows.counterexample) == (listed.n, listed.max_err, listed.counterexample)
+
+
+def test_a_passing_box_pass_builds_few_combinations(monkeypatch):
+    """A box pass reads the basis functions and sums each point with its
+    coefficient row, building a combination only for ``apply``'s checks and
+    a counterexample's label: at most 100 ``linear_combine`` calls per
+    passing ``sampled_plan(7)`` pass on scalarlinear, where building every
+    drawn combination made 708."""
+    calls, combine = {"n": 0}, checks.linear_combine
+
+    def counted(*args):
+        calls["n"] += 1
+        return combine(*args)
+
+    monkeypatch.setattr(checks, "linear_combine", counted)
+    assert run_all(builtin_system("scalarlinear"), sampled_plan(7)).all_passed
+    assert calls["n"] <= 100
 
 
 def test_a_group_checks_every_products_contract_before_any_transition(f3):
@@ -582,7 +618,7 @@ def test_trajectory_chains_match_the_simulator_formulas(name):
         points.append(checks._Trajectory(2, InputSequence(("b",), ("a", "b")), 6))
     else:
         points.append(checks._Trajectory(0.77, InputSequence(labels[:1], labels[::-1]), 6))
-    state_funcs = checks._state_basis(sys) + checks._functions(sys, plan, rng, checks._state_basis(sys))
+    state_funcs = checks._state_basis(sys) + list(checks._functions(sys, plan, rng, checks._state_basis(sys)))
     ci_seq = checks._ci_seq_direct(sys)
     iso, kin = ci_isomorphisms(sys), k_inf(sys)
     lift = lambda f: apply(iso.extend_aug_to_seq, apply(iso.extend_state_to_aug, f))

@@ -437,6 +437,31 @@ def test_fit_negative_monomial_degree_names_the_dict_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [(("fit", "--system", "scalarlinear", "--dict", "indicator", "--seed", "1"),
+      "indicator dictionaries need a finite state space"),
+     (("fit", "--system", "finite3", "--dict", "monomial:3"), "monomial dictionaries need a box state space"),
+     (("predict", "--system", "finite3", "--dict", "monomial:3"), "monomial dictionaries need a box state space")],
+    ids=["fit-indicator-on-a-box", "fit-monomial-on-finite3", "predict-monomial-on-finite3"],
+)
+def test_a_dictionary_the_state_space_lacks_names_the_dict_key(tmp_path, capsys, argv, message):
+    code = run(*argv, "--out", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config key 'dict': {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_atomic_export_deletes_its_temp_file_when_the_writer_fails(tmp_path):
+    def writer(path):
+        Path(path).write_text("half a model")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_export(tmp_path / "model.json", writer)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "command, flags, lines, message",
     [
         ("check", ("--points", "0"), "", "config key 'points': expected an integer >= 1, got '0'"),
@@ -586,6 +611,11 @@ def test_fit_finite_exact(tmp_path, capsys):
     model = json.loads((tmp_path / "model.json").read_text())
     entries = model["matrices"]["a"]
     assert len(entries) == 3
+    # without x0 and word, predict starts at the first state label under the first input, held
+    assert run("predict", "--system", "finite3", "--out", str(tmp_path)) == 0
+    assert "20 steps from x0=0\n" in capsys.readouterr().out
+    rows = (tmp_path / "prediction_errors.csv").read_text().splitlines()
+    assert rows[1:4] == ["0,,0", "1,'a',0", "2,'a',0"] and len(rows) == 22
 
 
 def test_fit_with_param_override(tmp_path):

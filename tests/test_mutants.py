@@ -31,6 +31,7 @@ from koopcontrol import (
     RealBox,
     apply,
     builtin_system,
+    check_ids,
     ci_isomorphisms,
     exact_plan,
     extension_f_to_aug,
@@ -103,7 +104,8 @@ def _moved_isomorphism(sys, field, point_map):
 
 def _mutants(sys) -> dict:
     """Mutant name -> the names of ``checks`` it replaces, for ``sys``.
-    "Moving the state" steps it once with the first input."""
+    "Moving the state" steps it once with the first input, unless the
+    mutant names another input."""
     labels = sys.inputs.labels
     u0 = labels[0]
     moved = lambda x: step(sys, x, u0)
@@ -131,6 +133,9 @@ def _mutants(sys) -> dict:
         },
         "R_u moves the state": {
             "restriction_aug_to_f": lambda u, s=None: _op(PAIR, STATE, lambda x: (moved(x), u), "R_u")
+        },
+        "R_u moves the state under its own input": {
+            "restriction_aug_to_f": lambda u, s=None: _op(PAIR, STATE, lambda x: (step(sys, x, u), u), "R_u")
         },
         "R_ci moves the state": {
             "ci_isomorphisms": lambda s: _moved_isomorphism(s, "restrict_aug_to_state", lambda x: (moved(x), u0))
@@ -188,6 +193,17 @@ _UNSEEN = set()
 def test_the_stored_matrix_trips_a_row_for_every_mutant_but_the_unseen():
     matrix = json.loads(MATRIX.read_text())
     assert {m for m, rows in matrix.items() if not any(rows.values())} == _UNSEEN
+
+
+# C20 is the one row no mutant trips, and none can: a constant reads every
+# point alike, so no point map moves it, and a ``K_inf`` that leaves the
+# sequence domain raises in ``_check_points`` instead of failing the row.
+# The row records the paper's point that constants capture nothing; it is
+# not evidence about any operator.
+def test_the_rows_no_mutant_trips_are_exactly_c20():
+    matrix = json.loads(MATRIX.read_text())
+    tripped = {row for by_system in matrix.values() for rows in by_system.values() for row in rows}
+    assert set(check_ids()) - tripped == {"C20"}
 
 
 if __name__ == "__main__":

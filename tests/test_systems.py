@@ -1,3 +1,4 @@
+from dataclasses import replace
 from enum import Enum
 from itertools import product
 
@@ -480,6 +481,21 @@ def test_step_many_raises_what_the_step_loop_raises_first(bad, points, at):
     with pytest.raises(DomainError) as batched:
         _step_many(sys, xs, us)
     assert str(batched.value) == str(loop.value)
+
+
+def test_step_many_runs_the_step_loop_for_a_label_that_is_no_dict_key(monkeypatch):
+    """A label that cannot be coded sends two box states through the ``step``
+    loop, not the batch path, and the loop raises at that label."""
+    sys = builtin_system("scalarlinear")
+    xs, us = [np.array([0.1]), np.array([0.2])], ["a", ["a"]]
+    with pytest.raises(DomainError) as loop:
+        [step(sys, x, u) for x, u in zip(xs, us)]
+    batches = []
+    counted = replace(sys, transition_batch=lambda X, u: batches.append(u) or sys.transition_batch(X, u))
+    with pytest.raises(DomainError) as looped:
+        _step_many(counted, xs, us)
+    assert str(looped.value) == str(loop.value) == "unknown input label: ['a']"
+    assert batches == []
 
 
 @pytest.mark.parametrize("bad", sorted(_BAD) + ["ragged state"])
