@@ -257,7 +257,7 @@ def _scenario_pairs(sys, plan, rng, table=None) -> list:
         xs, codes = _scenario_states(sys, plan, rng).take(np.repeat(np.arange(n), m)), np.tile(np.arange(m), n)
     else:
         xs, codes = random_state(rng, sys.states, plan.n_points), rng.integers(m, size=plan.n_points)
-    return _Points(zip(xs, table.labels_at(codes)), xs.states, codes, None, table, xs.xcodes, xs.space)
+    return xs.carrying(zip(xs, table.labels_at(codes)), codes=codes, table=table)
 
 
 def _scenario_seq_points(sys, plan, rng, table=None, n=None) -> list:
@@ -266,7 +266,7 @@ def _scenario_seq_points(sys, plan, rng, table=None, n=None) -> list:
     n, table = plan.n_points if n is None else n, table or _SeqTable(sys.inputs.labels)
     xs = random_state(rng, sys.states, n)
     ids = table.intern(random_sequences(rng, sys.inputs.labels, n))
-    return _Points(zip(xs, table.seqs_at(ids)), xs.states, None, ids, table, xs.xcodes, xs.space)
+    return xs.carrying(zip(xs, table.seqs_at(ids)), ids=ids, table=table)
 
 
 def _first_inputs(table: _SeqTable, ids: np.ndarray, k: int) -> np.ndarray:
@@ -292,7 +292,7 @@ def _scenario_trajectories(sys, plan, rng, table=None, horizons: int = 6) -> lis
     """Sequence points, then one horizon below ``horizons`` per point, in point order."""
     points = _scenario_seq_points(sys, plan, rng, table)
     ks = rng.integers(0, horizons, size=len(points)).tolist()
-    return points.derived([_Trajectory(*p, k) for p, k in zip(points, ks)], points.states, None, points.ids, points.xcodes)
+    return points.carrying([_Trajectory(*p, k) for p, k in zip(points, ks)], ids=points.ids)
 
 
 def _scenario_words(sys, plan, rng, table=None) -> list:
@@ -306,7 +306,7 @@ def _scenario_words(sys, plan, rng, table=None) -> list:
     table = table or _SeqTable(labels)
     ids = table.intern([InputSequence(w, (labels[0],)) for w in words])
     trajs = [_Trajectory(x0, seq, len(w)) for x0, seq, w in zip(states, table.seqs_at(ids), words)]
-    return _Points(trajs, states.states, None, ids, table, states.xcodes, states.space)
+    return states.carrying(trajs, ids=ids, table=table)
 
 
 def _scaled(phi: Observable, domain: DomainTag, weights: Callable, label: str, ci_input=None) -> Observable:
@@ -461,13 +461,13 @@ def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> Co
         starts = [t.x0 for t in ts]
         if box and ts.states is None:  # box starts without their column, coerced as ``step`` does
             starts = list(map(box.coerce, starts))
-        pts = ts.derived(starts, ts.states, xcodes=ts.xcodes)
-        pts = pts.derived(zip(pts, [t.seq for t in ts]), pts.states, ids=ids, xcodes=pts.xcodes) if on_seq else pts
+        pts = ts.carrying(starts)
+        pts = pts.carrying(zip(pts, [t.seq for t in ts]), ids=ids) if on_seq else pts
         trail = [visited(pts)] if path else None  # the states of each step
         for j in range(steps):
             live = np.flatnonzero(ks > j)
             moved = pts.take(live)
-            us = None if on_seq else moved.derived(table.labels_at(words[live, j]), codes=words[live, j])
+            us = None if on_seq else _Points(table.labels_at(words[live, j]), codes=words[live, j], table=table)
             pts = pts.put(live, many(moved) if on_seq else many(moved, us))
             if path:
                 trail.append(visited(pts))
@@ -510,7 +510,7 @@ def _operator_set(sys: ControlSystem) -> tuple:
             xs = xs.put(idx, op.batch(xs.take(idx))) if idx.size else xs
         return xs
 
-    augmented = lambda xs, us: _firsts(kau.batch(xs.derived(zip(xs, us), xs.states, us.codes, xcodes=xs.xcodes)))
+    augmented = lambda xs, us: _firsts(kau.batch(xs.carrying(zip(xs, us), codes=us.codes, table=us.table)))
     simulated = lambda xs, us: _step_many(sys, xs, us)
     named = {
         "R": restriction_inf_to_aug(),

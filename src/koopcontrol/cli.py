@@ -454,7 +454,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, UnsupportedError, OSError, ValueError, KeyError) as exc:
+    except (UnsupportedError, OSError, ValueError) as exc:  # a DomainError is a ValueError
         print(f"error: {exc}", file=_sys.stderr)
         return 2
 

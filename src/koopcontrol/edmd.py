@@ -405,16 +405,25 @@ def export_model_json(model: SeparableModel, path, report: FitReport) -> None:
 
 
 def import_model_json(path, dictionary: Dictionary, sys: ControlSystem) -> SeparableModel:
-    """Read a model back, resolving labels against the given system."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if list(dictionary.labels) != payload["dictionary"]:
-        raise DomainMismatchError("dictionary labels do not match the stored model")
-    parse_u = _label_parser(sys.inputs.labels)
-    matrices = {}
-    for key, rows in payload["matrices"].items():
-        parts = np.array(rows, dtype=float)  # (dim, dim, 2): each entry's (re, im)
-        mat = np.empty(parts.shape[:2], dtype=complex)
-        mat.real, mat.imag = parts[..., 0], parts[..., 1]
-        matrices[parse_u(key)] = mat
+    """Read a model back, resolving labels against the given system.  A file that is not an object
+    with a ``dictionary`` list and ``matrices`` mapping known labels to ``dim x dim`` lists of
+    ``[re, im]`` number pairs raises :class:`DomainError` naming it, before any matrix is built."""
+    parse_u, dim = _label_parser(sys.inputs.labels), len(dictionary.labels)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not (isinstance(payload, dict) and isinstance(payload.get("dictionary"), list)
+                and isinstance(payload.get("matrices"), dict)):
+            raise DomainError("expected an object with a 'dictionary' list and a 'matrices' object")
+        if list(dictionary.labels) != payload["dictionary"]:
+            raise DomainMismatchError("dictionary labels do not match the stored model")
+        for key, rows in payload["matrices"].items():
+            square = type(rows) is list and len(rows) == dim and all(type(r) is list and len(r) == dim for r in rows)
+            if not (square and all(type(e) is list and len(e) == 2 for r in rows for e in r)
+                    and {type(v) for r in rows for e in r for v in e} <= {int, float}):
+                raise DomainError(f"matrix {key!r} is not {dim} x {dim} [re, im] number pairs")
+        matrices = {parse_u(key): np.array(rows, dtype=float).view(complex).reshape(dim, dim)  # (re, im) bits
+                    for key, rows in payload["matrices"].items()}
+    except (ValueError, OverflowError) as exc:  # not JSON text, a check above, or an int past float range
+        raise DomainError(f"{path}: {exc}") from None
     return SeparableModel(matrices, dictionary)

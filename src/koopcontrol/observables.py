@@ -66,24 +66,6 @@ class DomainTag(Enum):
     STATE_SEQUENCE = "state-sequence"
 
 
-def _check_point(domain: DomainTag, point) -> None:
-    if domain is DomainTag.STATE_ONLY:
-        return
-    if not (isinstance(point, tuple) and len(point) == 2):
-        raise DomainMismatchError(
-            f"domain {domain.value} expects a (state, ...) pair, got {point!r}"
-        )
-    second_is_seq = isinstance(point[1], InputSequence)
-    if domain is DomainTag.STATE_SEQUENCE and not second_is_seq:
-        raise DomainMismatchError(
-            "domain state-sequence expects an InputSequence second component"
-        )
-    if domain is DomainTag.STATE_INPUT and second_is_seq:
-        raise DomainMismatchError(
-            "domain state-input got an InputSequence second component"
-        )
-
-
 def _as_complex(value) -> complex:
     if isinstance(value, np.ndarray):
         value = value.item()
@@ -118,7 +100,7 @@ class Observable:
             raise ValueError("an observable takes exactly one of fn and batch")
 
     def __call__(self, point) -> complex:
-        _check_point(self.domain, point)
+        _check_points(self.domain, [point])
         return complex(_values(self, [point])[0])
 
 
@@ -136,11 +118,17 @@ def _values(obs: Observable, points: list) -> np.ndarray:
 
 
 def _check_points(domain: DomainTag, points) -> None:
-    if domain is not DomainTag.STATE_ONLY:  # _check_point runs only where the inline test fails
+    """Raise :class:`DomainMismatchError` at the first point outside ``domain``."""
+    if domain is not DomainTag.STATE_ONLY:
         seq = domain is DomainTag.STATE_SEQUENCE
         for p in points:
-            if not (isinstance(p, tuple) and len(p) == 2 and isinstance(p[1], InputSequence) is seq):
-                _check_point(domain, p)
+            if not (isinstance(p, tuple) and len(p) == 2):
+                raise DomainMismatchError(f"domain {domain.value} expects a (state, ...) pair, got {p!r}")
+            if isinstance(p[1], InputSequence) is not seq:
+                raise DomainMismatchError(
+                    "domain state-sequence expects an InputSequence second component"
+                    if seq else "domain state-input got an InputSequence second component"
+                )
 
 
 def evaluate(obs: Observable, points) -> np.ndarray:

@@ -168,9 +168,9 @@ def k_aug(sys: ControlSystem) -> CompositionOperator:
 
     def batch(ps):
         ps = _as_points(ps)
-        us = ps.derived([u for _, u in ps], codes=ps.codes)
+        us = _Points([u for _, u in ps], codes=ps.codes, table=ps.table)
         ys = _step_many(sys, _firsts(ps), us)
-        return us.derived(zip(ys, us), ys.states, us.codes, xcodes=ys.xcodes, space=ys.space)  # codes index us.table
+        return ys.carrying(zip(ys, us), codes=us.codes, table=us.table)
 
     return CompositionOperator(domain, domain, batch, label="K_aug")
 
@@ -185,11 +185,11 @@ def k_inf(sys: ControlSystem) -> CompositionOperator:
         ps = _as_points(ps)
         table, ids = _column(ps, "ids")
         seqs, tails = [s for _, s in ps], table.shifted(ids)
-        heads = ps.derived([(s.prefix or s.period)[0] for s in seqs], codes=table.head[ids])  # each s.at(0)
+        heads = _Points([(s.prefix or s.period)[0] for s in seqs], codes=table.head[ids], table=table)  # each s.at(0)
         ys = _step_many(sys, _firsts(ps), heads)
         held = table.seqs_at(ids)  # a sequence the table does not hold itself is shifted itself
         shifted = [t if s is h else shift(s) for s, h, t in zip(seqs, held, table.seqs_at(tails))]
-        return ps.derived(zip(ys, shifted), ys.states, ids=tails, xcodes=ys.xcodes, space=ys.space)
+        return ys.carrying(zip(ys, shifted), ids=tails, table=table)
 
     return CompositionOperator(domain, domain, batch, label="K_inf")
 
@@ -231,7 +231,7 @@ def restriction_inf_to_aug() -> CompositionOperator:
         table, codes = _column(ps, "codes")
         ids = table.intern([InputSequence.constant(u) for u in table.labels])[codes]
         seqs = [s if s.period[0] is u else InputSequence.constant(u) for (_, u), s in zip(ps, table.seqs_at(ids))]
-        return ps.derived(zip(_firsts(ps), seqs), ps.states, ids=ids, xcodes=ps.xcodes)
+        return ps.carrying(zip(_firsts(ps), seqs), ids=ids)
 
     return CompositionOperator(DomainTag.STATE_SEQUENCE, DomainTag.STATE_INPUT, batch, label="R:inf->aug")
 
@@ -243,7 +243,7 @@ def extension_aug_to_inf() -> CompositionOperator:
         ps = _as_points(ps)
         table, ids = _column(ps, "ids")
         heads = [(x, (s.prefix or s.period)[0]) for x, s in ps]  # (x, s.at(0))
-        return ps.derived(heads, ps.states, table.head[ids], xcodes=ps.xcodes)
+        return ps.carrying(heads, codes=table.head[ids])
 
     return CompositionOperator(DomainTag.STATE_INPUT, DomainTag.STATE_SEQUENCE, batch, label="E:aug->inf")
 
@@ -255,7 +255,7 @@ def restriction_aug_to_f(u_star, sys: Optional[ControlSystem] = None) -> Composi
 
     def batch(xs):
         xs = _as_points(xs)
-        return xs.derived([(x, u_star) for x in xs], states=xs.states, xcodes=xs.xcodes)
+        return xs.carrying([(x, u_star) for x in xs])
 
     return CompositionOperator(DomainTag.STATE_INPUT, DomainTag.STATE_ONLY, batch, label=f"R[{u_star}]:aug->state")
 

@@ -236,7 +236,8 @@ class _Points(list):
     each finite state's position in ``space.labels``, a :class:`FiniteStates`; ``codes``, each label's
     (or each pair's input's) code in ``table``, a :class:`_SeqTable`; ``ids``, each point's sequence
     id there.  A column is ``None`` until built, and is built once where a map needs it, so a plain
-    list is as valid an input."""
+    list is as valid an input.  A map whose points hold its input points' states builds them with
+    :meth:`carrying`, which hands on the state columns; a map that steps to new states builds a new list."""
 
     __slots__ = ("states", "xcodes", "codes", "ids", "table", "space", "firsts")
 
@@ -245,9 +246,10 @@ class _Points(list):
         self.states, self.codes, self.ids, self.table, self.firsts = states, codes, ids, table, None
         self.xcodes, self.space = xcodes, space
 
-    def derived(self, points, states=None, codes=None, ids=None, xcodes=None, space=None) -> "_Points":
-        """Points mapped from this list, keeping its table, and its space unless given one."""
-        return _Points(points, states, codes, ids, self.table, xcodes, space or self.space)
+    def carrying(self, points, codes=None, ids=None, table=None) -> "_Points":
+        """``points``, one per point of this list and holding its state, so with its state columns;
+        ``codes`` or ``ids`` index ``table``, else this list's table."""
+        return _Points(points, self.states, codes, ids, table or self.table, self.xcodes, self.space)
 
     def take(self, idx) -> "_Points":
         """The points at ``idx`` (a slice or an index array), with their columns."""
@@ -261,7 +263,7 @@ class _Points(list):
         points = list(self)
         for i, p in zip(idx.tolist(), other):
             points[i] = p
-        out = self.derived(points)
+        out = _Points(points, table=self.table, space=self.space)
         same = getattr(other, "table", None) is self.table  # codes and ids index one table, xcodes one space
         for col in ("states",) + ("codes", "ids") * same + ("xcodes",) * (getattr(other, "space", None) is self.space):
             mine, theirs = getattr(self, col), getattr(other, col, None)
@@ -309,7 +311,7 @@ def _firsts(points) -> _Points:
     """Each point's state component, with the list's state columns; built once per list."""
     points = _as_points(points)
     if points.firsts is None:
-        points.firsts = points.derived([p[0] for p in points], states=points.states, xcodes=points.xcodes)
+        points.firsts = points.carrying([p[0] for p in points])
     return points.firsts
 
 
@@ -419,13 +421,13 @@ def _finite_steps(sys: ControlSystem, xs: list, us: list) -> _Points:
     """The ``step`` loop on a finite space, checking by lookup: the state codes (carried, else each
     state's position, -1 for none) and input codes first, then one transition call per point in order,
     each output's code looked up as it comes.  A state or label that is no dict key runs the loop."""
-    space, out = sys.states, _as_points(xs).derived
+    space = sys.states
     try:
         carried = getattr(xs, "space", None) is space and xs.xcodes is not None
         codes = xs.xcodes if carried else np.fromiter(map(space._positions.get, xs, [-1] * len(xs)), np.intp, len(xs))
         ok = (codes >= 0) & (_input_positions(sys.inputs, us) >= 0)
     except (TypeError, DomainError):
-        return out([step(sys, x, u) for x, u in zip(xs, us)])
+        return _Points([step(sys, x, u) for x, u in zip(xs, us)])
     n = len(xs) if ok.all() else int(np.argmin(ok))  # the points before the first bad one
     transition, code, ys, ycodes = sys.transition, space._positions.get, [], []
     for _, x, u in zip(range(n), xs, us):
@@ -440,7 +442,7 @@ def _finite_steps(sys: ControlSystem, xs: list, us: list) -> _Points:
         ycodes.append(c)
     if n < len(xs):
         step(sys, xs[n], us[n])  # raises the loop's error before any transition call
-    ys, ycodes = out(ys), np.array(ycodes, dtype=np.intp)
+    ys, ycodes = _Points(ys), np.array(ycodes, dtype=np.intp)
     if ycodes.min(initial=0) >= 0:
         ys.xcodes, ys.space = ycodes, space
     return ys
@@ -453,7 +455,7 @@ def _step_many(sys: ControlSystem, xs: list, us: list) -> _Points:
     (cheaper alone), other boxes, states that do not stack to ``(n, d)``, or a label that is no dict key run the loop."""
     if isinstance(sys.states, FiniteStates):
         return _finite_steps(sys, xs, us)
-    box, out = sys.states, _as_points(xs).derived
+    box = sys.states
     batched = sys.transition_batch is not None and isinstance(box, RealBox) and len(xs) > 1
     arr = _state_column(xs) if batched else None
     try:
@@ -461,7 +463,7 @@ def _step_many(sys: ControlSystem, xs: list, us: list) -> _Points:
     except DomainError:
         codes = None
     if codes is None:
-        return out([step(sys, x, u) for x, u in zip(xs, us)])
+        return _Points([step(sys, x, u) for x, u in zip(xs, us)])
     lo, hi = box._slack_arrays
     inside = lambda a: ((a >= lo) & (a <= hi)).all(axis=1)  # NaN is outside
     ok = inside(arr) & (codes >= 0)
@@ -476,14 +478,15 @@ def _step_many(sys: ControlSystem, xs: list, us: list) -> _Points:
         raise DomainError(f"transition output {ys[np.argmin(inside(ys))]!r} outside the declared box")
     if n < len(xs):
         step(sys, xs[n], us[n])  # raises the loop's error before any transition call
-    return out(list(ys), states=ys)
+    return _Points(list(ys), states=ys)
 
 
 def simulate(sys: ControlSystem, x0, seq: InputSequence, k: int) -> list:
     """States ``[x_0, ..., x_k]`` driven by the first ``k`` sequence elements.
 
-    This is the ground-truth oracle every trajectory identity is checked
-    against.  It raises what the ``step`` loop raises, checking each box state once.
+    The tests' reference for the check engine's ground-truth walks (``sim``, ``path``, which step
+    lists through ``_step_many``) and the truth that ``prediction_error`` compares a model with.
+    It raises what the ``step`` loop raises, checking each box state once.
     """
     if k < 0:
         raise ValueError("horizon must be nonnegative")

@@ -604,6 +604,54 @@ def test_predict_without_model(tmp_path, capsys):
     assert "run `koopcontrol fit` first" in capsys.readouterr().err
 
 
+def _one_entry_not_a_pair(model):
+    rows = [list(row) for row in model["matrices"]["a"]]
+    rows[0][0] = [1]
+    return json.dumps({**model, "matrices": {**model["matrices"], "a": rows}})
+
+
+@pytest.mark.parametrize("edit", [
+    lambda model: "[1, 2]",
+    _one_entry_not_a_pair,
+    lambda model: json.dumps({**model, "matrices": {"a": 5}}),
+    lambda model: json.dumps({key: value for key, value in model.items() if key != "matrices"}),
+    lambda model: "not json",
+    lambda model: json.dumps({**model, "matrices": {"a": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}),
+    lambda model: json.dumps({**model, "matrices": {**model["matrices"], "zz": model["matrices"]["a"]}}),
+    lambda model: json.dumps({**model, "matrices": {"a": [[[10**400, 0]] * 3] * 3}}),
+], ids=["a-list", "an-entry-not-a-pair", "a-matrix-not-a-list", "no-matrices", "not-json", "2x2-for-3-entries",
+        "an-unknown-label", "an-int-past-float-range"])
+def test_a_malformed_model_json_exits_2_naming_its_path(tmp_path, capsys, edit):
+    fit = ("--system", "scalarlinear", "--dict", "monomial:2", "--out", str(tmp_path))
+    assert run("fit", *fit, "--points", "50", "--seed", "1") == 0
+    path = tmp_path / "model.json"
+    path.write_text(edit(json.loads(path.read_text())))
+    capsys.readouterr()
+    assert run("predict", *fit) == 2  # an exception escaping main would fail the call
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+    assert not (tmp_path / "prediction_errors.csv").exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["check"], " = 3\n", "config line 1: empty key"),
+    (["check"], None, "cannot read config {path}: [Errno 2] No such file or directory: '{path}'"),
+    (["check", "--exact"], "system = table\ninputs = a\n", "inline table system needs a 'states' key"),
+    (["check", "--exact"], "system = table\nstates = 0\ninputs = a\nstep.0 = 0\n",
+     "bad key 'step.0'; use step.<state>.<input> = <next>"),
+    (["check", "--system", "scalarlinear", "--exact", "--seed", "1"], "", "--exact needs a finite state space"),
+    (["fit", "--system", "scalarlinear"], "", "uniform sampling needs a seed (--seed or config)"),
+], ids=["empty-key", "missing-config", "table-without-states", "step-key-without-input", "exact-on-a-box",
+        "fit-without-seed"])
+def test_bad_input_exits_2_with_its_message(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "run.cfg"
+    if config is not None:
+        path.write_text(config)
+    assert run(*argv, "--config", str(path), "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"] * (config is not None)
+
+
 def test_fit_finite_exact(tmp_path, capsys):
     assert run("fit", "--system", "finite3", "--out", str(tmp_path)) == 0
     out = capsys.readouterr().out

@@ -20,6 +20,7 @@ with::
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from koopcontrol import (
     run_all,
     sampled_plan,
 )
+from koopcontrol.cli import parse_config_text, resolve_system
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,6 +99,18 @@ def _mixed5x2():
     return ControlSystem(
         FiniteStates(("b", 7, "x", 1000.0, 0)), InputSet(("q", 1)), lambda x, u: _MIXED_STEPS[(x, u)], name="mixed5x2"
     )
+
+
+def test_the_cli_config_of_mixed5x2_states_this_table():
+    """``tools/compare_trees.py`` runs ``mixed5x2`` through the CLI from its own config text, which must state
+    the table ``_mixed5x2`` states: the same labels, of the same types, and the same successors."""
+    text = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "compare_trees.py"))["_MIXED"]
+    via_cli, here = resolve_system(parse_config_text(text)), _mixed5x2()
+    typed = lambda labels: [(type(v), v) for v in labels]
+    assert typed(via_cli.states.labels) == typed(here.states.labels)
+    assert typed(via_cli.inputs.labels) == typed(here.inputs.labels)
+    pairs = [(x, u) for x in here.states.labels for u in here.inputs.labels]
+    assert typed(via_cli.transition(x, u) for x, u in pairs) == typed(here.transition(x, u) for x, u in pairs)
 
 
 _BOX_PLAN = dict(seed=7, n_points=200, n_functions=10)

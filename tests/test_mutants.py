@@ -6,8 +6,8 @@ wrong map, the list step ``_step_many`` of the ground-truth walks
 trajectory's input codes (``_first_inputs``) with a late one, the
 run's sequence table (``_SeqTable``) with one whose tails or head codes
 are wrong, the pair basis (``_aug_basis``) with input-blind probes, or one
-restriction of the control-independent isomorphisms (``ci_isomorphisms``)
-with a map that moves the state.
+of the control-independent isomorphisms (``ci_isomorphisms``), a
+restriction or an extension, with a map that moves the state.
 Every mutant runs ``run_all`` on ``finite3`` with an exact plan and on
 ``scalarlinear`` with a small sampled plan, and the rows that fail are
 compared with ``tests/data/mutant_matrix.json``.  A change that stops a
@@ -143,6 +143,14 @@ def _mutants(sys) -> dict:
         "R_ci_seq moves the state": {
             "ci_isomorphisms": lambda s: _moved_isomorphism(
                 s, "restrict_seq_to_aug", lambda p: (moved(p[0]), InputSequence.constant(p[1]))
+            )
+        },
+        "E_ci moves the state": {
+            "ci_isomorphisms": lambda s: _moved_isomorphism(s, "extend_state_to_aug", lambda p: moved(p[0]))
+        },
+        "E_ci_seq moves the state": {
+            "ci_isomorphisms": lambda s: _moved_isomorphism(
+                s, "extend_aug_to_seq", lambda p: (moved(p[0]), p[1].at(0))
             )
         },
         "power takes one extra step": {"power": lambda op, k: power(op, k + 1)},
