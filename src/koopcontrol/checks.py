@@ -20,11 +20,15 @@ trajectory point ``(x0, seq, k)``.  Only C16 and C19 have runners.  The table
 maps a group's whole point list with each of its distinct products in
 turn (trajectory operators walk the list in lockstep, each step one
 ``_step_many`` list step), lifts each mapped list once if the group names
-a lift, reads each function once over it in one batch (see
-:func:`~koopcontrol.observables.evaluate`; a box's random combinations are
-read as their basis functions, each point then summed with its own
-coefficients, bits unchanged), and records the legs' discrepancy arrays in
-the order a point-by-point run would.
+a lift, reads its functions over it as one ``(functions, points)`` matrix
+(a box's random combinations as their basis, each point then summed with
+its own coefficients, bits unchanged), and records the legs' discrepancy
+arrays in the order a point-by-point run would.  Each built-in basis
+(:class:`_Basis`) reads itself with the bits of its functions' own reads:
+finite indicators as one scatter of state codes, scaled functions from each
+state function and weight row once.  Both sides of an identity read through
+it, so a wrong reader trips no row; only a test against the per-function
+read checks it.  One operator set serves a whole :func:`run_all`.
 
 Point lists carry columns (``systems._Points``): box states stacked once
 at the draw, finite states and input labels as codes, and sequences as
@@ -32,8 +36,8 @@ ids into one sequence table per :func:`_run_table` call, which holds each
 id's sequence, head code and tail id and is filled lazily: each draw
 interns its sequences, and its points hold the table's objects; each
 shift is interned on first use.  ``K_inf`` steps with the head codes and
-moves to the tails, sequence-basis weights gather head codes, indicators
-compare state codes, and :func:`_gaps` compares state columns.  The
+moves to the tails, sequence-basis weights gather head codes, indicator
+bases scatter state codes, and :func:`_gaps` compares box state columns.  The
 ground-truth walks read each trajectory's inputs off its sequence's own
 fields (:func:`_first_inputs`), so they check the operators that read the table.
 
@@ -52,7 +56,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import UnsupportedError
+from .errors import DomainError, UnsupportedError
 from .observables import (
     DomainTag,
     Observable,
@@ -223,6 +227,8 @@ def _gaps(space, a: list, b: list) -> np.ndarray:
     """:func:`_gap` of each pair ``a[i]``, ``b[i]``, as one array; box
     states are compared by their state columns.  Box paths, ``(k + 1, d)``
     arrays, are compared by the largest gap of their states."""
+    if isinstance(space, FiniteStates):  # labels, pairs and paths compare whole, with ==
+        return np.array([0.0 if p == q else 1.0 for p, q in zip(a, b)])
     if isinstance(space, RealBox) and a:
         if isinstance(a[0], np.ndarray) and a[0].ndim == 2:
             starts = np.cumsum([0] + [len(path) for path in a[:-1]])
@@ -322,15 +328,82 @@ def _unit_weights(points: list) -> np.ndarray:
     return np.ones(len(points))
 
 
-def _state_basis(sys: ControlSystem) -> list:
+class _Basis(list):
+    """A function list whose ``read(points)`` is the ``(functions, points)`` matrix of its values, bit
+    for bit each function's read stacked.  ``rows(points)`` builds it off a list's codes, or is ``None``;
+    ``parts`` maps the position of each ``_scaled(phis[j], ..., w)`` to ``(j, w)``, so a read takes each
+    state function and weight row once, in basis order: the first read that raises is the same."""
+
+    def __init__(self, functions, rows=lambda points: None, phis=(), parts=None):
+        super().__init__(functions)
+        self.rows, self.phis, self.parts = rows, phis, parts or {}
+
+    def read(self, points) -> np.ndarray:
+        out = self.rows(points)
+        if out is not None or not self.parts:
+            return np.stack([_values(f, points) for f in self]) if out is None else out
+        firsts, states, weights = _firsts(points), {}, {}
+        fast = self.phis.rows(firsts) if isinstance(self.phis, _Basis) else None
+        out = np.empty((len(self), len(points)), dtype=complex)
+        for i, f in enumerate(self):
+            if i not in self.parts:
+                out[i] = _values(f, points)
+                continue
+            j, w = self.parts[i]
+            if j not in states:
+                states[j] = (_values(self.phis[j], firsts) if fast is None else fast[j]).real
+            if w not in weights:
+                weights[w] = np.asarray(w(points))
+            out[i] = states[j] * weights[w]  # real, as _scaled's product
+        return out
+
+
+def _indicator_rows(sys: ControlSystem, pairs: bool = False) -> Callable:
+    """``rows`` of the finite state indicators and constant (``pairs``: pair indicators, state-major): one
+    scatter of a list's state codes (times ``m``, plus each input's position); ``None`` where ``_hits`` is,
+    or at an input outside the set.  A label that is not ``==`` to itself, as no point is, has zeros."""
+    space, inputs, m = sys.states, sys.inputs, len(sys.inputs.labels) if pairs else 1
+    keys = [(x, u) for x in space.labels for u in inputs.labels] if pairs else [(x,) for x in space.labels]
+    odd = [r for r, key in enumerate(keys) if not all(v == v for v in key)]
+
+    def rows(points) -> Optional[np.ndarray]:
+        if getattr(points, "space", None) is not space or points.xcodes is None:
+            return None
+        at = points.xcodes
+        if pairs:
+            try:
+                table, codes = _column(points, "codes")
+            except (TypeError, DomainError):  # a label that is no dict key
+                return None
+            position = np.array([inputs._positions.get(u, -1) for u in table.labels], dtype=np.intp)[codes]
+            if (position < 0).any():
+                return None
+            at = at * m + position
+        out = np.zeros((len(keys) + (not pairs), len(points)), dtype=complex)
+        out[at, np.arange(len(points))] = 1
+        out[odd] = 0
+        out[len(keys) :] = 1  # the constant
+        return out
+
+    return rows
+
+
+def _scaled_basis(phis: list, head: list, terms: list, domain: DomainTag, ci_input=None) -> _Basis:
+    """``head``, then ``phis[j]`` scaled by ``weights`` for each ``(j, weights, label)`` of ``terms``."""
+    scaled = [_scaled(phis[j], domain, w, label, ci_input) for j, w, label in terms]
+    return _Basis(head + scaled, phis=phis, parts={len(head) + i: (j, w) for i, (j, w, _) in enumerate(terms)})
+
+
+def _state_basis(sys: ControlSystem) -> _Basis:
     if isinstance(sys.states, FiniteStates):
-        return [indicator(x) for x in sys.states.labels] + [constant_one(DomainTag.STATE_ONLY)]
+        indicators = [indicator(x) for x in sys.states.labels]
+        return _Basis(indicators + [constant_one(DomainTag.STATE_ONLY)], _indicator_rows(sys))
     box: RealBox = sys.states
     basis = [constant_one(DomainTag.STATE_ONLY)]
     for i in range(box.dimension):
         basis.append(coordinate(i))
         basis.append(monomial(tuple(2 if j == i else 0 for j in range(box.dimension))))
-    return basis
+    return _Basis(basis)
 
 
 def _input_weights(sys: ControlSystem, k=None) -> Callable:
@@ -355,27 +428,21 @@ def _input_weights(sys: ControlSystem, k=None) -> Callable:
     return read
 
 
-def _aug_basis(sys: ControlSystem) -> list:
+def _aug_basis(sys: ControlSystem) -> _Basis:
     if isinstance(sys.states, FiniteStates):
-        return [pair_indicator(x, u) for x, u in enumerate_points(DomainTag.STATE_INPUT, sys)]
-    basis = [constant_one(DomainTag.STATE_INPUT)]
-    w = _input_weights(sys)
-    for phi in _state_basis(sys)[1:]:
-        basis.append(_scaled(phi, DomainTag.STATE_INPUT, w, "w(u)"))
-        basis.append(_scaled(phi, DomainTag.STATE_INPUT, _unit_weights, "1"))
-    basis.append(_scaled(constant_one(DomainTag.STATE_ONLY), DomainTag.STATE_INPUT, w, "w(u)"))
-    return basis
+        pairs = [pair_indicator(x, u) for x, u in enumerate_points(DomainTag.STATE_INPUT, sys)]
+        return _Basis(pairs, _indicator_rows(sys, pairs=True))
+    phis, w = _state_basis(sys), _input_weights(sys)
+    terms = [(j, v, label) for j in range(1, len(phis)) for v, label in ((w, "w(u)"), (_unit_weights, "1"))]
+    return _scaled_basis(phis, [constant_one(DomainTag.STATE_INPUT)], terms + [(0, w, "w(u)")], DomainTag.STATE_INPUT)
 
 
-def _seq_basis(sys: ControlSystem) -> list:
-    basis = [constant_one(DomainTag.STATE_SEQUENCE)]
+def _seq_basis(sys: ControlSystem) -> _Basis:
     phis = _state_basis(sys)  # finite indicators already span, so the constant goes
-    phis = phis[:-1] if _is_finite(sys) else phis[1:]
-    for k in (0, 1, 2):
-        w = _input_weights(sys, k)
-        for phi in phis:
-            basis.append(_scaled(phi, DomainTag.STATE_SEQUENCE, w, f"w(u({k}))"))
-    return basis
+    js = range(len(phis) - 1) if _is_finite(sys) else range(1, len(phis))
+    ws = [_input_weights(sys, k) for k in (0, 1, 2)]
+    terms = [(j, ws[k], f"w(u({k}))") for k in (0, 1, 2) for j in js]
+    return _scaled_basis(phis, [constant_one(DomainTag.STATE_SEQUENCE)], terms, DomainTag.STATE_SEQUENCE)
 
 
 class _Combinations:
@@ -400,10 +467,11 @@ def _functions(sys, plan, rng, basis: list) -> list:
     return _Combinations(basis, parts[:, 0] + 1j * parts[:, 1])
 
 
-def _ci_seq_direct(sys: ControlSystem) -> list:
+def _ci_seq_direct(sys: ControlSystem) -> _Basis:
     """Sequence-domain observables that ignore the sequence, by construction."""
-    stamp = InputSequence.constant(sys.inputs.labels[0])
-    return [_scaled(phi, DomainTag.STATE_SEQUENCE, _unit_weights, "1", stamp) for phi in _state_basis(sys)]
+    phis, stamp = _state_basis(sys), InputSequence.constant(sys.inputs.labels[0])
+    terms = [(j, _unit_weights, "1") for j in range(len(phis))]
+    return _scaled_basis(phis, [], terms, DomainTag.STATE_SEQUENCE, stamp)
 
 
 def _is_finite(sys: ControlSystem) -> bool:
@@ -476,7 +544,7 @@ def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> Co
         if box:
             stacked = np.stack(trail, axis=1)  # (n, longest k + 1, d)
             return [stacked[i, : k + 1] for i, k in enumerate(ks.tolist())]
-        return [tuple(states[i] for states in trail[: k + 1]) for i, k in enumerate(ks.tolist())]
+        return [path[: k + 1] for path, k in zip(zip(*trail), ks.tolist())]
 
     tag = DomainTag.STATE_SEQUENCE if on_seq and not path else DomainTag.STATE_ONLY
     return CompositionOperator(tag, tag, batch)
@@ -499,7 +567,7 @@ def _named(sys: ControlSystem, inputs: dict, ops: Optional[tuple] = None) -> dic
 
 def _operator_set(sys: ControlSystem) -> tuple:
     """``(named, per_input)``: the operators of :func:`_named` that no input context names, and each
-    input label's ``(R_u, K_u)``.  None keeps state between list maps, so one set serves a table run."""
+    input label's ``(R_u, K_u)``.  None keeps state between list maps, so one set serves a whole run."""
     iso, kin, kau = ci_isomorphisms(sys), k_inf(sys), k_aug(sys)
     ku = {u: k_u(sys, u) for u in sys.inputs.labels}
 
@@ -572,11 +640,12 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict, ops: tuple) -
     """Build each distinct chain's product once and map every point with
     it, then compare each leg's two mapped point lists (point-level legs) or
     read the functions over them: ``apply(op, g)(p) == g(op.precompose(p))``.
-    Each mapped list is lifted once, if the group names a lift, and each
-    drawn function (each basis function of random combinations) is read once
-    over it.  Row ``r`` is subject ``fi[r]`` at point ``at[r]``: every subject
-    at every point, subject-major, on finite systems and in ``cross`` groups,
-    else point ``i`` by subject ``i % k``, a combination summed with its own
+    Each mapped list is lifted once, if the group names a lift, and the drawn
+    functions (the basis of random combinations) are read over it as one
+    matrix, by a :class:`_Basis`'s reader or one by one.  Row ``r`` is subject
+    ``fi[r]`` at point ``at[r]``: every subject at every point, subject-major
+    (the matrix's order), on finite systems and in ``cross`` groups, else
+    point ``i`` by subject ``i % k``, a combination summed with its own
     coefficient row.  Subjects are built only for ``apply``'s checks and the
     first counterexample's label.  Each row is recorded leg by leg."""
     named = _named(sys, inputs, ops)
@@ -605,15 +674,17 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict, ops: tuple) -
     legs = [(text, chains.index(a), chains.index(b)) for text, a, b in group.legs]
     cols = [op.batch(points) for op in products]
     if group.funcs:
-        k = len(funcs)
-        fi, at = (np.repeat(np.arange(k), n), np.tile(at, k)) if group.cross or _is_finite(sys) else (at % k, at)
+        k, every = len(funcs), group.cross or _is_finite(sys)
+        fi, at = (np.repeat(np.arange(k), n), np.tile(at, k)) if every else (at % k, at)
         for col in cols:  # the subjects share one domain
             _check_points(kinds[0].domain, col)
         vals = []
         for col in cols:
             col = col if lift_op is None else lift_op.batch(col)
-            read = np.stack([_values(f, col) for f in (funcs.basis if combos else funcs)])  # (functions, points)
-            vals.append(_combined(fi.size, zip(funcs.coeffs[fi].T, read[:, at])) if combos else read[fi, at])
+            basis = funcs.basis if combos else funcs
+            read = (basis if isinstance(basis, _Basis) else _Basis(basis)).read(col)  # (functions, points)
+            vals.append(_combined(fi.size, zip(funcs.coeffs[fi].T, read[:, at])) if combos
+                        else read.ravel() if every else read[fi, at])  # every subject at every point: read's order
         errs = np.column_stack([_abs_diff(vals[a], vals[b]) for _, a, b in legs])
     else:
         errs = np.column_stack([_gaps(sys.states, cols[a], cols[b]) for _, a, b in legs])
@@ -625,14 +696,14 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict, ops: tuple) -
     rec.record_many(errs.ravel(), describe)
 
 
-def _run_table(sys, plan, rng, draws: tuple, groups: tuple, note: str = "") -> _Recorder:
+def _run_table(sys, plan, rng, draws: tuple, groups: tuple, note: str = "", ops: Optional[tuple] = None) -> _Recorder:
     """Draw in the row's order, run the per-input groups input by input,
-    then every other group in order."""
+    then every other group in order, with ``ops`` or a set built here."""
     rec = _Recorder(plan.tolerance)
     rec.note = note
     table = _SeqTable(sys.inputs.labels)  # every drawn sequence and each shift the run reads
     drawn = {name: _DRAWS[name](sys, plan, rng, table) for name in draws}
-    labels, ops = sys.inputs.labels, _operator_set(sys)
+    labels, ops = sys.inputs.labels, ops or _operator_set(sys)
     pairs = [{"u1": a, "u2": b} for i, a in enumerate(labels) for b in labels[i + 1 :]]
     for u in labels:
         for group in (g for g in groups if g.over == "u"):
@@ -653,8 +724,8 @@ def _run_table(sys, plan, rng, draws: tuple, groups: tuple, note: str = "") -> _
 _C16_STEP = _Group("", "p", "E_ci fx", ("single step: {f} at {p}", "K_aug E_f R_ci", "K_aug"))
 
 
-def _run_c16(sys, plan, rng):
-    rec = _run_table(sys, plan, rng, ("fx", "p"), (_C16_STEP,))
+def _run_c16(sys, plan, rng, ops=None):
+    rec = _run_table(sys, plan, rng, ("fx", "p"), (_C16_STEP,), ops=ops)
     iso, kau = ci_isomorphisms(sys), k_aug(sys)
     tol = plan.tolerance
     witness = two_step_discrepancy_witness(sys, tol=tol)
@@ -676,7 +747,7 @@ def _run_c16(sys, plan, rng):
     return rec
 
 
-def _run_c19(sys, plan, rng):
+def _run_c19(sys, plan, rng, ops=None):
     rec = _Recorder(plan.tolerance)
     probes = _aug_basis(sys)
     report = input_aug_well_definedness(sys, probes, tol=plan.tolerance)
@@ -704,7 +775,7 @@ def _run_c19(sys, plan, rng):
 class _Check:
     """A registry row: what it draws (in generator order), its groups of
     legs and a fixed note, or its own runner;
-    ``run(system, plan, generator)`` -> _Recorder."""
+    ``run(system, plan, generator, ops=None)`` -> _Recorder."""
 
     def __init__(self, id, description, draws=(), *groups, note="", runner=None, finite_only=False):
         self.id, self.description, self.finite_only = id, description, finite_only
@@ -814,13 +885,18 @@ def run_check(check_id: str, sys: ControlSystem, plan: SamplePlan) -> CheckResul
     The check's generator is seeded by (plan seed, check index), so results
     do not depend on which other checks run or in what order.
     """
+    return _run_one(check_id, sys, plan)
+
+
+def _run_one(check_id: str, sys: ControlSystem, plan: SamplePlan, ops: Optional[tuple] = None) -> CheckResult:
+    """:func:`run_check` with the operator set ``ops``, if given."""
     index, check = _lookup(check_id)
     if check.finite_only and not _is_finite(sys):
         raise UnsupportedError(f"{check_id} needs a finite system")
     if plan.tolerance == 0.0 and not _is_finite(sys):
         raise ValueError("zero tolerance is reserved for finite systems")
     rng = np.random.default_rng([plan.rng_seed, index])
-    rec = check.run(sys, plan, rng)
+    rec = check.run(sys, plan, rng, ops=ops)
     return CheckResult(
         id=check_id,
         passed=rec.passed,
@@ -832,13 +908,13 @@ def run_check(check_id: str, sys: ControlSystem, plan: SamplePlan) -> CheckResul
 
 
 def run_all(sys: ControlSystem, plan: SamplePlan, only=None) -> RunSummary:
-    """Run every applicable check (or the ``only`` subset) against one system."""
+    """Run every applicable check (or the ``only`` subset) against one system, with one operator set."""
     ids = check_ids() if only is None else list(only)
-    results = []
+    results, ops = [], _operator_set(sys)
     for cid in ids:
         if not is_applicable(cid, sys):
             continue
-        results.append(run_check(cid, sys, plan))
+        results.append(_run_one(cid, sys, plan, ops))
     n_pass = sum(1 for r in results if r.passed)
     return RunSummary(tuple(results), n_pass, len(results) - n_pass)
 

@@ -186,6 +186,24 @@ def _parse_label(token: str):
     return token
 
 
+def _finite(key: str, text: str) -> float:
+    value = _read(key, float, text)
+    if not math.isfinite(value):
+        raise DomainError(f"config key {key!r}: expected a finite number, got {text!r}")
+    return value
+
+
+def _entries(key: str, text: str, read=None) -> tuple:
+    """The comma-separated entries of config key ``key``, labels or ``read(key, token)``, each given once."""
+    tokens = text.split(",")
+    if read is None and not all(token.strip() for token in tokens):
+        raise DomainError(f"config key {key!r}: expected comma-separated labels, got {text!r}")
+    values = tuple(_parse_label(token) if read is None else read(key, token) for token in tokens)
+    if len(set(values)) != len(values):
+        raise DomainError(f"config key {key!r}: entries must be unique, got {text!r}")
+    return values
+
+
 # --- system resolution -----------------------------------------------------
 
 
@@ -206,9 +224,9 @@ def _collect_params(cfg, name: str) -> dict:
         if shape not in takes:
             raise DomainError(f"config key {key!r}: {head!r} takes {' or '.join(takes)}, not {shape}")
         if dot:
-            params.setdefault(head, {})[_parse_label(sub)] = _read(key, float, value)
+            params.setdefault(head, {})[_parse_label(sub)] = _finite(key, value)
         else:
-            values = tuple(_read(key, float, tok) for tok in value.split(","))
+            values = _entries(key, value, _finite)
             params[head] = values if "a list" in takes else values[0]
     return params
 
@@ -217,8 +235,7 @@ def _table_system(cfg) -> ControlSystem:
     for req in ("states", "inputs"):
         if req not in cfg:
             raise DomainError(f"inline table system needs a {req!r} key")
-    states = tuple(_parse_label(t) for t in cfg["states"].split(","))
-    inputs = tuple(_parse_label(t) for t in cfg["inputs"].split(","))
+    states, inputs = _entries("states", cfg["states"]), _entries("inputs", cfg["inputs"])
     table, keys = {}, {}
     for key, value in cfg.items():
         if not key.startswith("step."):

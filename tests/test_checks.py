@@ -699,8 +699,8 @@ def test_random_tables_fail_when_one_pair_alternates(table, data):
 
 
 def _finite_lists(sys) -> tuple:
-    """The drawn state and pair lists of a finite system, each mapped through every finite operator:
-    ``(state lists, pair lists)``."""
+    """The drawn state, pair and sequence point lists of a system, each mapped through every finite
+    operator: ``(state lists, pair lists, sequence point lists)``."""
     plan, rng, table = _FUZZ_PLAN, np.random.default_rng(5), checks._SeqTable(sys.inputs.labels)
     named = checks._named(sys, {"u": sys.inputs.labels[-1]})
     xs, ps = checks._scenario_states(sys, plan, rng, table), checks._scenario_pairs(sys, plan, rng, table)
@@ -708,7 +708,7 @@ def _finite_lists(sys) -> tuple:
     seqs = [ss, named["K_inf"].batch(ss), named["R"].batch(ps)]
     states = [xs, named["K_u"].batch(xs), named["E_f"].batch(ps), named["sim"].batch(ts), named["word"].batch(ts)]
     pairs = [ps, named["K_aug"].batch(ps), named["R_u"].batch(xs), named["E"].batch(ss), named["K_aug"].batch(named["E"].batch(ss))]
-    return states + [checks._firsts(s) for s in seqs], pairs
+    return states + [checks._firsts(s) for s in seqs], pairs, seqs
 
 
 def _listed(values) -> bytes:
@@ -726,7 +726,7 @@ def test_indicators_read_state_codes_as_their_points_compare(table):
     states, inputs, succ = table
     sys = _table_system(states, inputs, lambda x, u: succ[(x, u)])
     xlabels, ulabels = list(states) + ["zz", np.array([states[0]])], list(inputs) + ["zz"]
-    state_lists, pair_lists = _finite_lists(sys)
+    state_lists, pair_lists, _ = _finite_lists(sys)
     arrays = _table_system(states, inputs, lambda x, u: np.array([succ[(x, u)]]))
     outside, unhashable = state_lists[0].take(slice(None)), k_u(arrays, inputs[0]).batch(state_lists[0])
     outside.append(max(states) + 1)
@@ -750,6 +750,66 @@ def test_indicators_compare_points_at_a_label_that_is_not_equal_to_itself():
     assert checks._values(indicator(nan), xs).tolist() == [0j, 0j]
     assert checks._values(indicator(1.0), xs).tolist() == [0j, 1 + 0j]
     assert checks._values(pair_indicator(nan, "a"), ps).tolist() == [0j, 0j]
+
+
+def _read_or_error(read):
+    try:
+        return read().tobytes()
+    except Exception as exc:  # both reads must raise alike
+        return type(exc), str(exc)
+
+
+def _assert_bases_read_as_their_functions(sys) -> None:
+    """Each basis's reader gives the bytes of its functions read one by one and stacked (or raises
+    what that raises), over the mapped lists, a list without columns, a list with a point outside
+    the space, and pair and sequence lists whose first point holds an input outside the set."""
+    state_lists, pair_lists, seq_lists = _finite_lists(sys)
+    xs, ps, ss = state_lists[0], pair_lists[0], seq_lists[0]
+    outside = xs.take(slice(None))
+    outside.append("zz" if isinstance(sys.states, FiniteStates) else np.array([9.0]))
+    foreign = lambda points, p: points.carrying([p] + list(points[1:]))  # the first point replaced
+    pairs = pair_lists + [list(ps), foreign(ps, (ps[0][0], "zz"))]
+    seqs = seq_lists + [list(ss), foreign(ss, (ss[0][0], InputSequence.constant("zz")))]
+    bases = checks._state_basis(sys), checks._aug_basis(sys), checks._seq_basis(sys), checks._ci_seq_direct(sys)
+    if isinstance(sys.states, FiniteStates):  # the mapped lists carry state codes, and are read off them
+        assert all(bases[0].rows(points) is not None for points in state_lists)
+        assert all(bases[1].rows(points) is not None for points in pair_lists)
+    for basis, lists in zip(bases, (state_lists + [outside, list(xs)], pairs, seqs, seqs)):
+        for points in lists:
+            stacked = _read_or_error(lambda: np.stack([checks._values(f, points) for f in basis]))
+            assert _read_or_error(lambda: basis.read(points)) == stacked
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_tables())
+def test_each_basis_reads_as_its_functions_read_one_by_one(table):
+    """A wrong reader cannot trip a row, since both sides of an identity read through it, so this
+    comparison is its only check.  Bytes are compared, so a ``-0.0`` for a ``0.0`` counts."""
+    states, inputs, succ = table
+    _assert_bases_read_as_their_functions(_table_system(states, inputs, lambda x, u: succ[(x, u)]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin_system("scalarlinear"),
+    lambda: builtin_system("logistic-with-offset"),
+    lambda: _table_system((float("nan"), 1.0), ("a", float("nan")), lambda x, u: x),
+], ids=["scalarlinear", "logistic-with-offset", "nan-labels"])
+def test_each_basis_reads_as_its_functions_read_one_by_one_on_boxes_and_nan_labels(make):
+    """A label that is not ``==`` to itself matches no point, so its indicator's row is zeros."""
+    _assert_bases_read_as_their_functions(make())
+
+
+def test_one_run_builds_one_operator_set(monkeypatch, f3):
+    """``run_all`` builds the stateless operator set once for every row; ``run_check`` builds
+    one per call (C19 uses none)."""
+    calls, build = [], checks._operator_set
+    monkeypatch.setattr(checks, "_operator_set", lambda sys: calls.append(sys) or build(sys))
+    run_all(f3, exact_plan(seed=7))
+    assert calls == [f3]
+    for cid in check_ids():
+        calls.clear()
+        run_check(cid, f3, exact_plan(seed=7))
+        assert len(calls) == (cid != "C19"), cid
 
 
 def test_json_report_is_deterministic(f3):

@@ -358,6 +358,37 @@ def test_param_of_the_wrong_shape_names_its_config_key(tmp_path, capsys, system,
     assert message in capsys.readouterr().err
 
 
+_TABLE = "system = table\nstates = a\ninputs = u\nstep.a.u = a\n"
+_LOGISTIC = "system = logistic-with-offset\nseed = 1\n"
+
+
+@pytest.mark.parametrize("config, message", [
+    (_TABLE.replace("states = a", "states = a,a"), "config key 'states': entries must be unique, got 'a,a'"),
+    (_TABLE.replace("inputs = u", "inputs = u,u"), "config key 'inputs': entries must be unique, got 'u,u'"),
+    (_TABLE.replace("states = a", "states = "), "config key 'states': expected comma-separated labels, got ''"),
+    (_LOGISTIC + "param.offsets = 0.0,0.0\n", "config key 'param.offsets': entries must be unique, got '0.0,0.0'"),
+    (_LOGISTIC + "param.r = nan\n", "config key 'param.r': expected a finite number, got 'nan'"),
+    (_LOGISTIC + "param.r = inf\n", "config key 'param.r': expected a finite number, got 'inf'"),
+    (_LOGISTIC + "param.offsets = 0.0,nan\n", "config key 'param.offsets': expected a finite number, got 'nan'"),
+    (_LOGISTIC + "param.offsets = inf\n", "config key 'param.offsets': expected a finite number, got 'inf'"),
+    ("system = scalarlinear\nseed = 1\nparam.lambdas.a = nan\n",
+     "config key 'param.lambdas.a': expected a finite number, got 'nan'"),
+    ("system = scalarlinear\nseed = 1\nparam.lambdas.a = inf\n",
+     "config key 'param.lambdas.a': expected a finite number, got 'inf'"),
+    (_LOGISTIC + "param.r = 9\n", "transition output array([2.23679896]) outside the declared box"),
+], ids=["states-twice", "inputs-twice", "no-states", "offsets-twice", "r-nan", "r-inf", "offsets-nan",
+        "offsets-inf", "lambda-nan", "lambda-inf", "r-leaves-the-box"])
+def test_a_value_that_builds_a_bad_system_exits_2_naming_its_key(tmp_path, capsys, config, message):
+    """Repeated or empty labels once reached the system's own check, which
+    names no key; a number that is not finite was accepted and failed later
+    as a transition outside the box.  A finite ``r`` that leaves the box
+    still fails at its first transition."""
+    (tmp_path / "run.cfg").write_text(config)
+    assert run("check", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.glob("*.json"))
+
+
 def test_one_offset_makes_a_one_input_system():
     cfg = {"system": "logistic-with-offset", "param.offsets": "0.05"}
     assert resolve_system(cfg).inputs.labels == (0.05,)

@@ -22,6 +22,7 @@ with::
 
 import runpy
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from koopcontrol import (
     run_all,
     sampled_plan,
 )
+from koopcontrol import checks
 from koopcontrol.cli import parse_config_text, resolve_system
 
 DATA = Path(__file__).parent / "data"
@@ -140,6 +142,27 @@ def _report(name: str) -> str:
 def test_report_matches_golden_bytes(name):
     expected = (DATA / f"golden_{name}.json").read_text()
     assert _report(name) == expected
+
+
+def _table32x3():
+    """The perfbench 32x3 table of seed 7, as its config states it."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    return resolve_system(parse_config_text(workloads["table_config"](7))), exact_plan(seed=7)
+
+
+@pytest.mark.parametrize("name", [
+    "finite3_exact", "collapse2_exact", "mixed5x2_exact", "flaky7_exact", "flaky23_exact", "noisy_box_sampled",
+    "scalarlinear_sampled", "table32x3",
+])
+def test_plain_function_lists_write_the_reports_the_basis_readers_write(name):
+    """Each basis reads as one matrix; handed as plain lists, its functions are read one by one.
+    The call-counter systems are built afresh for each run."""
+    make = CASES.get(name, _table32x3)
+    report = results_to_json(run_all(*make()).results)
+    builders = ("_state_basis", "_aug_basis", "_seq_basis", "_ci_seq_direct")
+    plain = {b: (lambda build: lambda sys: list(build(sys)))(getattr(checks, b)) for b in builders}
+    with mock.patch.multiple(checks, **plain):
+        assert results_to_json(run_all(*make()).results) == report
 
 
 if __name__ == "__main__":

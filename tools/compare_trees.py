@@ -13,6 +13,8 @@ runs in a fresh process on that tree's ``src``:
 * ``koopcontrol check --exact --seed 7`` on ``finite3``, ``collapse2`` and
   the perfbench 32x3 table (``perfbench/workloads.table_config(7)``, read
   from CHANGE and given to both trees);
+* ``koopcontrol check --exact --seed 11`` on the 32x3 table of the
+  benchmark's confirm seed (``perfbench/workloads.table_config(11)``);
 * ``koopcontrol check --exact --seed 7`` on ``mixed5x2``, the table of
   ``tests/test_golden_reports.py`` whose labels (``b,7,x,1e3,0`` and
   ``q,1``) are not their positions, given as a config;
@@ -88,7 +90,9 @@ step.0.1 = 1e3
 _SAMPLED = ["--seed", "7", "--points", "1000", "--tol", "1e-12"]
 
 
-def _cases(table: Path, mixed: Path, few_points: Path, offsets: Path, predict: Path, demos: list, words: dict) -> dict:
+def _cases(
+    table: Path, table11: Path, mixed: Path, few_points: Path, offsets: Path, predict: Path, demos: list, words: dict
+) -> dict:
     """Case name -> the argv lists after ``python`` that run in turn; ``{out}``
     is the case's output directory."""
     cli = ["-m", "koopcontrol.cli"]
@@ -97,6 +101,9 @@ def _cases(table: Path, mixed: Path, few_points: Path, offsets: Path, predict: P
         cases[f"check-{name}"] = cli + ["check", "--system", name, *_EXACT, "--out", "{out}"]
     cases["check-finite3-default"] = cli + ["check", "--system", "finite3", "--seed", "7", "--out", "{out}"]
     cases["check-table32x3"] = cli + ["check", "--config", str(table), *_EXACT, "--out", "{out}"]
+    cases["check-table32x3-seed11"] = cli + [
+        "check", "--config", str(table11), "--exact", "--seed", "11", "--out", "{out}",
+    ]
     cases["check-mixed5x2"] = cli + ["check", "--config", str(mixed), *_EXACT, "--out", "{out}"]
     for name in ("scalarlinear", "logistic-with-offset"):
         cases[f"check-{name}"] = cli + ["check", "--system", name, *_SAMPLED, "--out", "{out}"]
@@ -181,6 +188,8 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         table = tmp / "table32x3.cfg"
         table.write_text(workloads.table_config(7))
+        table11 = tmp / "table32x3-seed11.cfg"
+        table11.write_text(workloads.table_config(11))
         mixed = tmp / "mixed5x2.cfg"
         mixed.write_text(_MIXED)
         few_points = tmp / "scalarlinear50.cfg"
@@ -193,7 +202,8 @@ def main(argv=None) -> int:
         words = {"finite3": tmp / "finite3-predict.cfg", "logistic-with-offset": tmp / "logistic-predict.cfg"}
         words["finite3"].write_text("x0 = 2\nword = b,a,a\nsteps = 12\n")
         words["logistic-with-offset"].write_text("x0 = 0.3\nword = 0.05,0.0,0.05\nsteps = 30\n")
-        cases = _cases(table, mixed, few_points, offsets, predict, sorted((change / "demos").glob("*.py")), words)
+        demos = sorted((change / "demos").glob("*.py"))
+        cases = _cases(table, table11, mixed, few_points, offsets, predict, demos, words)
         for side, tree in (("parent", parent), ("change", change)):
             _run_tree(tree, cases, tmp / side)
         before, after = _files(tmp / "parent"), _files(tmp / "change")
