@@ -30,16 +30,20 @@ state function and weight row once.  Both sides of an identity read through
 it, so a wrong reader trips no row; only a test against the per-function
 read checks it.  One operator set serves a whole :func:`run_all`.
 
-Point lists carry columns (``systems._Points``): box states stacked once
-at the draw, finite states and input labels as codes, and sequences as
-ids into one sequence table per :func:`_run_table` call, which holds each
-id's sequence, head code and tail id and is filled lazily: each draw
-interns its sequences, and its points hold the table's objects; each
-shift is interned on first use.  ``K_inf`` steps with the head codes and
-moves to the tails, sequence-basis weights gather head codes, indicator
-bases scatter state codes, and :func:`_gaps` compares box state columns.  The
-ground-truth walks read each trajectory's inputs off its sequence's own
-fields (:func:`_first_inputs`), so they check the operators that read the table.
+Point lists are columns first (``systems._Points``): box states stacked
+once at the draw, finite states and input labels as codes, trajectory
+horizons, and sequences as ids into one sequence table per
+:func:`_run_table` call, which holds each id's canonical fields as codes,
+its head code and tail id and is filled lazily: each draw interns its
+sequence rows as codes, and each shift is interned on first use.  A list's
+Python points (pairs, trajectories, sequence objects) are built only where
+read, which a passing box run never does.  ``K_inf`` steps with the head
+codes and moves to the tails, sequence-basis weights gather head codes,
+indicator bases scatter state codes, and :func:`_gaps` compares box state
+columns and the codes or ids of pairs.  The ground-truth walks keep their
+live states and sequence ids as arrays, and read each trajectory's inputs
+off its sequence's own fields (:func:`_first_inputs`), so they check the
+operators that read the table's heads and tails.
 
 Results are deterministic: every check draws from a generator seeded by
 (plan seed, check index), so run order and concurrency cannot change the
@@ -96,15 +100,19 @@ from .systems import (
     FiniteStates,
     InputSequence,
     RealBox,
+    _Lazy,
     _Points,
     _SeqTable,
     _as_points,
+    _canonical,
     _column,
+    _draw_sequences,
     _firsts,
     _input_positions,
+    _paired,
     _state_column,
     _step_many,
-    random_sequences,
+    _word,
     random_state,
     state_distance,
 )
@@ -225,25 +233,41 @@ def _gap(space, a, b) -> float:
 
 def _gaps(space, a: list, b: list) -> np.ndarray:
     """:func:`_gap` of each pair ``a[i]``, ``b[i]``, as one array; box
-    states are compared by their state columns.  Box paths, ``(k + 1, d)``
-    arrays, are compared by the largest gap of their states."""
+    states are compared by their state columns, and the inputs or sequences
+    of two pair lists by their codes or ids where both index one table.  Box
+    paths, ``(k + 1, d)`` arrays, are compared by the largest gap of their
+    states, read off the walks' stacked states."""
     if isinstance(space, FiniteStates):  # labels, pairs and paths compare whole, with ==
         return np.array([0.0 if p == q else 1.0 for p, q in zip(a, b)])
     if isinstance(space, RealBox) and a:
-        if isinstance(a[0], np.ndarray) and a[0].ndim == 2:
-            starts = np.cumsum([0] + [len(path) for path in a[:-1]])
+        kind = getattr(a, "kind", None)
+        if kind == "path":  # two walks' paths over one trajectory list, read off their stacked states
             with np.errstate(all="ignore"):
-                gaps = np.max(np.abs(np.concatenate(a) - np.concatenate(b)), axis=1)
-            return np.maximum.reduceat(gaps, starts)
-        pairs = isinstance(a[0], tuple)
+                gaps = np.max(np.abs(a.states - b.states), axis=2)
+            gaps[np.arange(gaps.shape[1]) > a.ks[:, None]] = -np.inf  # past each path's end
+            return gaps.max(axis=1)
+        pairs = kind in ("state-input", "state-sequence") if kind else isinstance(a[0], tuple)
         sa, sb = (_state_column(_firsts(a)), _state_column(_firsts(b))) if pairs else (_state_column(a), _state_column(b))
         if sa is not None and sb is not None and sa.shape == sb.shape == (len(a), space.dimension):
             with np.errstate(all="ignore"):
                 gaps = np.max(np.abs(sa - sb), axis=1)
             if pairs:
-                gaps = np.maximum(gaps, [0.0 if p[1] == q[1] else 1.0 for p, q in zip(a, b)])
+                gaps = np.maximum(gaps, _second_gaps(a, b))
             return gaps
     return np.array([_gap(space, p, q) for p, q in zip(a, b)], dtype=float)
+
+
+def _second_gaps(a: list, b: list) -> np.ndarray:
+    """``0.0 if p[1] == q[1] else 1.0`` for each pair of points: two sequences are equal where their ids
+    are, two labels where their codes are and the label is ``==`` to itself."""
+    table = getattr(a, "table", None)
+    if table is not None and getattr(b, "table", None) is table:
+        if a.ids is not None and b.ids is not None:
+            return (a.ids != b.ids).astype(float)
+        if a.codes is not None and b.codes is not None:
+            reflexive = np.array([bool(u == u) for u in table.labels], dtype=bool)
+            return ((a.codes != b.codes) | ~reflexive[a.codes]).astype(float)
+    return np.array([0.0 if p[1] == q[1] else 1.0 for p, q in zip(a, b)])
 
 
 def _scenario_states(sys, plan, rng, table=None) -> list:
@@ -263,27 +287,27 @@ def _scenario_pairs(sys, plan, rng, table=None) -> list:
         xs, codes = _scenario_states(sys, plan, rng).take(np.repeat(np.arange(n), m)), np.tile(np.arange(m), n)
     else:
         xs, codes = random_state(rng, sys.states, plan.n_points), rng.integers(m, size=plan.n_points)
-    return xs.carrying(zip(xs, table.labels_at(codes)), codes=codes, table=table)
+    return _paired(xs, lambda: table.labels_at(codes), "state-input", codes=codes, table=table)
 
 
 def _scenario_seq_points(sys, plan, rng, table=None, n=None) -> list:
-    """The states, then their sequences, one list each; each point holds the
-    table's own object of its sequence."""
-    n, table = plan.n_points if n is None else n, table or _SeqTable(sys.inputs.labels)
+    """The states, then their sequences, one list each; the sequences are interned as
+    codes, and each point holds the table's own object of its sequence."""
+    n, table, labels = plan.n_points if n is None else n, table or _SeqTable(sys.inputs.labels), sys.inputs.labels
     xs = random_state(rng, sys.states, n)
-    ids = table.intern(random_sequences(rng, sys.inputs.labels, n))
-    return xs.carrying(zip(xs, table.seqs_at(ids)), ids=ids, table=table)
+    ids = table.intern_rows(labels, *_draw_sequences(rng, labels, n))
+    return _paired(xs, lambda: table.seqs_at(ids), "state-sequence", ids=ids, table=table)
 
 
 def _first_inputs(table: _SeqTable, ids: np.ndarray, k: int) -> np.ndarray:
     """The ``(n, k)`` codes of each sequence's first ``k`` inputs: row ``i``
     codes ``[seq.at(j) for j in range(k)]`` of sequence ``ids[i]``.  Read off
-    each distinct sequence's own fields, not the table's heads and tails, so
-    walks stepped with these words check the operators that read the table."""
-    distinct, row = list(dict.fromkeys(ids.tolist())), np.zeros(len(table.seqs), dtype=np.intp)
+    each distinct sequence's own fields (its key), not the table's heads and
+    tails, so walks stepped with these words check the operators that read them."""
+    distinct, row = list(dict.fromkeys(ids.tolist())), np.zeros(len(table.keys), dtype=np.intp)
     row[distinct] = range(len(distinct))
-    words = [s.word(k) for s in map(table.seqs.__getitem__, distinct)]
-    return table.codes([u for w in words for u in w]).reshape(len(distinct), k)[row[ids]]
+    words = [_word(*table.keys[i], k) for i in distinct]
+    return np.array(words, dtype=np.intp).reshape(len(distinct), k)[row[ids]]
 
 
 class _Trajectory(NamedTuple):
@@ -294,11 +318,17 @@ class _Trajectory(NamedTuple):
     k: int
 
 
+def _trajectories(points: _Points, seqs: Callable, ks: np.ndarray, ids: np.ndarray, table: _SeqTable) -> _Points:
+    """The trajectory points of each state of ``points``, sequence of ``seqs()`` and horizon of ``ks``."""
+    make = lambda pts: list(map(_Trajectory, pts, seqs(), ks.tolist()))
+    return points.carrying(make, ids=ids, ks=ks, table=table, firsts=points)
+
+
 def _scenario_trajectories(sys, plan, rng, table=None, horizons: int = 6) -> list:
     """Sequence points, then one horizon below ``horizons`` per point, in point order."""
     points = _scenario_seq_points(sys, plan, rng, table)
-    ks = rng.integers(0, horizons, size=len(points)).tolist()
-    return points.carrying([_Trajectory(*p, k) for p, k in zip(points, ks)], ids=points.ids)
+    ks, table = rng.integers(0, horizons, size=len(points)), points.table
+    return _trajectories(points.firsts, lambda: table.seqs_at(points.ids), ks, points.ids, table)
 
 
 def _scenario_words(sys, plan, rng, table=None) -> list:
@@ -307,12 +337,12 @@ def _scenario_words(sys, plan, rng, table=None) -> list:
     labels = sys.inputs.labels
     states = _scenario_states(sys, plan, rng)
     states = states.take(np.tile(np.arange(len(states)), 6)) if _is_finite(sys) else states
-    picks = iter(rng.integers(len(labels), size=sum(i % 6 for i in range(len(states)))).tolist())
-    words = [tuple(labels[next(picks)] for _ in range(i % 6)) for i in range(len(states))]
-    table = table or _SeqTable(labels)
-    ids = table.intern([InputSequence(w, (labels[0],)) for w in words])
-    trajs = [_Trajectory(x0, seq, len(w)) for x0, seq, w in zip(states, table.seqs_at(ids), words)]
-    return states.carrying(trajs, ids=ids, table=table)
+    n, table = len(states), table or _SeqTable(labels)
+    ks = np.arange(n) % 6
+    words = np.zeros((n, 5), dtype=np.intp)
+    words[np.arange(5) < ks[:, None]] = rng.integers(len(labels), size=int(ks.sum()))  # row by row, in draw order
+    ids = table.intern_rows(labels, *_canonical(labels, words, ks, np.zeros((n, 1), np.intp), np.ones(n, np.intp)))
+    return _trajectories(states, lambda: table.seqs_at(ids), ks, ids, table)
 
 
 def _scaled(phi: Observable, domain: DomainTag, weights: Callable, label: str, ci_input=None) -> Observable:
@@ -509,42 +539,70 @@ _DRAWS = {
 def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> CompositionOperator:
     """A trajectory operator: a list of trajectory points ``(x0, seq, k)``
     walks in lockstep from the ``x0`` (each paired with its ``seq`` when
-    ``on_seq``).  Step ``j`` moves the points with ``k > j`` to
-    ``many(points, their j-th inputs)``, the codes of each trajectory's
-    first ``k`` inputs read once (:func:`_first_inputs`), or to
-    ``many(points)`` when ``on_seq``: sequence points carry their inputs.
-    Each point maps to its walk's last point or, with ``path``, to the states
-    it visits: a stacked ``(k + 1, d)`` array on boxes, a tuple of labels on
-    finite systems.  The walk is the operator's list map."""
+    ``on_seq``).  The walk keeps the live states as one column (stacked
+    ``(n, d)`` on boxes, an object array of labels with their state codes on
+    finite systems) and, when ``on_seq``, the sequence ids as one array.
+    Step ``j`` gathers the points with ``k > j`` into a list, moves it to
+    ``many(points, their j-th inputs)``, the codes of each trajectory's first
+    ``k`` inputs read once (:func:`_first_inputs`), or to ``many(points)``
+    when ``on_seq`` (sequence points carry their inputs), and scatters the
+    result back.  Each point maps to its walk's last point or, with ``path``,
+    to the states it visits: a stacked ``(k + 1, d)`` array on boxes, a tuple
+    of labels on finite systems.  The walk is the operator's list map."""
     box = sys.states if isinstance(sys.states, RealBox) else None
-    states_of = _firsts if on_seq else _as_points
-    visited = (lambda pts: _state_column(states_of(pts))) if box else states_of  # stacked on boxes
 
     def batch(ts: list) -> list:
         ts = _as_points(ts)
         table, ids = _column(ts, "ids")
-        ks = np.array([t.k for t in ts], dtype=np.intp)
-        steps = int(ks.max(initial=0))
+        ks = ts.ks if ts.ks is not None else np.array([t.k for t in ts], dtype=np.intp)
+        steps, starts, ids = int(ks.max(initial=0)), _firsts(ts), ids.copy()
         words = None if on_seq else _first_inputs(table, ids, steps)
-        starts = [t.x0 for t in ts]
-        if box and ts.states is None:  # box starts without their column, coerced as ``step`` does
-            starts = list(map(box.coerce, starts))
-        pts = ts.carrying(starts)
-        pts = pts.carrying(zip(pts, [t.seq for t in ts]), ids=ids) if on_seq else pts
-        trail = [visited(pts)] if path else None  # the states of each step
+        if box:  # box starts without their column are coerced as ``step`` does
+            xs = starts.states if starts.states is not None else list(map(box.coerce, starts))
+            xs, codes = np.array(xs, dtype=float).reshape(len(ts), box.dimension), None
+        else:
+            xs, codes = np.fromiter(starts, dtype=object, count=len(ts)), starts.xcodes
+            codes = None if codes is None else codes.copy()
+        space = starts.space
+
+        def points(at: np.ndarray) -> _Points:  # the states at ``at``: built where read on boxes
+            rows = xs[at]
+            if box:
+                return _Lazy(len(at), lambda: list(rows), states=rows, table=table, kind="state")
+            return _Points(list(rows), table=table, xcodes=None if codes is None else codes[at], space=space)
+
+        trail = [xs.copy()] if path else None  # the states of each step
         for j in range(steps):
             live = np.flatnonzero(ks > j)
-            moved = pts.take(live)
-            us = None if on_seq else _Points(table.labels_at(words[live, j]), codes=words[live, j], table=table)
-            pts = pts.put(live, many(moved) if on_seq else many(moved, us))
+            if on_seq:
+                at = ids[live]
+                moved = many(_paired(points(live), lambda: table.seqs_at(at), "state-sequence", ids=at, table=table))
+                same = getattr(moved, "table", None) is table and moved.ids is not None
+                ids[live] = moved.ids if same else table.intern([p[1] for p in moved])
+                moved = _firsts(moved)
+            else:
+                us = _Lazy(len(live), lambda at=words[live, j]: table.labels_at(at), codes=words[live, j], table=table)
+                moved = many(points(live), us)
+            if box:
+                xs[live] = _state_column(moved)
+            else:
+                xs[live] = np.fromiter(moved, dtype=object, count=len(live))
+                if codes is not None and getattr(moved, "space", None) is space and moved.xcodes is not None:
+                    codes[live] = moved.xcodes
+                else:
+                    codes = None
             if path:
-                trail.append(visited(pts))
-        if not path:
-            return pts
-        if box:
-            stacked = np.stack(trail, axis=1)  # (n, longest k + 1, d)
-            return [stacked[i, : k + 1] for i, k in enumerate(ks.tolist())]
-        return [path[: k + 1] for path, k in zip(zip(*trail), ks.tolist())]
+                trail.append(xs.copy())
+        if path and box:  # the walks' states stacked (n, longest k + 1, d), each path a view where read
+            stacked = np.stack(trail, axis=1)
+            return _Lazy(len(ts), lambda: [stacked[i, : k + 1] for i, k in enumerate(ks.tolist())], states=stacked,
+                         ks=ks, kind="path")
+        if path:
+            return [path[: k + 1] for path, k in zip(zip(*trail), ks.tolist())]
+        everyone = np.arange(len(ts))
+        if on_seq:
+            return _paired(points(everyone), lambda: table.seqs_at(ids), "state-sequence", ids=ids, table=table)
+        return points(everyone)
 
     tag = DomainTag.STATE_SEQUENCE if on_seq and not path else DomainTag.STATE_ONLY
     return CompositionOperator(tag, tag, batch)
@@ -578,7 +636,7 @@ def _operator_set(sys: ControlSystem) -> tuple:
             xs = xs.put(idx, op.batch(xs.take(idx))) if idx.size else xs
         return xs
 
-    augmented = lambda xs, us: _firsts(kau.batch(xs.carrying(zip(xs, us), codes=us.codes, table=us.table)))
+    augmented = lambda xs, us: _firsts(kau.batch(_paired(xs, us, "state-input", codes=us.codes, table=us.table)))
     simulated = lambda xs, us: _step_many(sys, xs, us)
     named = {
         "R": restriction_inf_to_aug(),

@@ -212,7 +212,7 @@ _PARAM_SHAPES = {"r": ("a number",), "offsets": ("a list", "a number"), "lambdas
 
 
 def _collect_params(cfg, name: str) -> dict:
-    params = {}
+    params, keys = {}, {}  # keys: the config key of each (head, label) given
     for key, value in cfg.items():
         if not key.startswith("param."):
             continue
@@ -224,7 +224,11 @@ def _collect_params(cfg, name: str) -> dict:
         if shape not in takes:
             raise DomainError(f"config key {key!r}: {head!r} takes {' or '.join(takes)}, not {shape}")
         if dot:
-            params.setdefault(head, {})[_parse_label(sub)] = _finite(key, value)
+            label = _parse_label(sub)
+            if (head, label) in keys:
+                first = keys[(head, label)]
+                raise DomainError(f"config keys {first!r} and {key!r} both give {head!r} of label {label!r}")
+            params.setdefault(head, {})[label], keys[(head, label)] = _finite(key, value), key
         else:
             values = _entries(key, value, _finite)
             params[head] = values if "a list" in takes else values[0]

@@ -118,9 +118,15 @@ def _values(obs: Observable, points: list) -> np.ndarray:
 
 
 def _check_points(domain: DomainTag, points) -> None:
-    """Raise :class:`DomainMismatchError` at the first point outside ``domain``."""
+    """Raise :class:`DomainMismatchError` at the first point outside ``domain``.  A list the engine built
+    of this domain's kind (``systems._Points.kind``) is one of its pairs by construction, unless its
+    table codes an :class:`InputSequence` as a label; only then, or without a kind, is each point checked."""
     if domain is not DomainTag.STATE_ONLY:
         seq = domain is DomainTag.STATE_SEQUENCE
+        if getattr(points, "kind", None) == domain.value and (
+            seq or not any(isinstance(u, InputSequence) for u in points.table.labels)
+        ):
+            return
         for p in points:
             if not (isinstance(p, tuple) and len(p) == 2):
                 raise DomainMismatchError(f"domain {domain.value} expects a (state, ...) pair, got {p!r}")

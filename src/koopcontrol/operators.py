@@ -14,6 +14,8 @@ list of points at once (a Koopman operator steps them all through
 map reads the columns a point list carries (stacked box states, finite
 state codes, label codes, sequence ids) and hands the mapped list its
 columns: ``K_inf`` steps with the head codes and moves each id to its tail.
+The mapped list of a list built from its columns is built from its own
+columns too, where first read; a caller's list of points maps its points.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .systems import (
     _as_points,
     _column,
     _firsts,
+    _labels,
+    _paired,
     _step_many,
     random_state,
     range_map,
@@ -168,9 +172,9 @@ def k_aug(sys: ControlSystem) -> CompositionOperator:
 
     def batch(ps):
         ps = _as_points(ps)
-        us = _Points([u for _, u in ps], codes=ps.codes, table=ps.table)
-        ys = _step_many(sys, _firsts(ps), us)
-        return ys.carrying(zip(ys, us), codes=us.codes, table=us.table)
+        us = _labels(ps, lambda pts: [u for _, u in pts], ps.codes, ps.table)
+        ys = _step_many(sys, _firsts(ps), us)  # codes the labels, unless it runs the step loop
+        return _paired(ys, us, "state-input", codes=us.codes, table=us.table)
 
     return CompositionOperator(domain, domain, batch, label="K_aug")
 
@@ -184,12 +188,15 @@ def k_inf(sys: ControlSystem) -> CompositionOperator:
     def batch(ps):
         ps = _as_points(ps)
         table, ids = _column(ps, "ids")
-        seqs, tails = [s for _, s in ps], table.shifted(ids)
-        heads = _Points([(s.prefix or s.period)[0] for s in seqs], codes=table.head[ids], table=table)  # each s.at(0)
-        ys = _step_many(sys, _firsts(ps), heads)
-        held = table.seqs_at(ids)  # a sequence the table does not hold itself is shifted itself
-        shifted = [t if s is h else shift(s) for s, h, t in zip(seqs, held, table.seqs_at(tails))]
-        return ys.carrying(zip(ys, shifted), ids=tails, table=table)
+        tails = table.shifted(ids)
+        heads = _labels(ps, lambda pts: [(s.prefix or s.period)[0] for _, s in pts], table.head[ids], table)
+        ys = _step_many(sys, _firsts(ps), heads)  # each s.at(0)
+
+        def make(pts):  # a sequence the table does not hold itself is shifted itself
+            return [t if s is h else shift(s) for (_, s), h, t in zip(pts, table.seqs_at(ids), table.seqs_at(tails))]
+
+        shifted = ps.derive(make, {})
+        return _paired(ys, shifted, "state-sequence", ids=tails, table=table)
 
     return CompositionOperator(domain, domain, batch, label="K_inf")
 
@@ -229,9 +236,11 @@ def restriction_inf_to_aug() -> CompositionOperator:
     def batch(ps):
         ps = _as_points(ps)
         table, codes = _column(ps, "codes")
-        ids = table.intern([InputSequence.constant(u) for u in table.labels])[codes]
-        seqs = [s if s.period[0] is u else InputSequence.constant(u) for (_, u), s in zip(ps, table.seqs_at(ids))]
-        return ps.carrying(zip(_firsts(ps), seqs), ids=ids)
+        ids = table.intern_keys([((), (c,)) for c in range(len(table.labels))])[codes]  # each label's constant
+        make = lambda pts: [
+            (x, s if s.period[0] is u else InputSequence.constant(u)) for (x, u), s in zip(pts, table.seqs_at(ids))
+        ]
+        return ps.carrying(make, ids=ids, kind="state-sequence", firsts=ps.firsts)
 
     return CompositionOperator(DomainTag.STATE_SEQUENCE, DomainTag.STATE_INPUT, batch, label="R:inf->aug")
 
@@ -242,20 +251,28 @@ def extension_aug_to_inf() -> CompositionOperator:
     def batch(ps):
         ps = _as_points(ps)
         table, ids = _column(ps, "ids")
-        heads = [(x, (s.prefix or s.period)[0]) for x, s in ps]  # (x, s.at(0))
-        return ps.carrying(heads, codes=table.head[ids])
+        make = lambda pts: [(x, (s.prefix or s.period)[0]) for x, s in pts]  # (x, s.at(0))
+        return ps.carrying(make, codes=table.head[ids], kind="state-input", firsts=ps.firsts)
 
     return CompositionOperator(DomainTag.STATE_INPUT, DomainTag.STATE_SEQUENCE, batch, label="E:aug->inf")
 
 
 def restriction_aug_to_f(u_star, sys: Optional[ControlSystem] = None) -> CompositionOperator:
-    """Pair observables with the input frozen at ``u_star``: x -> (x, u_star)."""
+    """Pair observables with the input frozen at ``u_star``: x -> (x, u_star).  A list call's pairs
+    carry the code of ``u_star`` in a table of the operator's own, where it can be a dict key."""
     if sys is not None and not sys.inputs.contains(u_star):
         raise DomainError(f"unknown input label: {u_star!r}")
+    try:
+        table = _SeqTable([u_star])
+    except DomainError:  # a label that is no dict key has no code; the map that reads one raises
+        table = None
 
     def batch(xs):
         xs = _as_points(xs)
-        return xs.carrying([(x, u_star) for x in xs])
+        if table is None:
+            return xs.carrying(lambda pts: [(x, u_star) for x in pts])
+        codes, seconds = np.zeros(len(xs), dtype=np.intp), lambda: [u_star] * len(xs)
+        return _paired(xs.take(slice(None)), seconds, "state-input", codes=codes, table=table)  # xs stays the caller's
 
     return CompositionOperator(DomainTag.STATE_INPUT, DomainTag.STATE_ONLY, batch, label=f"R[{u_star}]:aug->state")
 

@@ -408,6 +408,24 @@ def test_batched_box_run_steps_as_many_transitions_as_the_point_by_point_run(nam
     assert rows["calls"] <= 200
 
 
+@pytest.mark.parametrize("name", ["scalarlinear", "logistic-with-offset"])
+def test_a_box_run_builds_few_sequence_objects(monkeypatch, name):
+    """A box acceptance pass builds 5 ``InputSequence`` objects: the stamps of the three
+    sequence-blind bases (C3, C6, C15) and of the two ``ci_isomorphisms`` (the run's operator set
+    and C16's).  Drawn sequences, their shifts and the constants of ``R`` are interned as codes,
+    and no point of a passing box run is read, so no sequence is built; drawing and shifting
+    one object per row made 6,652."""
+    calls, init = {"n": 0}, InputSequence.__init__
+
+    def counted(self, prefix, period):
+        calls["n"] += 1
+        init(self, prefix, period)
+
+    monkeypatch.setattr(InputSequence, "__init__", counted)
+    run_all(builtin_system(name), sampled_plan(7))
+    assert calls["n"] == 5
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "make",
@@ -767,7 +785,7 @@ def _assert_bases_read_as_their_functions(sys) -> None:
     xs, ps, ss = state_lists[0], pair_lists[0], seq_lists[0]
     outside = xs.take(slice(None))
     outside.append("zz" if isinstance(sys.states, FiniteStates) else np.array([9.0]))
-    foreign = lambda points, p: points.carrying([p] + list(points[1:]))  # the first point replaced
+    foreign = lambda points, p: points.carrying(lambda pts: [p] + list(pts[1:]))  # the first point replaced
     pairs = pair_lists + [list(ps), foreign(ps, (ps[0][0], "zz"))]
     seqs = seq_lists + [list(ss), foreign(ss, (ss[0][0], InputSequence.constant("zz")))]
     bases = checks._state_basis(sys), checks._aug_basis(sys), checks._seq_basis(sys), checks._ci_seq_direct(sys)

@@ -182,6 +182,19 @@ def test_two_step_keys_for_one_pair_exit_2(tmp_path, capsys):
     assert "config keys 'step.0.a' and 'step.00.a' both give the step from 0 under 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("first, second, message", [
+    ("param.lambdas.a", "param.lambdas. a", "config keys 'param.lambdas.a' and 'param.lambdas. a' both give 'lambdas' of label 'a'"),
+    ("param.lambdas.1", "param.lambdas.1.0", "config keys 'param.lambdas.1' and 'param.lambdas.1.0' both give 'lambdas' of label 1.0"),
+], ids=["space", "int-float"])
+def test_two_param_keys_for_one_label_exit_2(tmp_path, capsys, first, second, message):
+    """Two keys that differ as text but parse to one label once kept the last value silently."""
+    config = tmp_path / "run.cfg"
+    config.write_text(f"system = scalarlinear\n{first} = 0.3\n{second} = 0.9\n")
+    assert run("check", "--config", str(config), "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "check_report.json").exists()
+
+
 def test_a_flag_still_overrides_a_key_given_once(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("system = finite3\nseed = 3\n")

@@ -5,7 +5,8 @@ wrong map, the list step ``_step_many`` of the ground-truth walks
 (``sim``, ``path``) with a wrong one, the walks' read of each
 trajectory's input codes (``_first_inputs``) with a late one, the
 run's sequence table (``_SeqTable``) with one whose tails or head codes
-are wrong, the pair basis (``_aug_basis``) with input-blind probes, or one
+are wrong, the shift of sequence fields (``systems._shifted_fields``, which
+the table and ``shift`` both read) with a wrong one, the pair basis (``_aug_basis``) with input-blind probes, or one
 of the control-independent isomorphisms (``ci_isomorphisms``), a
 restriction or an extension, with a map that moves the state.
 Every mutant runs ``run_all`` on ``finite3`` with an exact plan and on
@@ -20,6 +21,7 @@ stated) with::
 """
 
 import json
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -45,8 +47,8 @@ from koopcontrol import (
 )
 import numpy as np
 
-from koopcontrol import checks
-from koopcontrol.systems import _SeqTable, _step_many
+from koopcontrol import checks, systems
+from koopcontrol.systems import _SeqTable, _step_many, _word
 
 MATRIX = Path(__file__).parent / "data" / "mutant_matrix.json"
 
@@ -80,10 +82,16 @@ class _DoubleShiftTable(_SeqTable):
 class _LateHeadTable(_SeqTable):
     """A sequence table whose head code of each sequence is its second input's."""
 
-    def intern(self, seqs):
-        ids = super().intern(seqs)
-        self._head[:], self._arrays = [self.code(s.at(1)) for s in self.seqs], None
+    def intern_keys(self, keys, seqs=None):
+        ids = super().intern_keys(keys, seqs)
+        self._head[: len(self.keys)] = [_word(pre, per, 2)[1] for pre, per in self.keys]
         return ids
+
+
+def _dropping_shift(prefix, period):
+    """The fields of a left shift that drops the period's first element instead of moving it to
+    the end: ``(a, b)`` repeated shifts to ``b`` repeated.  A constant still shifts to itself."""
+    return (prefix[1:], period) if prefix else (prefix, period[1:] or period)
 
 
 def _late_words(table, ids, k):
@@ -159,6 +167,7 @@ def _mutants(sys) -> dict:
         },
         "_step_many batches step every row with the first label": {"_step_many": _first_label_batches},
         "walks read each input one step late": {"_first_inputs": _late_words},
+        "shift drops the period's first element": {"systems._shifted_fields": _dropping_shift},
         "the sequence table's tail is the double shift": {"_SeqTable": _DoubleShiftTable},
         "the sequence table reads each head code one label late": {"_SeqTable": _LateHeadTable},
         "the pair basis is input-blind": {
@@ -172,7 +181,10 @@ def _failing_rows(name: str) -> dict:
     sys, plan = SYSTEMS[name]()
     rows = {}
     for mutant, patches in _mutants(sys).items():
-        with mock.patch.multiple(checks, **patches):
+        with ExitStack() as patched:
+            for name, value in patches.items():  # a name of ``checks``, or ``systems.<name>``
+                module, _, attr = name.rpartition(".")
+                patched.enter_context(mock.patch.object(systems if module else checks, attr, value))
             rows[mutant] = [r.id for r in run_all(sys, plan).results if not r.passed]
     return rows
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 from enum import Enum
 from itertools import product
@@ -29,7 +31,7 @@ from koopcontrol import (
     step,
 )
 from koopcontrol.checks import _Trajectory, _first_inputs, _named
-from koopcontrol.systems import _Points, _SeqTable, _state_column, _step_many
+from koopcontrol.systems import _Points, _SeqTable, _canonical, _state_column, _step_many
 
 # Hand-computed transition table for the finite3 system.
 FINITE3_TABLE = {
@@ -454,6 +456,27 @@ def test_changing_a_point_list_drops_its_columns(change):
         assert [_bits(row) for row in _state_column(xs)] == [_bits(np.asarray(y, dtype=float)) for y in list(xs)]
 
 
+_LIST_READS = {
+    "eq": lambda a, b: a == b, "ne": lambda a, b: a != b, "lt": lambda a, b: a < b, "ge": lambda a, b: a >= b,
+    "add": lambda a, b: a + b, "radd": lambda a, b: list(b) + a, "mul": lambda a, b: 2 * a + a * 2,
+    "repr": lambda a, b: repr(a), "iter": lambda a, b: [x for x in a], "reversed": lambda a, b: list(reversed(a)),
+    "slice": lambda a, b: a[1:3], "contains": lambda a, b: 1 in a, "index": lambda a, b: a.index(1),
+    "count": lambda a, b: a.count(1), "len": lambda a, b: len(a), "tuple": lambda a, b: tuple(a),
+    "array": lambda a, b: np.asarray(a).tolist(), "copy": lambda a, b: copy.copy(a),
+    "pickle": lambda a, b: pickle.loads(pickle.dumps(a)), "extend": lambda a, b: (a.extend(b), a)[1],
+    "iadd": lambda a, b: a.__iadd__(b), "setslice": lambda a, b: (a.__setitem__(slice(0, 2), b), a)[1],
+}
+
+
+@pytest.mark.parametrize("read", sorted(_LIST_READS))
+def test_a_list_built_from_its_columns_reads_as_its_points(read):
+    """Drawn lists are built from their columns where first read; any read, of the list or of
+    one given to a list method, sees the list of its points."""
+    draw = lambda: random_state(np.random.default_rng(4), FiniteStates((0, 1, 2)), 5)
+    expected = _LIST_READS[read](list(draw()), list(draw()))
+    assert _LIST_READS[read](draw(), draw()) == expected
+
+
 # One point of each kind the loop rejects.  logistic_with_offset(r=4.0)
 # sends x = 0.5 under offset 0.05 to 1.05, outside its box; offset 0.0
 # keeps every state of [0, 1] inside.
@@ -681,6 +704,38 @@ def test_random_sequence_is_the_one_row_draw(labels, prefix_max, period_max, see
         row, labels, 1, prefix_max, period_max
     )[0]
     assert one.random() == row.random()
+
+
+def _raw_rows(m: int) -> tuple:
+    """Every raw draw row over ``m`` labels with prefix at most 4 and period at most 3, as the
+    position matrices of a draw (entries past a length are 0)."""
+    rows = [(p, q, row) for p in range(5) for q in range(1, 4) for row in product(range(m), repeat=p + q)]
+    pre, per = np.zeros((len(rows), 4), np.intp), np.zeros((len(rows), 3), np.intp)
+    for i, (p, q, row) in enumerate(rows):
+        pre[i, :p], per[i, :q] = row[:p], row[p:]
+    return rows, pre, np.array([p for p, _, _ in rows]), per, np.array([q for _, q, _ in rows])
+
+
+@pytest.mark.parametrize("labels", [("a", "b"), ("a", float("nan"), 0.0)], ids=["two", "three-with-nan"])
+def test_canonical_rows_are_the_fields_input_sequence_keeps(labels):
+    """Every raw row with prefix <= 4 and period <= 3 (434 over two labels, 4,719 over three) reduces
+    in numpy to the fields ``InputSequence`` computes, comparing labels as it does (a NaN label is
+    not ``==`` to itself, so it stays in a prefix), and interns as ids in order of first sight,
+    whether a row is keyed as one integer or, when it is too wide for one, as itself."""
+    rows, *fields = _raw_rows(len(labels))
+    pre, plen, per, qlen = (a.tolist() for a in _canonical(labels, *fields))
+    built = [InputSequence([labels[j] for j in row[:p]], [labels[j] for j in row[p:]]) for p, _, row in rows]
+    at = lambda row, n: tuple(labels[j] for j in row[:n])
+    assert [(at(a, p), at(b, q)) for a, p, b, q in zip(pre, plen, per, qlen)] == [(s.prefix, s.period) for s in built]
+    first = {}
+    expected = [first.setdefault((s.prefix, s.period), len(first)) for s in built]
+    canonical = _canonical(labels, *fields)
+    wide = (np.pad(canonical[0], ((0, 0), (0, 40))),) + canonical[1:]  # 49 columns: keyed row by row
+    for rows_of in (canonical, wide):
+        table = _SeqTable(labels)
+        ids = table.intern_rows(labels, *rows_of)
+        assert ids.tolist() == expected
+        assert [repr(s) for s in table.seqs_at(ids)] == [repr(s) for s in built]
 
 
 def test_state_distance(sl, f3):

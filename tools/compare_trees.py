@@ -20,7 +20,8 @@ runs in a fresh process on that tree's ``src``:
   ``q,1``) are not their positions, given as a config;
 * ``koopcontrol check --seed 7`` on ``finite3``, without ``--exact``;
 * ``koopcontrol check --seed 7 --points 1000 --tol 1e-12`` on
-  ``scalarlinear`` and ``logistic-with-offset``;
+  ``scalarlinear`` and ``logistic-with-offset``, and the same at the
+  confirm seed 11;
 * ``koopcontrol check --seed 7 --points 30`` on ``scalarlinear`` with
   ``functions = 50`` in a config, so that fewer points than functions
   are drawn;
@@ -88,6 +89,7 @@ step.0.q = x
 step.0.1 = 1e3
 """
 _SAMPLED = ["--seed", "7", "--points", "1000", "--tol", "1e-12"]
+_SAMPLED11 = ["--seed", "11", "--points", "1000", "--tol", "1e-12"]
 
 
 def _cases(
@@ -107,6 +109,7 @@ def _cases(
     cases["check-mixed5x2"] = cli + ["check", "--config", str(mixed), *_EXACT, "--out", "{out}"]
     for name in ("scalarlinear", "logistic-with-offset"):
         cases[f"check-{name}"] = cli + ["check", "--system", name, *_SAMPLED, "--out", "{out}"]
+        cases[f"check-{name}-seed11"] = cli + ["check", "--system", name, *_SAMPLED11, "--out", "{out}"]
     cases["check-scalarlinear-few-points"] = cli + [
         "check", "--config", str(few_points), "--seed", "7", "--points", "30", "--out", "{out}",
     ]
