@@ -46,9 +46,11 @@ from koopcontrol import (
     step,
 )
 import numpy as np
+import pytest
 
-from koopcontrol import checks, systems
+from koopcontrol import checks, operators, systems
 from koopcontrol.systems import _SeqTable, _step_many, _word
+from test_reference_engine import _affine, _same_reports
 
 MATRIX = Path(__file__).parent / "data" / "mutant_matrix.json"
 
@@ -224,6 +226,37 @@ def test_the_rows_no_mutant_trips_are_exactly_c20():
     matrix = json.loads(MATRIX.read_text())
     tripped = {row for by_system in matrix.values() for rows in by_system.values() for row in rows}
     assert set(check_ids()) - tripped == {"C20"}
+
+
+# Two mutants that no row trips, since both sides of every identity go through the mutated code,
+# fail the comparison with the reference engine, which steps and reads one point at a time: the
+# first-label ``_step_many`` (a walk's step over one live state, or a ``K_u`` over one state of its
+# input, runs the loop) and a basis reader that swaps its first and last rows (the huge box's
+# ``x^2`` overflows, so the failing subject of a cycled row moves).
+def _swapped_read(basis, points):
+    read = _READ(basis, points)
+    return read[[-1, *range(1, len(read) - 1), 0]]
+
+
+_READ = checks._Basis.read
+_PLANAR = ([[[0.3, 0.2], [-0.1, 0.4]], [0.05, -0.02]], [[[0.0, -0.45], [0.45, 0.0]], [0.0, 0.1]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("mutant, scale", [("first-label _step_many", 1.0), ("swapped basis rows", 1e200)])
+def test_the_reference_engine_catches_mutants_that_no_row_trips(mutant, scale):
+    sys, plan = _affine(list(_PLANAR), scale), sampled_plan(7, n_points=6, n_functions=5)
+    _same_reports(sys, plan)
+    patches = {
+        "first-label _step_many": [(checks, "_step_many", _first_label_batches),
+                                   (operators, "_step_many", _first_label_batches)],
+        "swapped basis rows": [(checks._Basis, "read", _swapped_read)],
+    }[mutant]
+    with ExitStack() as patched:
+        for module, attr, value in patches:
+            patched.enter_context(mock.patch.object(module, attr, value))
+        with pytest.raises(AssertionError):
+            _same_reports(sys, plan)
 
 
 if __name__ == "__main__":
