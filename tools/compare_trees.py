@@ -42,7 +42,9 @@ runs in a fresh process on that tree's ``src``:
   ``predict`` on ``logistic-with-offset``, predicting from 0.3 along the
   word ``0.05,0.0,0.05`` for 30 steps (float labels, written with their
   ``repr`` in ``prediction_errors.csv``);
-* each script of ``demos/`` (the scripts CHANGE has), run as ``__main__``.
+* each script of ``demos/`` (the scripts CHANGE has), run as ``__main__``;
+* CHANGE's ``tools/public_entry_probe.py``, which maps caller point lists
+  through every public operator, ``evaluate`` and ``obs(p)``.
 
 Every file a case writes, its stdout and stderr (with the case's output
 directory masked) and its exit status are compared byte for byte.  The
@@ -93,7 +95,8 @@ _SAMPLED11 = ["--seed", "11", "--points", "1000", "--tol", "1e-12"]
 
 
 def _cases(
-    table: Path, table11: Path, mixed: Path, few_points: Path, offsets: Path, predict: Path, demos: list, words: dict
+    table: Path, table11: Path, mixed: Path, few_points: Path, offsets: Path, predict: Path, demos: list, words: dict,
+    probe: Path,
 ) -> dict:
     """Case name -> the argv lists after ``python`` that run in turn; ``{out}``
     is the case's output directory."""
@@ -131,6 +134,7 @@ def _cases(
         cases[f"fit-{name}"] = (cli + ["fit", *fit, *extra], cli + ["predict", *fit, "--config", str(words[name])])
     for demo in demos:
         cases[f"demo-{demo.stem}"] = [f"demos/{demo.name}"]
+    cases["public-entry-probe"] = [str(probe)]
     return {name: argvs if isinstance(argvs, tuple) else (argvs,) for name, argvs in cases.items()}
 
 
@@ -206,7 +210,8 @@ def main(argv=None) -> int:
         words["finite3"].write_text("x0 = 2\nword = b,a,a\nsteps = 12\n")
         words["logistic-with-offset"].write_text("x0 = 0.3\nword = 0.05,0.0,0.05\nsteps = 30\n")
         demos = sorted((change / "demos").glob("*.py"))
-        cases = _cases(table, table11, mixed, few_points, offsets, predict, demos, words)
+        probe = change / "tools" / "public_entry_probe.py"
+        cases = _cases(table, table11, mixed, few_points, offsets, predict, demos, words, probe)
         for side, tree in (("parent", parent), ("change", change)):
             _run_tree(tree, cases, tmp / side)
         before, after = _files(tmp / "parent"), _files(tmp / "change")
