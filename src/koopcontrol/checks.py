@@ -56,11 +56,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedError
+from .errors import UnsupportedError
 from .observables import (
     DomainTag,
     Observable,
@@ -78,6 +78,7 @@ from .observables import (
 )
 from .operators import (
     CompositionOperator,
+    _entry,
     apply,
     ci_isomorphisms,
     compose,
@@ -100,21 +101,19 @@ from .systems import (
     FiniteStates,
     InputSequence,
     RealBox,
-    _Lazy,
     _Points,
     _SeqTable,
-    _as_points,
+    _Trajectory,
+    _box_states,
     _canonical,
-    _column,
     _draw_sequences,
-    _firsts,
+    _draw_states,
+    _encode,
+    _finite_codes,
     _input_positions,
-    _paired,
-    _state_column,
+    _keyed,
     _step_many,
     _word,
-    random_state,
-    state_distance,
 )
 
 __all__ = [
@@ -219,84 +218,63 @@ class _Recorder:
                 self.counterexample = describe(int(bad[0]))
 
 
-def _gap(space, a, b) -> float:
-    """Distance of two states, or of two (state, input-or-sequence) points.
-
-    Box states are arrays, so a tuple on a box is a point pair; on finite
-    spaces whole-point equality already compares pairs and paths (tuples
-    of labels) componentwise.
-    """
-    if isinstance(a, tuple) and isinstance(space, RealBox):
-        return max(state_distance(space, a[0], b[0]), 0.0 if a[1] == b[1] else 1.0)
-    return state_distance(space, a, b)
-
-
-def _gaps(space, a: list, b: list) -> np.ndarray:
-    """:func:`_gap` of each pair ``a[i]``, ``b[i]``, as one array; box
-    states are compared by their state columns, and the inputs or sequences
-    of two pair lists by their codes or ids where both index one table.  Box
-    paths, ``(k + 1, d)`` arrays, are compared by the largest gap of their
-    states, read off the walks' stacked states."""
-    if isinstance(space, FiniteStates):  # labels, pairs and paths compare whole, with ==
-        return np.array([0.0 if p == q else 1.0 for p, q in zip(a, b)])
-    if isinstance(space, RealBox) and a:
-        kind = getattr(a, "kind", None)
-        if kind == "path":  # two walks' paths over one trajectory list, read off their stacked states
-            with np.errstate(all="ignore"):
-                gaps = np.max(np.abs(a.states - b.states), axis=2)
-            gaps[np.arange(gaps.shape[1]) > a.ks[:, None]] = -np.inf  # past each path's end
-            return gaps.max(axis=1)
-        pairs = kind in ("state-input", "state-sequence") if kind else isinstance(a[0], tuple)
-        sa, sb = (_state_column(_firsts(a)), _state_column(_firsts(b))) if pairs else (_state_column(a), _state_column(b))
-        if sa is not None and sb is not None and sa.shape == sb.shape == (len(a), space.dimension):
-            with np.errstate(all="ignore"):
-                gaps = np.max(np.abs(sa - sb), axis=1)
-            if pairs:
-                gaps = np.maximum(gaps, _second_gaps(a, b))
-            return gaps
-    return np.array([_gap(space, p, q) for p, q in zip(a, b)], dtype=float)
-
-
-def _second_gaps(a: list, b: list) -> np.ndarray:
-    """``0.0 if p[1] == q[1] else 1.0`` for each pair of points: two sequences are equal where their ids
-    are, two labels where their codes are and the label is ``==`` to itself."""
-    table = getattr(a, "table", None)
-    if table is not None and getattr(b, "table", None) is table:
-        if a.ids is not None and b.ids is not None:
-            return (a.ids != b.ids).astype(float)
-        if a.codes is not None and b.codes is not None:
-            reflexive = np.array([bool(u == u) for u in table.labels], dtype=bool)
-            return ((a.codes != b.codes) | ~reflexive[a.codes]).astype(float)
-    return np.array([0.0 if p[1] == q[1] else 1.0 for p, q in zip(a, b)])
-
-
-def _scenario_states(sys, plan, rng, table=None) -> list:
-    if _is_finite(sys):  # every state in order, with its code
-        xs = _Points(sys.states.labels, xcodes=np.arange(len(sys.states.labels)), space=sys.states)
+def _gaps(space, a: _Points, b: _Points) -> np.ndarray:
+    """The distance of each pair of points ``a[i]``, ``b[i]`` of two lists of one kind over one table, as one
+    array, read off their columns.  Box states differ by their largest coordinate gap, and paths by their
+    states' largest gap up to each path's end; finite states differ by their codes, a bare label that is
+    not ``==`` to itself differing from itself, as ``==`` compares it, while pairs and paths compare their
+    labels as tuples do (``is`` first).  Pairs differ by 1 more where their inputs or sequences do: two
+    sequences where their ids do, two inputs where their codes do, or on a box, where the label is not
+    ``==`` to itself."""
+    box, kind = isinstance(space, RealBox), a.kind
+    if kind == "path":
+        with np.errstate(all="ignore"):
+            gaps = np.max(np.abs(a.states - b.states), axis=2) if box else (a.xcodes != b.xcodes).astype(float)
+        gaps[np.arange(gaps.shape[1]) > a.ks[:, None]] = -np.inf  # past each path's end
+        return gaps.max(axis=1, initial=0.0) if not box else gaps.max(axis=1)
+    sa, sb = (a, b) if a.firsts is None else (a.firsts, b.firsts)
+    if box:
+        with np.errstate(all="ignore"):
+            gaps = np.max(np.abs(_box_states(space, sa) - _box_states(space, sb)), axis=1)
     else:
-        xs = random_state(rng, sys.states, plan.n_points)
-    xs.table = table
-    return xs
+        xa = _finite_codes(space, sa)
+        gaps = (xa != _finite_codes(space, sb)) | (a.firsts is None and ~_reflexive(space.labels)[xa])
+        gaps = gaps.astype(float)
+    if a.ids is not None:
+        return np.maximum(gaps, a.ids != b.ids)
+    if a.codes is not None:
+        differ = (a.codes != b.codes) | (box & ~_reflexive(a.table.labels)[a.codes])
+        return np.maximum(gaps, differ)
+    return gaps
 
 
-def _scenario_pairs(sys, plan, rng, table=None) -> list:
+def _reflexive(labels) -> np.ndarray:
+    return np.array([bool(u == u) for u in labels], dtype=bool)
+
+
+def _scenario_states(sys, plan, rng, table=None) -> _Points:
+    if _is_finite(sys):  # every state in order, with its code
+        return _Points(sys.states.labels, xcodes=np.arange(len(sys.states.labels)), space=sys.states, kind="state")
+    return _draw_states(rng, sys.states, plan.n_points)
+
+
+def _scenario_pairs(sys, plan, rng, table=None) -> _Points:
     """Every finite pair, state-major, or drawn box pairs; input codes index the table (inputs first)."""
     table, m = table or _SeqTable(sys.inputs.labels), len(sys.inputs.labels)
     if isinstance(sys.states, FiniteStates):
         n = len(sys.states.labels)
         xs, codes = _scenario_states(sys, plan, rng).take(np.repeat(np.arange(n), m)), np.tile(np.arange(m), n)
     else:
-        xs, codes = random_state(rng, sys.states, plan.n_points), rng.integers(m, size=plan.n_points)
-    return _paired(xs, lambda: table.labels_at(codes), "state-input", codes=codes, table=table)
+        xs, codes = _draw_states(rng, sys.states, plan.n_points), rng.integers(m, size=plan.n_points)
+    return _Points(firsts=xs, codes=codes, table=table, kind="state-input")
 
 
-def _scenario_seq_points(sys, plan, rng, table=None, n=None) -> list:
-    """The states, then their sequences, one list each; the sequences are interned as
-    codes, and each point holds the table's own object of its sequence."""
+def _scenario_seq_points(sys, plan, rng, table=None, n=None) -> _Points:
+    """The states, then their sequences, one list each; the sequences are interned as codes."""
     n, table, labels = plan.n_points if n is None else n, table or _SeqTable(sys.inputs.labels), sys.inputs.labels
-    xs = random_state(rng, sys.states, n)
+    xs = _draw_states(rng, sys.states, n)
     ids = table.intern_rows(labels, *_draw_sequences(rng, labels, n))
-    return _paired(xs, lambda: table.seqs_at(ids), "state-sequence", ids=ids, table=table)
+    return _Points(firsts=xs, ids=ids, table=table, kind="state-sequence")
 
 
 def _first_inputs(table: _SeqTable, ids: np.ndarray, k: int) -> np.ndarray:
@@ -310,25 +288,11 @@ def _first_inputs(table: _SeqTable, ids: np.ndarray, k: int) -> np.ndarray:
     return np.array(words, dtype=np.intp).reshape(len(distinct), k)[row[ids]]
 
 
-class _Trajectory(NamedTuple):
-    """A start state, an input sequence and a horizon."""
-
-    x0: object
-    seq: InputSequence
-    k: int
-
-
-def _trajectories(points: _Points, seqs: Callable, ks: np.ndarray, ids: np.ndarray, table: _SeqTable) -> _Points:
-    """The trajectory points of each state of ``points``, sequence of ``seqs()`` and horizon of ``ks``."""
-    make = lambda pts: list(map(_Trajectory, pts, seqs(), ks.tolist()))
-    return points.carrying(make, ids=ids, ks=ks, table=table, firsts=points)
-
-
-def _scenario_trajectories(sys, plan, rng, table=None, horizons: int = 6) -> list:
+def _scenario_trajectories(sys, plan, rng, table=None, horizons: int = 6) -> _Points:
     """Sequence points, then one horizon below ``horizons`` per point, in point order."""
     points = _scenario_seq_points(sys, plan, rng, table)
-    ks, table = rng.integers(0, horizons, size=len(points)), points.table
-    return _trajectories(points.firsts, lambda: table.seqs_at(points.ids), ks, points.ids, table)
+    ks = rng.integers(0, horizons, size=len(points))
+    return _Points(firsts=points.firsts, ids=points.ids, ks=ks, table=points.table, kind="trajectory")
 
 
 def _scenario_words(sys, plan, rng, table=None) -> list:
@@ -342,7 +306,7 @@ def _scenario_words(sys, plan, rng, table=None) -> list:
     words = np.zeros((n, 5), dtype=np.intp)
     words[np.arange(5) < ks[:, None]] = rng.integers(len(labels), size=int(ks.sum()))  # row by row, in draw order
     ids = table.intern_rows(labels, *_canonical(labels, words, ks, np.zeros((n, 1), np.intp), np.ones(n, np.intp)))
-    return _trajectories(states, lambda: table.seqs_at(ids), ks, ids, table)
+    return _Points(firsts=states, ids=ids, ks=ks, table=table, kind="trajectory")
 
 
 def _scaled(phi: Observable, domain: DomainTag, weights: Callable, label: str, ci_input=None) -> Observable:
@@ -350,7 +314,7 @@ def _scaled(phi: Observable, domain: DomainTag, weights: Callable, label: str, c
     ``weights(points)`` lists the weights read from a point list.  ``phi``
     is real-valued, as every state-basis function is, so the real products
     are the values."""
-    batch = lambda ps: (_values(phi, _firsts(ps)).real * np.asarray(weights(ps))).astype(complex)
+    batch = lambda ps: (_values(phi, ps.firsts).real * np.asarray(weights(ps))).astype(complex)
     return Observable(domain, label=f"{phi.label}*{label}", ci_input=ci_input, batch=batch)
 
 
@@ -372,7 +336,7 @@ class _Basis(list):
         out = self.rows(points)
         if out is not None or not self.parts:
             return np.stack([_values(f, points) for f in self]) if out is None else out
-        firsts, states, weights = _firsts(points), {}, {}
+        firsts, states, weights = points.firsts, {}, {}
         fast = self.phis.rows(firsts) if isinstance(self.phis, _Basis) else None
         out = np.empty((len(self), len(points)), dtype=complex)
         for i, f in enumerate(self):
@@ -390,27 +354,21 @@ class _Basis(list):
 
 def _indicator_rows(sys: ControlSystem, pairs: bool = False) -> Callable:
     """``rows`` of the finite state indicators and constant (``pairs``: pair indicators, state-major): one
-    scatter of a list's state codes (times ``m``, plus each input's position); ``None`` where ``_hits`` is,
-    or at an input outside the set.  A label that is not ``==`` to itself, as no point is, has zeros."""
+    scatter of a list's state codes (times ``m``, plus each input's position), an input outside the set
+    meeting no indicator.  A label that is not ``==`` to itself, as no point is, has zeros."""
     space, inputs, m = sys.states, sys.inputs, len(sys.inputs.labels) if pairs else 1
     keys = [(x, u) for x in space.labels for u in inputs.labels] if pairs else [(x,) for x in space.labels]
     odd = [r for r, key in enumerate(keys) if not all(v == v for v in key)]
 
-    def rows(points) -> Optional[np.ndarray]:
-        if getattr(points, "space", None) is not space or points.xcodes is None:
-            return None
-        at = points.xcodes
+    def rows(points) -> np.ndarray:
+        at = _finite_codes(space, points.firsts if pairs else points)
+        hit = at >= 0
         if pairs:
-            try:
-                table, codes = _column(points, "codes")
-            except (TypeError, DomainError):  # a label that is no dict key
-                return None
-            position = np.array([inputs._positions.get(u, -1) for u in table.labels], dtype=np.intp)[codes]
-            if (position < 0).any():
-                return None
-            at = at * m + position
+            position = _input_positions(inputs, points)
+            at, hit = at * m + position, hit & (position >= 0)
+        hit = np.flatnonzero(hit)
         out = np.zeros((len(keys) + (not pairs), len(points)), dtype=complex)
-        out[at, np.arange(len(points))] = 1
+        out[at[hit], hit] = 1
         out[odd] = 0
         out[len(keys) :] = 1  # the constant
         return out
@@ -443,10 +401,8 @@ def _input_weights(sys: ControlSystem, k=None) -> Callable:
     weights = {u: 1.0 + 0.5 * j for j, u in enumerate(sys.inputs.labels)}
 
     def read(ps) -> np.ndarray:
-        if k is None:
-            table, codes = _column(ps, "codes")
-        else:
-            table, ids = _column(ps, "ids")
+        table, codes, ids = ps.table, ps.codes, ps.ids
+        if k is not None:
             for _ in range(k):
                 ids = table.shifted(ids)
             codes = table.head[ids]
@@ -536,6 +492,13 @@ _DRAWS = {
 }
 
 
+def _mapped(op: CompositionOperator, points: _Points, col=None) -> _Points:
+    """``op.batch(points)`` (or its result ``col``), which a map of the caller's own may hand back as a
+    plain list, coded here into the table of ``points``."""
+    col = op.batch(points) if col is None else col
+    return col if isinstance(col, _Points) else _encode(col, op.source.value, points.table)
+
+
 def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> CompositionOperator:
     """A trajectory operator: a list of trajectory points ``(x0, seq, k)``
     walks in lockstep from the ``x0`` (each paired with its ``seq`` when
@@ -544,68 +507,53 @@ def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> Co
     finite systems) and, when ``on_seq``, the sequence ids as one array.
     Step ``j`` gathers the points with ``k > j`` into a list, moves it to
     ``many(points, their j-th inputs)``, the codes of each trajectory's first
-    ``k`` inputs read once (:func:`_first_inputs`), or to ``many(points)``
-    when ``on_seq`` (sequence points carry their inputs), and scatters the
+    ``k`` inputs read once (:func:`_first_inputs`), or, when ``on_seq``, maps
+    it with the operator ``many`` (sequence points carry their inputs), and scatters the
     result back.  Each point maps to its walk's last point or, with ``path``,
     to the states it visits: a stacked ``(k + 1, d)`` array on boxes, a tuple
     of labels on finite systems.  The walk is the operator's list map."""
     box = sys.states if isinstance(sys.states, RealBox) else None
 
-    def batch(ts: list) -> list:
-        ts = _as_points(ts)
-        table, ids = _column(ts, "ids")
-        ks = ts.ks if ts.ks is not None else np.array([t.k for t in ts], dtype=np.intp)
-        steps, starts, ids = int(ks.max(initial=0)), _firsts(ts), ids.copy()
+    def batch(ts: _Points) -> _Points:
+        table, ids, ks, starts = _keyed(ts.table), ts.ids.copy(), ts.ks, ts.firsts
+        steps = int(ks.max(initial=0))
         words = None if on_seq else _first_inputs(table, ids, steps)
-        if box:  # box starts without their column are coerced as ``step`` does
-            xs = starts.states if starts.states is not None else list(map(box.coerce, starts))
-            xs, codes = np.array(xs, dtype=float).reshape(len(ts), box.dimension), None
+        if box:
+            xs = _box_states(box, starts).copy()
         else:
-            xs, codes = np.fromiter(starts, dtype=object, count=len(ts)), starts.xcodes
-            codes = None if codes is None else codes.copy()
-        space = starts.space
+            xs, codes = np.fromiter(starts, dtype=object, count=len(ts)), _finite_codes(sys.states, starts).copy()
 
-        def points(at: np.ndarray) -> _Points:  # the states at ``at``: built where read on boxes
-            rows = xs[at]
+        def points(at: np.ndarray) -> _Points:  # the states at ``at``
             if box:
-                return _Lazy(len(at), lambda: list(rows), states=rows, table=table, kind="state")
-            return _Points(list(rows), table=table, xcodes=None if codes is None else codes[at], space=space)
+                return _Points(states=xs[at], kind="state")
+            return _Points(list(xs[at]), xcodes=codes[at], space=sys.states, kind="state")
 
-        trail = [xs.copy()] if path else None  # the states of each step
+        trail = [(xs.copy(), None if box else codes.copy())] if path else None  # the states of each step
         for j in range(steps):
             live = np.flatnonzero(ks > j)
             if on_seq:
-                at = ids[live]
-                moved = many(_paired(points(live), lambda: table.seqs_at(at), "state-sequence", ids=at, table=table))
-                same = getattr(moved, "table", None) is table and moved.ids is not None
-                ids[live] = moved.ids if same else table.intern([p[1] for p in moved])
-                moved = _firsts(moved)
+                moved = _mapped(many, _Points(firsts=points(live), ids=ids[live], table=table, kind="state-sequence"))
+                ids[live], moved = moved.ids, moved.firsts
             else:
-                us = _Lazy(len(live), lambda at=words[live, j]: table.labels_at(at), codes=words[live, j], table=table)
-                moved = many(points(live), us)
+                moved = many(points(live), _Points(codes=words[live, j], table=table, kind="label"))
             if box:
-                xs[live] = _state_column(moved)
+                xs[live] = _box_states(box, moved)
             else:
-                xs[live] = np.fromiter(moved, dtype=object, count=len(live))
-                if codes is not None and getattr(moved, "space", None) is space and moved.xcodes is not None:
-                    codes[live] = moved.xcodes
-                else:
-                    codes = None
+                xs[live], codes[live] = np.fromiter(moved, dtype=object, count=len(live)), _finite_codes(sys.states, moved)
             if path:
-                trail.append(xs.copy())
+                trail.append((xs.copy(), None if box else codes.copy()))
         if path and box:  # the walks' states stacked (n, longest k + 1, d), each path a view where read
-            stacked = np.stack(trail, axis=1)
-            return _Lazy(len(ts), lambda: [stacked[i, : k + 1] for i, k in enumerate(ks.tolist())], states=stacked,
-                         ks=ks, kind="path")
+            return _Points(states=np.stack([x for x, _ in trail], axis=1), ks=ks, kind="path")
         if path:
-            return [path[: k + 1] for path, k in zip(zip(*trail), ks.tolist())]
+            paths = [p[: k + 1] for p, k in zip(zip(*(x for x, _ in trail)), ks.tolist())]
+            return _Points(paths, xcodes=np.stack([c for _, c in trail], axis=1), ks=ks, kind="path")
         everyone = np.arange(len(ts))
         if on_seq:
-            return _paired(points(everyone), lambda: table.seqs_at(ids), "state-sequence", ids=ids, table=table)
+            return _Points(firsts=points(everyone), ids=ids, table=table, kind="state-sequence")
         return points(everyone)
 
     tag = DomainTag.STATE_SEQUENCE if on_seq and not path else DomainTag.STATE_ONLY
-    return CompositionOperator(tag, tag, batch)
+    return CompositionOperator(tag, tag, _entry("trajectory", batch))
 
 
 def _named(sys: ControlSystem, inputs: dict, ops: Optional[tuple] = None) -> dict:
@@ -630,13 +578,13 @@ def _operator_set(sys: ControlSystem) -> tuple:
     ku = {u: k_u(sys, u) for u in sys.inputs.labels}
 
     def kcf(xs, us):  # each state through the K_u of its input, grouped by input code
-        xs, codes = _as_points(xs), _input_positions(sys.inputs, us)
+        codes = _input_positions(sys.inputs, us)
         for c, op in enumerate(ku.values()):
             idx = np.flatnonzero(codes == c)
-            xs = xs.put(idx, op.batch(xs.take(idx))) if idx.size else xs
+            xs = xs.put(idx, _mapped(op, xs.take(idx))) if idx.size else xs
         return xs
 
-    augmented = lambda xs, us: _firsts(kau.batch(_paired(xs, us, "state-input", codes=us.codes, table=us.table)))
+    augmented = lambda xs, us: _mapped(kau, _Points(firsts=xs, codes=us.codes, table=us.table, kind="state-input")).firsts
     simulated = lambda xs, us: _step_many(sys, xs, us)
     named = {
         "R": restriction_inf_to_aug(),
@@ -650,9 +598,9 @@ def _operator_set(sys: ControlSystem) -> tuple:
         "R_ci_seq": iso.restrict_seq_to_aug,
         "sim": _walk_op(sys, simulated),
         "word": _walk_op(sys, kcf),
-        "K_inf^k": _walk_op(sys, kin.batch, on_seq=True),
+        "K_inf^k": _walk_op(sys, kin, on_seq=True),
         "path": _walk_op(sys, simulated, path=True),
-        "path_inf": _walk_op(sys, kin.batch, on_seq=True, path=True),
+        "path_inf": _walk_op(sys, kin, on_seq=True, path=True),
         "path_kcf": _walk_op(sys, kcf, path=True),
         "path_aug": _walk_op(sys, augmented, path=True),
     }
@@ -730,15 +678,18 @@ def _run_group(sys, rec, group: _Group, drawn: dict, inputs: dict, ops: tuple) -
                 apply(op, g)
         label = lambda j: (funcs[j] if lift_op is None else apply(lift_op, funcs[j])).label
     legs = [(text, chains.index(a), chains.index(b)) for text, a, b in group.legs]
-    cols = [op.batch(points) for op in products]
+    cols = []
+    for op in products:
+        col = op.batch(points)
+        if group.funcs:  # the subjects share one domain
+            _check_points(kinds[0].domain, col)
+        cols.append(_mapped(op, points, col))
     if group.funcs:
         k, every = len(funcs), group.cross or _is_finite(sys)
         fi, at = (np.repeat(np.arange(k), n), np.tile(at, k)) if every else (at % k, at)
-        for col in cols:  # the subjects share one domain
-            _check_points(kinds[0].domain, col)
         vals = []
         for col in cols:
-            col = col if lift_op is None else lift_op.batch(col)
+            col = col if lift_op is None else _mapped(lift_op, col)
             basis = funcs.basis if combos else funcs
             read = (basis if isinstance(basis, _Basis) else _Basis(basis)).read(col)  # (functions, points)
             vals.append(_combined(fi.size, zip(funcs.coeffs[fi].T, read[:, at])) if combos

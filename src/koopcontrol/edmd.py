@@ -47,11 +47,10 @@ from .systems import (
     FiniteStates,
     InputSequence,
     RealBox,
-    _as_points,
     _Points,
     _SeqTable,
+    _draw_states,
     _step_many,
-    random_state,
     simulate,
 )
 
@@ -113,7 +112,7 @@ class Dictionary:
 
     def lift_batch(self, xs) -> np.ndarray:
         """The ``(dim, n)`` lift matrix of ``n`` states; column ``j`` is ``lift(xs[j])``."""
-        xs = xs if isinstance(xs, list) else list(xs)  # a point list keeps its state column
+        xs = xs if isinstance(xs, _Points) else _Points(xs)  # a point list keeps its state column
         if not xs:
             return np.empty((self.dim, 0), dtype=complex)
         arr = None if self._powers is None else _state_column(xs)
@@ -147,7 +146,9 @@ def _distinct(xs) -> tuple:
     itself when all are), as a point list, and each entry's row there."""
     first = {}  # id -> (row, state)
     rows = np.array([first.setdefault(id(x), (len(first), x))[0] for x in xs], dtype=np.intp)
-    return _as_points(xs if len(first) == len(xs) else [x for _, x in first.values()]), rows
+    if len(first) == len(xs):
+        return (xs if isinstance(xs, _Points) else _Points(xs)), rows
+    return _Points([x for _, x in first.values()]), rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +174,7 @@ class TrainingSet:
         xs, us, ys = zip(*self.triples) if self.triples else ((), (), ())
         table = _SeqTable(self.input_labels)
         codes = table.codes(list(us))
-        return (*_distinct(xs), codes, table.labels, _as_points(ys))
+        return (*_distinct(xs), codes, table.labels, _Points(ys))
 
     def per_input(self) -> dict:
         groups = {u: [] for u in self.input_labels}
@@ -224,14 +225,14 @@ def collect_data(sys: ControlSystem, sampler) -> TrainingSet:
     elif isinstance(sampler, UniformRandom):
         if sampler.n < 1:
             raise ValueError("sample count must be positive")
-        xs = random_state(np.random.default_rng(sampler.seed), sys.states, sampler.n)
+        xs = _draw_states(np.random.default_rng(sampler.seed), sys.states, sampler.n)
     else:
         raise ValueError(f"unknown sampler: {sampler!r}")
 
     labels = sys.inputs.labels
     states, rows = _distinct(xs)
     rows, codes = np.repeat(rows, len(labels)), np.tile(np.arange(len(labels)), len(xs))
-    xs, us = states.take(rows), _Points(labels * len(xs), codes=codes, table=_SeqTable(labels))
+    xs, us = states.take(rows), _Points(codes=codes, table=_SeqTable(labels), kind="label")
     ys = _step_many(sys, xs, us)
     data = TrainingSet(tuple(zip(xs, us, ys)), input_labels=labels)
     data.__dict__["_columns"] = (states, rows, codes, list(labels), ys)  # handed over, not derived

@@ -14,10 +14,11 @@ is defined by its list map ``batch`` alone, which computes all the values
 in array passes; a call at one point is the one-element read.  An
 observable built from a bare ``fn`` is read one point at a time.
 ``is_control_independent`` draws its sample first and then reads both
-sides in one batch.  State-basis batches read a list's stacked state
-column when it carries one (see ``systems._Points``), and indicators its
-finite state codes (and a pair list's input codes), falling back to
-comparing each point where it carries none.
+sides in one batch.  A batch reads a point list's columns
+(``systems._Points``): state-basis batches its stacked states, indicators
+its state and label codes, comparing each distinct label once.  A caller's
+plain list is coded once where it enters (:func:`evaluate`, the call, or a
+batch handed a plain list by a map of the caller's own).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .systems import (
     ControlSystem,
     FiniteStates,
     InputSequence,
-    _column,
+    _Points,
+    _encode,
     _state_column,
     random_sequences,
     random_state,
@@ -108,19 +110,20 @@ def _pointwise(fn: Callable, points: list) -> np.ndarray:
     return np.array([_as_complex(fn(p)) for p in points], dtype=complex)
 
 
-def _values(obs: Observable, points: list) -> np.ndarray:
-    """``obs`` over ``points`` as a complex array, without domain checks."""
-    if not points:
+def _values(obs: Observable, points) -> np.ndarray:
+    """``obs`` over ``points`` as a complex array, without domain checks; a plain list is coded first."""
+    if not len(points):
         return np.empty(0, dtype=complex)
     if obs.fn is not None:  # a bare function, read point by point
         return _pointwise(obs.fn, points)
+    points = points if isinstance(points, _Points) else _encode(points, obs.domain.value)
     return np.asarray(obs.batch(points), dtype=complex)
 
 
 def _check_points(domain: DomainTag, points) -> None:
-    """Raise :class:`DomainMismatchError` at the first point outside ``domain``.  A list the engine built
-    of this domain's kind (``systems._Points.kind``) is one of its pairs by construction, unless its
-    table codes an :class:`InputSequence` as a label; only then, or without a kind, is each point checked."""
+    """Raise :class:`DomainMismatchError` at the first point outside ``domain``.  A list the library built
+    of this domain's kind (``systems._Points.kind``) is one of its points by construction, unless its
+    table codes an :class:`InputSequence` as a label; only then, or for a plain list, is each point checked."""
     if domain is not DomainTag.STATE_ONLY:
         seq = domain is DomainTag.STATE_SEQUENCE
         if getattr(points, "kind", None) == domain.value and (
@@ -328,37 +331,32 @@ def tabulate(obs: Observable, sys: ControlSystem) -> np.ndarray:
     return evaluate(obs, enumerate_points(obs.domain, sys))
 
 
-def _hits(points, label, col: str = "xcodes") -> Optional[np.ndarray]:
-    """Whether each state (``col="codes"``: each pair's input) of a list with state codes is ``==`` ``label``,
-    read off its codes; ``None`` for other lists and for a label not coded there or not ``==`` to itself."""
-    try:
-        table, codes = (points.space, points.xcodes) if col == "xcodes" else _column(points, "codes")
-        code = None if codes is None else (table._positions if col == "xcodes" else table._codes).get(label)
-    except (AttributeError, TypeError, DomainError):  # a list without columns; a label or point that is no dict key
-        return None
-    return None if code is None or not label == label else codes == code
+def _hits(values: list, codes: np.ndarray, label) -> np.ndarray:
+    """Whether each coded value ``values[codes[i]]`` is ``==`` ``label``, comparing each value coded once."""
+    used = list(dict.fromkeys(codes.tolist()))  # in order of first sight, so the first raising compare is
+    equal = np.zeros(len(values), dtype=bool)
+    equal[used] = [bool(values[c] == label) for c in used]
+    return equal[codes]
+
+
+def _state_hits(xs, label) -> np.ndarray:
+    """:func:`_hits` of a state list: its finite state codes, else each distinct state object."""
+    if xs.xcodes is not None:
+        return _hits(xs.space.labels, xs.xcodes, label)
+    ids = {}
+    codes = np.array([ids.setdefault(id(x), (len(ids), x))[0] for x in xs], dtype=np.intp)
+    return _hits([x for _, x in ids.values()], codes, label)
 
 
 def indicator(x_star) -> Observable:
     """1 at the state labelled ``x_star``, 0 elsewhere (finite state spaces)."""
-
-    def batch(xs):
-        hits = _hits(xs, x_star)
-        return [1.0 if x == x_star else 0.0 for x in xs] if hits is None else hits.astype(complex)
-
+    batch = lambda xs: _state_hits(xs, x_star).astype(complex)
     return Observable(DomainTag.STATE_ONLY, label=f"1[x={x_star}]", batch=batch)
 
 
 def pair_indicator(x_star, u_star) -> Observable:
     """1 at the pair ``(x_star, u_star)``, 0 elsewhere."""
-
-    def batch(ps):
-        xs = _hits(ps, x_star)
-        us = None if xs is None else _hits(ps, u_star, "codes")
-        if us is None:
-            return [1.0 if (p[0] == x_star and p[1] == u_star) else 0.0 for p in ps]
-        return (xs & us).astype(complex)
-
+    batch = lambda ps: (_state_hits(ps.firsts, x_star) & _hits(ps.table.labels, ps.codes, u_star)).astype(complex)
     return Observable(DomainTag.STATE_INPUT, label=f"1[x={x_star},u={u_star}]", batch=batch)
 
 

@@ -11,11 +11,12 @@ each operator has an exact 0-1 matrix realization.
 Each operator is defined by one list map, ``batch``, which maps a whole
 list of points at once (a Koopman operator steps them all through
 ``_step_many``); the map of one point is the one-element call.  A list
-map reads the columns a point list carries (stacked box states, finite
-state codes, label codes, sequence ids) and hands the mapped list its
-columns: ``K_inf`` steps with the head codes and moves each id to its tail.
-The mapped list of a list built from its columns is built from its own
-columns too, where first read; a caller's list of points maps its points.
+map reads the columns of a point list (``systems._Points``: stacked box
+states, finite state codes, label codes, sequence ids) and returns the
+mapped list's columns: ``K_inf`` steps with the head codes and moves each
+id to its tail.  A caller's plain list is checked and coded once where it
+enters a library operator's ``batch`` (``systems._encode``), and the caller
+gets a plain list of points back.
 """
 
 from __future__ import annotations
@@ -35,15 +36,11 @@ from .systems import (
     InputSequence,
     _Points,
     _SeqTable,
-    _as_points,
-    _column,
-    _firsts,
-    _labels,
-    _paired,
+    _encode,
+    _keyed,
     _step_many,
     random_state,
     range_map,
-    shift,
     states_equal,
     step,
 )
@@ -153,8 +150,25 @@ def compose(op1: CompositionOperator, op2: CompositionOperator) -> CompositionOp
     )
 
 
+def _entry(kind: str, mapping: Callable) -> Callable:
+    """A library operator's ``batch``: ``mapping`` of a point list the library built, and for a caller's
+    plain list of ``kind`` points, the plain list of ``mapping`` of it, coded once where it enters
+    (``systems._encode``)."""
+
+    def batch(ps):
+        if isinstance(ps, _Points):
+            return mapping(ps)
+        return list(mapping(_encode(ps, kind)))
+
+    return batch
+
+
+def _labels(ps: _Points, codes: np.ndarray) -> _Points:
+    return _Points(codes=codes, table=ps.table, kind="label")
+
+
 def identity_operator(domain: DomainTag) -> CompositionOperator:
-    return CompositionOperator(domain, domain, lambda ps: _as_points(ps).take(slice(None)), label="id")
+    return CompositionOperator(domain, domain, _entry(domain.value, lambda ps: ps), label="id")
 
 
 def k_u(sys: ControlSystem, u_star) -> CompositionOperator:
@@ -162,8 +176,9 @@ def k_u(sys: ControlSystem, u_star) -> CompositionOperator:
     if not sys.inputs.contains(u_star):
         raise DomainError(f"unknown input label: {u_star!r}")
     domain, table = DomainTag.STATE_ONLY, _SeqTable([u_star])  # coded once
-    batch = lambda xs: _step_many(sys, xs, _Points([u_star] * len(xs), codes=np.zeros(len(xs), np.intp), table=table))
-    return CompositionOperator(domain, domain, batch, label=f"K[{u_star}]")
+    us = lambda n: _Points(codes=np.zeros(n, np.intp), table=table, kind="label")
+    return CompositionOperator(domain, domain, _entry(domain.value, lambda xs: _step_many(sys, xs, us(len(xs)))),
+                               label=f"K[{u_star}]")
 
 
 def k_aug(sys: ControlSystem) -> CompositionOperator:
@@ -171,12 +186,10 @@ def k_aug(sys: ControlSystem) -> CompositionOperator:
     domain = DomainTag.STATE_INPUT
 
     def batch(ps):
-        ps = _as_points(ps)
-        us = _labels(ps, lambda pts: [u for _, u in pts], ps.codes, ps.table)
-        ys = _step_many(sys, _firsts(ps), us)  # codes the labels, unless it runs the step loop
-        return _paired(ys, us, "state-input", codes=us.codes, table=us.table)
+        ys = _step_many(sys, ps.firsts, _labels(ps, ps.codes))
+        return _Points(firsts=ys, codes=ps.codes, table=ps.table, kind=domain.value)
 
-    return CompositionOperator(domain, domain, batch, label="K_aug")
+    return CompositionOperator(domain, domain, _entry(domain.value, batch), label="K_aug")
 
 
 def k_inf(sys: ControlSystem) -> CompositionOperator:
@@ -186,19 +199,11 @@ def k_inf(sys: ControlSystem) -> CompositionOperator:
     domain = DomainTag.STATE_SEQUENCE
 
     def batch(ps):
-        ps = _as_points(ps)
-        table, ids = _column(ps, "ids")
-        tails = table.shifted(ids)
-        heads = _labels(ps, lambda pts: [(s.prefix or s.period)[0] for _, s in pts], table.head[ids], table)
-        ys = _step_many(sys, _firsts(ps), heads)  # each s.at(0)
+        table, ids = _keyed(ps.table), ps.ids
+        ys = _step_many(sys, ps.firsts, _labels(ps, table.head[ids]))  # each s.at(0)
+        return _Points(firsts=ys, ids=table.shifted(ids), table=table, kind=domain.value)
 
-        def make(pts):  # a sequence the table does not hold itself is shifted itself
-            return [t if s is h else shift(s) for (_, s), h, t in zip(pts, table.seqs_at(ids), table.seqs_at(tails))]
-
-        shifted = ps.derive(make, {})
-        return _paired(ys, shifted, "state-sequence", ids=tails, table=table)
-
-    return CompositionOperator(domain, domain, batch, label="K_inf")
+    return CompositionOperator(domain, domain, _entry(domain.value, batch), label="K_inf")
 
 
 def k_naive(sys: ControlSystem) -> CompositionOperator:
@@ -207,8 +212,9 @@ def k_naive(sys: ControlSystem) -> CompositionOperator:
     Well defined as a single map, but its target differs from its source,
     so it cannot be applied twice.
     """
-    batch = lambda ps: _step_many(sys, [p[0] for p in ps], [p[1] for p in ps])
-    return CompositionOperator(DomainTag.STATE_ONLY, DomainTag.STATE_INPUT, batch, label="K_naive")
+    batch = lambda ps: _step_many(sys, ps.firsts, _labels(ps, ps.codes))
+    return CompositionOperator(DomainTag.STATE_ONLY, DomainTag.STATE_INPUT, _entry(DomainTag.STATE_INPUT.value, batch),
+                               label="K_naive")
 
 
 def power(op: CompositionOperator, k: int) -> CompositionOperator:
@@ -230,56 +236,39 @@ def power(op: CompositionOperator, k: int) -> CompositionOperator:
 
 def restriction_inf_to_aug() -> CompositionOperator:
     """Sequence observables restricted to constant sequences: (x, u) -> (x, (u, u, ...)).
-    A list call reads one constant per label code from the list's sequence table, and
-    builds its own for a label that is not the table's (0.0 beside -0.0)."""
+    A list call reads one constant per label code from the list's sequence table."""
 
     def batch(ps):
-        ps = _as_points(ps)
-        table, codes = _column(ps, "codes")
-        ids = table.intern_keys([((), (c,)) for c in range(len(table.labels))])[codes]  # each label's constant
-        make = lambda pts: [
-            (x, s if s.period[0] is u else InputSequence.constant(u)) for (x, u), s in zip(pts, table.seqs_at(ids))
-        ]
-        return ps.carrying(make, ids=ids, kind="state-sequence", firsts=ps.firsts)
+        table = _keyed(ps.table)
+        ids = table.intern_keys([((), (c,)) for c in range(len(table.labels))])[ps.codes]  # each label's constant
+        return _Points(firsts=ps.firsts, ids=ids, table=table, kind="state-sequence")
 
-    return CompositionOperator(DomainTag.STATE_SEQUENCE, DomainTag.STATE_INPUT, batch, label="R:inf->aug")
+    return CompositionOperator(DomainTag.STATE_SEQUENCE, DomainTag.STATE_INPUT,
+                               _entry(DomainTag.STATE_INPUT.value, batch), label="R:inf->aug")
 
 
 def extension_aug_to_inf() -> CompositionOperator:
     """Pair observables extended to sequences via the first input: (x, s) -> (x, s(0))."""
-
-    def batch(ps):
-        ps = _as_points(ps)
-        table, ids = _column(ps, "ids")
-        make = lambda pts: [(x, (s.prefix or s.period)[0]) for x, s in pts]  # (x, s.at(0))
-        return ps.carrying(make, codes=table.head[ids], kind="state-input", firsts=ps.firsts)
-
-    return CompositionOperator(DomainTag.STATE_INPUT, DomainTag.STATE_SEQUENCE, batch, label="E:aug->inf")
+    batch = lambda ps: _Points(firsts=ps.firsts, codes=_keyed(ps.table).head[ps.ids], table=ps.table,
+                               kind="state-input")
+    return CompositionOperator(DomainTag.STATE_INPUT, DomainTag.STATE_SEQUENCE,
+                               _entry(DomainTag.STATE_SEQUENCE.value, batch), label="E:aug->inf")
 
 
 def restriction_aug_to_f(u_star, sys: Optional[ControlSystem] = None) -> CompositionOperator:
     """Pair observables with the input frozen at ``u_star``: x -> (x, u_star).  A list call's pairs
-    carry the code of ``u_star`` in a table of the operator's own, where it can be a dict key."""
+    carry the code of ``u_star`` in a table of the operator's own."""
     if sys is not None and not sys.inputs.contains(u_star):
         raise DomainError(f"unknown input label: {u_star!r}")
-    try:
-        table = _SeqTable([u_star])
-    except DomainError:  # a label that is no dict key has no code; the map that reads one raises
-        table = None
-
-    def batch(xs):
-        xs = _as_points(xs)
-        if table is None:
-            return xs.carrying(lambda pts: [(x, u_star) for x in pts])
-        codes, seconds = np.zeros(len(xs), dtype=np.intp), lambda: [u_star] * len(xs)
-        return _paired(xs.take(slice(None)), seconds, "state-input", codes=codes, table=table)  # xs stays the caller's
-
-    return CompositionOperator(DomainTag.STATE_INPUT, DomainTag.STATE_ONLY, batch, label=f"R[{u_star}]:aug->state")
+    table = _SeqTable([u_star])
+    batch = lambda xs: _Points(firsts=xs, codes=np.zeros(len(xs), dtype=np.intp), table=table, kind="state-input")
+    return CompositionOperator(DomainTag.STATE_INPUT, DomainTag.STATE_ONLY, _entry(DomainTag.STATE_ONLY.value, batch),
+                               label=f"R[{u_star}]:aug->state")
 
 
 def extension_f_to_aug() -> CompositionOperator:
     """State observables extended to pairs by ignoring the input: (x, u) -> x."""
-    batch = lambda ps: _firsts(ps).take(slice(None))  # a copy: the list's own states stay its own
+    batch = _entry(DomainTag.STATE_INPUT.value, lambda ps: ps.firsts)
     return CompositionOperator(DomainTag.STATE_ONLY, DomainTag.STATE_INPUT, batch, label="E:state->aug")
 
 

@@ -19,8 +19,9 @@ points are built only where something reads them.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,10 +67,15 @@ class FiniteStates(StateSpace):
         object.__setattr__(self, "_positions", {x: i for i, x in enumerate(self.labels)})  # the state codes
 
     def contains(self, x) -> bool:
+        return self._code(x) >= 0
+
+    def _code(self, x) -> int:
+        """The state code of ``x``, -1 for none; an unhashable probe is searched for in the label tuple, as
+        ``in`` searches it, and raises what that raises."""
         try:
-            return x in self._positions
-        except TypeError:  # an unhashable probe is searched for as before, and raises what that raises
-            return x in self.labels
+            return self._positions.get(x, -1)
+        except TypeError:
+            return _index(self.labels, x)
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,6 @@ class InputSet:
             raise ValueError("input label list must be nonempty")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("input labels must be unique")
-        object.__setattr__(self, "_positions", {u: i for i, u in enumerate(self.labels)})  # for list steps
 
     def contains(self, u) -> bool:
         return u in self.labels
@@ -237,217 +242,165 @@ def _box_step(sys: ControlSystem, arr: np.ndarray, u) -> np.ndarray:
     return y
 
 
-class _Points(list):
-    """A point list carrying columns beside its points, so list maps read arrays instead of the points:
-    ``states``, the box states (each point's state component) stacked ``(n, d)``; ``xcodes``, each finite
-    state's position in ``space.labels``, a :class:`FiniteStates`; ``codes``, each label's (or each pair's
-    input's) code in ``table``, a :class:`_SeqTable`; ``ids``, each point's sequence id there; ``ks``, each
-    trajectory's horizon.  A column is ``None`` until built, and is built once where a map needs it, so a
-    plain list is as valid an input.  ``firsts`` is the list of the points' state components, once built.
+class _Trajectory(NamedTuple):
+    """A start state, an input sequence and a horizon."""
 
-    Columns come first: the engine's draws, and every map of a list they made, are :class:`_Lazy` lists,
-    whose points are built from their columns only where something reads them (a user observable given as
-    ``fn``, a transition without ``transition_batch``, a counterexample's text, the caller of a public
-    operator).  Such a list also knows its ``kind``, the ``DomainTag`` value its points have by construction
-    (or ``"path"``: walks' paths, whose ``states`` are stacked ``(n, longest k + 1, d)``), so a domain check
-    reads it once.  A map builds its list with :meth:`derive` or :meth:`carrying`, which
-    keeps the input's state columns."""
-
-    states = xcodes = space = codes = ids = ks = table = firsts = kind = build = n = None  # until set
-
-    def __init__(self, points=(), states=None, **columns):
-        list.__init__(self, points)
-        if states is not None:
-            self.states = states
-        if columns:
-            self.__dict__.update(columns)
-
-    def derive(self, make: Callable, columns: dict, *owned, n=None) -> "_Points":
-        """The list ``make(points, *owned)`` of ``n`` points (one per point of this list if ``None``), with
-        ``columns``: made at once from these points (then without a ``kind``), or, for a :class:`_Lazy`
-        list, where first read, from a new build of its points (so a later change of this list changes
-        nothing).  ``owned`` lists belong to the map."""
-        if type(self) is _Lazy:
-            build = self.build
-            out = _Lazy(self.n if n is None else n, lambda: make(build(), *owned))
-            out.__dict__.update(columns)
-        else:
-            out = _Points(make(self, *owned))
-            out.__dict__.update(columns)
-            out.__dict__.pop("kind", None)
-        return out
-
-    def carrying(self, make: Callable, **columns) -> "_Points":
-        """:meth:`derive` for points that hold this list's states, so with its state columns (and its
-        table, unless ``columns`` name one)."""
-        return self.derive(make, {"states": self.states, "xcodes": self.xcodes, "space": self.space,
-                                  "table": self.table, **columns})
-
-    def take(self, idx) -> "_Points":
-        """The points at ``idx`` (a slice or an index array), with their columns."""
-        at = lambda col: None if col is None else col[idx]
-        pick = (lambda pts: list.__getitem__(pts, idx)) if isinstance(idx, slice) else (
-            lambda pts: [pts[i] for i in idx.tolist()])
-        n = len(range(len(self))[idx]) if isinstance(idx, slice) else len(idx)
-        columns = {"states": at(self.states), "codes": at(self.codes), "ids": at(self.ids), "ks": at(self.ks),
-                   "xcodes": at(self.xcodes), "table": self.table, "space": self.space, "kind": self.kind,
-                   "firsts": None if self.firsts is None else self.firsts.take(idx)}
-        return self.derive(pick, columns, n=n)
-
-    def put(self, idx: np.ndarray, other) -> "_Points":
-        """A copy with the points at ``idx`` replaced by ``other``'s, keeping
-        each column that both lists carry."""
-
-        def make(points, other):
-            points = list(points)
-            for i, p in zip(idx.tolist(), other):
-                points[i] = p
-            return points
-
-        columns = {"table": self.table, "space": self.space}
-        same = getattr(other, "table", None) is self.table  # codes and ids index one table, xcodes one space
-        for col in ("states",) + ("codes", "ids") * same + ("xcodes",) * (getattr(other, "space", None) is self.space):
-            mine, theirs = getattr(self, col), getattr(other, col, None)
-            if mine is not None and theirs is not None:
-                columns[col] = mine.copy()
-                columns[col][idx] = theirs
-        columns["kind"] = self.kind if getattr(other, "kind", None) == self.kind else None
-        return self.derive(make, columns, other)
+    x0: object
+    seq: InputSequence
+    k: int
 
 
-class _Lazy(_Points):
-    """A :class:`_Points` of ``n`` points built from its columns by ``build()``, on first read; it is then a
-    plain :class:`_Points` holding them.  Its length and columns are read without building.  Every label
-    in its points (each input, each element of a sequence) is its table's object of that code."""
+class _Points:
+    """An immutable list of ``n`` points held as columns; its Python points are built once, where first read
+    (:attr:`points`), unless it was given them.  By ``kind``:
 
-    def __init__(self, n: int, build: Callable, **columns):
-        super().__init__(**columns)
-        self.n, self.build = n, build
+    * ``"state"``: ``states``, the box states stacked ``(n, d)``, or ``xcodes``, each finite state's position
+      in ``space``, a :class:`FiniteStates`;
+    * ``"label"``: ``codes`` of the labels in ``table``, a :class:`_SeqTable`;
+    * ``"state-input"``, ``"state-sequence"``, ``"trajectory"``: ``firsts``, the state list of the points'
+      first components, with ``codes`` of their labels or ``ids`` of their sequences in ``table``, and
+      ``ks``, each trajectory's horizon;
+    * ``"path"``: each walk's states, ``states`` stacked ``(n, longest k + 1, d)`` on boxes or ``xcodes``
+      ``(n, longest k + 1)`` on finite spaces, and ``ks``.
+
+    A list the library builds is of its ``kind`` by construction; a caller's list becomes one where it
+    enters (:func:`_encode`), and then holds the caller's own points and state objects."""
+
+    states = xcodes = space = firsts = codes = ids = ks = table = kind = None  # until given
+
+    def __init__(self, points=None, states=None, n=None, **columns):
+        self._points = None if points is None else list(points)
+        self.states = states
+        self.__dict__.update(columns)
+        given = (self._points, self.firsts, states, self.xcodes, self.codes, self.ids)
+        self.n = len(next(c for c in given if c is not None)) if n is None else n
 
     def __len__(self) -> int:
         return self.n
 
-    def __radd__(self, other):
-        self._fill()
-        return other + self
+    def __iter__(self):
+        return iter(self.points)
 
-    def _fill(self) -> None:
-        list.extend(self, self.build())
-        del self.n, self.build
-        self.__class__ = _Points
+    def __getitem__(self, i):
+        return self.points[i]
+
+    @property
+    def points(self) -> list:
+        if self._points is None:
+            self._points = self._build()
+        return self._points
+
+    def _build(self) -> list:
+        if self.kind == "label":
+            return self.table.labels_at(self.codes)
+        if self.kind == "path":  # box paths; finite ones are given
+            return [self.states[i, : k + 1] for i, k in enumerate(self.ks.tolist())]
+        if self.firsts is None:
+            return list(self.states) if self.states is not None else _at(self.space.labels, self.xcodes)
+        xs = self.firsts.points
+        if self.kind == "state-input":
+            return list(zip(xs, self.table.labels_at(self.codes)))
+        seqs = self.table.seqs_at(self.ids)
+        return list(zip(xs, seqs) if self.kind == "state-sequence" else map(_Trajectory, xs, seqs, self.ks.tolist()))
+
+    def take(self, idx) -> "_Points":
+        """The points at ``idx`` (an index array or a slice), with their columns."""
+        at = lambda col: None if col is None else col[idx]
+        columns = {col: at(getattr(self, col)) for col in ("states", "xcodes", "codes", "ids", "ks")}
+        points = None if self._points is None else _at(self._points, idx)
+        firsts = None if self.firsts is None else self.firsts.take(idx)
+        return _Points(points, n=len(range(self.n)[idx]) if isinstance(idx, slice) else len(idx), firsts=firsts, space=self.space, table=self.table, kind=self.kind,
+                       **columns)
+
+    def put(self, idx: np.ndarray, other: "_Points") -> "_Points":
+        """A copy of this state list with the states at ``idx`` replaced by ``other``'s: box rows, or
+        finite states with their codes."""
+        if self.states is not None:
+            states = self.states.copy()
+            states[idx] = other.states
+            return _Points(states=states, kind="state")
+        points, xcodes = list(self), self.xcodes.copy()
+        for i, x in zip(idx.tolist(), other):
+            points[i] = x
+        xcodes[idx] = other.xcodes
+        return _Points(points, xcodes=xcodes, space=self.space, kind="state")
 
 
-def _dropping_columns(name: str) -> Callable:
-    def mutate(self, *args, **kwargs):
-        self.states = self.xcodes = self.codes = self.ids = self.ks = self.firsts = self.kind = None
-        return getattr(list, name)(self, *args, **kwargs)
-
-    return mutate
+def _at(values, idx) -> list:
+    return values[idx] if isinstance(idx, slice) else [values[i] for i in idx.tolist()]
 
 
-def _filling(name: str) -> Callable:
-    def read(self, *args, **kwargs):
-        for points in (self, *args):  # list's own methods read an argument list's storage too
-            if type(points) is _Lazy:
-                points._fill()
-        return getattr(self, name)(*args, **kwargs)
-
-    return read
-
-
-# Changing a list's points drops its columns, which then are built again where read; a lazy list
-# builds its points first, for any read or change of them.
-_CHANGES = ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend", "insert", "pop", "remove",
-            "clear", "sort", "reverse")
-for _name in _CHANGES:
-    setattr(_Points, _name, _dropping_columns(_name))
-for _name in _CHANGES + ("__iter__", "__reversed__", "__getitem__", "__contains__", "__eq__", "__ne__", "__lt__",
-                         "__le__", "__gt__", "__ge__", "__add__", "__mul__", "__rmul__", "__repr__", "__reduce_ex__",
-                         "copy", "index", "count"):
-    setattr(_Lazy, _name, _filling(_name))
-
-
-def _as_points(points) -> _Points:
-    return points if isinstance(points, _Points) else _Points(points)
+def _encode(points, kind: str, table=None) -> _Points:
+    """A caller's list of points of ``kind`` as a list the maps read: it keeps the points and their state
+    objects as given, and codes each label, or each label of a sequence, by object in ``table`` (a new one
+    if ``None``), in order of first sight, so a ``-0.0`` stays apart from ``0.0``."""
+    points = list(points)
+    if kind == "state":
+        return _Points(points, kind=kind)
+    table = _SeqTable() if table is None else table
+    if kind == "label":
+        return _Points(points, codes=table.codes(points), table=table, kind=kind)
+    firsts = _Points([p[0] for p in points], kind="state")
+    if kind == "state-input":
+        columns = {"codes": table.codes([p[1] for p in points])}
+    else:
+        columns = {"ids": table.intern([p[1] for p in points])}
+        if kind == "trajectory":
+            columns["ks"] = np.array([p[2] for p in points], dtype=np.intp)
+    return _Points(points, firsts=firsts, table=table, kind=kind, **columns)
 
 
 def _state_column(points) -> Optional[np.ndarray]:
-    """The states of a state list as an ``(n, d)`` float array: the carried
-    column, else stacked (and kept on a :class:`_Points`); ``None`` when they do
-    not stack (then the per-point path raises the precise error)."""
-    arr = getattr(points, "states", None)
-    if arr is None:
+    """The states of a state list as an ``(n, d)`` float array: its column, else its points stacked (and
+    kept); ``None`` when they do not stack, as a caller's list read without a system may not."""
+    points = points if isinstance(points, _Points) else _Points(points)
+    if points.states is None:
         try:
-            arr = np.asarray(points, dtype=float).reshape(len(points), -1)
+            points.states = np.asarray(points.points, dtype=float).reshape(len(points), -1)
         except (TypeError, ValueError):
             return None
-        if isinstance(points, _Points):
-            points.states = arr
-    return arr
+    return points.states
 
 
-def _firsts(points) -> _Points:
-    """Each point's state component, with the list's state columns; built once per list."""
-    points = _as_points(points)
-    if points.firsts is None:
-        points.firsts = points.carrying(_first_components, kind="state")
-    return points.firsts
+def _box_states(box: RealBox, xs: _Points) -> np.ndarray:
+    """A state list's ``(n, d)`` states on ``box``: its column, else each state read as ``step`` coerces it;
+    a state of another shape is a NaN row, which is outside the box, so ``step`` raises its error there."""
+    if xs.states is not None:
+        return xs.states
+    rows = np.full((len(xs), box.dimension), np.nan)
+    for i, x in enumerate(xs):
+        arr = np.asarray(x, dtype=float).reshape(-1)
+        if arr.shape == (box.dimension,):
+            rows[i] = arr
+    return rows
 
 
-def _first_components(points: list) -> list:
-    return [p[0] for p in points]
-
-
-def _labels(points: _Points, make: Callable, codes: np.ndarray, table: "_SeqTable") -> _Points:
-    """One input label per point, coded by ``codes`` in ``table`` (if not ``None``): ``make(points)``, or,
-    for a lazy list with codes, whose labels (its sequences' too) are its table's, theirs where read."""
-    if type(points) is _Lazy and codes is not None:
-        return _Lazy(len(codes), lambda: table.labels_at(codes), codes=codes, table=table)
-    return _Points(make(points), codes=codes, table=table)
-
-
-def _paired(xs: _Points, seconds, kind: str, **columns) -> _Points:
-    """The points ``(x, s)`` of each state ``x`` of ``xs`` and each ``s`` of ``seconds``, a list, or a
-    function of none that gives one from the table's labels or sequences; of ``kind``, with the state
-    columns of ``xs``, which becomes the new list's ``firsts`` (so ``xs`` must be the map's own).  It is
-    built where read if ``xs`` is, and ``seconds`` too: a list that is not lazy may hold labels that are
-    not the table's objects."""
-    columns.update(states=xs.states, xcodes=xs.xcodes, space=xs.space, firsts=xs)
-    if callable(seconds) or type(seconds) is _Lazy:
-        make = lambda pts: list(zip(pts, seconds() if callable(seconds) else seconds))
-        return xs.derive(make, dict(columns, kind=kind))
-    return _Points(zip(xs, seconds), **columns)
-
-
-def _unknown(labels) -> DomainError:
-    """``step``'s error for the first label that cannot be a dict key, as no input set's can."""
-    for u in labels:
-        try:
-            hash(u)
-        except TypeError:
-            return DomainError(f"unknown input label: {u!r}")
+def _finite_codes(space: FiniteStates, xs: _Points) -> np.ndarray:
+    """Each state's position in ``space``, -1 for none: a list's codes, else each state looked up."""
+    if xs.space is space and xs.xcodes is not None:
+        return xs.xcodes
+    return np.array([space._code(x) for x in xs], dtype=np.intp)
 
 
 class _SeqTable:
     """Labels and input sequences as integer codes and ids, filled lazily:
-    ``labels[c]`` is label ``c``; ``keys[i]`` holds sequence ``i``'s canonical
-    fields as code tuples ``(prefix, period)``, ``head[i]`` the code of its
-    first input, and ``tail[i]`` the id of its shift, -1 until first asked
-    for.  Over bounded sequences this is the shift automaton restricted to
-    the sequences drawn and their shifts; the whole bounded set is never
-    enumerated.  A drawn sequence (:meth:`intern_rows`) is interned by its
-    codes alone, as is the shift of one, and its :class:`InputSequence` is
-    built from its key where first read (:meth:`seqs_at`); a sequence
-    interned as an object (:meth:`intern`, a caller's own) is held, and
-    shifted, as itself.  A label that cannot be a dict key raises ``step``'s
-    :class:`DomainError`."""
+    ``labels[c]`` is label ``c``, coded by object, so two labels that are
+    ``==`` but are distinct objects (``0.0``, ``-0.0``) keep their own codes;
+    ``keys[i]`` holds sequence ``i``'s canonical fields as code tuples
+    ``(prefix, period)``, ``head[i]`` the code of its first input, and
+    ``tail[i]`` the id of its shift, -1 until first asked for.  Over bounded
+    sequences this is the shift automaton restricted to the sequences drawn
+    and their shifts; the whole bounded set is never enumerated.  A sequence
+    is interned by its codes, as is the shift of one, and its
+    :class:`InputSequence` is built from its key where first read
+    (:meth:`seqs_at`), of its labels' own objects.  ``unhashable`` lists the
+    labels that cannot be dict keys, as no input label can, in order of
+    first sight."""
 
     def __init__(self, labels=()):
-        self.labels, self.keys, self._codes, self._ids = [], [], {}, {}
-        self._seqs, self._held = {}, set()  # id -> its object, once given or built; the ids given one
+        self.labels, self.keys, self._codes, self._ids, self._seqs, self.unhashable = [], [], {}, {}, {}, []
         self._head, self._tail = np.empty(16, dtype=np.intp), np.empty(16, dtype=np.intp)  # grown by doubling
-        if labels:
-            self.codes(list(labels))
+        self.codes(list(labels))
 
     head = property(lambda self: self._head[: len(self.keys)])
     tail = property(lambda self: self._tail[: len(self.keys)])
@@ -455,41 +408,37 @@ class _SeqTable:
 
     def code(self, u) -> int:
         """The code of label ``u``, appended on first sight."""
-        if u not in self._codes:
-            self._codes[u] = len(self.labels)
-            self.labels.append(u)
-        return self._codes[u]
+        c = self._codes.get(id(u))
+        if c is None:
+            c = self._codes[id(u)] = len(self.labels)
+            self.labels.append(u)  # kept, so its id stays its own
+            if not isinstance(u, Hashable):
+                self.unhashable.append(u)
+        return c
 
     def codes(self, labels: list) -> np.ndarray:
-        try:
-            for u in dict.fromkeys(labels):  # new labels are coded in order of first sight
-                self.code(u)
-        except TypeError:
-            raise _unknown(labels) from None
-        return np.fromiter(map(self._codes.__getitem__, labels), dtype=np.intp, count=len(labels))
+        return np.fromiter(map(self.code, labels), dtype=np.intp, count=len(labels))
+
+    def positions(self, inputs: "InputSet") -> np.ndarray:
+        """Each label's position in ``inputs``, as ``in`` finds it (``is``, then ``==``), -1 for none."""
+        return np.array([_index(inputs.labels, u) for u in self.labels], dtype=np.intp)
 
     def intern(self, seqs: list) -> np.ndarray:
-        """The ids of ``seqs``, interning the ones not yet held in order of first sight, each holding the
-        first of its objects.  A sequence is keyed by the codes of its canonical fields, so two compare as
-        ``==`` compares them; each distinct one is coded once."""
+        """The ids of ``seqs``, each keyed by the codes of its canonical fields and interned in order of
+        first sight."""
         ids, seen, code = [], {}, self.code
-        try:
-            for s in seqs:
-                fields = s.prefix, s.period
-                i = seen.get(fields)
-                if i is None:
-                    i = seen[fields] = self._id((tuple(map(code, s.prefix)), tuple(map(code, s.period))), s)
-                ids.append(i)
-        except TypeError:
-            raise _unknown(u for s in seqs for u in s.prefix + s.period) from None
+        for s in seqs:
+            i = seen.get(id(s))
+            if i is None:
+                i = seen[id(s)] = self._id((tuple(map(code, s.prefix)), tuple(map(code, s.period))))
+            ids.append(i)
         return np.array(ids, dtype=np.intp)
 
-    def intern_keys(self, keys: list, seqs=None) -> np.ndarray:
-        """The ids of the sequences with these keys, interning new ones in order of first sight; an
-        entry of ``seqs`` (if given, one per key) is the object a new key's first sight holds."""
-        return np.array(list(map(self._id, keys, seqs or [None] * len(keys))), dtype=np.intp)
+    def intern_keys(self, keys: list) -> np.ndarray:
+        """The ids of the sequences with these keys, interning new ones in order of first sight."""
+        return np.array(list(map(self._id, keys)), dtype=np.intp)
 
-    def _id(self, key: tuple, seq=None) -> int:
+    def _id(self, key: tuple) -> int:
         i = self._ids.get(key)
         if i is None:
             i = self._ids[key] = len(self.keys)
@@ -498,9 +447,6 @@ class _SeqTable:
                 self._head, self._tail = grow(self._head), grow(self._tail)
             self.keys.append(key)
             self._head[i], self._tail[i] = (key[0] or key[1])[0], -1
-            if seq is not None:
-                self._seqs[i] = seq
-                self._held.add(i)
         return i
 
     def intern_rows(self, labels: tuple, pre: np.ndarray, plen: np.ndarray, per: np.ndarray, qlen: np.ndarray):
@@ -525,113 +471,88 @@ class _SeqTable:
     def shifted(self, ids: np.ndarray) -> np.ndarray:
         """``tail[ids]``, shifting each sequence not shifted before once."""
         todo = list(dict.fromkeys(ids[self._tail[ids] < 0].tolist()))
-        if todo:  # a held sequence's shift is held too
-            shifts = [self._id(_shifted_fields(*self.keys[i]), shift(self._seqs[i]) if i in self._held else None)
-                      for i in todo]
-            self._tail[todo] = shifts
+        if todo:
+            self._tail[todo] = [self._id(_shifted_fields(*self.keys[i])) for i in todo]
         return self._tail[ids]
 
     def seqs_at(self, ids: np.ndarray) -> list:
-        """The sequence of each id, building (once) each one not held yet from its key."""
+        """The sequence of each id, building (once) each one not built yet from its key."""
         ids, seqs, at = ids.tolist(), self._seqs, self.labels.__getitem__
-        try:
-            return list(map(seqs.__getitem__, ids))
-        except KeyError:
-            for i in set(ids).difference(seqs):
-                pre, per = self.keys[i]
-                seqs[i] = InputSequence(map(at, pre), map(at, per))
-            return list(map(seqs.__getitem__, ids))
+        for i in set(ids).difference(seqs):
+            pre, per = self.keys[i]
+            seqs[i] = InputSequence(map(at, pre), map(at, per))
+        return list(map(seqs.__getitem__, ids))
 
     def labels_at(self, codes: np.ndarray) -> list:
-        return [self.labels[c] for c in codes.tolist()]
+        return _at(self.labels, codes)
 
 
-def _column(points, col: str, pairs=True) -> tuple:
-    """``(table, column)``: ``col`` is ``"ids"`` of each point's sequence or
-    ``"codes"`` of its label, read off each point's second component
-    (``pairs``: pairs and trajectory points) or the points themselves.  The
-    carried column, else built once into the list's table or a new one, and
-    kept on a :class:`_Points` whose columns index that table."""
-    table = getattr(points, "table", None)
-    if table is not None and getattr(points, col) is not None:
-        return table, getattr(points, col)
-    table = table or _SeqTable()
-    values = (table.intern if col == "ids" else table.codes)([p[1] for p in points] if pairs else points)
-    if isinstance(points, _Points):
-        setattr(points, col, values)
-        points.table = table
-    return table, values
+def _keyed(table: _SeqTable) -> _SeqTable:
+    """``table``, for a map that keys sequences by their labels: a label that cannot be a dict key raises
+    ``step``'s error for it first, as those maps always have."""
+    if table.unhashable:
+        raise DomainError(f"unknown input label: {table.unhashable[0]!r}")
+    return table
 
 
-def _input_positions(inputs: "InputSet", us) -> np.ndarray:
-    """Each label's position in ``inputs``, -1 for none, read off the labels' codes."""
-    table, codes = _column(us, "codes", pairs=False)
-    return np.array([inputs._positions.get(u, -1) for u in table.labels], dtype=np.intp)[codes]
+def _index(labels: tuple, u) -> int:
+    """The position of ``u`` in ``labels`` as ``u in labels`` finds it, -1 for none."""
+    return next((i for i, v in enumerate(labels) if v is u or v == u), -1)
 
 
-def _finite_steps(sys: ControlSystem, xs: list, us: list) -> _Points:
-    """The ``step`` loop on a finite space, checking by lookup: the state codes (carried, else each
-    state's position, -1 for none) and input codes first, then one transition call per point in order,
-    each output's code looked up as it comes.  A state or label that is no dict key runs the loop."""
+def _input_positions(inputs: "InputSet", us: _Points) -> np.ndarray:
+    """Each label's position in ``inputs``, -1 for none, read off a label list's codes."""
+    return us.table.positions(inputs)[us.codes]
+
+
+def _finite_steps(sys: ControlSystem, xs: _Points, us: _Points) -> _Points:
+    """The ``step`` loop on a finite space, checking by lookup: the state codes and input positions first,
+    then one transition call per point in order, each output's code looked up as it comes."""
     space = sys.states
-    try:
-        carried = getattr(xs, "space", None) is space and xs.xcodes is not None
-        codes = xs.xcodes if carried else np.fromiter(map(space._positions.get, xs, [-1] * len(xs)), np.intp, len(xs))
-        ok = (codes >= 0) & (_input_positions(sys.inputs, us) >= 0)
-    except (TypeError, DomainError):
-        return _Points([step(sys, x, u) for x, u in zip(xs, us)])
+    ok = (_finite_codes(space, xs) >= 0) & (_input_positions(sys.inputs, us) >= 0)
     n = len(xs) if ok.all() else int(np.argmin(ok))  # the points before the first bad one
-    transition, code, ys, ycodes = sys.transition, space._positions.get, [], []
+    transition, ys, ycodes = sys.transition, [], []
     for _, x, u in zip(range(n), xs, us):
         y = transition(x, u)
-        try:
-            c = code(y)
-        except TypeError:  # in the space by the tuple search alone, with no code
-            c = -1 if space.contains(y) else None
-        if c is None:
+        c = space._code(y)
+        if c < 0:
             raise DomainError(f"transition left the state space: {y!r}")
         ys.append(y)
         ycodes.append(c)
     if n < len(xs):
         step(sys, xs[n], us[n])  # raises the loop's error before any transition call
-    ys, ycodes = _Points(ys), np.array(ycodes, dtype=np.intp)
-    if ycodes.min(initial=0) >= 0:
-        ys.xcodes, ys.space = ycodes, space
-    return ys
+    return _Points(ys, xcodes=np.array(ycodes, dtype=np.intp), space=space, kind="state")
 
 
-def _step_many(sys: ControlSystem, xs: list, us: list) -> _Points:
-    """``[step(sys, x, u) for x, u in zip(xs, us)]`` bit for bit, raising what that loop raises first,
-    with the states' column (:func:`_finite_steps` on finite spaces).  On a box with a ``transition_batch``,
-    two or more states are checked at once and stepped with one batch call per input label; one state
-    (cheaper alone), other boxes, states that do not stack to ``(n, d)``, or a label that is no dict key run the loop."""
+def _step_many(sys: ControlSystem, xs, us) -> _Points:
+    """``[step(sys, x, u) for x, u in zip(xs, us)]`` bit for bit, as a state list, raising what that loop
+    raises first after stepping the points before it (:func:`_finite_steps` on finite spaces).  On a box
+    every state and label is checked at once; with a ``transition_batch``, two or more states are stepped
+    with one batch call per input label, else each one alone."""
+    xs = xs if isinstance(xs, _Points) else _encode(xs, "state")
+    us = us if isinstance(us, _Points) else _encode(us, "label")
     if isinstance(sys.states, FiniteStates):
         return _finite_steps(sys, xs, us)
     box = sys.states
-    batched = sys.transition_batch is not None and isinstance(box, RealBox) and len(xs) > 1
-    arr = _state_column(xs) if batched else None
-    try:
-        codes = None if arr is None or arr.shape[1] != box.dimension else _input_positions(sys.inputs, us)
-    except DomainError:
-        codes = None
-    if codes is None:
-        return _Points([step(sys, x, u) for x, u in zip(xs, us)])
+    arr, codes = _box_states(box, xs), _input_positions(sys.inputs, us)
     lo, hi = box._slack_arrays
     inside = lambda a: ((a >= lo) & (a <= hi)).all(axis=1)  # NaN is outside
     ok = inside(arr) & (codes >= 0)
     n = len(xs) if ok.all() else int(np.argmin(ok))  # the points before the first bad one
-    codes = codes[:n]
-    ys = np.empty((n, box.dimension))
-    used, first = np.unique(codes, return_index=True)
-    for c in used[np.argsort(first)]:  # labels in order of first use
-        idx = np.flatnonzero(codes == c)
-        u = us.table.labels[us.codes[idx[0]]] if type(us) is _Lazy else us[idx[0]]  # not built for one label
-        ys[idx] = np.asarray(sys.transition_batch(arr[idx], u), dtype=float).reshape(len(idx), box.dimension)
-    if not inside(ys).all():
-        raise DomainError(f"transition output {ys[np.argmin(inside(ys))]!r} outside the declared box")
+    if sys.transition_batch is None or n < 2:  # one state alone is cheaper than a batch
+        ys = np.array([_box_step(sys, arr[i], u) for i, u in zip(range(n), us)]).reshape(n, box.dimension)
+    else:
+        codes, ys = codes[:n], np.empty((n, box.dimension))
+        used, first = np.unique(codes, return_index=True)
+        for c in used[np.argsort(first)]:  # labels in order of first use
+            idx = np.flatnonzero(codes == c)
+            u = us.table.labels[us.codes[idx[0]]]
+            ys[idx] = np.asarray(sys.transition_batch(arr[idx], u), dtype=float).reshape(len(idx), box.dimension)
+        if not inside(ys).all():
+            raise DomainError(f"transition output {ys[np.argmin(inside(ys))]!r} outside the declared box")
     if n < len(xs):
         step(sys, xs[n], us[n])  # raises the loop's error before any transition call
-    return _Lazy(n, lambda: list(ys), states=ys, kind="state")
+    return _Points(states=ys, kind="state")
 
 
 def simulate(sys: ControlSystem, x0, seq: InputSequence, k: int) -> list:
@@ -729,19 +650,21 @@ def _canonical(labels: tuple, pre: np.ndarray, plen: np.ndarray, per: np.ndarray
 def random_state(rng: np.random.Generator, space: StateSpace, n=None):
     """Uniform draw from a state space: one state, or a list of ``n`` states.
 
-    Finite spaces draw label indices (carried as the list's state codes), boxes
-    points in the box (carried stacked); ``n`` states are one generator call, and
-    the list's points are built from that column where first read.
-    One state is the one-element draw ``random_state(rng, space, 1)[0]``.
+    Finite spaces draw label indices, boxes points in the box; ``n`` states are
+    one generator call.  One state is the one-element draw
+    ``random_state(rng, space, 1)[0]``.
     """
     if n is None:
         return random_state(rng, space, 1)[0]
+    return list(_draw_states(rng, space, n))
+
+
+def _draw_states(rng: np.random.Generator, space: StateSpace, n: int) -> _Points:
+    """:func:`random_state`'s ``n`` states as a state list: their codes, or the box states stacked."""
     if isinstance(space, FiniteStates):
-        codes = rng.integers(len(space.labels), size=n).astype(np.intp, copy=False)
-        build = lambda: list(map(space.labels.__getitem__, codes.tolist()))
-        return _Lazy(n, build, xcodes=codes, space=space, kind="state")
-    arr = rng.uniform(space.lower, space.upper, size=(n, space.dimension))
-    return _Lazy(n, lambda: list(arr), states=arr, kind="state")
+        return _Points(xcodes=rng.integers(len(space.labels), size=n).astype(np.intp, copy=False), space=space,
+                       kind="state")
+    return _Points(states=rng.uniform(space.lower, space.upper, size=(n, space.dimension)), kind="state")
 
 
 def state_distance(space: StateSpace, a, b) -> float:

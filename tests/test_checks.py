@@ -612,7 +612,7 @@ def test_applied_chain_reads_the_subject_at_the_mapped_point(name):
 def _bits(v):
     """A comparable form of a state, point or point list that tells arrays
     apart bit for bit."""
-    if isinstance(v, (tuple, list)):
+    if isinstance(v, (tuple, list, checks._Points)):
         return tuple(_bits(c) for c in v)
     return (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
 
@@ -630,7 +630,7 @@ def test_trajectory_chains_match_the_simulator_formulas(name):
     sys = builtin_system(name)
     plan = exact_plan(seed=7) if name == "finite3" else sampled_plan(seed=7, n_points=40)
     rng = np.random.default_rng(7)
-    points = checks._DRAWS["t"](sys, plan, rng) + checks._DRAWS["tw"](sys, plan, rng)
+    points = list(checks._DRAWS["t"](sys, plan, rng)) + list(checks._DRAWS["tw"](sys, plan, rng))
     labels = sys.inputs.labels
     if name == "finite3":  # a start label and a plain float start, six steps each
         points.append(checks._Trajectory(2, InputSequence(("b",), ("a", "b")), 6))
@@ -726,7 +726,7 @@ def _finite_lists(sys) -> tuple:
     seqs = [ss, named["K_inf"].batch(ss), named["R"].batch(ps)]
     states = [xs, named["K_u"].batch(xs), named["E_f"].batch(ps), named["sim"].batch(ts), named["word"].batch(ts)]
     pairs = [ps, named["K_aug"].batch(ps), named["R_u"].batch(xs), named["E"].batch(ss), named["K_aug"].batch(named["E"].batch(ss))]
-    return states + [checks._firsts(s) for s in seqs], pairs, seqs
+    return states + [s.firsts for s in seqs], pairs, seqs
 
 
 def _listed(values) -> bytes:
@@ -737,19 +737,20 @@ def _listed(values) -> bytes:
 @given(_tables())
 def test_indicators_read_state_codes_as_their_points_compare(table):
     """Over lists mapped through the finite operators, which carry state codes,
-    indicators read off the codes the bits that comparing each point gives.  A
-    label that is not a state or input of the list, an unhashable label, a list
-    with a point outside the space, and one with an unhashable point (as an
-    array-valued transition makes) are compared point by point."""
+    indicators read off the codes the bits that comparing each point gives: a
+    label that is not a state or input of the list, an unhashable label, and a
+    list with an unhashable point (as an array-valued transition makes, coded
+    where the label tuple search finds it).  A caller's list with a point
+    outside the space, coded without a system, compares each distinct state once."""
     states, inputs, succ = table
     sys = _table_system(states, inputs, lambda x, u: succ[(x, u)])
     xlabels, ulabels = list(states) + ["zz", np.array([states[0]])], list(inputs) + ["zz"]
     state_lists, pair_lists, _ = _finite_lists(sys)
     arrays = _table_system(states, inputs, lambda x, u: np.array([succ[(x, u)]]))
-    outside, unhashable = state_lists[0].take(slice(None)), k_u(arrays, inputs[0]).batch(state_lists[0])
-    outside.append(max(states) + 1)
-    assert all(xs.xcodes is not None for xs in state_lists + pair_lists)
-    assert outside.xcodes is None and unhashable.xcodes is None
+    outside = checks._encode(list(state_lists[0]) + [max(states) + 1], "state")
+    unhashable = k_u(arrays, inputs[0]).batch(state_lists[0])
+    assert all(xs.xcodes is not None for xs in state_lists + [ps.firsts for ps in pair_lists] + [unhashable])
+    assert outside.xcodes is None
     for xs in state_lists + [outside, unhashable]:
         for x_star in xlabels:
             assert checks._values(indicator(x_star), xs).tobytes() == _listed([1.0 if x == x_star else 0.0 for x in xs])
@@ -779,20 +780,19 @@ def _read_or_error(read):
 
 def _assert_bases_read_as_their_functions(sys) -> None:
     """Each basis's reader gives the bytes of its functions read one by one and stacked (or raises
-    what that raises), over the mapped lists, a list without columns, a list with a point outside
-    the space, and pair and sequence lists whose first point holds an input outside the set."""
+    what that raises), over the mapped lists, a caller's list coded without a system, one with a
+    point outside the space, and pair and sequence lists whose first point holds an input outside
+    the set."""
     state_lists, pair_lists, seq_lists = _finite_lists(sys)
     xs, ps, ss = state_lists[0], pair_lists[0], seq_lists[0]
-    outside = xs.take(slice(None))
-    outside.append("zz" if isinstance(sys.states, FiniteStates) else np.array([9.0]))
-    foreign = lambda points, p: points.carrying(lambda pts: [p] + list(pts[1:]))  # the first point replaced
-    pairs = pair_lists + [list(ps), foreign(ps, (ps[0][0], "zz"))]
-    seqs = seq_lists + [list(ss), foreign(ss, (ss[0][0], InputSequence.constant("zz")))]
+    outside = checks._encode(list(xs) + ["zz" if isinstance(sys.states, FiniteStates) else np.array([9.0])], "state")
+    coded = lambda points, kind: checks._encode(points, kind, checks._SeqTable(sys.inputs.labels))
+    foreign = lambda points, p, kind: coded([p] + list(points)[1:], kind)  # the first point replaced
+    pairs = pair_lists + [coded(ps, "state-input"), foreign(ps, (ps[0][0], "zz"), "state-input")]
+    seqs = seq_lists + [coded(ss, "state-sequence"),
+                        foreign(ss, (ss[0][0], InputSequence.constant("zz")), "state-sequence")]
     bases = checks._state_basis(sys), checks._aug_basis(sys), checks._seq_basis(sys), checks._ci_seq_direct(sys)
-    if isinstance(sys.states, FiniteStates):  # the mapped lists carry state codes, and are read off them
-        assert all(bases[0].rows(points) is not None for points in state_lists)
-        assert all(bases[1].rows(points) is not None for points in pair_lists)
-    for basis, lists in zip(bases, (state_lists + [outside, list(xs)], pairs, seqs, seqs)):
+    for basis, lists in zip(bases, (state_lists + [outside, coded(xs, "state")], pairs, seqs, seqs)):
         for points in lists:
             stacked = _read_or_error(lambda: np.stack([checks._values(f, points) for f in basis]))
             assert _read_or_error(lambda: basis.read(points)) == stacked

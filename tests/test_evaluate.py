@@ -44,7 +44,8 @@ from koopcontrol import (
     state_component,
 )
 from koopcontrol import checks
-from koopcontrol.systems import _Points, _SeqTable
+import reference_engine
+from koopcontrol.systems import _Points, _SeqTable, _encode
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 SPECIAL = [0.0, -0.0, 1e-310, -1e-310, 1e150, -1e150, math.inf, -math.inf, math.nan]
@@ -366,20 +367,37 @@ _GAP_CASES = [
     (RealBox((-1.0, -1.0), (1.0, 1.0)), [np.array([0.5, -0.25]), np.array([math.nan, 0.0])],
      [np.array([0.5, 0.75]), np.array([0.0, 0.0])]),
     (RealBox((-1.0,), (1.0,)),
-     [(np.array([0.5]), "a"), (np.array([0.5]), "a"), (np.array([math.nan]), "a")],
-     [(np.array([0.25]), "a"), (np.array([0.5]), "b"), (np.array([0.0]), "b")]),
-    (builtin_system("finite3").states, [0, (1, "a"), (2, InputSequence.constant("a"))],
-     [0, (1, "b"), (2, InputSequence(("a",), ("a",)))]),
+     [(np.array([0.5]), "a"), (np.array([0.5]), "a"), (np.array([math.nan]), "a"), (np.array([0.5]), math.nan)],
+     [(np.array([0.25]), "a"), (np.array([0.5]), "b"), (np.array([0.0]), "b"), (np.array([0.5]), math.nan)]),
+    (builtin_system("finite3").states, [(0, "a"), (1, "a"), (2, "b")], [(0, "a"), (1, "b"), (1, "b")]),
     (RealBox((-1.0,), (1.0,)),
      [(np.array([0.5]), InputSequence(("b",), ("a",))), (np.array([-0.0]), InputSequence.constant("a"))],
      [(np.array([0.5]), InputSequence(("a",), ("b", "a"))), (np.array([0.0]), InputSequence(("a",), ("a",)))]),
 ]
 
 
+def _coded(space, points: list, table: _SeqTable, carried: bool) -> _Points:
+    """``points`` as a list of their kind coded in ``table``; ``carried`` gives its states their column."""
+    kind = "state" if not isinstance(points[0], tuple) else (
+        "state-sequence" if isinstance(points[0][1], InputSequence) else "state-input")
+    coded = _encode(points, kind, table)
+    if not carried:
+        return coded
+    states = [p[0] for p in points] if kind != "state" else points
+    column = {"states": np.array(states, dtype=float)} if isinstance(space, RealBox) else {
+        "xcodes": np.array([space.labels.index(x) for x in states]), "space": space}
+    firsts = _Points(states, **column)
+    return firsts if kind == "state" else _Points(points, firsts=firsts, codes=coded.codes, ids=coded.ids,
+                                                  table=table, kind=kind)
+
+
 @pytest.mark.parametrize("space, a, b", _GAP_CASES)
 def test_stacked_gaps_equal_pointwise_gaps(space, a, b):
-    expected = [checks._gap(space, p, q) for p, q in zip(a, b)]
-    assert _bits(checks._gaps(space, a, b)) == _bits(expected)
+    """A list step's gaps, read off the columns of two lists coded where they enter, are each pair of
+    points' gap (``reference_engine._gap``): a NaN state and a NaN box label differ from themselves."""
+    table = _SeqTable()
+    expected = [reference_engine._gap(space, p, q) for p, q in zip(a, b)]
+    assert _bits(checks._gaps(space, _coded(space, a, table, False), _coded(space, b, table, False))) == _bits(expected)
 
 
 @pytest.mark.parametrize("space, a, b", [c for c in _GAP_CASES if isinstance(c[0], RealBox)])
@@ -388,23 +406,5 @@ def test_gaps_read_carried_columns_bit_for_bit(space, a, b):
     label codes or sequence ids in one table compare their seconds as the
     per-pair gap does."""
     table = _SeqTable()
-
-    def carried(points):
-        if not isinstance(points[0], tuple):
-            return _carried(points)
-        col = "ids" if isinstance(points[0][1], InputSequence) else "codes"
-        seconds = (table.intern if col == "ids" else table.codes)([p[1] for p in points])
-        return _Points(points, _carried([p[0] for p in points]).states, table=table, **{col: seconds})
-
-    expected = [checks._gap(space, p, q) for p, q in zip(a, b)]
-    assert _bits(checks._gaps(space, carried(a), carried(b))) == _bits(expected)
-
-
-def test_gaps_raise_the_per_pair_error_on_ragged_states():
-    space = RealBox((-1.0,), (1.0,))
-    a, b = [np.array([0.5]), np.array([0.5, 0.25]), np.array([1.0, 2.0, 3.0])], [np.array([0.0])] * 3
-    with pytest.raises(DomainError) as per_pair:
-        [checks._gap(space, p, q) for p, q in zip(a, b)]
-    with pytest.raises(DomainError) as batched:
-        checks._gaps(space, a, b)
-    assert str(batched.value) == str(per_pair.value)
+    expected = [reference_engine._gap(space, p, q) for p, q in zip(a, b)]
+    assert _bits(checks._gaps(space, _coded(space, a, table, True), _coded(space, b, table, True))) == _bits(expected)

@@ -84,8 +84,8 @@ class _DoubleShiftTable(_SeqTable):
 class _LateHeadTable(_SeqTable):
     """A sequence table whose head code of each sequence is its second input's."""
 
-    def intern_keys(self, keys, seqs=None):
-        ids = super().intern_keys(keys, seqs)
+    def intern_keys(self, keys):
+        ids = super().intern_keys(keys)
         self._head[: len(self.keys)] = [_word(pre, per, 2)[1] for pre, per in self.keys]
         return ids
 

@@ -440,12 +440,13 @@ def test_step_many_reads_carried_columns_bit_for_bit(name, draws):
 
 @pytest.mark.parametrize("change", ["set", "slice", "append", "insert", "pop", "sort", "extend", "iadd", "del"])
 def test_changing_a_point_list_drops_its_columns(change):
-    """A drawn box list and a stepped one carry their state column; after
-    any change of their points, list maps read the points again."""
+    """A drawn box list and a stepped one reach a caller as plain lists, and a
+    list is coded where it enters each map; after any change of their points,
+    list maps read the points again."""
     sys = builtin_system("scalarlinear")
     drawn = random_state(np.random.default_rng(3), sys.states, 6)
-    for xs in (drawn, _step_many(sys, drawn, [sys.inputs.labels[0]] * 6)):
-        assert _state_column(xs) is not None
+    for xs in (drawn, k_u(sys, sys.inputs.labels[0]).batch(drawn)):
+        assert type(xs) is list and _state_column(xs) is not None
         x = np.array([0.125])
         {"set": lambda: xs.__setitem__(0, x), "slice": lambda: xs.__setitem__(slice(1, 3), [x, x]),
          "append": lambda: xs.append(x), "insert": lambda: xs.insert(2, x), "pop": lambda: xs.pop(1),
