@@ -30,16 +30,18 @@ state function and weight row once.  Both sides of an identity read through
 it, so a wrong reader trips no row; only a test against the per-function
 read checks it.  One operator set serves a whole :func:`run_all`.
 
-Point lists are columns first (``systems._Points``): box states stacked
+Point lists are column records (``systems._Points``): box states stacked
 once at the draw, finite states and input labels as codes, trajectory
 horizons, and sequences as ids into one sequence table per
 :func:`_run_table` call, which holds each id's canonical fields as codes,
 its head code and tail id and is filled lazily: each draw interns its
 sequence rows as codes, and each shift is interned on first use.  A list's
 Python points (pairs, trajectories, sequence objects) are built only where
-read, which a passing box run never does.  ``K_inf`` steps with the head
+read, which a passing run never does.  Every list the engine reads is one
+it built, or one a map of the caller's own (a mutant) handed back, coded
+where it returns (:func:`_mapped`).  ``K_inf`` steps with the head
 codes and moves to the tails, sequence-basis weights gather head codes,
-indicator bases scatter state codes, and :func:`_gaps` compares box state
+indicator bases scatter state codes, and :func:`_gaps` compares state
 columns and the codes or ids of pairs.  The ground-truth walks keep their
 live states and sequence ids as arrays, and read each trajectory's inputs
 off its sequence's own fields (:func:`_first_inputs`), so they check the
@@ -229,9 +231,9 @@ def _gaps(space, a: _Points, b: _Points) -> np.ndarray:
     box, kind = isinstance(space, RealBox), a.kind
     if kind == "path":
         with np.errstate(all="ignore"):
-            gaps = np.max(np.abs(a.states - b.states), axis=2) if box else (a.xcodes != b.xcodes).astype(float)
+            gaps = np.max(np.abs(a.states - b.states), axis=2) if box else (a.xcodes != b.xcodes) * 1.0
         gaps[np.arange(gaps.shape[1]) > a.ks[:, None]] = -np.inf  # past each path's end
-        return gaps.max(axis=1, initial=0.0) if not box else gaps.max(axis=1)
+        return gaps.max(axis=1)
     sa, sb = (a, b) if a.firsts is None else (a.firsts, b.firsts)
     if box:
         with np.errstate(all="ignore"):

@@ -49,6 +49,7 @@ from .systems import (
     RealBox,
     _Points,
     _SeqTable,
+    _by_object,
     _draw_states,
     _step_many,
     simulate,
@@ -144,11 +145,8 @@ class ExhaustiveFinite:
 def _distinct(xs) -> tuple:
     """The distinct state objects of ``xs`` in order of first sight (``xs``
     itself when all are), as a point list, and each entry's row there."""
-    first = {}  # id -> (row, state)
-    rows = np.array([first.setdefault(id(x), (len(first), x))[0] for x in xs], dtype=np.intp)
-    if len(first) == len(xs):
-        return (xs if isinstance(xs, _Points) else _Points(xs)), rows
-    return _Points([x for _, x in first.values()]), rows
+    states, rows = _by_object(xs)
+    return (xs if len(states) == len(xs) and isinstance(xs, _Points) else _Points(states)), rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +335,7 @@ def export_training_csv(data: TrainingSet, path) -> None:
         for start in range(0, len(rows), _CSV_BLOCK):
             block = slice(start, start + _CSV_BLOCK)
             fields = zip(map(xs.__getitem__, rows[block].tolist()), map(us.__getitem__, codes[block].tolist()),
-                         _state_fields(nexts.take(block)))
+                         _state_fields(nexts.take(np.arange(len(rows))[block])))
             fh.write("".join([f"{x},{u},{y}\r\n" for x, u, y in fields]))
 
 

@@ -35,6 +35,7 @@ from .systems import (
     FiniteStates,
     InputSequence,
     _Points,
+    _by_object,
     _encode,
     _state_column,
     random_sequences,
@@ -333,7 +334,7 @@ def tabulate(obs: Observable, sys: ControlSystem) -> np.ndarray:
 
 def _hits(values: list, codes: np.ndarray, label) -> np.ndarray:
     """Whether each coded value ``values[codes[i]]`` is ``==`` ``label``, comparing each value coded once."""
-    used = list(dict.fromkeys(codes.tolist()))  # in order of first sight, so the first raising compare is
+    used = list(dict.fromkeys(codes.tolist()))  # by first sight: a compare that raises does so at its first point
     equal = np.zeros(len(values), dtype=bool)
     equal[used] = [bool(values[c] == label) for c in used]
     return equal[codes]
@@ -341,11 +342,7 @@ def _hits(values: list, codes: np.ndarray, label) -> np.ndarray:
 
 def _state_hits(xs, label) -> np.ndarray:
     """:func:`_hits` of a state list: its finite state codes, else each distinct state object."""
-    if xs.xcodes is not None:
-        return _hits(xs.space.labels, xs.xcodes, label)
-    ids = {}
-    codes = np.array([ids.setdefault(id(x), (len(ids), x))[0] for x in xs], dtype=np.intp)
-    return _hits([x for _, x in ids.values()], codes, label)
+    return _hits(xs.space.labels, xs.xcodes, label) if xs.xcodes is not None else _hits(*_by_object(xs), label)
 
 
 def indicator(x_star) -> Observable:

@@ -10,11 +10,17 @@ Input sequences are represented by a finite prefix plus a repeating
 period, which keeps the left shift exact and makes every finite-horizon
 behavior reachable; ``word(k)`` reads their first ``k`` inputs at once.
 :func:`simulate` validates each state of a box trajectory once.  A finite
-space keeps each label's position (its state code): ``contains`` and a
-finite list step (``_step_many``) look states up there, and a finite point
-list carries its states' codes as a column beside the points.  Point lists
-that the library draws or maps are columns first (``_Points``): their
-points are built only where something reads them.
+space keeps each label's position (its state code), which ``contains``
+and a finite list step (``_step_many``) look states up by.
+
+Point lists are immutable column records (``_Points``): stacked box
+states, finite state codes, label codes and sequence ids.  The library's
+draws and maps build them from columns, and their Python points are built
+only where something reads them.  A caller's plain list is coded once,
+where it enters (``_encode``: a library operator's ``batch``, ``evaluate``,
+the call of an observable, a list step handed a plain list); behind that
+entry every map and reader reads columns, and raises what the ``step``
+loop raises first.
 """
 
 from __future__ import annotations
@@ -303,19 +309,18 @@ class _Points:
         seqs = self.table.seqs_at(self.ids)
         return list(zip(xs, seqs) if self.kind == "state-sequence" else map(_Trajectory, xs, seqs, self.ks.tolist()))
 
-    def take(self, idx) -> "_Points":
-        """The points at ``idx`` (an index array or a slice), with their columns."""
+    def take(self, idx: np.ndarray) -> "_Points":
+        """The points at the index array ``idx``, with their columns."""
         at = lambda col: None if col is None else col[idx]
         columns = {col: at(getattr(self, col)) for col in ("states", "xcodes", "codes", "ids", "ks")}
         points = None if self._points is None else _at(self._points, idx)
         firsts = None if self.firsts is None else self.firsts.take(idx)
-        return _Points(points, n=len(range(self.n)[idx]) if isinstance(idx, slice) else len(idx), firsts=firsts, space=self.space, table=self.table, kind=self.kind,
-                       **columns)
+        return _Points(points, n=len(idx), firsts=firsts, space=self.space, table=self.table, kind=self.kind, **columns)
 
     def put(self, idx: np.ndarray, other: "_Points") -> "_Points":
         """A copy of this state list with the states at ``idx`` replaced by ``other``'s: box rows, or
         finite states with their codes."""
-        if self.states is not None:
+        if self.xcodes is None:
             states = self.states.copy()
             states[idx] = other.states
             return _Points(states=states, kind="state")
@@ -326,8 +331,15 @@ class _Points:
         return _Points(points, xcodes=xcodes, space=self.space, kind="state")
 
 
-def _at(values, idx) -> list:
-    return values[idx] if isinstance(idx, slice) else [values[i] for i in idx.tolist()]
+def _by_object(xs) -> tuple:
+    """The distinct objects of ``xs`` in order of first sight, and each entry's position there."""
+    first = {}  # id -> (position, object)
+    rows = np.array([first.setdefault(id(x), (len(first), x))[0] for x in xs], dtype=np.intp)
+    return [x for _, x in first.values()], rows
+
+
+def _at(values, idx: np.ndarray) -> list:
+    return [values[i] for i in idx.tolist()]
 
 
 def _encode(points, kind: str, table=None) -> _Points:
@@ -352,13 +364,12 @@ def _encode(points, kind: str, table=None) -> _Points:
 
 def _state_column(points) -> Optional[np.ndarray]:
     """The states of a state list as an ``(n, d)`` float array: its column, else its points stacked (and
-    kept); ``None`` when they do not stack, as a caller's list read without a system may not."""
+    kept); ``None`` for states of several shapes, as a caller's list read without a system may hold."""
     points = points if isinstance(points, _Points) else _Points(points)
     if points.states is None:
-        try:
-            points.states = np.asarray(points.points, dtype=float).reshape(len(points), -1)
-        except (TypeError, ValueError):
+        if len({np.shape(x) for x in points}) > 1:
             return None
+        points.states = np.asarray(points.points, dtype=float).reshape(len(points), -1)
     return points.states
 
 

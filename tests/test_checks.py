@@ -415,6 +415,17 @@ def test_a_box_run_builds_few_sequence_objects(monkeypatch, name):
     and C16's).  Drawn sequences, their shifts and the constants of ``R`` are interned as codes,
     and no point of a passing box run is read, so no sequence is built; drawing and shifting
     one object per row made 6,652."""
+    assert _sequences_built(monkeypatch, builtin_system(name), sampled_plan(7)) == 5
+
+
+def test_an_exact_finite3_run_builds_few_sequence_objects(monkeypatch, f3):
+    """The same 5 stamps on finite3: the stepped states of ``K_inf`` and of the walks carry their state
+    codes, so their sequences stay ids too; built eagerly, they made 342."""
+    assert _sequences_built(monkeypatch, f3, exact_plan(seed=7)) == 5
+
+
+def _sequences_built(monkeypatch, sys, plan) -> int:
+    """The ``InputSequence`` constructions of one ``run_all``."""
     calls, init = {"n": 0}, InputSequence.__init__
 
     def counted(self, prefix, period):
@@ -422,8 +433,8 @@ def test_a_box_run_builds_few_sequence_objects(monkeypatch, name):
         init(self, prefix, period)
 
     monkeypatch.setattr(InputSequence, "__init__", counted)
-    run_all(builtin_system(name), sampled_plan(7))
-    assert calls["n"] == 5
+    run_all(sys, plan)
+    return calls["n"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
