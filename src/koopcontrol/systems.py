@@ -367,7 +367,7 @@ def _state_column(points) -> Optional[np.ndarray]:
     kept); ``None`` for states of several shapes, as a caller's list read without a system may hold."""
     points = points if isinstance(points, _Points) else _Points(points)
     if points.states is None:
-        if len({np.shape(x) for x in points}) > 1:
+        if len({x.shape if type(x) is np.ndarray else np.shape(x) for x in points}) > 1:
             return None
         points.states = np.asarray(points.points, dtype=float).reshape(len(points), -1)
     return points.states
