@@ -374,10 +374,12 @@ def _state_column(points) -> Optional[np.ndarray]:
 
 
 def _box_states(box: RealBox, xs: _Points) -> np.ndarray:
-    """A state list's ``(n, d)`` states on ``box``: its column, else each state read as ``step`` coerces it;
-    a state of another shape is a NaN row, which is outside the box, so ``step`` raises its error there."""
-    if xs.states is not None:
-        return xs.states
+    """A state list's ``(n, d)`` states on ``box``, as ``step`` coerces each one: its column, where its states
+    stack to that shape; else a state of another shape is a NaN row, which is outside the box, so ``step``
+    raises its error there."""
+    arr = _state_column(xs)
+    if arr is not None and arr.shape == (len(xs), box.dimension):
+        return arr
     rows = np.full((len(xs), box.dimension), np.nan)
     for i, x in enumerate(xs):
         arr = np.asarray(x, dtype=float).reshape(-1)
