@@ -540,29 +540,31 @@ def _finite_steps(sys: ControlSystem, xs: _Points, us: _Points) -> _Points:
 def _step_many(sys: ControlSystem, xs, us) -> _Points:
     """``[step(sys, x, u) for x, u in zip(xs, us)]`` bit for bit, as a state list, raising what that loop
     raises first after stepping the points before it (:func:`_finite_steps` on finite spaces).  On a box
-    every state and label is checked at once; with a ``transition_batch``, two or more states are stepped
-    with one batch call per input label, else each one alone."""
+    with a ``transition_batch``, every state and label is checked at once, and the points before the first
+    bad one are stepped with one batch call per input label, when there are two or more of them; other boxes,
+    and fewer points (one state alone is cheaper), run the loop."""
     xs = xs if isinstance(xs, _Points) else _encode(xs, "state")
     us = us if isinstance(us, _Points) else _encode(us, "label")
     if isinstance(sys.states, FiniteStates):
         return _finite_steps(sys, xs, us)
-    box = sys.states
-    arr, codes = _box_states(box, xs), _input_positions(sys.inputs, us)
-    lo, hi = box._slack_arrays
-    inside = lambda a: ((a >= lo) & (a <= hi)).all(axis=1)  # NaN is outside
-    ok = inside(arr) & (codes >= 0)
-    n = len(xs) if ok.all() else int(np.argmin(ok))  # the points before the first bad one
-    if sys.transition_batch is None or n < 2:  # one state alone is cheaper than a batch
-        ys = np.array([_box_step(sys, arr[i], u) for i, u in zip(range(n), us)]).reshape(n, box.dimension)
-    else:
-        codes, ys = codes[:n], np.empty((n, box.dimension))
-        used, first = np.unique(codes, return_index=True)
-        for c in used[np.argsort(first)]:  # labels in order of first use
-            idx = np.flatnonzero(codes == c)
-            u = us.table.labels[us.codes[idx[0]]]
-            ys[idx] = np.asarray(sys.transition_batch(arr[idx], u), dtype=float).reshape(len(idx), box.dimension)
-        if not inside(ys).all():
-            raise DomainError(f"transition output {ys[np.argmin(inside(ys))]!r} outside the declared box")
+    box, n = sys.states, 0
+    if sys.transition_batch is not None and len(xs) > 1:
+        arr, codes = _box_states(box, xs), _input_positions(sys.inputs, us)
+        lo, hi = box._slack_arrays
+        inside = lambda a: ((a >= lo) & (a <= hi)).all(axis=1)  # NaN is outside
+        ok = inside(arr) & (codes >= 0)
+        n = len(xs) if ok.all() else int(np.argmin(ok))  # the points before the first bad one
+    if n < 2:
+        ys = [step(sys, x, u) for x, u in zip(xs, us)]
+        return _Points(states=np.array(ys).reshape(len(ys), box.dimension), kind="state")
+    codes, ys = codes[:n], np.empty((n, box.dimension))
+    used, first = np.unique(codes, return_index=True)
+    for c in used[np.argsort(first)]:  # labels in order of first use
+        idx = np.flatnonzero(codes == c)
+        u = us.table.labels[us.codes[idx[0]]]
+        ys[idx] = np.asarray(sys.transition_batch(arr[idx], u), dtype=float).reshape(len(idx), box.dimension)
+    if not inside(ys).all():
+        raise DomainError(f"transition output {ys[np.argmin(inside(ys))]!r} outside the declared box")
     if n < len(xs):
         step(sys, xs[n], us[n])  # raises the loop's error before any transition call
     return _Points(states=ys, kind="state")
