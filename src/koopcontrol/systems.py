@@ -364,10 +364,11 @@ def _encode(points, kind: str, table=None) -> _Points:
 
 def _state_column(points) -> Optional[np.ndarray]:
     """The states of a state list as an ``(n, d)`` float array: its column, else its points stacked (and
-    kept); ``None`` for states of several shapes, as a caller's list read without a system may hold."""
+    kept); ``None`` for no states, or states of several shapes, as a caller's list read without a system
+    may hold."""
     points = points if isinstance(points, _Points) else _Points(points)
     if points.states is None:
-        if len({x.shape if type(x) is np.ndarray else np.shape(x) for x in points}) > 1:
+        if len({x.shape if type(x) is np.ndarray else np.shape(x) for x in points}) != 1:
             return None
         points.states = np.asarray(points.points, dtype=float).reshape(len(points), -1)
     return points.states

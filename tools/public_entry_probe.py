@@ -12,11 +12,11 @@ plain lists of its target domain's points, once as a whole list and once
 point by point with ``precompose``; ``evaluate`` and the call ``obs(p)``
 read observables over the same lists.  The lists are drawn from a seeded
 generator and hold, one case each, bad and ragged states, and unknown,
-unhashable, NaN and ``-0.0`` input labels.  Each line prints the ``repr``
-of the result, or the error, and the transitions stepped (per-point calls
-plus the rows of batch calls, so a batch and the ``step`` loop count
-alike).  The output is deterministic, so two source trees compare by their
-output bytes (``tools/compare_trees.py``).
+unhashable, NaN and ``-0.0`` input labels; one more case is empty.  Each
+line prints the ``repr`` of the result, or the error, and the transitions
+stepped (per-point calls plus the rows of batch calls, so a batch and the
+``step`` loop count alike).  The output is deterministic, so two source
+trees compare by their output bytes (``tools/compare_trees.py``).
 """
 
 from __future__ import annotations
@@ -106,6 +106,8 @@ def _lists(sys, rng) -> dict:
     for case, u in odd.items():
         seq_points[case + " first"] = _with(list(zip(xs, seqs)), 1, (xs[0], InputSequence((u,), (u0, u))))
         seq_points[case + " later"] = _with(list(zip(xs, seqs)), 3, (xs[1], InputSequence((u0,), (u0, u))))
+    for cases in (states, pairs, seq_points):
+        cases["empty"] = []
     return {STATE: states, PAIR: pairs, SEQ: seq_points}
 
 
