@@ -42,10 +42,10 @@ it built, or one a map of the caller's own (a mutant) handed back, coded
 where it returns (:func:`_mapped`).  ``K_inf`` steps with the head
 codes and moves to the tails, sequence-basis weights gather head codes,
 indicator bases scatter state codes, and :func:`_gaps` compares state
-columns and the codes or ids of pairs.  The ground-truth walks keep their
-live states and sequence ids as arrays, and read each trajectory's inputs
-off its sequence's own fields (:func:`_first_inputs`), so they check the
-operators that read the table's heads and tails.
+columns, and pairs' labels or sequences by codes or ids.  The walks keep
+their live states and sequence ids as arrays, and read each trajectory's
+inputs off its sequence's own fields (:func:`_first_inputs`), so they
+check the operators that read the table's heads and tails.
 
 Results are deterministic: every check draws from a generator seeded by
 (plan seed, check index), so run order and concurrency cannot change the
@@ -80,7 +80,6 @@ from .observables import (
 )
 from .operators import (
     CompositionOperator,
-    _entry,
     apply,
     ci_isomorphisms,
     compose,
@@ -111,6 +110,7 @@ from .systems import (
     _draw_sequences,
     _draw_states,
     _encode,
+    _entry,
     _finite_codes,
     _input_positions,
     _keyed,
@@ -221,13 +221,12 @@ class _Recorder:
 
 
 def _gaps(space, a: _Points, b: _Points) -> np.ndarray:
-    """The distance of each pair of points ``a[i]``, ``b[i]`` of two lists of one kind over one table, as one
-    array, read off their columns.  Box states differ by their largest coordinate gap, and paths by their
+    """The distance of each pair of points ``a[i]``, ``b[i]`` of two lists of one kind, as one array, read
+    off their columns.  Box states differ by their largest coordinate gap, and paths by their
     states' largest gap up to each path's end; finite states differ by their codes, a bare label that is
     not ``==`` to itself differing from itself, as ``==`` compares it, while pairs and paths compare their
-    labels as tuples do (``is`` first).  Pairs differ by 1 more where their inputs or sequences do: two
-    sequences where their ids do, two inputs where their codes do, or on a box, where the label is not
-    ``==`` to itself."""
+    labels as tuples do (``is`` first), and two states outside the space compare as their points do.
+    Pairs differ by 1 more where their inputs or sequences do (:func:`_differ`)."""
     box, kind = isinstance(space, RealBox), a.kind
     if kind == "path":
         with np.errstate(all="ignore"):
@@ -239,15 +238,36 @@ def _gaps(space, a: _Points, b: _Points) -> np.ndarray:
         with np.errstate(all="ignore"):
             gaps = np.max(np.abs(_box_states(space, sa) - _box_states(space, sb)), axis=1)
     else:
-        xa = _finite_codes(space, sa)
-        gaps = (xa != _finite_codes(space, sb)) | (a.firsts is None and ~_reflexive(space.labels)[xa])
+        xa, xb = _finite_codes(space, sa), _finite_codes(space, sb)
+        gaps = (xa != xb) | (a.firsts is None and ~_reflexive(space.labels)[xa])
+        for i in np.flatnonzero((xa < 0) | (xb < 0)).tolist():  # outside the space: compared as points
+            gaps[i] = not (sa[i] == sb[i] if a.firsts is None else sa[i] is sb[i] or sa[i] == sb[i])
         gaps = gaps.astype(float)
-    if a.ids is not None:
-        return np.maximum(gaps, a.ids != b.ids)
-    if a.codes is not None:
-        differ = (a.codes != b.codes) | (box & ~_reflexive(a.table.labels)[a.codes])
-        return np.maximum(gaps, differ)
-    return gaps
+    if a.ids is None and a.codes is None:
+        return gaps
+    return np.maximum(gaps, _differ(a, b, box, a.ids is not None))
+
+
+def _differ(a: _Points, b: _Points, box: bool, seqs: bool) -> np.ndarray:
+    """Whether the inputs (``seqs``: the sequences) of each pair of points ``a[i]``, ``b[i]`` differ, as
+    ``==`` compares them: a box label alone, else as tuples do (``is`` first).  Over one table, a code
+    equals itself (a box label, where the label is ``==`` to itself) and two codes are compared by their
+    labels, since two objects coded apart can be ``==``; over two tables every pair is.  Each distinct pair
+    of codes is compared once."""
+    ca, cb = (a.ids, b.ids) if seqs else (a.codes, b.codes)
+    one = a.table is b.table
+
+    def value(table, i):
+        if seqs:
+            return tuple(tuple(map(table.labels.__getitem__, f)) for f in table.keys[i])
+        return table.labels[i] if box else (table.labels[i],)
+
+    differ = ~_reflexive(a.table.labels)[ca] if one and box and not seqs else np.zeros(len(ca), dtype=bool)
+    rows = np.flatnonzero(ca != cb) if one else np.arange(len(ca))
+    pairs = list(zip(ca[rows].tolist(), cb[rows].tolist()))
+    unequal = {p: not value(a.table, p[0]) == value(b.table, p[1]) for p in dict.fromkeys(pairs)}
+    differ[rows] = [unequal[p] for p in pairs]
+    return differ
 
 
 def _reflexive(labels) -> np.ndarray:
@@ -316,7 +336,7 @@ def _scaled(phi: Observable, domain: DomainTag, weights: Callable, label: str, c
     ``weights(points)`` lists the weights read from a point list.  ``phi``
     is real-valued, as every state-basis function is, so the real products
     are the values."""
-    batch = lambda ps: (_values(phi, ps.firsts).real * np.asarray(weights(ps))).astype(complex)
+    batch = _entry(domain.value, lambda ps: (_values(phi, ps.firsts).real * np.asarray(weights(ps))).astype(complex))
     return Observable(domain, label=f"{phi.label}*{label}", ci_input=ci_input, batch=batch)
 
 
@@ -498,7 +518,7 @@ def _mapped(op: CompositionOperator, points: _Points, col=None) -> _Points:
     """``op.batch(points)`` (or its result ``col``), which a map of the caller's own may hand back as a
     plain list, coded here into the table of ``points``."""
     col = op.batch(points) if col is None else col
-    return col if isinstance(col, _Points) else _encode(col, op.source.value, points.table)
+    return _encode(col, op.source.value, points.table)
 
 
 def _walk_op(sys: ControlSystem, many: Callable, on_seq=False, path=False) -> CompositionOperator:

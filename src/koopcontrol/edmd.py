@@ -51,6 +51,7 @@ from .systems import (
     _SeqTable,
     _by_object,
     _draw_states,
+    _keyed,
     _step_many,
     simulate,
 )
@@ -113,7 +114,7 @@ class Dictionary:
 
     def lift_batch(self, xs) -> np.ndarray:
         """The ``(dim, n)`` lift matrix of ``n`` states; column ``j`` is ``lift(xs[j])``."""
-        xs = xs if isinstance(xs, _Points) else _Points(xs)  # a point list keeps its state column
+        xs = xs if isinstance(xs, _Points) else list(xs)  # a caller's own batch is handed a caller's list
         if not xs:
             return np.empty((self.dim, 0), dtype=complex)
         arr = None if self._powers is None else _state_column(xs)
@@ -156,7 +157,9 @@ class TrainingSet:
     ``input_labels`` lets the fit flag labels that received no samples.  The
     fit and the CSV export read its columns: the distinct sampled states (by
     object), each triple's row there, its input's position in the labels
-    (``input_labels``, then others as first seen), and the next states.
+    (``input_labels``, then others as first seen; labels that are ``==``
+    share one position, as they share one ``per_input`` group), and the
+    next states.
     """
 
     triples: tuple
@@ -172,7 +175,9 @@ class TrainingSet:
         xs, us, ys = zip(*self.triples) if self.triples else ((), (), ())
         table = _SeqTable(self.input_labels)
         codes = table.codes(list(us))
-        return (*_distinct(xs), codes, table.labels, _Points(ys))
+        merged = {}  # each label object coded once, then merged by value, as per_input groups the triples
+        by_value = np.array([merged.setdefault(u, len(merged)) for u in _keyed(table).labels], dtype=np.intp)
+        return (*_distinct(xs), by_value[codes], list(merged), _Points(ys))
 
     def per_input(self) -> dict:
         groups = {u: [] for u in self.input_labels}

@@ -16,9 +16,10 @@ observable built from a bare ``fn`` is read one point at a time.
 ``is_control_independent`` draws its sample first and then reads both
 sides in one batch.  A batch reads a point list's columns
 (``systems._Points``): state-basis batches its stacked states, indicators
-its state and label codes, comparing each distinct label once.  A caller's
-plain list is coded once where it enters (:func:`evaluate`, the call, or a
-batch handed a plain list by a map of the caller's own).
+its state and label codes, comparing each distinct label once.  A library
+batch codes a caller's plain list once where it enters (``systems._entry``);
+a batch of the caller's own is handed the caller's list as it is.  States
+that do not stack as one float array are read one state at a time.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .systems import (
     ControlSystem,
     FiniteStates,
     InputSequence,
-    _Points,
     _by_object,
-    _encode,
+    _entry,
     _state_column,
     random_sequences,
     random_state,
@@ -112,12 +112,11 @@ def _pointwise(fn: Callable, points: list) -> np.ndarray:
 
 
 def _values(obs: Observable, points) -> np.ndarray:
-    """``obs`` over ``points`` as a complex array, without domain checks; a plain list is coded first."""
+    """``obs`` over ``points`` as a complex array, without domain checks."""
     if not len(points):
         return np.empty(0, dtype=complex)
     if obs.fn is not None:  # a bare function, read point by point
         return _pointwise(obs.fn, points)
-    points = points if isinstance(points, _Points) else _encode(points, obs.domain.value)
     return np.asarray(obs.batch(points), dtype=complex)
 
 
@@ -347,13 +346,14 @@ def _state_hits(xs, label) -> np.ndarray:
 
 def indicator(x_star) -> Observable:
     """1 at the state labelled ``x_star``, 0 elsewhere (finite state spaces)."""
-    batch = lambda xs: _state_hits(xs, x_star).astype(complex)
+    batch = _entry("state", lambda xs: _state_hits(xs, x_star).astype(complex))
     return Observable(DomainTag.STATE_ONLY, label=f"1[x={x_star}]", batch=batch)
 
 
 def pair_indicator(x_star, u_star) -> Observable:
     """1 at the pair ``(x_star, u_star)``, 0 elsewhere."""
-    batch = lambda ps: (_state_hits(ps.firsts, x_star) & _hits(ps.table.labels, ps.codes, u_star)).astype(complex)
+    batch = _entry("state-input",
+                   lambda ps: (_state_hits(ps.firsts, x_star) & _hits(ps.table.labels, ps.codes, u_star)).astype(complex))
     return Observable(DomainTag.STATE_INPUT, label=f"1[x={x_star},u={u_star}]", batch=batch)
 
 
@@ -361,16 +361,12 @@ def coordinate(i: int) -> Observable:
     """The ``i``-th state coordinate, ``-d <= i < d`` for a ``d``-dimensional
     state (works on numeric labels for ``i`` = 0 or -1)."""
 
-    def at(x):
-        arr = np.asarray(x, dtype=float).reshape(-1)
-        if not -arr.size <= i < arr.size:
-            raise DomainError(f"coordinate {i} out of range for state {x!r}")
-        return arr[i]
-
     def batch(xs):
         arr = _state_column(xs)
-        if arr is None or not -arr.shape[1] <= i < arr.shape[1]:
-            return _pointwise(at, xs)  # ragged or out of range: state by state, raising at the first bad one
+        if arr is None:  # states that do not stack: one at a time
+            return _pointwise(lambda x: batch([x])[0], xs)
+        if not -arr.shape[1] <= i < arr.shape[1]:
+            raise DomainError(f"coordinate {i} out of range for state {xs[0]!r}")
         return arr[:, i].astype(complex)
 
     return Observable(DomainTag.STATE_ONLY, label=f"x{i}", batch=batch)
@@ -389,17 +385,11 @@ class MonomialFn:
     def __call__(self, xs: list) -> np.ndarray:
         """The monomial at every state of ``xs``, as a complex array."""
         arr = _state_column(xs)
-        if arr is None or arr.shape[1] != len(self.powers):
-            return _pointwise(self._at, xs)  # ragged or wrong dimension: raises at the first bad state
+        if arr is None:  # states that do not stack: one at a time
+            return _pointwise(lambda x: self([x])[0], xs)
+        if arr.shape[1] != len(self.powers):
+            raise DomainError(f"state dimension {arr.shape[1]} does not match powers {self.powers}")
         return _monomials(arr, self._exponents[None])[:, 0].astype(complex)
-
-    def _at(self, x) -> float:
-        arr = np.asarray(x, dtype=float).reshape(-1)
-        if arr.size != len(self.powers):
-            raise DomainError(
-                f"state dimension {arr.size} does not match powers {self.powers}"
-            )
-        return float((arr**self._exponents).prod())
 
 
 def _monomials(arr: np.ndarray, powers: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ map reads the columns of a point list (``systems._Points``: stacked box
 states, finite state codes, label codes, sequence ids) and returns the
 mapped list's columns: ``K_inf`` steps with the head codes and moves each
 id to its tail.  A caller's plain list is checked and coded once where it
-enters a library operator's ``batch`` (``systems._encode``), and the caller
+enters a library operator's ``batch`` (``systems._entry``), and the caller
 gets a plain list of points back.
 """
 
@@ -36,7 +36,7 @@ from .systems import (
     InputSequence,
     _Points,
     _SeqTable,
-    _encode,
+    _entry,
     _keyed,
     _step_many,
     random_state,
@@ -148,19 +148,6 @@ def compose(op1: CompositionOperator, op2: CompositionOperator) -> CompositionOp
         ci_stamp=op1.ci_stamp,
         requires_ci=op2.requires_ci,
     )
-
-
-def _entry(kind: str, mapping: Callable) -> Callable:
-    """A library operator's ``batch``: ``mapping`` of a point list the library built, and for a caller's
-    plain list of ``kind`` points, the plain list of ``mapping`` of it, coded once where it enters
-    (``systems._encode``)."""
-
-    def batch(ps):
-        if isinstance(ps, _Points):
-            return mapping(ps)
-        return list(mapping(_encode(ps, kind)))
-
-    return batch
 
 
 def _labels(ps: _Points, codes: np.ndarray) -> _Points:

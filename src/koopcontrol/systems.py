@@ -17,15 +17,14 @@ Point lists are immutable column records (``_Points``): stacked box
 states, finite state codes, label codes and sequence ids.  The library's
 draws and maps build them from columns, and their Python points are built
 only where something reads them.  A caller's plain list is coded once,
-where it enters (``_encode``: a library operator's ``batch``, ``evaluate``,
-the call of an observable, a list step handed a plain list); behind that
-entry every map and reader reads columns, and raises what the ``step``
-loop raises first.
+where it enters a library map (``_entry``: the ``batch`` of a library
+operator or observable) or a list step (``_encode``); behind that entry
+every map and reader reads columns, and raises what the ``step`` loop
+raises first.  A map of the caller's own is handed the caller's list.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -343,9 +342,12 @@ def _at(values, idx: np.ndarray) -> list:
 
 
 def _encode(points, kind: str, table=None) -> _Points:
-    """A caller's list of points of ``kind`` as a list the maps read: it keeps the points and their state
-    objects as given, and codes each label, or each label of a sequence, by object in ``table`` (a new one
-    if ``None``), in order of first sight, so a ``-0.0`` stays apart from ``0.0``."""
+    """A caller's list of points of ``kind`` as a list the maps read (a list the library built is returned
+    as it is): it keeps the points and their state objects as given, and codes each label, or each label of
+    a sequence, by object in ``table`` (a new one if ``None``), in order of first sight, so a ``-0.0`` stays
+    apart from ``0.0``."""
+    if isinstance(points, _Points):
+        return points
     points = list(points)
     if kind == "state":
         return _Points(points, kind=kind)
@@ -362,30 +364,50 @@ def _encode(points, kind: str, table=None) -> _Points:
     return _Points(points, firsts=firsts, table=table, kind=kind, **columns)
 
 
+def _entry(kind: str, mapping: Callable) -> Callable:
+    """A library map's ``batch``: ``mapping`` of a point list the library built; a caller's plain list of
+    ``kind`` points is coded once where it enters (:func:`_encode`), and a point list that ``mapping`` returns
+    for it comes back as a plain list."""
+
+    def batch(ps):
+        out = mapping(_encode(ps, kind))
+        return list(out) if isinstance(out, _Points) and not isinstance(ps, _Points) else out
+
+    return batch
+
+
 def _state_column(points) -> Optional[np.ndarray]:
     """The states of a state list as an ``(n, d)`` float array: its column, else its points stacked (and
-    kept); ``None`` for no states, or states of several shapes, as a caller's list read without a system
-    may hold."""
-    points = points if isinstance(points, _Points) else _Points(points)
+    kept).  ``None`` for no states, or several that do not stack as numbers (of several shapes, or text or
+    objects), as a caller's list read without a system may hold: its readers read it one state at a time.
+    One state always stacks, or raises numpy's error for it."""
+    points = _encode(points, "state")
     if points.states is None:
-        if len({x.shape if type(x) is np.ndarray else np.shape(x) for x in points}) != 1:
-            return None
-        points.states = np.asarray(points.points, dtype=float).reshape(len(points), -1)
+        try:
+            arr = np.asarray(points.points)
+        except ValueError:  # states of several shapes
+            arr = None
+        if arr is None or arr.dtype.kind not in "biuf":
+            if len(points) != 1:
+                return None
+            arr = np.asarray(points[0], dtype=float)  # as a state is read alone
+        points.states = arr.astype(float, copy=False).reshape(len(points), -1)
     return points.states
 
 
 def _box_states(box: RealBox, xs: _Points) -> np.ndarray:
     """A state list's ``(n, d)`` states on ``box``, as ``step`` coerces each one: its column, where its states
-    stack to that shape; else a state of another shape is a NaN row, which is outside the box, so ``step``
-    raises its error there."""
+    stack to that shape; else each state coerced, one that does not coerce (of another shape, or not read as
+    floats by numpy) a NaN row, which is outside the box, so ``step`` raises its error there."""
     arr = _state_column(xs)
     if arr is not None and arr.shape == (len(xs), box.dimension):
         return arr
     rows = np.full((len(xs), box.dimension), np.nan)
     for i, x in enumerate(xs):
-        arr = np.asarray(x, dtype=float).reshape(-1)
-        if arr.shape == (box.dimension,):
-            rows[i] = arr
+        try:
+            rows[i] = box.coerce(x)
+        except (DomainError, TypeError, ValueError):
+            pass  # a NaN row
     return rows
 
 
@@ -426,7 +448,9 @@ class _SeqTable:
         if c is None:
             c = self._codes[id(u)] = len(self.labels)
             self.labels.append(u)  # kept, so its id stays its own
-            if not isinstance(u, Hashable):
+            try:
+                hash(u)
+            except TypeError:
                 self.unhashable.append(u)
         return c
 
@@ -544,8 +568,7 @@ def _step_many(sys: ControlSystem, xs, us) -> _Points:
     with a ``transition_batch``, every state and label is checked at once, and the points before the first
     bad one are stepped with one batch call per input label, when there are two or more of them; other boxes,
     and fewer points (one state alone is cheaper), run the loop."""
-    xs = xs if isinstance(xs, _Points) else _encode(xs, "state")
-    us = us if isinstance(us, _Points) else _encode(us, "label")
+    xs, us = _encode(xs, "state"), _encode(us, "label")
     if isinstance(sys.states, FiniteStates):
         return _finite_steps(sys, xs, us)
     box, n = sys.states, 0

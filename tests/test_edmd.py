@@ -11,6 +11,7 @@ from koopcontrol import (
     DomainMismatchError,
     DomainTag,
     ExhaustiveFinite,
+    FiniteStates,
     GridOnBox,
     InputSequence,
     InputSet,
@@ -115,6 +116,15 @@ def test_batched_lift_falls_back_for_indicators(f3):
     xs = [0, 2, 1, 1, 0]
     assert np.array_equal(d.lift_batch(xs), _per_point_lift(d, xs))
     assert d.lift_batch([]).shape == (3, 0)
+
+
+def test_lift_batch_hands_an_entry_of_the_callers_own_the_callers_list():
+    seen = []
+    own = Observable(DomainTag.STATE_ONLY, batch=lambda xs: seen.append(type(xs)) or [x[0] for x in xs + []])
+    d = Dictionary((monomial((1,)), own))
+    xs = [np.array([0.25]), np.array([-0.5])]
+    assert np.array_equal(d.lift_batch(xs), [[0.25, -0.5], [0.25, -0.5]]) and d.lift(xs[0]).tolist() == [0.25, 0.25]
+    assert seen == [list, list]
 
 
 def test_batched_lift_rejects_wrong_state_dimension():
@@ -228,6 +238,25 @@ def test_fit_on_finite_indicators_matches_operator_matrices(f3):
         expected = to_matrix(k_u(f3, u), f3).T
         assert np.allclose(model.matrices[u], expected, atol=1e-10)
     assert all(res < 1e-20 for res in report.residuals.values())
+
+
+@pytest.mark.parametrize("name", ["float labels parsed again", "numpy integer labels"])
+def test_a_label_equal_to_an_input_label_falls_in_its_slice(name, lg):
+    """Triple labels that are ``==`` to an input label but other objects fit
+    that label's slice, as ``per_input`` groups them: one matrix per input
+    label, from every sample, and none missing."""
+    if name == "numpy integer labels":
+        sys = ControlSystem(FiniteStates((0, 1, 2)), InputSet((0, 1)), lambda x, u: (x + u) % 3)
+        d, data, twin = indicator_dictionary(sys), collect_data(sys, ExhaustiveFinite()), np.int64
+    else:
+        d, data, twin = monomial_dictionary(1, 2), collect_data(lg, UniformRandom(40, seed=5)), lambda u: float(repr(u))
+    twins = TrainingSet(tuple((x, twin(u), y) for x, u, y in data.triples), data.input_labels)
+    assert all(u is not v for (_, u, _), (_, v, _) in zip(data.triples, twins.triples))
+    (model, report), (twin_model, twin_report) = fit_kcf(d, data), fit_kcf(d, twins)
+    assert list(twin_model.matrices) == list(data.input_labels) and twin_report.missing_inputs == ()
+    assert twin_report.counts == report.counts == {u: len(data.triples) // len(data.input_labels) for u in data.input_labels}
+    for u in data.input_labels:
+        assert np.array_equal(twin_model.matrices[u], model.matrices[u])
 
 
 def test_residual_is_attained_objective(lg):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koopcontrol import (
+    CompositionOperator,
     ControlSystem,
     DomainError,
     DomainMismatchError,
@@ -34,6 +35,7 @@ from koopcontrol import (
     extension_f_to_aug,
     indicator,
     is_control_independent,
+    k_u,
     linear_combine,
     monomial,
     pair_indicator,
@@ -208,6 +210,21 @@ def test_observable_without_batch_is_read_point_by_point(f3):
     assert evaluate(obs, []).shape == (0,)
 
 
+def test_a_map_of_the_callers_own_is_handed_the_callers_list(f3):
+    """``evaluate``, the call, and ``apply`` of the caller's own operator or
+    of a library one hand a batch of the caller's own a plain list."""
+    seen = []
+    obs = Observable(DomainTag.STATE_ONLY, batch=lambda xs: seen.append(type(xs)) or [complex(x) for x in xs + []])
+    flip = CompositionOperator(DomainTag.STATE_ONLY, DomainTag.STATE_ONLY,
+                               lambda xs: seen.append(type(xs)) or [2 - x for x in xs + []])
+    points = [0, 2, 1]
+    assert list(evaluate(obs, points)) == [0, 2, 1] and obs(2) == 2
+    assert list(evaluate(apply(flip, obs), points)) == [2, 0, 1]
+    assert list(evaluate(apply(k_u(f3, "a"), obs), points)) == [f3.transition(x, "a") for x in points]
+    assert list(evaluate(apply(extension_f_to_aug(), obs), [(x, "b") for x in points])) == [0, 2, 1]
+    assert seen == [list] * 6
+
+
 # --- errors ------------------------------------------------------------------
 
 
@@ -373,6 +390,14 @@ _GAP_CASES = [
     (RealBox((-1.0,), (1.0,)),
      [(np.array([0.5]), InputSequence(("b",), ("a",))), (np.array([-0.0]), InputSequence.constant("a"))],
      [(np.array([0.5]), InputSequence(("a",), ("b", "a"))), (np.array([0.0]), InputSequence(("a",), ("a",)))]),
+    # states outside the space compare as the points do
+    (builtin_system("finite3").states, [0, 9, 9, "x", 1], [0, 9, 8, "y", 1]),
+    (builtin_system("finite3").states, [(9, "a"), (9, "a"), (0, "a")], [(9, "a"), (8, "a"), (0, math.nan)]),
+    # labels that are == but other objects, so coded apart
+    (RealBox((-1.0,), (1.0,)), [(np.array([0.5]), 0.5), (np.array([0.5]), 2), (np.array([0.5]), 0.5)],
+     [(np.array([0.5]), float("0.5")), (np.array([0.5]), np.int64(2)), (np.array([0.5]), 1.5)]),
+    (RealBox((-1.0,), (1.0,)), [(np.array([0.5]), InputSequence((0.5,), (2,)))],
+     [(np.array([0.5]), InputSequence((float("0.5"),), (np.int64(2),)))]),
 ]
 
 
@@ -398,6 +423,14 @@ def test_stacked_gaps_equal_pointwise_gaps(space, a, b):
     table = _SeqTable()
     expected = [reference_engine._gap(space, p, q) for p, q in zip(a, b)]
     assert _bits(checks._gaps(space, _coded(space, a, table, False), _coded(space, b, table, False))) == _bits(expected)
+
+
+@pytest.mark.parametrize("space, a, b", [c for c in _GAP_CASES if isinstance(c[1][0], tuple)])
+def test_gaps_compare_the_labels_of_two_tables_by_value(space, a, b):
+    """Two pair lists coded in two tables compare their seconds by the labels the codes stand for."""
+    expected = [reference_engine._gap(space, p, q) for p, q in zip(a, b)]
+    got = checks._gaps(space, _coded(space, a, _SeqTable(), False), _coded(space, b, _SeqTable(), False))
+    assert _bits(got) == _bits(expected)
 
 
 @pytest.mark.parametrize("space, a, b", [c for c in _GAP_CASES if isinstance(c[0], RealBox)])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,24 @@ def test_bridges_and_k_inf_raise_the_step_error_at_an_unhashable_label(f3):
         with pytest.raises(DomainError) as mapped:
             op.precompose(point)
         assert str(mapped.value) == str(stepped.value), op.label
+
+
+def test_bridges_and_k_inf_raise_the_step_error_before_any_step_at_a_label_whose_hash_raises(f3):
+    """A tuple holding a list is hashable by its type, but its hash raises:
+    as for any label that cannot be a dict key, R, E and K_inf raise the
+    DomainError that ``step`` raises for it, before any transition call."""
+    bad = ("a", ["b"])
+    with pytest.raises(DomainError) as stepped:
+        step(f3, 0, bad)
+    calls = []
+    counted = replace(f3, transition=lambda x, u: calls.append(u) or f3.transition(x, u))
+    seqs = [(0, InputSequence(("a",), ("b",))), (1, InputSequence(("a",), ("a", bad)))]
+    for op, points in [(restriction_inf_to_aug(), [(0, "a"), (1, bad)]), (extension_aug_to_inf(), seqs),
+                       (k_inf(counted), seqs)]:
+        with pytest.raises(DomainError) as mapped:
+            op.batch(points)
+        assert str(mapped.value) == str(stepped.value), op.label
+    assert calls == []
 
 
 def test_bridges_and_k_inf_keep_each_points_own_labels():

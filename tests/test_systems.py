@@ -522,6 +522,36 @@ def test_step_many_runs_the_step_loop_for_a_label_that_is_no_dict_key(monkeypatc
     assert batches == []
 
 
+def _counting(sys):
+    """``sys`` with its transitions counted in ``calls[0]``: one per call, one per row of a batch call."""
+    calls = [0]
+
+    def transition(x, u):
+        calls[0] += 1
+        return sys.transition(x, u)
+
+    def transition_batch(xs, u):
+        calls[0] += len(xs)
+        return sys.transition_batch(xs, u)
+
+    return replace(sys, transition=transition, transition_batch=transition_batch), calls
+
+
+@pytest.mark.parametrize("bad", ["a", ["a"], {}, [[0.1], [0.1, 0.2]]], ids=["text", "text in a list", "dict", "nested ragged"])
+def test_step_many_steps_the_states_ahead_of_one_numpy_cannot_read(bad):
+    """A box state that numpy cannot read as floats raises ``step``'s error
+    after the states ahead of it are stepped, as the loop does."""
+    sys = builtin_system("scalarlinear")
+    xs, us = [np.array([0.1]), np.array([0.2]), np.array([0.3]), bad, np.array([0.4])], ["a"] * 5
+    looped, loop_calls = _counting(sys)
+    with pytest.raises((TypeError, ValueError)) as loop:
+        [step(looped, x, u) for x, u in zip(xs, us)]
+    batched, calls = _counting(sys)
+    with pytest.raises(type(loop.value)) as many:
+        _step_many(batched, xs, us)
+    assert str(many.value) == str(loop.value) and calls == loop_calls == [3]
+
+
 @pytest.mark.parametrize("bad", sorted(_BAD) + ["ragged state"])
 @settings(max_examples=25, derandomize=True)
 @given(points=st.lists(_GOOD_OR_BAD, max_size=12), at=st.integers(0, 12), carried=st.booleans())

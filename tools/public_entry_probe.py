@@ -11,9 +11,12 @@ isomorphisms, ``kcf_word``, chains built with ``compose`` and powers) maps
 plain lists of its target domain's points, once as a whole list and once
 point by point with ``precompose``; ``evaluate`` and the call ``obs(p)``
 read observables over the same lists.  The lists are drawn from a seeded
-generator and hold, one case each, bad and ragged states, and unknown,
-unhashable, NaN and ``-0.0`` input labels; one more case is empty.  Each
-line prints the ``repr`` of the result, or the error, and the transitions
+generator and hold, one case each, bad, ragged, nested ragged and text
+states, and unknown, unhashable, NaN and ``-0.0`` input labels, and a tuple
+label holding a list (hashable by type, but its hash raises); one more case
+is empty.  An operator and an observable of the caller's own, each a list
+map that adds a list to the points it is given, show that a caller's map is
+handed the caller's list.  Each line prints the ``repr`` of the result, or the error, and the transitions
 stepped (per-point calls plus the rows of batch calls, so a batch and the
 ``step`` loop count alike).  The output is deterministic, so two source
 trees compare by their output bytes (``tools/compare_trees.py``).
@@ -27,6 +30,7 @@ from functools import reduce
 import numpy as np
 
 from koopcontrol import (
+    CompositionOperator,
     DomainTag,
     InputSequence,
     Observable,
@@ -91,12 +95,13 @@ def _lists(sys, rng) -> dict:
     seqs = random_sequences(rng, labels, 5)
     if box:
         bad = {"outside": np.array([1.5]), "nan state": np.array([NAN]), "ragged": np.array([0.25, 0.5]),
-               "float state": 0.375, "list state": [0.625]}
+               "float state": 0.375, "list state": [0.625], "text state": "a", "text list state": ["a"],
+               "nested ragged state": [[0.625], [0.625, 0.125]]}
         odd = {"-0.0 label": -0.0, "nan label": NAN}
     else:
         bad = {"unknown state": 9, "unhashable state": [1], "float state": 1.0}
         odd = {"nan label": NAN}
-    odd.update({"unknown label": "z", "unhashable label": ["a"]})
+    odd.update({"unknown label": "z", "unhashable label": ["a"], "tuple label": ("a", ["b"])})
     u0 = labels[0]
     states = {"good": xs, **{case: _with(xs, 2, x) for case, x in bad.items()}}
     pairs = {"good": list(zip(xs, us)), **{case: _with(list(zip(xs, us)), 2, (x, u0)) for case, x in bad.items()},
@@ -129,7 +134,9 @@ def _operators(sys) -> dict:
         "R_u K_aug E_f": reduce(compose, [ops[f"R_u[{u1!r}]"], K_aug, E_f]), "E K_aug": compose(E, K_aug),
         "K_aug^2": power(K_aug, 2), "K_inf^2": power(K_inf, 2), "K_u^3": power(ops[f"K_u[{u1!r}]"], 3),
         "K_aug^0": power(K_aug, 0),
+        "own copy": CompositionOperator(STATE, STATE, lambda xs: xs + [], label="copy"),
     })
+    ops["K_u own copy"] = compose(ops[f"K_u[{u0!r}]"], ops["own copy"])
     if 0.0 in labels:
         ops["K_u[-0.0]"], ops["R_u[-0.0]"] = k_u(sys, -0.0), restriction_aug_to_f(-0.0, sys)
     return ops
@@ -144,7 +151,8 @@ def _observables(sys, ops: dict) -> dict:
     else:
         state = {"1[x=1]": indicator(1), "1[x=1.0]": indicator(1.0), "1[x=nan]": indicator(NAN)}
         pair = {"1[x=1,u=b]": pair_indicator(1, "b"), "1[x=1,u=nan]": pair_indicator(1, NAN)}
-    state.update({"1": constant_one(STATE), "fn": Observable(STATE, fn=lambda x: complex(np.sum(x)), label="sum")})
+    state.update({"1": constant_one(STATE), "fn": Observable(STATE, fn=lambda x: complex(np.sum(x)), label="sum"),
+                  "own batch": Observable(STATE, batch=lambda xs: [complex(np.sum(x)) for x in xs + []], label="sums")})
     lifted = apply(ops["E_ci"], next(iter(state.values())))
     pair.update({"E_f f": apply(ops["E_f"], next(iter(state.values()))),
                  "state_component": state_component(certify_control_independent(lifted, sys)),
